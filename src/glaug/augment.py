@@ -85,12 +85,6 @@ def perturbation_offset(eta: float, d: float, delta: np.ndarray) -> np.ndarray:
     return (eta * d) * delta
 
 
-def perturb(h: np.ndarray, d: float, eta: float, delta: np.ndarray) -> np.ndarray:
-    if h.shape != delta.shape:
-        raise InputError(f"shape mismatch: h {h.shape} vs delta {delta.shape}")
-    return h + perturbation_offset(eta, d, delta)
-
-
 def target_class(label: int | None, original_probs: np.ndarray) -> int:
     """Ground-truth label when known, else the classifier's own argmax.
 

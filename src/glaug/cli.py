@@ -8,26 +8,30 @@ that suffices to re-execute the run byte-for-byte (see `rerun`).
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import sys
 import traceback
 from pathlib import Path
+from typing import Callable
 
 import click
 
 from . import __version__
 from .data import (
     FeaturePolicy,
-    GraphDataset,
     build_node_features,
     dataset_fingerprint,
+    default_policy,
     generate_synthetic,
     parse_tudataset,
     write_tudataset,
 )
 from .errors import InputError, InvariantViolation
 from .reporting import (
-    load_manifest,
+    MANIFEST_SCHEMA,
+    METRICS_SCHEMA,
+    load_document,
     manifest_document,
     metrics_document,
     render_table,
@@ -49,26 +53,18 @@ def _resolve_dataset(path_str: str, name: str | None, features: str | None):
     stores `path_str` exactly as typed so reruns resolve the same way.
     """
     name = name or Path(path_str).name
-    tried = []
-    for base in (Path(path_str), *(
-        [Path(os.environ[DATA_DIR_VAR]) / path_str] if os.environ.get(DATA_DIR_VAR) else []
-    )):
-        tried.append(base)
-        if (base / f"{name}_A.txt").is_file():
-            ds = parse_tudataset(base, name)
-            break
-    else:
-        raise InputError(
-            f"no dataset named {name!r} at " + " or ".join(str(t) for t in tried)
-        )
+    bases = [Path(path_str)]
+    if os.environ.get(DATA_DIR_VAR):
+        bases.append(Path(os.environ[DATA_DIR_VAR]) / path_str)
+    base = next((b for b in bases if (b / f"{name}_A.txt").is_file()), None)
+    if base is None:
+        raise InputError(f"no dataset named {name!r} at " + " or ".join(str(b) for b in bases))
+    ds = parse_tudataset(base, name)
     if features:
         policy = FeaturePolicy.parse(features)
         ds = build_node_features(ds, policy)
     else:
-        has_labels = ds.graphs[0].node_labels is not None
-        policy = FeaturePolicy("one_hot_node_labels") if has_labels else FeaturePolicy(
-            "degree_one_hot", 10
-        )
+        policy = default_policy(ds.graphs[0].node_labels is not None)
     return ds, policy.spelled()
 
 
@@ -94,74 +90,17 @@ def _mean_rate(result: ExperimentResult) -> float:
     return sum(f.label_invariant_rate for f in result.folds) / len(result.folds)
 
 
-def _mean_chosen(result: ExperimentResult) -> float | None:
+def _mean_chosen(result: ExperimentResult) -> float:
     vals = [f.mean_chosen_prob for f in result.folds if f.mean_chosen_prob is not None]
-    return sum(vals) / len(vals) if vals else None
+    return sum(vals) / len(vals) if vals else float("nan")  # every selection fell back
 
 
-def _emit_trends(trends: list[dict]) -> None:
-    for t in trends:
-        if t["holds"]:
-            click.echo(f"trend ok: {t['name']} ({t['detail']})")
-        else:
-            click.echo(f"warning: trend failed: {t['name']} ({t['detail']})", err=True)
+# ----------------------------------------------------------------- studies
 
 
-# ------------------------------------------------------------- executors
-#
-# Command bodies are factored out so `rerun` can re-dispatch from a manifest.
-
-
-def _exec_run(ds, path_str, policy, cfg: TrainConfig, out: Path, workers: int) -> None:
-    result = run_experiment(ds, cfg, workers=workers)
-    write_artifact(out / "metrics.json", metrics_document(cfg, policy, ds, path_str, result))
-    write_artifact(
-        out / "manifest.json",
-        manifest_document("run", cfg, policy, ds, path_str, ["metrics.json"]),
-    )
-    click.echo(_fmt_summary(f"{ds.name} @ {cfg.label_ratio:g} labels", result))
-
-
-def _exec_sweep_eta(ds, path_str, policy, cfg, out, workers, values: list[float]) -> None:
-    runs = []
-    for eta in values:
-        sub = dataclasses.replace(cfg, eta=eta)
-        runs.append(({"eta": eta}, run_experiment(ds, sub, workers=workers)))
-    rows = [
-        [eta["eta"], r.mean_accuracy, r.std_accuracy, _mean_rate(r)] for eta, r in runs
-    ]
-    write_artifact(
-        out / "sweep_eta.tsv",
-        render_table(["eta", "mean_accuracy", "std_accuracy", "mean_invariant_rate"], rows),
-    )
-    write_artifact(out / "metrics.json", metrics_document(cfg, policy, ds, path_str, runs))
-    write_artifact(
-        out / "manifest.json",
-        manifest_document(
-            "sweep-eta", cfg, policy, ds, path_str,
-            ["metrics.json", "sweep_eta.tsv"], extra={"values": values},
-        ),
-    )
-    for (key, r) in runs:
-        click.echo(_fmt_summary(f"eta={key['eta']:g}", r))
-
-
-def _exec_ablate_strategy(ds, path_str, policy, cfg, out, workers) -> None:
-    strategies = ["hardest", "random", "easiest"]
-    runs = []
-    for strategy in strategies:
-        sub = dataclasses.replace(cfg, strategy=strategy)
-        runs.append(({"strategy": strategy}, run_experiment(ds, sub, workers=workers)))
-    by = {key["strategy"]: r for key, r in runs}
-
-    def chosen_cell(r):
-        c = _mean_chosen(r)
-        return c if c is not None else float("nan")  # all selections fell back
-
-    rows = [
-        [s, by[s].mean_accuracy, by[s].std_accuracy, chosen_cell(by[s]), _mean_rate(by[s])]
-        for s in strategies
-    ]
+def _strategy_trends(runs: list) -> list[dict]:
+    by = dict(runs)
+    strategies = [s for s, _ in runs]
     trends = [
         trend_report(
             "hardest_accuracy_at_least_easiest",
@@ -171,7 +110,7 @@ def _exec_ablate_strategy(ds, path_str, policy, cfg, out, workers) -> None:
         )
     ]
     chosen = [_mean_chosen(by[s]) for s in strategies]
-    if all(c is not None for c in chosen):
+    if not any(math.isnan(c) for c in chosen):
         trends.append(
             trend_report(
                 "chosen_prob_ordered",
@@ -180,105 +119,158 @@ def _exec_ablate_strategy(ds, path_str, policy, cfg, out, workers) -> None:
                 + " <= ".join(f"{s}:{c:.4f}" for s, c in zip(strategies, chosen)),
             )
         )
-    write_artifact(
-        out / "ablate_strategy.tsv",
-        render_table(
-            ["strategy", "mean_accuracy", "std_accuracy", "mean_chosen_prob", "mean_invariant_rate"],
-            rows,
-        ),
-    )
-    write_artifact(
-        out / "metrics.json", metrics_document(cfg, policy, ds, path_str, runs, trends)
-    )
-    write_artifact(
-        out / "manifest.json",
-        manifest_document(
-            "ablate-strategy", cfg, policy, ds, path_str,
-            ["metrics.json", "ablate_strategy.tsv"],
-        ),
-    )
-    for key, r in runs:
-        click.echo(_fmt_summary(key["strategy"], r))
-    _emit_trends(trends)
+    return trends
 
 
-def _exec_ablate_negatives(ds, path_str, policy, cfg, out, workers) -> None:
-    if cfg.batch_size < 2:
-        raise InputError("negative-pair ablation needs batch_size >= 2")
-    without = run_experiment(ds, dataclasses.replace(cfg, negative_pairs=False), workers=workers)
-    with_neg = run_experiment(ds, dataclasses.replace(cfg, negative_pairs=True), workers=workers)
-    runs = [({"negative_pairs": False}, without), ({"negative_pairs": True}, with_neg)]
-    paired = [
-        w.test_accuracy - wo.test_accuracy for w, wo in zip(with_neg.folds, without.folds)
-    ]
-    delta = sum(paired) / len(paired)
-    rows = [
-        ["without_negatives", without.mean_accuracy, without.std_accuracy],
-        ["with_negatives", with_neg.mean_accuracy, with_neg.std_accuracy],
-    ]
-    write_artifact(
-        out / "ablate_negatives.tsv",
-        render_table(["mode", "mean_accuracy", "std_accuracy"], rows),
-    )
-    trends = [
+def _paired_delta(runs: list) -> float:
+    """Mean per-fold accuracy of (with negatives - without negatives)."""
+    by = dict(runs)
+    paired = [w.test_accuracy - wo.test_accuracy for w, wo in zip(by[True].folds, by[False].folds)]
+    return sum(paired) / len(paired)
+
+
+def _negatives_trends(runs: list) -> list[dict]:
+    delta = _paired_delta(runs)
+    return [
         trend_report(
             "positive_pairs_only_at_least_with_negatives",
             delta <= 0,
             f"paired mean delta (with - without) = {delta:+.4f}",
         )
     ]
-    write_artifact(
-        out / "metrics.json", metrics_document(cfg, policy, ds, path_str, runs, trends)
-    )
-    write_artifact(
-        out / "manifest.json",
-        manifest_document(
-            "ablate-negatives", cfg, policy, ds, path_str,
-            ["metrics.json", "ablate_negatives.tsv"],
-            extra={"temperature": cfg.temperature},
-        ),
-    )
-    click.echo(_fmt_summary("without negatives", without))
-    click.echo(_fmt_summary("with negatives", with_neg))
-    click.echo(f"paired delta (with - without): {delta * 100:+.2f} accuracy points")
-    _emit_trends(trends)
 
 
-def _exec_invariant_rate(ds, path_str, policy, cfg, out, workers, ratios: list[float]) -> None:
-    runs = []
-    for ratio in ratios:
-        sub = dataclasses.replace(cfg, label_ratio=ratio)
-        runs.append(({"label_ratio": ratio}, run_experiment(ds, sub, workers=workers)))
-    rows = [
-        [key["label_ratio"], _mean_rate(r), r.mean_accuracy] for key, r in runs
-    ]
+def _rate_trends(runs: list) -> list[dict]:
+    if len(runs) < 2:
+        return []
+    ratios = [ratio for ratio, _ in runs]
     rates = [_mean_rate(r) for _, r in runs]
-    trends = []
-    if len(rates) >= 2:
-        trends.append(
-            trend_report(
-                "invariant_rate_nondecreasing_in_label_ratio",
-                all(a <= b + 1e-12 for a, b in zip(rates, rates[1:])),
-                "rates " + ", ".join(f"{ratio:g}:{rate:.4f}" for ratio, rate in zip(ratios, rates)),
-            )
+    return [
+        trend_report(
+            "invariant_rate_nondecreasing_in_label_ratio",
+            all(a <= b + 1e-12 for a, b in zip(rates, rates[1:])),
+            "rates " + ", ".join(f"{ratio:g}:{rate:.4f}" for ratio, rate in zip(ratios, rates)),
         )
+    ]
+
+
+@dataclasses.dataclass(frozen=True)
+class Study:
+    """An experiment command that runs one fold-matched experiment per value
+    of the TrainConfig `field`. The values are `fixed`, or given by the user
+    and recorded in the manifest's `extra` under `extra_key`, which is also the
+    command's flag name. `echo` and `trends` see the (value, result) runs."""
+
+    field: str
+    table: str
+    columns: tuple[str, ...]
+    row: Callable[[object, ExperimentResult], list]
+    echo: Callable[[list], list[str]]
+    trends: Callable[[list], list[dict]] = lambda runs: []
+    fixed: tuple = ()
+    extra_key: str | None = None
+    extra_config: tuple[str, ...] = ()  # config fields echoed into `extra`; rerun ignores them
+
+
+STUDIES = {
+    "sweep-eta": Study(
+        field="eta",
+        table="sweep_eta.tsv",
+        columns=("eta", "mean_accuracy", "std_accuracy", "mean_invariant_rate"),
+        row=lambda eta, r: [eta, r.mean_accuracy, r.std_accuracy, _mean_rate(r)],
+        echo=lambda runs: [_fmt_summary(f"eta={eta:g}", r) for eta, r in runs],
+        extra_key="values",
+    ),
+    "ablate-strategy": Study(
+        field="strategy",
+        table="ablate_strategy.tsv",
+        columns=("strategy", "mean_accuracy", "std_accuracy", "mean_chosen_prob",
+                 "mean_invariant_rate"),
+        row=lambda s, r: [s, r.mean_accuracy, r.std_accuracy, _mean_chosen(r), _mean_rate(r)],
+        echo=lambda runs: [_fmt_summary(s, r) for s, r in runs],
+        trends=_strategy_trends,
+        fixed=("hardest", "random", "easiest"),
+    ),
+    "ablate-negatives": Study(
+        field="negative_pairs",
+        table="ablate_negatives.tsv",
+        columns=("mode", "mean_accuracy", "std_accuracy"),
+        row=lambda neg, r: [
+            "with_negatives" if neg else "without_negatives", r.mean_accuracy, r.std_accuracy
+        ],
+        echo=lambda runs: [
+            *(_fmt_summary("with negatives" if neg else "without negatives", r) for neg, r in runs),
+            f"paired delta (with - without): {_paired_delta(runs) * 100:+.2f} accuracy points",
+        ],
+        trends=_negatives_trends,
+        fixed=(False, True),
+        extra_config=("temperature",),
+    ),
+    "invariant-rate": Study(
+        field="label_ratio",
+        table="invariant_rate.tsv",
+        columns=("label_ratio", "mean_invariant_rate", "mean_accuracy"),
+        row=lambda ratio, r: [ratio, _mean_rate(r), r.mean_accuracy],
+        echo=lambda runs: [
+            f"label ratio {ratio:g}: mean invariant rate {_mean_rate(r):.4f}" for ratio, r in runs
+        ],
+        trends=_rate_trends,
+        extra_key="ratios",
+    ),
+}
+
+
+def _execute(command, ds, path_str, policy, cfg, out: Path, workers, values=None) -> None:
+    """Run an experiment command, write its artifacts and echo its summary.
+
+    `values` are the user values of a study with an `extra_key`. Library
+    functions are looked up as module globals at call time, so anything that
+    replaces them on this module (tests, the benchmark's tracer) takes effect.
+    """
+    artifacts, extra, trends = ["metrics.json"], {}, []
+    if command == "run":
+        results = run_experiment(ds, cfg, workers=workers)
+        lines = [_fmt_summary(f"{ds.name} @ {cfg.label_ratio:g} labels", results)]
+    else:
+        study = STUDIES[command]
+        values = study.fixed if study.extra_key is None else values
+        # every variant's config is built, and so validated, before any of them trains
+        variants = [dataclasses.replace(cfg, **{study.field: v}) for v in values]
+        runs = [(v, run_experiment(ds, sub, workers=workers)) for v, sub in zip(values, variants)]
+        trends = study.trends(runs)
+        rows = [study.row(v, r) for v, r in runs]
+        write_artifact(out / study.table, render_table(list(study.columns), rows))
+        artifacts.append(study.table)
+        results = [({study.field: v}, r) for v, r in runs]
+        extra = {name: getattr(cfg, name) for name in study.extra_config}
+        if study.extra_key is not None:
+            extra[study.extra_key] = values
+        lines = study.echo(runs)
     write_artifact(
-        out / "invariant_rate.tsv",
-        render_table(["label_ratio", "mean_invariant_rate", "mean_accuracy"], rows),
-    )
-    write_artifact(
-        out / "metrics.json", metrics_document(cfg, policy, ds, path_str, runs, trends)
+        out / "metrics.json", metrics_document(cfg, policy, ds, path_str, results, trends)
     )
     write_artifact(
         out / "manifest.json",
-        manifest_document(
-            "invariant-rate", cfg, policy, ds, path_str,
-            ["metrics.json", "invariant_rate.tsv"], extra={"ratios": ratios},
-        ),
+        manifest_document(command, cfg, policy, ds, path_str, artifacts, extra=extra),
     )
-    for key, r in runs:
-        click.echo(f"label ratio {key['label_ratio']:g}: mean invariant rate {_mean_rate(r):.4f}")
-    _emit_trends(trends)
+    for line in lines:
+        click.echo(line)
+    for t in trends:
+        if t["holds"]:
+            click.echo(f"trend ok: {t['name']} ({t['detail']})")
+        else:
+            click.echo(f"warning: trend failed: {t['name']} ({t['detail']})", err=True)
+
+
+def _json_field(doc, dotted: str, kind, where):
+    """The value at a dotted key path in a JSON document read from `where`,
+    checked to be a `kind` (a bool is never taken for a number)."""
+    value = doc
+    for key in dotted.split("."):
+        value = value.get(key) if isinstance(value, dict) else None
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise InputError(f"{where}: missing or malformed {dotted!r}")
+    return value
 
 
 # ------------------------------------------------------------------- group
@@ -325,10 +317,14 @@ def train_options(fn):
 CFG_FIELD_NAMES = {f.name for f in dataclasses.fields(TrainConfig)}
 
 
-def _build(kw: dict) -> tuple[TrainConfig, dict]:
+def _command(command: str, dataset_path: str, kw: dict, values_text: str | None = None) -> None:
+    """Shared body of the experiment commands: config, values, dataset, execute."""
     cfg = TrainConfig(**{k: v for k, v in kw.items() if k in CFG_FIELD_NAMES})
-    rest = {k: v for k, v in kw.items() if k not in CFG_FIELD_NAMES}
-    return cfg, rest
+    values = None
+    if values_text is not None:
+        values = _parse_floats(values_text, f"--{STUDIES[command].extra_key}")
+    ds, policy = _resolve_dataset(dataset_path, kw["name"], kw["features"])
+    _execute(command, ds, dataset_path, policy, cfg, kw["out"], kw["workers"], values)
 
 
 @cli.command("run")
@@ -338,9 +334,7 @@ def _build(kw: dict) -> tuple[TrainConfig, dict]:
 @train_options
 def cmd_run(dataset_path, **kw):
     """Full 10-fold experiment on one dataset."""
-    cfg, rest = _build(kw)
-    ds, policy = _resolve_dataset(dataset_path, rest["name"], rest["features"])
-    _exec_run(ds, dataset_path, policy, cfg, rest["out"], rest["workers"])
+    _command("run", dataset_path, kw)
 
 
 @cli.command("sweep-eta")
@@ -350,10 +344,7 @@ def cmd_run(dataset_path, **kw):
 @train_options
 def cmd_sweep_eta(dataset_path, values, **kw):
     """One experiment per perturbation magnitude, fold-matched."""
-    cfg, rest = _build(kw)
-    etas = _parse_floats(values, "--values")
-    ds, policy = _resolve_dataset(dataset_path, rest["name"], rest["features"])
-    _exec_sweep_eta(ds, dataset_path, policy, cfg, rest["out"], rest["workers"], etas)
+    _command("sweep-eta", dataset_path, kw, values)
 
 
 @cli.command("ablate-strategy")
@@ -361,9 +352,7 @@ def cmd_sweep_eta(dataset_path, values, **kw):
 @train_options
 def cmd_ablate_strategy(dataset_path, **kw):
     """Fold-matched comparison of hardest / random / easiest selection."""
-    cfg, rest = _build(kw)
-    ds, policy = _resolve_dataset(dataset_path, rest["name"], rest["features"])
-    _exec_ablate_strategy(ds, dataset_path, policy, cfg, rest["out"], rest["workers"])
+    _command("ablate-strategy", dataset_path, kw)
 
 
 @cli.command("ablate-negatives")
@@ -371,9 +360,7 @@ def cmd_ablate_strategy(dataset_path, **kw):
 @train_options
 def cmd_ablate_negatives(dataset_path, **kw):
     """Paired runs with and without in-batch negative pairs."""
-    cfg, rest = _build(kw)
-    ds, policy = _resolve_dataset(dataset_path, rest["name"], rest["features"])
-    _exec_ablate_negatives(ds, dataset_path, policy, cfg, rest["out"], rest["workers"])
+    _command("ablate-negatives", dataset_path, kw)
 
 
 @cli.command("invariant-rate")
@@ -385,28 +372,19 @@ def cmd_ablate_negatives(dataset_path, **kw):
 def cmd_invariant_rate(dataset_path, ratios, from_run, **kw):
     """Label-invariant rate across label ratios (retrains per ratio)."""
     if from_run is not None:
-        import json
-
-        try:
-            doc = json.loads(Path(from_run).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InputError(f"cannot read metrics document {from_run}: {exc}") from None
-        if doc.get("schema") != "glaug-metrics/1" or "folds" not in doc:
-            raise InputError(f"{from_run}: not a single-run metrics document")
-        rates = [f["label_invariant_rate"] for f in doc["folds"]]
-        ratio = doc["config"]["label_ratio"]
+        doc = load_document(from_run, METRICS_SCHEMA, "metrics document")
+        folds = doc.get("folds")
+        if not isinstance(folds, list) or not folds:
+            raise InputError(f"{from_run}: not a single-run metrics document with folds")
+        rates = [_json_field(f, "label_invariant_rate", (int, float), from_run) for f in folds]
+        ratio = _json_field(doc, "config.label_ratio", (int, float), from_run)
         click.echo(render_table(
             ["label_ratio", "mean_invariant_rate"], [[ratio, sum(rates) / len(rates)]]
         ).rstrip("\n"))
         return
     if dataset_path is None:
         raise InputError("provide a dataset path or --from-run")
-    cfg, rest = _build(kw)
-    ratio_values = _parse_floats(ratios, "--ratios")
-    ds, policy = _resolve_dataset(dataset_path, rest["name"], rest["features"])
-    _exec_invariant_rate(
-        ds, dataset_path, policy, cfg, rest["out"], rest["workers"], ratio_values
-    )
+    _command("invariant-rate", dataset_path, kw, ratios)
 
 
 @cli.command("gradcheck")
@@ -454,35 +432,38 @@ def cmd_gen_synth(graphs, classes, seed, sizes, densities, name, out):
 @click.option("--parallel-folds", "workers", type=int, default=1, show_default=True)
 def cmd_rerun(manifest_path, out, workers):
     """Re-execute a recorded run; artifacts reproduce byte-for-byte."""
-    doc = load_manifest(manifest_path)
-    conf = dict(doc["config"])
-    policy = conf.pop("feature_policy")
-    cfg = TrainConfig(**conf)
-    path_str = doc["dataset"]["path"]
-    name = doc["dataset"]["stats"]["name"]
+    doc = load_document(manifest_path, MANIFEST_SCHEMA, "run manifest")
+    command = _json_field(doc, "command", str, manifest_path)
+    if command != "run" and command not in STUDIES:
+        raise InputError(f"manifest records unknown command {command!r}")
+    conf = _json_field(doc, "config", dict, manifest_path)
+    unknown = sorted(conf.keys() - CFG_FIELD_NAMES - {"feature_policy"})
+    if unknown:
+        raise InputError(f"{manifest_path}: unknown config keys {', '.join(unknown)}")
+    # every field must be present, or the rerun would silently use its default
+    cfg = TrainConfig(**{
+        name: _json_field(conf, name, type(getattr(TrainConfig, name)), manifest_path)
+        for name in sorted(CFG_FIELD_NAMES)
+    })
+    policy = _json_field(conf, "feature_policy", str, manifest_path)
+    values = None
+    study = STUDIES.get(command)
+    if study is not None and study.extra_key is not None:
+        values = _json_field(doc, f"extra.{study.extra_key}", list, manifest_path)
+        if not values or any(type(v) not in (int, float) for v in values):
+            raise InputError(f"{manifest_path}: extra {study.extra_key!r} must list numbers")
+    path_str = _json_field(doc, "dataset.path", str, manifest_path)
+    name = _json_field(doc, "dataset.stats.name", str, manifest_path)
+    want = _json_field(doc, "dataset.fingerprint", str, manifest_path)
     ds, _ = _resolve_dataset(path_str, name, policy)
     got = dataset_fingerprint(ds)
-    want = doc["dataset"]["fingerprint"]
     if got != want:
         raise InputError(
             f"dataset at {path_str} no longer matches the manifest fingerprint "
             f"({got[:12]} != {want[:12]})"
         )
     out = out if out is not None else Path(manifest_path).parent
-    extra = doc.get("extra", {})
-    command = doc["command"]
-    if command == "run":
-        _exec_run(ds, path_str, policy, cfg, out, workers)
-    elif command == "sweep-eta":
-        _exec_sweep_eta(ds, path_str, policy, cfg, out, workers, extra["values"])
-    elif command == "ablate-strategy":
-        _exec_ablate_strategy(ds, path_str, policy, cfg, out, workers)
-    elif command == "ablate-negatives":
-        _exec_ablate_negatives(ds, path_str, policy, cfg, out, workers)
-    elif command == "invariant-rate":
-        _exec_invariant_rate(ds, path_str, policy, cfg, out, workers, extra["ratios"])
-    else:
-        raise InputError(f"manifest records unknown command {command!r}")
+    _execute(command, ds, path_str, policy, cfg, out, workers, values)
 
 
 # -------------------------------------------------------------- entry point

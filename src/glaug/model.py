@@ -7,9 +7,7 @@ itself is a constant of the computation, so it never carries gradients.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -17,9 +15,6 @@ from . import autodiff as ad
 from .autodiff import DiffValue, Tape
 from .data import GraphInstance
 from .errors import InputError
-
-CHECKPOINT_MAGIC = b"GLAUGPRM"
-CHECKPOINT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -54,6 +49,12 @@ def normalize_adjacency(g: GraphInstance) -> NormalizedAdjacency:
 # -------------------------------------------------------------- parameters
 
 
+def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
+    """Glorot-uniform fan_in x fan_out weights drawn from `rng`."""
+    s = np.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-s, s, size=(fan_in, fan_out))
+
+
 class ModelParams:
     """All trainable arrays, keyed by name, plus the shape chain they satisfy.
 
@@ -82,19 +83,14 @@ class ModelParams:
         if min(feature_dim, num_classes, hidden, proj_dim) < 1:
             raise InputError("all model dimensions must be >= 1")
         rng = rng or np.random.default_rng(0)
-
-        def glorot(fan_in, fan_out):
-            s = np.sqrt(6.0 / (fan_in + fan_out))
-            return rng.uniform(-s, s, size=(fan_in, fan_out))
-
         arrays: dict[str, np.ndarray] = {}
-        arrays["enc0"] = glorot(feature_dim, hidden)
+        arrays["enc0"] = glorot(rng, feature_dim, hidden)
         for layer in range(1, depth):
-            arrays[f"enc{layer}"] = glorot(hidden, hidden)
+            arrays[f"enc{layer}"] = glorot(rng, hidden, hidden)
         for head, out_dim in (("cls", num_classes), ("proj", proj_dim)):
-            arrays[f"{head}_w1"] = glorot(hidden, hidden)
+            arrays[f"{head}_w1"] = glorot(rng, hidden, hidden)
             arrays[f"{head}_b1"] = np.zeros((1, hidden))
-            arrays[f"{head}_w2"] = glorot(hidden, out_dim)
+            arrays[f"{head}_w2"] = glorot(rng, hidden, out_dim)
             arrays[f"{head}_b2"] = np.zeros((1, out_dim))
         return cls(arrays, depth)
 
@@ -173,49 +169,3 @@ def project(h: DiffValue, bound: dict) -> DiffValue:
 def represent(tape: Tape, g: GraphInstance, adj: NormalizedAdjacency, bound: dict) -> DiffValue:
     """Graph-level representation H = pool(encode(...)), a 1 x h row."""
     return pool(encode(tape, g, adj, bound))
-
-
-# -------------------------------------------------------------- checkpoints
-
-
-def save_params(params: ModelParams, path) -> None:
-    """Versioned binary layout: magic, version, depth, then named float64 blocks."""
-    path = Path(path)
-    chunks = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, params.depth)]
-    chunks.append(struct.pack("<I", len(params.arrays)))
-    for name, arr in params.arrays.items():
-        encoded = name.encode("ascii")
-        chunks.append(struct.pack("<H", len(encoded)))
-        chunks.append(encoded)
-        chunks.append(struct.pack("<II", arr.shape[0], arr.shape[1]))
-        chunks.append(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
-    path.write_bytes(b"".join(chunks))
-
-
-def load_params(path) -> ModelParams:
-    path = Path(path)
-    blob = path.read_bytes()
-    if blob[:8] != CHECKPOINT_MAGIC:
-        raise InputError(f"{path}: not a parameter checkpoint (bad magic)")
-    offset = 8
-    version, depth = struct.unpack_from("<II", blob, offset)
-    offset += 8
-    if version != CHECKPOINT_VERSION:
-        raise InputError(f"{path}: unsupported checkpoint version {version}")
-    (count,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
-    arrays: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", blob, offset)
-        offset += 2
-        name = blob[offset : offset + name_len].decode("ascii")
-        offset += name_len
-        rows, cols = struct.unpack_from("<II", blob, offset)
-        offset += 8
-        nbytes = rows * cols * 8
-        arr = np.frombuffer(blob[offset : offset + nbytes], dtype="<f8").reshape(rows, cols)
-        offset += nbytes
-        arrays[name] = arr.copy()
-    if offset != len(blob):
-        raise InputError(f"{path}: trailing bytes after last block")
-    return ModelParams(arrays, depth)

@@ -45,18 +45,21 @@ def render_table(headers: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def config_echo(cfg: TrainConfig, feature_policy: str) -> dict:
-    """All defaults materialized, plus the resolved feature policy."""
-    echo = dataclasses.asdict(cfg)
-    echo["feature_policy"] = feature_policy
-    return echo
-
-
-def dataset_block(dataset: GraphDataset, path_as_given: str) -> dict:
+def _document_head(
+    schema: str, cfg: TrainConfig, feature_policy: str, dataset: GraphDataset, dataset_path: str
+) -> dict:
+    """What metrics and manifest share: the config with all defaults
+    materialized plus the resolved feature policy, and the dataset by the path
+    as the user typed it."""
     return {
-        "path": path_as_given,
-        "fingerprint": dataset_fingerprint(dataset),
-        "stats": dataset_stats(dataset),
+        "schema": schema,
+        "tool_version": __version__,
+        "config": dict(dataclasses.asdict(cfg), feature_policy=feature_policy),
+        "dataset": {
+            "path": dataset_path,
+            "fingerprint": dataset_fingerprint(dataset),
+            "stats": dataset_stats(dataset),
+        },
     }
 
 
@@ -88,12 +91,7 @@ def metrics_document(
     `results` is either one ExperimentResult or a list of (key dict, result)
     pairs for sweep commands; each entry echoes the varied parameters.
     """
-    doc = {
-        "schema": METRICS_SCHEMA,
-        "tool_version": __version__,
-        "config": config_echo(cfg, feature_policy),
-        "dataset": dataset_block(dataset, dataset_path),
-    }
+    doc = _document_head(METRICS_SCHEMA, cfg, feature_policy, dataset, dataset_path)
     if isinstance(results, ExperimentResult):
         doc.update(experiment_dict(results))
     else:
@@ -112,27 +110,23 @@ def manifest_document(
     artifact_names: list[str],
     extra: dict | None = None,
 ) -> str:
-    doc = {
-        "schema": MANIFEST_SCHEMA,
-        "tool_version": __version__,
-        "command": command,
-        "config": config_echo(cfg, feature_policy),
-        "dataset": dataset_block(dataset, dataset_path),
-        "artifacts": sorted(artifact_names),
-    }
+    doc = _document_head(MANIFEST_SCHEMA, cfg, feature_policy, dataset, dataset_path)
+    doc.update(command=command, artifacts=sorted(artifact_names))
     if extra:
         doc["extra"] = extra
     return canonical_json(doc)
 
 
-def load_manifest(path) -> dict:
+def load_document(path, schema: str, what: str) -> dict:
+    """A JSON artifact read back from disk, checked to carry `schema`."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read manifest {path}: {exc}") from None
-    if doc.get("schema") != MANIFEST_SCHEMA:
-        raise InputError(f"{path}: not a run manifest (schema {doc.get('schema')!r})")
+        raise InputError(f"cannot read {what} {path}: {exc}") from None
+    found = doc.get("schema") if isinstance(doc, dict) else None
+    if found != schema:
+        raise InputError(f"{path}: not a {what} (schema {found!r})")
     return doc
 
 

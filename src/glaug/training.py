@@ -26,7 +26,7 @@ from .augment import (
 from .autodiff import DiffValue, Tape
 from .data import FoldPlan, GraphDataset, assign_labels, make_folds
 from .errors import InputError, InvariantViolation
-from .model import ModelParams, classify, normalize_adjacency, project, represent
+from .model import ModelParams, classify, glorot, normalize_adjacency, project, represent
 from .seeding import seeded_rng
 
 NORM_FLOOR = 1e-12
@@ -64,6 +64,8 @@ class TrainConfig:
             raise InputError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.negative_pairs and self.temperature <= 0:
             raise InputError(f"temperature must be > 0, got {self.temperature}")
+        if self.negative_pairs and self.batch_size < 2:
+            raise InputError(f"negative pairs need batch_size >= 2, got {self.batch_size}")
         self.aug_config()  # validates eta/K/strategy/dist_scope
 
     def aug_config(self) -> AugmentationConfig:
@@ -379,16 +381,11 @@ def train_fold(dataset: GraphDataset, fold: FoldPlan, cfg: TrainConfig) -> FoldR
 def _train_surrogate(h: np.ndarray, labels: np.ndarray, num_classes: int, rng) -> ModelParams:
     """Fresh classifier head fit on frozen representations with full labels."""
     hidden = h.shape[1]
-
-    def glorot(fan_in, fan_out):
-        s = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-s, s, size=(fan_in, fan_out))
-
     head = ModelParams(
         {
-            "cls_w1": glorot(hidden, hidden),
+            "cls_w1": glorot(rng, hidden, hidden),
             "cls_b1": np.zeros((1, hidden)),
-            "cls_w2": glorot(hidden, num_classes),
+            "cls_w2": glorot(rng, hidden, num_classes),
             "cls_b2": np.zeros((1, num_classes)),
         },
         depth=0,

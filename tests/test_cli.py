@@ -79,12 +79,102 @@ def test_seed_changes_metrics(toy_dir, tmp_path):
     assert read(tmp_path / "a" / "metrics.json") != read(tmp_path / "b" / "metrics.json")
 
 
-def test_rerun_reproduces_bytes(toy_dir, tmp_path):
-    assert main(["run", str(toy_dir), *COMMON, "--out", str(tmp_path / "orig")]) == 0
+def assert_rerun_reproduces(toy_dir, tmp_path, command, *flags):
+    """Run a command, rerun its manifest, and compare every artifact."""
+    assert main([command, str(toy_dir), *flags, *COMMON, "--out", str(tmp_path / "orig")]) == 0
     rc = main(["rerun", str(tmp_path / "orig" / "manifest.json"), "--out", str(tmp_path / "again")])
     assert rc == 0
-    for name in ("metrics.json", "manifest.json"):
+    names = sorted(p.name for p in (tmp_path / "orig").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "again").iterdir())
+    assert set(json.loads(read(tmp_path / "orig" / "manifest.json"))["artifacts"]) <= set(names)
+    for name in names:
         assert read(tmp_path / "orig" / name) == read(tmp_path / "again" / name)
+
+
+def test_rerun_reproduces_bytes(toy_dir, tmp_path):
+    assert_rerun_reproduces(toy_dir, tmp_path, "run")
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("sweep-eta", ["--values", "0.0,1.0"]),
+    ("ablate-strategy", []),
+    ("ablate-negatives", []),
+    ("invariant-rate", ["--ratios", "0.4,0.8"]),
+])
+def test_rerun_reproduces_study_bytes(toy_dir, tmp_path, command, flags):
+    assert_rerun_reproduces(toy_dir, tmp_path, command, *flags)
+
+
+@pytest.fixture(scope="module")
+def run_dir(toy_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("run")
+    assert main(["run", str(toy_dir), *COMMON, "--out", str(out)]) == 0
+    return out
+
+
+def assert_input_error(capsys, rc):
+    """Exit 1 with a one-line `error:` message and no traceback."""
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def _drop(*keys):
+    def edit(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        del doc[keys[-1]]
+    return edit
+
+
+def _set(value, *keys):
+    def edit(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _set(1, "config", "bogus"),
+    _drop("config", "epochs"),  # would otherwise rerun with the default of 100 epochs
+    _drop("config", "feature_policy"),
+    _set("x", "config", "epochs"),
+    _set(True, "config", "epochs"),
+    _set("0.5", "config", "label_ratio"),
+    _drop("dataset"),
+    _drop("dataset", "stats", "name"),
+    _set("sweep-eta", "command"),  # no extra.values recorded
+    _set("no-such-command", "command"),
+], ids=[
+    "unknown_key", "missing_epochs", "missing_policy", "str_epochs", "bool_epochs",
+    "str_ratio", "missing_dataset", "missing_name", "sweep_without_values", "unknown_command",
+])
+def test_rerun_rejects_malformed_manifest(run_dir, tmp_path, capsys, edit):
+    doc = json.loads((run_dir / "manifest.json").read_text())
+    edit(doc)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(doc))
+    assert_input_error(capsys, main(["rerun", str(path), "--out", str(tmp_path / "x")]))
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "values", [None, [], ["a"], [True]], ids=["missing", "empty", "string", "bool"]
+)
+def test_rerun_rejects_bad_study_values(run_dir, tmp_path, capsys, values):
+    doc = json.loads((run_dir / "manifest.json").read_text())
+    doc["command"] = "invariant-rate"
+    doc["extra"] = {"ratios": values}
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(doc))
+    assert_input_error(capsys, main(["rerun", str(path), "--out", str(tmp_path / "x")]))
+
+
+def test_rerun_rejects_json_list(tmp_path, capsys):
+    path = tmp_path / "manifest.json"
+    path.write_text("[]")
+    assert_input_error(capsys, main(["rerun", str(path)]))
 
 
 def test_rerun_rejects_changed_dataset(toy_dir, tmp_path):
@@ -186,6 +276,27 @@ def test_invariant_rate_from_run_rejects_sweep_doc(toy_dir, tmp_path):
     assert main(["sweep-eta", str(toy_dir), "--values", "1.0", *COMMON, "--out", str(out)]) == 0
     rc = main(["invariant-rate", "--from-run", str(out / "metrics.json")])
     assert rc == 1
+
+
+@pytest.mark.parametrize("edit", [
+    _set([], "folds"),
+    _drop("folds"),
+    _drop("config"),
+    _set("x", "folds", 0, "label_invariant_rate"),
+    lambda doc: doc.clear(),
+], ids=["empty_folds", "missing_folds", "missing_config", "str_rate", "empty_object"])
+def test_invariant_rate_from_run_rejects_malformed(run_dir, tmp_path, capsys, edit):
+    doc = json.loads((run_dir / "metrics.json").read_text())
+    edit(doc)
+    path = tmp_path / "metrics.json"
+    path.write_text(json.dumps(doc))
+    assert_input_error(capsys, main(["invariant-rate", "--from-run", str(path)]))
+
+
+def test_invariant_rate_from_run_rejects_json_list(tmp_path, capsys):
+    path = tmp_path / "metrics.json"
+    path.write_text("[]")
+    assert_input_error(capsys, main(["invariant-rate", "--from-run", str(path)]))
 
 
 # -------------------------------------------------------------- generation

@@ -280,6 +280,8 @@ def test_train_config_validation():
     with pytest.raises(InputError):
         tr.TrainConfig(negative_pairs=True, temperature=0.0)
     with pytest.raises(InputError):
+        tr.TrainConfig(negative_pairs=True, batch_size=1)
+    with pytest.raises(InputError):
         tr.TrainConfig(strategy="no-such")
     cfg = tr.TrainConfig()
     assert cfg.aug_config().eta == 1.0 and cfg.alpha == 1.0  # defaults under test

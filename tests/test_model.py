@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from glaug import autodiff as ad
 from glaug import model as gm
 from glaug.autodiff import Tape, grad_check
-from glaug.data import GraphInstance, generate_synthetic
+from glaug.data import GraphInstance
 from glaug.errors import InputError
 
 
@@ -358,59 +358,3 @@ def test_bind_without_grad_records_nothing():
     h = gm.represent(t, g, gm.normalize_adjacency(g), bound)
     gm.classify(h, bound)
     assert t.num_records == 0  # snapshot scoring costs no tape
-
-
-# -------------------------------------------------------------- checkpoints
-
-
-def test_checkpoint_round_trip_bitwise(tmp_path):
-    params = gm.ModelParams.init(6, 3, hidden=8, proj_dim=5, rng=np.random.default_rng(9))
-    path = tmp_path / "model.bin"
-    gm.save_params(params, path)
-    loaded = gm.load_params(path)
-    assert loaded.depth == params.depth
-    assert list(loaded.arrays) == list(params.arrays)
-    for name in params.arrays:
-        assert np.array_equal(loaded.arrays[name], params.arrays[name])
-
-
-def test_checkpoint_bytes_deterministic(tmp_path):
-    params = gm.ModelParams.init(4, 2, hidden=4, proj_dim=4, rng=np.random.default_rng(1))
-    gm.save_params(params, tmp_path / "a.bin")
-    gm.save_params(params, tmp_path / "b.bin")
-    assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
-
-
-def test_checkpoint_bad_magic(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
-    with pytest.raises(InputError, match="magic"):
-        gm.load_params(path)
-
-
-def test_checkpoint_bad_version(tmp_path):
-    params = gm.ModelParams.init(4, 2, hidden=4, proj_dim=4)
-    path = tmp_path / "v.bin"
-    gm.save_params(params, path)
-    blob = bytearray(path.read_bytes())
-    blob[8] = 99
-    path.write_bytes(bytes(blob))
-    with pytest.raises(InputError, match="version"):
-        gm.load_params(path)
-
-
-def test_checkpoint_trailing_bytes(tmp_path):
-    params = gm.ModelParams.init(4, 2, hidden=4, proj_dim=4)
-    path = tmp_path / "t.bin"
-    gm.save_params(params, path)
-    path.write_bytes(path.read_bytes() + b"extra")
-    with pytest.raises(InputError, match="trailing"):
-        gm.load_params(path)
-
-
-def test_checkpoint_on_synthetic_trained_shapes(tmp_path):
-    ds = generate_synthetic(10, seed=2)
-    params = gm.ModelParams.init(ds.feature_dim, ds.num_classes, hidden=8, proj_dim=8)
-    gm.save_params(params, tmp_path / "m.bin")
-    loaded = gm.load_params(tmp_path / "m.bin")
-    assert loaded.feature_dim == ds.feature_dim
