@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape
+from .autodiff import as_matrix
 from .errors import InputError, InvariantViolation
 from .model import ModelParams, classify
 
@@ -95,19 +95,17 @@ def target_class(label: int | None, original_probs: np.ndarray) -> int:
     return int(np.argmax(original_probs))
 
 
-def snapshot_probs(params: ModelParams, h_value: np.ndarray) -> np.ndarray:
+def snapshot_probs(params: ModelParams | dict, h_value: np.ndarray) -> np.ndarray:
     """Class probabilities from the classifier snapshot, no gradients recorded.
 
-    Runs the exact classify() computation on a throwaway tape with frozen
-    leaves, so scores agree bit-for-bit with the training-path forward.
+    Runs the same classify() as the training path on its no-record route, so
+    scores agree bit-for-bit with the tape forward and no tape is built.
+    `params` is a frozen binding (`ModelParams.bind()`), which callers that
+    score many rows make once per pass, or a ModelParams, whose classifier is
+    bound for this call.
     """
-    t = Tape()
-    bound = {
-        k: t.leaf(v, requires_grad=False)
-        for k, v in params.arrays.items()
-        if k.startswith("cls")
-    }
-    return classify(t.leaf(h_value), bound).value
+    bound = params.bind(prefix="cls") if isinstance(params, ModelParams) else params
+    return classify(as_matrix(h_value, copy=False), bound)
 
 
 def augment(
@@ -122,16 +120,18 @@ def augment(
 
     All K directions are drawn before any strategy-specific rng use, so the
     candidate pool for a given rng state is identical across strategies.
+    `params`' classifier is bound frozen once for the K scores and the recheck.
     """
     if d < 0:
         raise InputError(f"d must be >= 0, got {d}")
     h = np.asarray(h, dtype=np.float64)
+    frozen = params.bind(prefix="cls")
 
     qualified: list[tuple[int, np.ndarray, float]] = []  # (draw index, offset, target prob)
     for k in range(cfg.num_candidates):
         delta = sample_unit_vector(h.shape[1], rng)
         offset = perturbation_offset(cfg.eta, d, delta)
-        probs = snapshot_probs(params, h + offset)
+        probs = snapshot_probs(frozen, h + offset)
         if int(np.argmax(probs)) == target:
             qualified.append((k, offset, float(probs[0, target])))
 
@@ -154,7 +154,7 @@ def augment(
 
     _, offset, prob = pick
     augmented = h + offset
-    if int(np.argmax(snapshot_probs(params, augmented))) != target:
+    if int(np.argmax(snapshot_probs(frozen, augmented))) != target:
         raise InvariantViolation(
             "selected augmentation lost the target class under the same snapshot"
         )

@@ -5,7 +5,15 @@ with a hand-written vector-Jacobian product. Values live in numpy arrays
 (float64, C order); a `Tape` records one forward computation and is consumed
 by a single `backward` call, which fills the gradient slot of every leaf that
 requires a gradient and releases intermediate gradients as it walks the
-recording in reverse.
+recording in reverse. `backward` drops each record once it is used and the
+tape's leaf list at the end, so no reference cycle outlives it: a step's
+activations are freed by refcount, not by a later cyclic collection.
+
+Frozen forwards need no tape. `matmul`, `add`, `add_rowvec`, `relu`,
+`softmax_rows` and `column_sum` also take plain arrays: when no operand is a
+`DiffValue` they return the plain ndarray, computed by the same expression as
+the recording op, so a model forward is written once and serves both modes
+with identical bits. Mixing a `DiffValue` with a plain array is a `TapeError`.
 
 Conventions that matter downstream:
   * everything is a matrix; vectors are 1 x n rows,
@@ -29,12 +37,16 @@ class TapeError(RuntimeError):
     """Tape lifecycle violation (e.g. backward run twice)."""
 
 
-def as_matrix(values) -> np.ndarray:
-    """Coerce to a fresh 2-D float64 C-order array; reject non-finite input."""
-    arr = np.array(values, dtype=np.float64, order="C", copy=True)
+def as_matrix(values, copy: bool = True) -> np.ndarray:
+    """Coerce to a 2-D float64 C-order array; reject non-finite input.
+
+    The result is a fresh array unless `copy` is False, in which case an
+    array that already has that layout is checked and returned as is.
+    """
+    arr = np.array(values, dtype=np.float64, order="C", copy=True if copy else None)
     if arr.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got ndim={arr.ndim}")
-    if arr.size and not np.all(np.isfinite(arr)):
+    if arr.size and not np.isfinite(arr).all():
         raise ValueError("matrix contains NaN or Inf")
     return arr
 
@@ -76,7 +88,7 @@ class Tape:
 class DiffValue:
     """A matrix plus its position on a tape."""
 
-    __slots__ = ("value", "tape", "node_id", "requires_grad", "grad")
+    __slots__ = ("value", "tape", "node_id", "requires_grad", "grad", "__weakref__")
 
     def __init__(self, value: np.ndarray, tape: Tape, requires_grad: bool) -> None:
         self.value = value
@@ -102,6 +114,8 @@ class DiffValue:
 
 
 def _same_tape(*vals: DiffValue) -> Tape:
+    if not all(isinstance(v, DiffValue) for v in vals):
+        raise TapeError("expected DiffValue operands on one tape, got a plain array")
     tape = vals[0].tape
     for v in vals[1:]:
         if v.tape is not tape:
@@ -109,9 +123,22 @@ def _same_tape(*vals: DiffValue) -> Tape:
     return tape
 
 
-def _same_shape(a: DiffValue, b: DiffValue, op: str) -> None:
+def _same_shape(a, b, op: str) -> None:
     if a.shape != b.shape:
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
+
+
+def _value(x) -> np.ndarray:
+    """The matrix behind an operand: a DiffValue's value or the plain array."""
+    return x.value if isinstance(x, DiffValue) else x
+
+
+def _frozen(*operands) -> bool:
+    """True when no operand is a DiffValue: the op returns a plain ndarray."""
+    for x in operands:
+        if isinstance(x, DiffValue):
+            return False
+    return True
 
 
 def _unary(a: DiffValue, out_val: np.ndarray, make_vjp) -> DiffValue:
@@ -124,12 +151,15 @@ def _unary(a: DiffValue, out_val: np.ndarray, make_vjp) -> DiffValue:
 
 def matmul(a: DiffValue, b: DiffValue) -> DiffValue:
     """Matrix product a @ b."""
+    av, bv = _value(a), _value(b)
+    if av.shape[1] != bv.shape[0]:
+        raise ShapeError(f"matmul: shapes {av.shape} and {bv.shape} do not chain")
+    out_val = av @ bv
+    if _frozen(a, b):
+        return out_val
     _same_tape(a, b)
-    if a.cols != b.rows:
-        raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not chain")
-    out = DiffValue(a.value @ b.value, a.tape, a.requires_grad or b.requires_grad)
+    out = DiffValue(out_val, a.tape, a.requires_grad or b.requires_grad)
     if out.requires_grad:
-        av, bv = a.value, b.value
         need_a, need_b = a.requires_grad, b.requires_grad
 
         def vjp(g):
@@ -146,9 +176,12 @@ def matmul(a: DiffValue, b: DiffValue) -> DiffValue:
 
 def add(a: DiffValue, b: DiffValue) -> DiffValue:
     """Elementwise sum of two same-shape matrices."""
-    _same_tape(a, b)
     _same_shape(a, b, "add")
-    out = DiffValue(a.value + b.value, a.tape, a.requires_grad or b.requires_grad)
+    out_val = _value(a) + _value(b)
+    if _frozen(a, b):
+        return out_val
+    _same_tape(a, b)
+    out = DiffValue(out_val, a.tape, a.requires_grad or b.requires_grad)
     if out.requires_grad:
         need_a, need_b = a.requires_grad, b.requires_grad
 
@@ -234,10 +267,14 @@ def scale(a: DiffValue, s: float) -> DiffValue:
 
 def add_rowvec(a: DiffValue, b: DiffValue) -> DiffValue:
     """Add a 1 x d row vector to every row of an n x d matrix."""
+    av, bv = _value(a), _value(b)
+    if bv.shape[0] != 1 or bv.shape[1] != av.shape[1]:
+        raise ShapeError(f"add_rowvec: {av.shape} plus row {bv.shape}")
+    out_val = av + bv
+    if _frozen(a, b):
+        return out_val
     _same_tape(a, b)
-    if b.rows != 1 or b.cols != a.cols:
-        raise ShapeError(f"add_rowvec: {a.shape} plus row {b.shape}")
-    out = DiffValue(a.value + b.value, a.tape, a.requires_grad or b.requires_grad)
+    out = DiffValue(out_val, a.tape, a.requires_grad or b.requires_grad)
     if out.requires_grad:
         need_a, need_b = a.requires_grad, b.requires_grad
 
@@ -255,16 +292,21 @@ def add_rowvec(a: DiffValue, b: DiffValue) -> DiffValue:
 
 def relu(a: DiffValue) -> DiffValue:
     """Elementwise max(0, x); subgradient at 0 is 0."""
-    av = a.value
-    return _unary(a, np.maximum(0.0, av), lambda: (lambda g: g * (av > 0.0)))
+    av = _value(a)
+    out_val = np.maximum(0.0, av)
+    if _frozen(a):
+        return out_val
+    return _unary(a, out_val, lambda: (lambda g: g * (av > 0.0)))
 
 
 def softmax_rows(a: DiffValue) -> DiffValue:
     """Row-wise softmax with max subtraction for overflow safety."""
-    av = a.value
+    av = _value(a)
     shifted = av - av.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=1, keepdims=True)
+    if _frozen(a):
+        return y
     out = DiffValue(y, a.tape, a.requires_grad)
     if a.requires_grad:
         def vjp(g):
@@ -310,8 +352,11 @@ def column_sum(a: DiffValue) -> DiffValue:
     bit-identical output under node permutations. Sum gradients don't care
     about order, so the VJP is the plain broadcast.
     """
-    n = a.rows
-    out_val = np.sort(a.value, axis=0).sum(axis=0, keepdims=True)
+    av = _value(a)
+    out_val = np.sort(av, axis=0).sum(axis=0, keepdims=True)
+    if _frozen(a):
+        return out_val
+    n = av.shape[0]
     return _unary(a, out_val, lambda: (lambda g: np.tile(g, (n, 1))))
 
 
@@ -360,7 +405,10 @@ def backward(loss: DiffValue) -> dict[DiffValue, np.ndarray]:
     """Fill `.grad` on every requires_grad leaf of the loss's tape.
 
     Returns the leaf -> gradient map. Intermediate gradients are dropped as
-    soon as their producing record has been processed. A tape supports one
+    soon as their producing record has been processed, and each record as
+    soon as it is used, so its closure and the activations it holds are
+    freed by refcount during the walk. The tape also lets go of its leaves;
+    the caller's references to them keep their `.grad`. A tape supports one
     backward; further calls raise.
     """
     tape = loss.tape
@@ -371,7 +419,9 @@ def backward(loss: DiffValue) -> dict[DiffValue, np.ndarray]:
     tape._consumed = True
 
     grads: dict[int, np.ndarray] = {loss.node_id: np.ones((1, 1))}
-    for out_id, vjp in reversed(tape._records):
+    records = tape._records
+    while records:
+        out_id, vjp = records.pop()
         g = grads.pop(out_id, None)
         if g is None:
             continue
@@ -382,7 +432,8 @@ def backward(loss: DiffValue) -> dict[DiffValue, np.ndarray]:
             grads[inp.node_id] = contrib if prev is None else prev + contrib
 
     result: dict[DiffValue, np.ndarray] = {}
-    for leaf in tape._leaves:
+    leaves, tape._leaves = tape._leaves, []
+    for leaf in leaves:
         g = grads.get(leaf.node_id)
         if g is None:
             g = np.zeros_like(leaf.value)

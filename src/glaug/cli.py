@@ -18,7 +18,7 @@ from typing import Callable
 import click
 
 from . import __version__
-from .data import (
+from .data import (  # build_node_features stays a name here: bench/spans.py wraps it
     FeaturePolicy,
     build_node_features,
     dataset_fingerprint,
@@ -59,11 +59,9 @@ def _resolve_dataset(path_str: str, name: str | None, features: str | None):
     base = next((b for b in bases if (b / f"{name}_A.txt").is_file()), None)
     if base is None:
         raise InputError(f"no dataset named {name!r} at " + " or ".join(str(b) for b in bases))
-    ds = parse_tudataset(base, name)
-    if features:
-        policy = FeaturePolicy.parse(features)
-        ds = build_node_features(ds, policy)
-    else:
+    policy = FeaturePolicy.parse(features) if features else None
+    ds = parse_tudataset(base, name, policy)
+    if policy is None:
         policy = default_policy(ds.graphs[0].node_labels is not None)
     return ds, policy.spelled()
 

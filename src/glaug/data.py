@@ -123,12 +123,12 @@ def _read_int_lines(path: Path, fields: int):
             yield lineno, values
 
 
-def parse_tudataset(directory, name: str) -> GraphDataset:
+def parse_tudataset(directory, name: str, policy: FeaturePolicy | None = None) -> GraphDataset:
     """Load `<name>_*.txt` files from `directory` into a GraphDataset.
 
-    Node features are built with the default policy (one-hot over node labels
-    when `<name>_node_labels.txt` exists, degree one-hot otherwise); use
-    build_node_features to swap policies afterwards.
+    Node features are built once, under `policy`, or when it is None under
+    the default policy (one-hot over node labels when
+    `<name>_node_labels.txt` exists, degree one-hot otherwise).
     """
     directory = Path(directory)
     paths = {
@@ -162,7 +162,7 @@ def parse_tudataset(directory, name: str) -> GraphDataset:
     num_graphs = node_graph[-1]
     total_nodes = len(node_graph)
     node_graph_arr = np.asarray(node_graph)
-    counts = [int((node_graph_arr == g).sum()) for g in range(1, num_graphs + 1)]
+    counts = np.bincount(node_graph_arr)[1:].tolist()
     first_node = np.concatenate([[0], np.cumsum(counts)[:-1]])  # global base per graph
 
     raw_labels: list[int] = []
@@ -238,7 +238,7 @@ def parse_tudataset(directory, name: str) -> GraphDataset:
         )
 
     ds = GraphDataset(name=name, graphs=tuple(graphs), num_classes=len(distinct), feature_dim=0)
-    return build_node_features(ds, default_policy(node_labels is not None))
+    return build_node_features(ds, policy or default_policy(node_labels is not None))
 
 
 # ----------------------------------------------------------------- features

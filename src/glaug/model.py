@@ -1,8 +1,13 @@
 """The differentiable model: residual GCN encoder, sum pooling, two heads.
 
 Per-graph forward passes (no cross-graph batching): each graph is small and
-the adjacency is materialized dense only for the tape's matmul. The adjacency
+the adjacency is materialized dense only for the matmul. The adjacency
 itself is a constant of the computation, so it never carries gradients.
+
+Every forward is defined once and runs in two modes. Bound to a tape
+(`params.bind(tape)`), it records for backward. Frozen (`params.bind()`,
+`tape=None`), it runs the engine's no-record path on the parameter arrays
+themselves and returns plain ndarrays with the same bits.
 """
 
 from __future__ import annotations
@@ -113,25 +118,40 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return ModelParams({k: v.copy() for k, v in self.arrays.items()}, self.depth)
 
-    def bind(self, tape: Tape, requires_grad: bool = True) -> dict[str, DiffValue]:
-        """Register every array as a leaf on `tape`.
+    def bind(self, tape: Tape | None = None, prefix: str = "") -> dict:
+        """Name -> operand for the forward functions, for names starting with `prefix`.
 
-        requires_grad=False gives the exact same forward computation with the
-        tape recording suppressed, which is how no-grad snapshot scoring stays
-        bit-identical to the training path.
+        With a tape, every array becomes a leaf that requires a gradient.
+        Without one the binding is frozen: the arrays themselves, each checked
+        2-D and finite here, once, and none copied. A frozen binding is only
+        valid while the arrays are not updated, so bind once per pass.
         """
-        return {k: tape.leaf(v, requires_grad=requires_grad) for k, v in self.arrays.items()}
+        arrays = {k: v for k, v in self.arrays.items() if k.startswith(prefix)}
+        if tape is None:
+            return {k: ad.as_matrix(v, copy=False) for k, v in arrays.items()}
+        return {k: tape.leaf(v, requires_grad=True) for k, v in arrays.items()}
 
 
 # ------------------------------------------------------------------ forward
 
 
-def encode(tape: Tape, g: GraphInstance, adj: NormalizedAdjacency, bound: dict) -> DiffValue:
-    """L rounds of relu(A_hat @ G @ theta); identity residual from layer 1 on."""
+def _constant(tape: Tape | None, values) -> DiffValue | np.ndarray:
+    if tape is None:
+        return ad.as_matrix(values, copy=False)
+    return tape.constant(values)
+
+
+def encode(
+    tape: Tape | None, g: GraphInstance, adj: NormalizedAdjacency, bound: dict
+) -> DiffValue | np.ndarray:
+    """L rounds of relu(A_hat @ G @ theta); identity residual from layer 1 on.
+
+    `tape=None` with a frozen binding records nothing and returns an ndarray.
+    """
     if g.node_count == 0:
         raise InputError("cannot encode an empty graph")
-    a_hat = tape.constant(adj.to_dense())
-    out = tape.constant(g.node_features)
+    a_hat = _constant(tape, adj.to_dense())
+    out = _constant(tape, g.node_features)
     layer = 0
     while f"enc{layer}" in bound:
         theta = bound[f"enc{layer}"]
@@ -166,6 +186,8 @@ def project(h: DiffValue, bound: dict) -> DiffValue:
     return ad.add_rowvec(ad.matmul(hidden, bound["proj_w2"]), bound["proj_b2"])
 
 
-def represent(tape: Tape, g: GraphInstance, adj: NormalizedAdjacency, bound: dict) -> DiffValue:
+def represent(
+    tape: Tape | None, g: GraphInstance, adj: NormalizedAdjacency, bound: dict
+) -> DiffValue | np.ndarray:
     """Graph-level representation H = pool(encode(...)), a 1 x h row."""
     return pool(encode(tape, g, adj, bound))

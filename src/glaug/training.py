@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from . import augment as augmentation
 from .augment import (
     AugmentationConfig,
     AugmentationOutcome,
@@ -220,24 +221,19 @@ def _representations(
     dataset: GraphDataset, adjs: list, params: ModelParams, indices
 ) -> np.ndarray:
     """Frozen H rows for the given graphs, stacked in index order."""
-    rows = []
-    for i in indices:
-        t = Tape()
-        bound = params.bind(t, requires_grad=False)
-        rows.append(represent(t, dataset.graphs[i], adjs[i], bound).value[0])
-    return np.array(rows)
+    frozen = params.bind()
+    return np.array([represent(None, dataset.graphs[i], adjs[i], frozen)[0] for i in indices])
 
 
 def evaluate(dataset: GraphDataset, adjs: list, params: ModelParams, indices) -> float:
     """Accuracy of classify(H) argmax against ground truth over `indices`."""
     if len(indices) == 0:
         return 0.0
+    frozen = params.bind()
     hits = 0
     for i in indices:
-        t = Tape()
-        bound = params.bind(t, requires_grad=False)
-        c = classify(represent(t, dataset.graphs[i], adjs[i], bound), bound)
-        hits += int(np.argmax(c.value)) == dataset.graphs[i].label
+        c = classify(represent(None, dataset.graphs[i], adjs[i], frozen), frozen)
+        hits += int(np.argmax(c)) == dataset.graphs[i].label
     return hits / len(indices)
 
 
@@ -289,7 +285,8 @@ def train_fold(dataset: GraphDataset, fold: FoldPlan, cfg: TrainConfig) -> FoldR
         cls_sum, cls_n = 0.0, 0
         for batch in _batches(order, cfg.batch_size):
             tape = Tape()
-            bound = params.bind(tape, requires_grad=True)
+            bound = params.bind(tape)
+            frozen = params.bind(prefix="cls")  # scores unlabeled graphs for their target
             h_os = [represent(tape, dataset.graphs[i], adjs[i], bound) for i in batch]
 
             d = epoch_d if epoch_d is not None else centroid_distance(
@@ -304,9 +301,12 @@ def train_fold(dataset: GraphDataset, fold: FoldPlan, cfg: TrainConfig) -> FoldR
             for pos, i in enumerate(batch):
                 g = dataset.graphs[i]
                 h_o = h_os[pos]
-                c_o = classify(h_o, bound)
                 label = g.label if i in labeled else None
-                target = target_class(label, c_o.value)
+                if label is None:
+                    target = target_class(None, classify(h_o.value, frozen))
+                else:
+                    target = int(label)
+                    c_o = classify(h_o, bound)
                 outcome: AugmentationOutcome = augment(
                     h_o.value,
                     target,
@@ -395,7 +395,7 @@ def _train_surrogate(h: np.ndarray, labels: np.ndarray, num_classes: int, rng) -
     state = AdamState()
     for _ in range(SURROGATE_STEPS):
         tape = Tape()
-        bound = head.bind(tape, requires_grad=True)
+        bound = head.bind(tape)
         probs = classify(tape.constant(h), bound)
         ce = ad.dot(tape.constant(onehot), ad.log(ad.clamp(probs, PROB_FLOOR, 1.0)))
         loss = ad.scale(ce, -1.0 / h.shape[0])
@@ -417,8 +417,6 @@ def label_invariant_rate(
     Selection is still gated by the trained model's own classifier (the one
     that chose augmentations during training); the surrogate only measures.
     """
-    from .augment import snapshot_probs  # local import keeps module load light
-
     train = list(fold.train_indices)
     h = _representations(dataset, adjs, params, train)
     labels = np.array([dataset.graphs[i].label for i in train])
@@ -429,10 +427,11 @@ def label_invariant_rate(
     d = centroid_distance(h)
     labeled = set(fold.labeled_mask)
     aug_cfg = cfg.aug_config()
+    trained, probe = params.bind(prefix="cls"), surrogate.bind()
     agree = 0
     for row, i in enumerate(train):
         h_o = h[row : row + 1]
-        c_o = snapshot_probs(params, h_o)
+        c_o = augmentation.snapshot_probs(trained, h_o)
         label = dataset.graphs[i].label if i in labeled else None
         outcome = augment(
             h_o,
@@ -442,8 +441,8 @@ def label_invariant_rate(
             d,
             seeded_rng(cfg.seed, "rate", fold.fold_index, i),
         )
-        before = int(np.argmax(snapshot_probs(surrogate, h_o)))
-        after = int(np.argmax(snapshot_probs(surrogate, outcome.augmented)))
+        before = int(np.argmax(augmentation.snapshot_probs(probe, h_o)))
+        after = int(np.argmax(augmentation.snapshot_probs(probe, outcome.augmented)))
         agree += before == after
     return agree / len(train)
 
@@ -463,15 +462,14 @@ def _toy_batch_objective_check(rng_seed: int, num_nodes: int = 5) -> float | Non
     for a in params.arrays.values():
         a += rng.normal(scale=0.05, size=a.shape)
 
-    from .augment import snapshot_probs
-
-    t0 = Tape()
-    bound0 = params.bind(t0, requires_grad=False)
+    frozen = params.bind()
     offsets = []
     margin = np.inf
     for idx, (g, adj) in enumerate(zip(graphs, adjs)):
-        h = represent(t0, g, adj, bound0).value
-        target = target_class(g.label if idx == 0 else None, snapshot_probs(params, h))
+        h = represent(None, g, adj, frozen)
+        target = target_class(
+            g.label if idx == 0 else None, augmentation.snapshot_probs(frozen, h)
+        )
         out = augment(h, target, params, AugmentationConfig(), 1.0, seeded_rng(rng_seed, "fd", idx))
         offsets.append(out.offset)
         # relu margins along both branches

@@ -1,5 +1,8 @@
 """Engine tests: every VJP against central differences, plus tape semantics."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -283,6 +286,64 @@ def test_log_rejects_nonpositive():
 def test_grad_check_rejects_bad_step():
     with pytest.raises(ValueError):
         grad_check(lambda x: ad.sum_all(x), np.ones((1, 1)), step=0.0)
+
+
+def test_backward_frees_the_tape_without_gc():
+    gc.disable()
+    try:
+        t = Tape()
+        x = t.leaf(rng(8).normal(size=(3, 4)), requires_grad=True)
+        w = t.leaf(rng(9).normal(size=(4, 2)), requires_grad=True)
+        hidden = ad.relu(ad.matmul(x, w))
+        hidden_ref = weakref.ref(hidden)
+        loss = ad.sum_all(ad.softmax_rows(hidden))
+        backward(loss)
+        del hidden, loss
+        assert hidden_ref() is None  # no record outlives backward
+        assert x.grad.shape == (3, 4) and w.grad.shape == (4, 2)
+        tape_ref = weakref.ref(t)
+        del t, x, w
+        assert tape_ref() is None  # nor a leaf <-> tape cycle
+    finally:
+        gc.enable()
+
+
+# ----------------------------------------------------------- no-record path
+
+
+def _chain(a, b, row, other):
+    z = ad.add(ad.add_rowvec(ad.matmul(a, b), row), other)
+    return ad.column_sum(ad.softmax_rows(ad.relu(z)))
+
+
+def test_no_record_path_matches_recording_ops_bitwise():
+    for seed in range(20):
+        r = rng(100 + seed)
+        n, k, d = (int(v) for v in r.integers(1, 40, size=3))
+        x, w = r.normal(size=(n, k)), r.normal(size=(k, d))
+        row, other = r.normal(size=(1, d)), r.normal(size=(n, d))
+        t = Tape()
+        taped = _chain(*(t.leaf(v, requires_grad=True) for v in (x, w, row, other)))
+        plain = _chain(x, w, row, other)
+        assert type(plain) is np.ndarray
+        assert np.array_equal(plain, taped.value)
+
+
+def test_no_record_path_checks_shapes():
+    with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
+        ad.matmul(np.ones((2, 3)), np.ones((2, 3)))
+    with pytest.raises(ShapeError):
+        ad.add(np.ones((2, 3)), np.ones((3, 2)))
+    with pytest.raises(ShapeError):
+        ad.add_rowvec(np.ones((2, 3)), np.ones((2, 3)))
+
+
+def test_mixing_diffvalue_and_plain_array_raises():
+    x = Tape().leaf(np.ones((2, 2)), requires_grad=True)
+    with pytest.raises(TapeError, match="plain array"):
+        ad.matmul(x, np.ones((2, 2)))
+    with pytest.raises(TapeError, match="plain array"):
+        ad.add(np.ones((2, 2)), x)
 
 
 # --------------------------------------------------------------- properties

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import glaug.cli as cli_mod
+import glaug.data as data_mod
 from glaug.cli import main
 from glaug.errors import InvariantViolation
 
@@ -89,6 +90,24 @@ def assert_rerun_reproduces(toy_dir, tmp_path, command, *flags):
     assert set(json.loads(read(tmp_path / "orig" / "manifest.json"))["artifacts"]) <= set(names)
     for name in names:
         assert read(tmp_path / "orig" / name) == read(tmp_path / "again" / name)
+
+
+def test_features_flag_builds_node_features_once(toy_dir, monkeypatch):
+    policy = data_mod.FeaturePolicy.parse("degree_one_hot:4")
+    two_pass = data_mod.build_node_features(data_mod.parse_tudataset(toy_dir, "TOY"), policy)
+    built = []
+    real = data_mod.build_node_features
+
+    def counting(ds, pol):
+        built.append(pol)
+        return real(ds, pol)
+
+    monkeypatch.setattr(data_mod, "build_node_features", counting)
+    monkeypatch.setattr(cli_mod, "build_node_features", counting)
+    ds, spelled = cli_mod._resolve_dataset(str(toy_dir), "TOY", "degree_one_hot:4")
+    assert built == [policy]
+    assert spelled == "degree_one_hot:4"
+    assert data_mod.dataset_fingerprint(ds) == data_mod.dataset_fingerprint(two_pass)
 
 
 def test_rerun_reproduces_bytes(toy_dir, tmp_path):

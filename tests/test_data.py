@@ -255,6 +255,29 @@ def test_write_parse_round_trip(tmp_path):
     assert gd.dataset_fingerprint(src) == gd.dataset_fingerprint(back)
 
 
+def test_parsed_node_counts_match_indicator_loop(tmp_path):
+    src = gd.generate_synthetic(40, size_range=(1, 9), seed=12)
+    gd.write_tudataset(src, tmp_path, "NC")
+    back = gd.parse_tudataset(tmp_path, "NC")
+    indicator = np.loadtxt(tmp_path / "NC_graph_indicator.txt", dtype=np.int64)
+    reference = [int((indicator == g).sum()) for g in range(1, len(src) + 1)]
+    assert [g.node_count for g in back.graphs] == reference
+    assert reference == [g.node_count for g in src.graphs]
+
+
+def test_parse_with_policy_equals_rebuilt_features(tmp_path):
+    src = gd.generate_synthetic(12, seed=13)
+    gd.write_tudataset(src, tmp_path, "PF")
+    for spelling in ("degree_one_hot:3", "constant_one", "one_hot_node_labels"):
+        policy = gd.FeaturePolicy.parse(spelling)
+        once = gd.parse_tudataset(tmp_path, "PF", policy)
+        rebuilt = gd.build_node_features(gd.parse_tudataset(tmp_path, "PF"), policy)
+        assert once.feature_dim == rebuilt.feature_dim
+        assert gd.dataset_fingerprint(once) == gd.dataset_fingerprint(rebuilt)
+        for a, b in zip(once.graphs, rebuilt.graphs):
+            assert np.array_equal(a.node_features, b.node_features)
+
+
 def test_writer_is_byte_deterministic(tmp_path):
     ds = gd.generate_synthetic(6, seed=5)
     gd.write_tudataset(ds, tmp_path / "x", "D")

@@ -114,7 +114,7 @@ def test_engine_forward_matches_numpy_route():
     g, params = clean_case(0)
     adj = gm.normalize_adjacency(g)
     t = Tape()
-    bound = params.bind(t, requires_grad=False)
+    bound = params.bind(t)
     h = gm.represent(t, g, adj, bound)
     c = gm.classify(h, bound)
     p = gm.project(h, bound)
@@ -158,29 +158,25 @@ def test_zero_weights_give_zero_encoding():
     for name in list(params.arrays):
         if name.startswith("enc"):
             params.arrays[name] = np.zeros_like(params.arrays[name])
-    t = Tape()
-    out = gm.encode(t, g, gm.normalize_adjacency(g), params.bind(t, requires_grad=False))
-    np.testing.assert_array_equal(out.value, 0.0)
+    out = gm.encode(None, g, gm.normalize_adjacency(g), params.bind())
+    np.testing.assert_array_equal(out, 0.0)
 
 
 def test_residual_skips_zeroed_upper_layer():
     g, params = clean_case(30)
-    t = Tape()
-    first = gm.encode(t, g, gm.normalize_adjacency(g), params.bind(t, False))
+    first = gm.encode(None, g, gm.normalize_adjacency(g), params.bind())
     zeroed = params.copy()
     for layer in range(1, params.depth):
         zeroed.arrays[f"enc{layer}"] = np.zeros_like(zeroed.arrays[f"enc{layer}"])
-    t2 = Tape()
     only_first = {
         k: v for k, v in zeroed.arrays.items() if not k.startswith("enc") or k == "enc0"
     }
-    bound = gm.ModelParams(only_first, 1).bind(t2, False)
-    layer0 = gm.encode(t2, g, gm.normalize_adjacency(g), bound)
-    t3 = Tape()
-    full = gm.encode(t3, g, gm.normalize_adjacency(g), zeroed.bind(t3, False))
+    bound = gm.ModelParams(only_first, 1).bind()
+    layer0 = gm.encode(None, g, gm.normalize_adjacency(g), bound)
+    full = gm.encode(None, g, gm.normalize_adjacency(g), zeroed.bind())
     # relu(0) = 0 at layers >= 1, residual carries layer 0 through unchanged
-    np.testing.assert_array_equal(full.value, layer0.value)
-    assert not np.array_equal(full.value, np.zeros_like(full.value)) or first is None
+    np.testing.assert_array_equal(full, layer0)
+    assert not np.array_equal(full, np.zeros_like(full)) or first is None
 
 
 def test_feature_dim_mismatch_rejected():
@@ -243,19 +239,17 @@ def test_classify_zero_params_is_uniform():
     for name in params.arrays:
         if name.startswith("cls"):
             params.arrays[name] = np.zeros_like(params.arrays[name])
-    t = Tape()
-    c = gm.classify(t.leaf(np.random.default_rng(0).normal(size=(1, 6))), params.bind(t, False))
-    np.testing.assert_allclose(c.value, np.full((1, 5), 0.2), atol=1e-15)
+    c = gm.classify(np.random.default_rng(0).normal(size=(1, 6)), params.bind())
+    np.testing.assert_allclose(c, np.full((1, 5), 0.2), atol=1e-15)
 
 
 def test_classify_is_distribution_for_random_params():
     rng = np.random.default_rng(3)
     for _ in range(10):
         params = gm.ModelParams.init(4, 3, hidden=6, proj_dim=4, rng=rng)
-        t = Tape()
-        c = gm.classify(t.leaf(rng.normal(size=(1, 6)) * 50), params.bind(t, False))
-        assert np.all(c.value >= 0) and np.all(c.value <= 1)
-        np.testing.assert_allclose(c.value.sum(), 1.0, atol=1e-12)
+        c = gm.classify(rng.normal(size=(1, 6)) * 50, params.bind())
+        assert np.all(c >= 0) and np.all(c <= 1)
+        np.testing.assert_allclose(c.sum(), 1.0, atol=1e-12)
 
 
 def test_project_zero_params_is_zero():
@@ -263,9 +257,8 @@ def test_project_zero_params_is_zero():
     for name in params.arrays:
         if name.startswith("proj"):
             params.arrays[name] = np.zeros_like(params.arrays[name])
-    t = Tape()
-    p = gm.project(t.leaf(np.ones((1, 6))), params.bind(t, False))
-    np.testing.assert_array_equal(p.value, np.zeros((1, 4)))
+    p = gm.project(np.ones((1, 6)), params.bind())
+    np.testing.assert_array_equal(p, np.zeros((1, 4)))
 
 
 def test_head_gradients_match_fd():
@@ -353,8 +346,62 @@ def test_copy_is_independent():
 
 def test_bind_without_grad_records_nothing():
     g, params = clean_case(80)
-    t = Tape()
-    bound = params.bind(t, requires_grad=False)
-    h = gm.represent(t, g, gm.normalize_adjacency(g), bound)
-    gm.classify(h, bound)
-    assert t.num_records == 0  # snapshot scoring costs no tape
+    bound = params.bind()
+    h = gm.represent(None, g, gm.normalize_adjacency(g), bound)
+    c = gm.classify(h, bound)
+    # snapshot scoring costs no tape: frozen forwards return plain arrays
+    assert type(h) is np.ndarray and type(c) is np.ndarray
+
+
+# ---------------------------------------------------------- frozen forwards
+
+
+@pytest.mark.parametrize("depth", [1, 3])
+def test_frozen_forward_equals_tape_bitwise(depth):
+    rng = np.random.default_rng(90 + depth)
+    for trial in range(30):
+        hidden = (6, 32)[trial % 2]
+        g = random_graph(rng, max_nodes=12, feature_dim=4)
+        params = gm.ModelParams.init(
+            4, num_classes=3, hidden=hidden, proj_dim=5, depth=depth, rng=rng
+        )
+        for a in params.arrays.values():  # nonzero biases
+            a += rng.normal(scale=0.05, size=a.shape)
+        adj = gm.normalize_adjacency(g)
+        t = Tape()
+        bound = params.bind(t)
+        h = gm.represent(t, g, adj, bound)
+        frozen = params.bind()
+        h_frozen = gm.represent(None, g, adj, frozen)
+        assert np.array_equal(h_frozen, h.value)
+        assert np.array_equal(gm.classify(h_frozen, frozen), gm.classify(h, bound).value)
+        assert np.array_equal(gm.project(h_frozen, frozen), gm.project(h, bound).value)
+
+
+def test_frozen_forward_keeps_input_errors():
+    g, params = clean_case(40, feature_dim=4)
+    bad = GraphInstance(g.node_count, g.edges, np.ones((g.node_count, 7)), label=0)
+    with pytest.raises(InputError, match="feature dim"):
+        gm.encode(None, bad, gm.normalize_adjacency(bad), params.bind())
+    empty = GraphInstance(0, (), np.zeros((0, 4)), label=0)
+    with pytest.raises(InputError, match="empty"):
+        gm.represent(None, empty, gm.NormalizedAdjacency(0, ()), params.bind())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_frozen_bind_rejects_non_finite(bad):
+    params = gm.ModelParams.init(4, 2, hidden=5, proj_dim=3)
+    params.arrays["cls_w2"][1, 0] = bad
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        params.bind()
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        params.bind(prefix="cls")
+    params.bind(prefix="enc")  # the bad array is not part of this binding
+
+
+def test_frozen_bind_copies_nothing():
+    params = gm.ModelParams.init(4, 2, hidden=5, proj_dim=3)
+    frozen = params.bind()
+    assert frozen.keys() == params.arrays.keys()
+    assert all(frozen[k] is v for k, v in params.arrays.items())
+    assert set(params.bind(prefix="cls")) == {"cls_w1", "cls_b1", "cls_w2", "cls_b2"}
