@@ -1,0 +1,141 @@
+"""Check that two glaug source trees behave byte-identically on the CLI.
+
+    python3 scripts/artifact_diff.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are directories that contain the `glaug` package (for a
+checkout, its `src`). Each command below runs once per tree, with that tree
+first on PYTHONPATH and BLAS pinned to one thread, in a work directory of its
+own under a temporary directory, so relative paths in output and manifests
+read the same on both sides. The commands cover a `gen-synth` data set, every
+experiment command, the `rerun` of each, `invariant-rate --from-run`,
+`gradcheck`, and `run` with `--negative-pairs`, `--dist-scope dataset`,
+`--parallel-folds 2` and `--features degree_one_hot:4`.
+
+After each command the exit code, stdout, stderr and every file the command
+wrote are compared. The script stops at the first difference and exits 1;
+it exits 0 when all commands agree, and 2 when a tree holds no `glaug`.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+DATA = "data/SYNTH"
+TINY = [
+    "--epochs", "2", "--k", "3", "--hidden", "8", "--proj-dim", "4", "--depth", "2",
+    "--batch-size", "8", "--lr", "1e-2",
+]
+# (label, arguments); each writes to runs/<label>, and its rerun to reruns/<label>
+EXPERIMENTS = [
+    ("run", ["run", DATA, *TINY]),
+    ("sweep-eta", ["sweep-eta", DATA, *TINY, "--values", "0.0,1.0"]),
+    ("ablate-strategy", ["ablate-strategy", DATA, *TINY]),
+    ("ablate-negatives", ["ablate-negatives", DATA, *TINY]),
+    ("invariant-rate", ["invariant-rate", DATA, *TINY, "--ratios", "0.4,0.8"]),
+    ("negative-pairs", ["run", DATA, *TINY, "--negative-pairs", "--strategy", "random"]),
+    ("dist-scope", ["run", DATA, *TINY, "--dist-scope", "dataset", "--strategy", "easiest"]),
+    ("parallel-folds", ["run", DATA, *TINY, "--parallel-folds", "2", "--label-ratio", "0.3"]),
+    ("features", ["run", DATA, *TINY, "--features", "degree_one_hot:4"]),
+]
+
+
+def commands() -> list[tuple[str, list[str], str | None]]:
+    """(label, arguments, directory the command writes or None), in run order."""
+    cmds = [(
+        "gen-synth",
+        ["gen-synth", "--graphs", "30", "--seed", "3", "--name", "SYNTH", "--out", DATA],
+        DATA,
+    )]
+    for label, args in EXPERIMENTS:
+        cmds.append((label, [*args, "--out", f"runs/{label}"], f"runs/{label}"))
+    for label, _ in EXPERIMENTS:
+        out = f"reruns/{label}"
+        cmds.append((f"rerun {label}", ["rerun", f"runs/{label}/manifest.json", "--out", out], out))
+    cmds.append((
+        "invariant-rate --from-run",
+        ["invariant-rate", "--from-run", "runs/run/metrics.json"],
+        None,
+    ))
+    cmds.append(("gradcheck", ["gradcheck"], None))
+    return cmds
+
+
+def environment(src: Path) -> dict[str, str]:
+    env = dict(os.environ)
+    env.pop("GLAUG_DATA_DIR", None)  # the CLI also looks data sets up there
+    env["PYTHONPATH"] = str(src)
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    return env
+
+
+def files(root: Path) -> dict[str, bytes]:
+    """Relative path -> contents of every file under `root`."""
+    if not root.is_dir():
+        return {}
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def run(src: Path, workdir: Path, args: list[str]) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "glaug.cli", *args],
+        cwd=workdir, env=environment(src), capture_output=True,
+    )
+
+
+def first_difference(old: dict[str, bytes], new: dict[str, bytes]) -> str | None:
+    for name in sorted(old.keys() | new.keys()):
+        if old.get(name) != new.get(name):
+            return name
+    return None
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old_src", type=Path)
+    parser.add_argument("new_src", type=Path)
+    ns = parser.parse_args(argv)
+    sides = {"old": ns.old_src.resolve(), "new": ns.new_src.resolve()}
+    for name, src in sides.items():
+        if not (src / "glaug" / "__init__.py").is_file():
+            print(f"{name}: no glaug package under {src}", file=sys.stderr)
+            return 2
+
+    with tempfile.TemporaryDirectory(prefix="artifact_diff_") as tmp:
+        work = {name: Path(tmp) / name for name in sides}
+        for name, src in sides.items():
+            work[name].mkdir()
+            found = subprocess.run(
+                [sys.executable, "-c", "import glaug; print(glaug.__file__)"],
+                env=environment(src), capture_output=True, text=True,
+            ).stdout.strip()
+            if not found.startswith(str(src) + os.sep):
+                print(f"{name}: glaug resolves to {found or 'nothing'}, not {src}", file=sys.stderr)
+                return 2
+
+        cmds = commands()
+        for label, args, out in cmds:
+            got = {name: run(src, work[name], args) for name, src in sides.items()}
+            old, new = got["old"], got["new"]
+            for what in ("returncode", "stdout", "stderr"):
+                if getattr(old, what) != getattr(new, what):
+                    print(f"DIFF {label}: {what} differs", file=sys.stderr)
+                    for name, proc in got.items():
+                        print(f"--- {name} {what}:\n{getattr(proc, what)!r}", file=sys.stderr)
+                    return 1
+            if out is not None:
+                name = first_difference(files(work["old"] / out), files(work["new"] / out))
+                if name is not None:
+                    print(f"DIFF {label}: {out}/{name} differs", file=sys.stderr)
+                    return 1
+            print(f"same: {label} (exit {old.returncode})")
+    print(f"all {len(cmds)} commands identical")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,6 +10,7 @@ is a constant choice: gradients reach the encoder only through H itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,8 @@ class AugmentationConfig:
     dist_scope: str = "batch"
 
     def __post_init__(self):
+        if not math.isfinite(self.eta):
+            raise InputError(f"eta must be finite, got {self.eta}")
         if self.eta < 0:
             raise InputError(f"eta must be >= 0, got {self.eta}")
         if self.num_candidates < 1:

@@ -9,11 +9,11 @@ recording in reverse. `backward` drops each record once it is used and the
 tape's leaf list at the end, so no reference cycle outlives it: a step's
 activations are freed by refcount, not by a later cyclic collection.
 
-Frozen forwards need no tape. `matmul`, `add`, `add_rowvec`, `relu`,
-`softmax_rows` and `column_sum` also take plain arrays: when no operand is a
-`DiffValue` they return the plain ndarray, computed by the same expression as
-the recording op, so a model forward is written once and serves both modes
-with identical bits. Mixing a `DiffValue` with a plain array is a `TapeError`.
+Every op has one shape: compute the value; return it as a plain ndarray when
+no operand is a `DiffValue`; otherwise hand it to `_record` with one
+(operand, vjp) pair per operand. Frozen forwards therefore need no tape, and a
+model forward is written once and serves both modes with identical bits.
+Mixing a `DiffValue` with a plain array is a `TapeError`.
 
 Conventions that matter downstream:
   * everything is a matrix; vectors are 1 x n rows,
@@ -24,7 +24,7 @@ Conventions that matter downstream:
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -55,7 +55,8 @@ class Tape:
     """Recording of one forward pass, consumable by exactly one backward."""
 
     def __init__(self) -> None:
-        self._records: list[tuple[int, Callable[[np.ndarray], Iterable]]] = []
+        # (output node id, [(operand, vjp), ...]) per op with a gradient to pass back
+        self._records: list[tuple[int, list[tuple[DiffValue, Callable]]]] = []
         self._leaves: list[DiffValue] = []
         self._next_id = 0
         self._consumed = False
@@ -74,11 +75,6 @@ class Tape:
 
     def constant(self, values) -> "DiffValue":
         return self.leaf(values, requires_grad=False)
-
-    def _record(self, out: "DiffValue", vjp: Callable[[np.ndarray], Iterable]) -> None:
-        if self._consumed:
-            raise TapeError("tape already consumed by backward; build a new one")
-        self._records.append((out.node_id, vjp))
 
     @property
     def num_records(self) -> int:
@@ -101,26 +97,8 @@ class DiffValue:
     def shape(self) -> tuple[int, int]:
         return self.value.shape  # type: ignore[return-value]
 
-    @property
-    def rows(self) -> int:
-        return self.value.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.value.shape[1]
-
     def __repr__(self) -> str:
         return f"DiffValue(shape={self.shape}, requires_grad={self.requires_grad})"
-
-
-def _same_tape(*vals: DiffValue) -> Tape:
-    if not all(isinstance(v, DiffValue) for v in vals):
-        raise TapeError("expected DiffValue operands on one tape, got a plain array")
-    tape = vals[0].tape
-    for v in vals[1:]:
-        if v.tape is not tape:
-            raise TapeError("operands live on different tapes")
-    return tape
 
 
 def _same_shape(a, b, op: str) -> None:
@@ -141,11 +119,28 @@ def _frozen(*operands) -> bool:
     return True
 
 
-def _unary(a: DiffValue, out_val: np.ndarray, make_vjp) -> DiffValue:
-    out = DiffValue(out_val, a.tape, a.requires_grad)
-    if a.requires_grad:
-        vjp_fn = make_vjp()
-        a.tape._record(out, lambda g: [(a, vjp_fn(g))])
+def _record(out_val: np.ndarray, *pairs: tuple) -> DiffValue:
+    """Wrap `out_val` as the result of an op over the operands in `pairs`.
+
+    Each pair is (operand, vjp), where vjp maps the output's gradient to that
+    operand's contribution. Every operand must be a DiffValue on one tape.
+    Only the pairs whose operand requires a gradient are recorded; the output
+    requires one when any of them does.
+    """
+    tape = None
+    for x, _ in pairs:
+        if not isinstance(x, DiffValue):
+            raise TapeError("expected DiffValue operands on one tape, got a plain array")
+        if tape is None:
+            tape = x.tape
+        elif x.tape is not tape:
+            raise TapeError("operands live on different tapes")
+    if tape._consumed:
+        raise TapeError("tape already consumed by backward; build a new one")
+    live = [pair for pair in pairs if pair[0].requires_grad]
+    out = DiffValue(out_val, tape, bool(live))
+    if live:
+        tape._records.append((out.node_id, live))
     return out
 
 
@@ -157,21 +152,7 @@ def matmul(a: DiffValue, b: DiffValue) -> DiffValue:
     out_val = av @ bv
     if _frozen(a, b):
         return out_val
-    _same_tape(a, b)
-    out = DiffValue(out_val, a.tape, a.requires_grad or b.requires_grad)
-    if out.requires_grad:
-        need_a, need_b = a.requires_grad, b.requires_grad
-
-        def vjp(g):
-            pairs = []
-            if need_a:
-                pairs.append((a, g @ bv.T))
-            if need_b:
-                pairs.append((b, av.T @ g))
-            return pairs
-
-        a.tape._record(out, vjp)
-    return out
+    return _record(out_val, (a, lambda g: g @ bv.T), (b, lambda g: av.T @ g))
 
 
 def add(a: DiffValue, b: DiffValue) -> DiffValue:
@@ -180,89 +161,44 @@ def add(a: DiffValue, b: DiffValue) -> DiffValue:
     out_val = _value(a) + _value(b)
     if _frozen(a, b):
         return out_val
-    _same_tape(a, b)
-    out = DiffValue(out_val, a.tape, a.requires_grad or b.requires_grad)
-    if out.requires_grad:
-        need_a, need_b = a.requires_grad, b.requires_grad
-
-        def vjp(g):
-            pairs = []
-            if need_a:
-                pairs.append((a, g))
-            if need_b:
-                pairs.append((b, g))
-            return pairs
-
-        a.tape._record(out, vjp)
-    return out
+    return _record(out_val, (a, lambda g: g), (b, lambda g: g))
 
 
 def sub(a: DiffValue, b: DiffValue) -> DiffValue:
-    _same_tape(a, b)
     _same_shape(a, b, "sub")
-    out = DiffValue(a.value - b.value, a.tape, a.requires_grad or b.requires_grad)
-    if out.requires_grad:
-        need_a, need_b = a.requires_grad, b.requires_grad
-
-        def vjp(g):
-            pairs = []
-            if need_a:
-                pairs.append((a, g))
-            if need_b:
-                pairs.append((b, -g))
-            return pairs
-
-        a.tape._record(out, vjp)
-    return out
+    out_val = _value(a) - _value(b)
+    if _frozen(a, b):
+        return out_val
+    return _record(out_val, (a, lambda g: g), (b, lambda g: -g))
 
 
 def mul(a: DiffValue, b: DiffValue) -> DiffValue:
     """Elementwise (Hadamard) product."""
-    _same_tape(a, b)
     _same_shape(a, b, "mul")
-    out = DiffValue(a.value * b.value, a.tape, a.requires_grad or b.requires_grad)
-    if out.requires_grad:
-        av, bv = a.value, b.value
-        need_a, need_b = a.requires_grad, b.requires_grad
-
-        def vjp(g):
-            pairs = []
-            if need_a:
-                pairs.append((a, g * bv))
-            if need_b:
-                pairs.append((b, g * av))
-            return pairs
-
-        a.tape._record(out, vjp)
-    return out
+    av, bv = _value(a), _value(b)
+    out_val = av * bv
+    if _frozen(a, b):
+        return out_val
+    return _record(out_val, (a, lambda g: g * bv), (b, lambda g: g * av))
 
 
 def div(a: DiffValue, b: DiffValue) -> DiffValue:
     """Elementwise quotient a / b."""
-    _same_tape(a, b)
     _same_shape(a, b, "div")
-    out_val = a.value / b.value
-    out = DiffValue(out_val, a.tape, a.requires_grad or b.requires_grad)
-    if out.requires_grad:
-        av, bv = a.value, b.value
-        need_a, need_b = a.requires_grad, b.requires_grad
-
-        def vjp(g):
-            pairs = []
-            if need_a:
-                pairs.append((a, g / bv))
-            if need_b:
-                pairs.append((b, -g * av / (bv * bv)))
-            return pairs
-
-        a.tape._record(out, vjp)
-    return out
+    av, bv = _value(a), _value(b)
+    out_val = av / bv
+    if _frozen(a, b):
+        return out_val
+    return _record(out_val, (a, lambda g: g / bv), (b, lambda g: -g * av / (bv * bv)))
 
 
 def scale(a: DiffValue, s: float) -> DiffValue:
     """Multiply by a python scalar (constant, no gradient of its own)."""
     s = float(s)
-    return _unary(a, s * a.value, lambda: (lambda g: s * g))
+    out_val = s * _value(a)
+    if _frozen(a):
+        return out_val
+    return _record(out_val, (a, lambda g: s * g))
 
 
 def add_rowvec(a: DiffValue, b: DiffValue) -> DiffValue:
@@ -273,21 +209,7 @@ def add_rowvec(a: DiffValue, b: DiffValue) -> DiffValue:
     out_val = av + bv
     if _frozen(a, b):
         return out_val
-    _same_tape(a, b)
-    out = DiffValue(out_val, a.tape, a.requires_grad or b.requires_grad)
-    if out.requires_grad:
-        need_a, need_b = a.requires_grad, b.requires_grad
-
-        def vjp(g):
-            pairs = []
-            if need_a:
-                pairs.append((a, g))
-            if need_b:
-                pairs.append((b, g.sum(axis=0, keepdims=True)))
-            return pairs
-
-        a.tape._record(out, vjp)
-    return out
+    return _record(out_val, (a, lambda g: g), (b, lambda g: g.sum(axis=0, keepdims=True)))
 
 
 def relu(a: DiffValue) -> DiffValue:
@@ -296,7 +218,7 @@ def relu(a: DiffValue) -> DiffValue:
     out_val = np.maximum(0.0, av)
     if _frozen(a):
         return out_val
-    return _unary(a, out_val, lambda: (lambda g: g * (av > 0.0)))
+    return _record(out_val, (a, lambda g: g * (av > 0.0)))
 
 
 def softmax_rows(a: DiffValue) -> DiffValue:
@@ -307,41 +229,43 @@ def softmax_rows(a: DiffValue) -> DiffValue:
     y = e / e.sum(axis=1, keepdims=True)
     if _frozen(a):
         return y
-    out = DiffValue(y, a.tape, a.requires_grad)
-    if a.requires_grad:
-        def vjp(g):
-            inner = (g * y).sum(axis=1, keepdims=True)
-            return [(a, y * (g - inner))]
-
-        a.tape._record(out, vjp)
-    return out
+    return _record(y, (a, lambda g: y * (g - (g * y).sum(axis=1, keepdims=True))))
 
 
 def log(a: DiffValue) -> DiffValue:
     """Elementwise natural log. Callers clamp away from 0 first."""
-    av = a.value
+    av = _value(a)
     if np.any(av <= 0.0):
         raise ValueError("log: non-positive entry; clamp inputs first")
-    return _unary(a, np.log(av), lambda: (lambda g: g / av))
+    out_val = np.log(av)
+    if _frozen(a):
+        return out_val
+    return _record(out_val, (a, lambda g: g / av))
 
 
 def exp(a: DiffValue) -> DiffValue:
-    out_val = np.exp(a.value)
-    return _unary(a, out_val, lambda: (lambda g: g * out_val))
+    out_val = np.exp(_value(a))
+    if _frozen(a):
+        return out_val
+    return _record(out_val, (a, lambda g: g * out_val))
 
 
 def clamp(a: DiffValue, lo: float, hi: float) -> DiffValue:
     """Clip entries to [lo, hi]; gradient passes only where unclipped."""
-    av = a.value
-    mask_fn = lambda: (lambda g: g * ((av >= lo) & (av <= hi)))
-    return _unary(a, np.clip(av, lo, hi), mask_fn)
+    av = _value(a)
+    out_val = np.clip(av, lo, hi)
+    if _frozen(a):
+        return out_val
+    return _record(out_val, (a, lambda g: g * ((av >= lo) & (av <= hi))))
 
 
 def sum_all(a: DiffValue) -> DiffValue:
     """Sum of all entries, as a 1 x 1 matrix."""
-    n, d = a.shape
-    out_val = np.array([[a.value.sum()]])
-    return _unary(a, out_val, lambda: (lambda g: np.full((n, d), g[0, 0])))
+    av = _value(a)
+    out_val = np.array([[av.sum()]])
+    if _frozen(a):
+        return out_val
+    return _record(out_val, (a, lambda g: np.full(av.shape, g[0, 0])))
 
 
 def column_sum(a: DiffValue) -> DiffValue:
@@ -356,8 +280,7 @@ def column_sum(a: DiffValue) -> DiffValue:
     out_val = np.sort(av, axis=0).sum(axis=0, keepdims=True)
     if _frozen(a):
         return out_val
-    n = av.shape[0]
-    return _unary(a, out_val, lambda: (lambda g: np.tile(g, (n, 1))))
+    return _record(out_val, (a, lambda g: np.tile(g, (av.shape[0], 1))))
 
 
 def l2_norm_rows(a: DiffValue, floor: float = 1e-12) -> DiffValue:
@@ -365,40 +288,22 @@ def l2_norm_rows(a: DiffValue, floor: float = 1e-12) -> DiffValue:
 
     Rows at the floor get zero gradient: the output is constant there.
     """
-    av = a.value
+    av = _value(a)
     norms = np.sqrt((av * av).sum(axis=1, keepdims=True))
     clamped = np.maximum(norms, floor)
-    out = DiffValue(clamped, a.tape, a.requires_grad)
-    if a.requires_grad:
-        def vjp(g):
-            live = norms > floor
-            return [(a, (g * live / clamped) * av)]
-
-        a.tape._record(out, vjp)
-    return out
+    if _frozen(a):
+        return clamped
+    return _record(clamped, (a, lambda g: (g * (norms > floor) / clamped) * av))
 
 
 def dot(a: DiffValue, b: DiffValue) -> DiffValue:
     """Sum of the elementwise product of two same-shape matrices (1 x 1)."""
-    _same_tape(a, b)
     _same_shape(a, b, "dot")
-    out_val = np.array([[float((a.value * b.value).sum())]])
-    out = DiffValue(out_val, a.tape, a.requires_grad or b.requires_grad)
-    if out.requires_grad:
-        av, bv = a.value, b.value
-        need_a, need_b = a.requires_grad, b.requires_grad
-
-        def vjp(g):
-            s = g[0, 0]
-            pairs = []
-            if need_a:
-                pairs.append((a, s * bv))
-            if need_b:
-                pairs.append((b, s * av))
-            return pairs
-
-        a.tape._record(out, vjp)
-    return out
+    av, bv = _value(a), _value(b)
+    out_val = np.array([[float((av * bv).sum())]])
+    if _frozen(a, b):
+        return out_val
+    return _record(out_val, (a, lambda g: g[0, 0] * bv), (b, lambda g: g[0, 0] * av))
 
 
 def backward(loss: DiffValue) -> dict[DiffValue, np.ndarray]:
@@ -421,13 +326,12 @@ def backward(loss: DiffValue) -> dict[DiffValue, np.ndarray]:
     grads: dict[int, np.ndarray] = {loss.node_id: np.ones((1, 1))}
     records = tape._records
     while records:
-        out_id, vjp = records.pop()
+        out_id, pairs = records.pop()
         g = grads.pop(out_id, None)
         if g is None:
             continue
-        for inp, contrib in vjp(g):
-            if not inp.requires_grad:
-                continue
+        for inp, vjp in pairs:
+            contrib = vjp(g)
             prev = grads.get(inp.node_id)
             grads[inp.node_id] = contrib if prev is None else prev + contrib
 

@@ -73,6 +73,8 @@ def _parse_floats(text: str, flag: str) -> list[float]:
         raise InputError(f"{flag}: expected comma-separated numbers, got {text!r}") from None
     if not values:
         raise InputError(f"{flag}: empty value list")
+    if not all(math.isfinite(v) for v in values):
+        raise InputError(f"{flag}: values must be finite, got {text!r}")
     return values
 
 
@@ -305,7 +307,8 @@ def train_options(fn):
                       help="NT-Xent temperature (negatives mode only)."),
         click.option("--out", type=click.Path(path_type=Path), default=Path("runs"),
                       show_default=True),
-        click.option("--parallel-folds", "workers", type=int, default=1, show_default=True),
+        click.option("--parallel-folds", "workers", type=click.IntRange(min=1), default=1,
+                      show_default=True),
     ]
     for opt in reversed(opts):
         fn = opt(fn)
@@ -427,7 +430,8 @@ def cmd_gen_synth(graphs, classes, seed, sizes, densities, name, out):
 @click.argument("manifest_path", type=click.Path(path_type=Path))
 @click.option("--out", type=click.Path(path_type=Path), default=None,
               help="Destination directory (default: alongside the manifest).")
-@click.option("--parallel-folds", "workers", type=int, default=1, show_default=True)
+@click.option("--parallel-folds", "workers", type=click.IntRange(min=1), default=1,
+              show_default=True)
 def cmd_rerun(manifest_path, out, workers):
     """Re-execute a recorded run; artifacts reproduce byte-for-byte."""
     doc = load_document(manifest_path, MANIFEST_SCHEMA, "run manifest")

@@ -82,6 +82,8 @@ class FeaturePolicy:
         """Parse CLI spellings: 'one_hot_node_labels', 'degree_one_hot:10', 'constant_one'."""
         if ":" in text:
             kind, _, arg = text.partition(":")
+            if kind in cls.KINDS and kind != "degree_one_hot":
+                raise InputError(f"feature policy {kind!r} takes no argument, got {text!r}")
             try:
                 cap = int(arg)
             except ValueError:

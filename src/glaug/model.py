@@ -1,8 +1,9 @@
 """The differentiable model: residual GCN encoder, sum pooling, two heads.
 
-Per-graph forward passes (no cross-graph batching): each graph is small and
-the adjacency is materialized dense only for the matmul. The adjacency
-itself is a constant of the computation, so it never carries gradients.
+Per-graph forward passes (no cross-graph batching): each graph is small, so
+its normalized adjacency is a dense n x n array, built by the caller for each
+forward and never kept. The adjacency is a constant of the computation, so it
+never carries gradients.
 
 Every forward is defined once and runs in two modes. Bound to a tape
 (`params.bind(tape)`), it records for backward. Frozen (`params.bind()`,
@@ -12,8 +13,6 @@ themselves and returns plain ndarrays with the same bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
@@ -22,33 +21,17 @@ from .data import GraphInstance
 from .errors import InputError
 
 
-@dataclass(frozen=True)
-class NormalizedAdjacency:
-    """Sparse symmetric-normalized adjacency with self-connections.
-
-    entries hold (row, col, weight) for every nonzero of D^(-1/2) (A+I) D^(-1/2),
-    diagonal included, sorted by (row, col).
-    """
-
-    node_count: int
-    entries: tuple[tuple[int, int, float], ...]
-
-    def to_dense(self) -> np.ndarray:
-        m = np.zeros((self.node_count, self.node_count))
-        for i, j, w in self.entries:
-            m[i, j] = w
-        return m
-
-
-def normalize_adjacency(g: GraphInstance) -> NormalizedAdjacency:
-    """weight(i, j) = 1 / sqrt(deg_i * deg_j) with self-loop degrees."""
-    deg = (g.degrees() + 1).astype(np.float64)  # self-connection
-    entries = [(i, i, float(1.0 / deg[i])) for i in range(g.node_count)]
-    for u, v in g.edges:
-        w = float(1.0 / np.sqrt(deg[u] * deg[v]))
-        entries.append((u, v, w))
-        entries.append((v, u, w))
-    return NormalizedAdjacency(g.node_count, tuple(sorted(entries)))
+def normalize_adjacency(g: GraphInstance) -> np.ndarray:
+    """Dense D^(-1/2) (A+I) D^(-1/2): weight(i, j) = 1 / sqrt(deg_i * deg_j),
+    degrees counting the self-connection, so the diagonal is 1 / deg_i."""
+    n = g.node_count
+    edges = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
+    deg = (np.bincount(edges.ravel(), minlength=n) + 1).astype(np.float64)
+    a_hat = np.zeros((n, n))
+    a_hat[np.arange(n), np.arange(n)] = 1.0 / deg
+    u, v = edges[:, 0], edges[:, 1]
+    a_hat[u, v] = a_hat[v, u] = 1.0 / np.sqrt(deg[u] * deg[v])
+    return a_hat
 
 
 # -------------------------------------------------------------- parameters
@@ -142,15 +125,16 @@ def _constant(tape: Tape | None, values) -> DiffValue | np.ndarray:
 
 
 def encode(
-    tape: Tape | None, g: GraphInstance, adj: NormalizedAdjacency, bound: dict
+    tape: Tape | None, g: GraphInstance, a_hat: np.ndarray, bound: dict
 ) -> DiffValue | np.ndarray:
     """L rounds of relu(A_hat @ G @ theta); identity residual from layer 1 on.
 
-    `tape=None` with a frozen binding records nothing and returns an ndarray.
+    `a_hat` is `normalize_adjacency(g)`. `tape=None` with a frozen binding
+    records nothing and returns an ndarray.
     """
     if g.node_count == 0:
         raise InputError("cannot encode an empty graph")
-    a_hat = _constant(tape, adj.to_dense())
+    a_hat = _constant(tape, a_hat)
     out = _constant(tape, g.node_features)
     layer = 0
     while f"enc{layer}" in bound:
@@ -187,7 +171,7 @@ def project(h: DiffValue, bound: dict) -> DiffValue:
 
 
 def represent(
-    tape: Tape | None, g: GraphInstance, adj: NormalizedAdjacency, bound: dict
+    tape: Tape | None, g: GraphInstance, a_hat: np.ndarray, bound: dict
 ) -> DiffValue | np.ndarray:
     """Graph-level representation H = pool(encode(...)), a 1 x h row."""
-    return pool(encode(tape, g, adj, bound))
+    return pool(encode(tape, g, a_hat, bound))

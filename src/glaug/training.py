@@ -10,6 +10,7 @@ argmax otherwise, recomputed every step.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -55,6 +56,11 @@ class TrainConfig:
     depth: int = 3
 
     def __post_init__(self):
+        for name in ("alpha", "learning_rate", "temperature"):
+            if not math.isfinite(getattr(self, name)):
+                raise InputError(f"{name} must be finite, got {getattr(self, name)}")
+        if not 0.0 < self.label_ratio <= 1.0:
+            raise InputError(f"label ratio must lie in (0, 1], got {self.label_ratio}")
         if self.alpha < 0:
             raise InputError(f"alpha must be >= 0, got {self.alpha}")
         if self.learning_rate <= 0:
@@ -213,27 +219,23 @@ def adam_step(
 # ----------------------------------------------------------------- training
 
 
-def _adjacencies(dataset: GraphDataset) -> list:
-    return [normalize_adjacency(g) for g in dataset.graphs]
-
-
-def _representations(
-    dataset: GraphDataset, adjs: list, params: ModelParams, indices
-) -> np.ndarray:
+def _representations(dataset: GraphDataset, params: ModelParams, indices) -> np.ndarray:
     """Frozen H rows for the given graphs, stacked in index order."""
     frozen = params.bind()
-    return np.array([represent(None, dataset.graphs[i], adjs[i], frozen)[0] for i in indices])
+    graphs = [dataset.graphs[i] for i in indices]
+    return np.array([represent(None, g, normalize_adjacency(g), frozen)[0] for g in graphs])
 
 
-def evaluate(dataset: GraphDataset, adjs: list, params: ModelParams, indices) -> float:
+def evaluate(dataset: GraphDataset, params: ModelParams, indices) -> float:
     """Accuracy of classify(H) argmax against ground truth over `indices`."""
     if len(indices) == 0:
         return 0.0
     frozen = params.bind()
     hits = 0
     for i in indices:
-        c = classify(represent(None, dataset.graphs[i], adjs[i], frozen), frozen)
-        hits += int(np.argmax(c)) == dataset.graphs[i].label
+        g = dataset.graphs[i]
+        c = classify(represent(None, g, normalize_adjacency(g), frozen), frozen)
+        hits += int(np.argmax(c)) == g.label
     return hits / len(indices)
 
 
@@ -248,7 +250,6 @@ def _batches(order: list[int], batch_size: int) -> list[list[int]]:
 
 def train_fold(dataset: GraphDataset, fold: FoldPlan, cfg: TrainConfig) -> FoldResult:
     """Train on one fold; returns the best-validation checkpoint's metrics."""
-    adjs = _adjacencies(dataset)
     train = list(fold.train_indices)
     labeled = set(fold.labeled_mask)
     if cfg.negative_pairs and len(train) < 2:
@@ -279,7 +280,7 @@ def train_fold(dataset: GraphDataset, fold: FoldPlan, cfg: TrainConfig) -> FoldR
 
         epoch_d: float | None = None
         if cfg.dist_scope == "dataset":
-            epoch_d = centroid_distance(_representations(dataset, adjs, params, train))
+            epoch_d = centroid_distance(_representations(dataset, params, train))
 
         pair_sum, pair_n = 0.0, 0
         cls_sum, cls_n = 0.0, 0
@@ -287,7 +288,8 @@ def train_fold(dataset: GraphDataset, fold: FoldPlan, cfg: TrainConfig) -> FoldR
             tape = Tape()
             bound = params.bind(tape)
             frozen = params.bind(prefix="cls")  # scores unlabeled graphs for their target
-            h_os = [represent(tape, dataset.graphs[i], adjs[i], bound) for i in batch]
+            graphs = [dataset.graphs[i] for i in batch]
+            h_os = [represent(tape, g, normalize_adjacency(g), bound) for g in graphs]
 
             d = epoch_d if epoch_d is not None else centroid_distance(
                 np.vstack([h.value for h in h_os])
@@ -354,13 +356,13 @@ def train_fold(dataset: GraphDataset, fold: FoldPlan, cfg: TrainConfig) -> FoldR
         pair_curve.append(pair_sum / pair_n)
         cls_curve.append(cls_sum / cls_n if cls_n else 0.0)
 
-        val_acc = evaluate(dataset, adjs, params, fold.valid_indices)
+        val_acc = evaluate(dataset, params, fold.valid_indices)
         val_curve.append(val_acc)
         if val_acc > best_val:
             best_val, best_epoch, best_params = val_acc, epoch, params.copy()
 
-    test_acc = evaluate(dataset, adjs, best_params, fold.test_indices)
-    rate = label_invariant_rate(best_params, dataset, adjs, fold, cfg)
+    test_acc = evaluate(dataset, best_params, fold.test_indices)
+    rate = label_invariant_rate(best_params, dataset, fold, cfg)
     return FoldResult(
         fold_index=fold.fold_index,
         best_epoch=best_epoch,
@@ -407,7 +409,6 @@ def _train_surrogate(h: np.ndarray, labels: np.ndarray, num_classes: int, rng) -
 def label_invariant_rate(
     params: ModelParams,
     dataset: GraphDataset,
-    adjs: list,
     fold: FoldPlan,
     cfg: TrainConfig,
 ) -> float:
@@ -418,7 +419,7 @@ def label_invariant_rate(
     that chose augmentations during training); the surrogate only measures.
     """
     train = list(fold.train_indices)
-    h = _representations(dataset, adjs, params, train)
+    h = _representations(dataset, params, train)
     labels = np.array([dataset.graphs[i].label for i in train])
     surrogate = _train_surrogate(
         h, labels, dataset.num_classes, seeded_rng(cfg.seed, "surrogate", fold.fold_index)
@@ -457,7 +458,6 @@ def _toy_batch_objective_check(rng_seed: int, num_nodes: int = 5) -> float | Non
     rng = np.random.default_rng(rng_seed)
     ds = generate_synthetic(2, size_range=(num_nodes, num_nodes), seed=rng_seed)
     graphs = list(ds.graphs)
-    adjs = [normalize_adjacency(g) for g in graphs]
     params = ModelParams.init(ds.feature_dim, 2, hidden=5, proj_dim=4, depth=2, rng=rng)
     for a in params.arrays.values():
         a += rng.normal(scale=0.05, size=a.shape)
@@ -465,8 +465,9 @@ def _toy_batch_objective_check(rng_seed: int, num_nodes: int = 5) -> float | Non
     frozen = params.bind()
     offsets = []
     margin = np.inf
-    for idx, (g, adj) in enumerate(zip(graphs, adjs)):
-        h = represent(None, g, adj, frozen)
+    for idx, g in enumerate(graphs):
+        a_hat = normalize_adjacency(g)
+        h = represent(None, g, a_hat, frozen)
         target = target_class(
             g.label if idx == 0 else None, augmentation.snapshot_probs(frozen, h)
         )
@@ -475,7 +476,6 @@ def _toy_batch_objective_check(rng_seed: int, num_nodes: int = 5) -> float | Non
         # relu margins along both branches
         arr = params.arrays
         cur = g.node_features
-        a_hat = adj.to_dense()
         for layer in range(params.depth):
             z = a_hat @ cur @ arr[f"enc{layer}"]
             margin = min(margin, float(np.abs(z).min()))
@@ -493,8 +493,8 @@ def _toy_batch_objective_check(rng_seed: int, num_nodes: int = 5) -> float | Non
 
     def batch_loss(tape: Tape, bound: dict) -> DiffValue:
         pair_terms, cls_terms = [], []
-        for idx, (g, adj, off) in enumerate(zip(graphs, adjs, offsets)):
-            h_o = represent(tape, g, adj, bound)
+        for idx, (g, off) in enumerate(zip(graphs, offsets)):
+            h_o = represent(tape, g, normalize_adjacency(g), bound)
             h_a = ad.add(h_o, tape.constant(off))
             pair_terms.append(contrastive_loss(project(h_o, bound), project(h_a, bound)))
             if idx == 0:
@@ -634,7 +634,8 @@ def run_experiment(dataset: GraphDataset, cfg: TrainConfig, workers: int = 1) ->
         assign_labels(p, cfg.label_ratio, cfg.seed) for p in make_folds(dataset, 10, cfg.seed)
     ]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a fork pool starts every worker at the first submit, so open no more than there are folds
+        with ProcessPoolExecutor(max_workers=min(workers, len(plans))) as pool:
             results = list(pool.map(_run_fold_task, [(dataset, p, cfg) for p in plans]))
     else:
         results = [train_fold(dataset, p, cfg) for p in plans]

@@ -316,6 +316,37 @@ def _chain(a, b, row, other):
     return ad.column_sum(ad.softmax_rows(ad.relu(z)))
 
 
+BINARY = ("matmul", "add", "sub", "mul", "div", "add_rowvec", "dot")
+UNARY = (
+    "scale", "relu", "softmax_rows", "log", "exp", "clamp", "sum_all", "column_sum",
+    "l2_norm_rows",
+)
+
+
+def _op_cases(r, n, k, d):
+    """name -> (op, plain operands) for every engine op, on random n/k/d shapes."""
+    x, y = r.normal(size=(n, d)), r.normal(size=(n, d))
+    positive = np.abs(y) + 0.5
+    return {
+        "matmul": (ad.matmul, (x, r.normal(size=(d, k)))),
+        "add": (ad.add, (x, y)),
+        "sub": (ad.sub, (x, y)),
+        "mul": (ad.mul, (x, y)),
+        "div": (ad.div, (x, positive)),
+        "add_rowvec": (ad.add_rowvec, (x, r.normal(size=(1, d)))),
+        "dot": (ad.dot, (x, y)),
+        "scale": (lambda a: ad.scale(a, -1.7), (x,)),
+        "relu": (ad.relu, (x,)),
+        "softmax_rows": (ad.softmax_rows, (x,)),
+        "log": (ad.log, (positive,)),
+        "exp": (ad.exp, (x,)),
+        "clamp": (lambda a: ad.clamp(a, -0.5, 0.5), (x,)),
+        "sum_all": (ad.sum_all, (x,)),
+        "column_sum": (ad.column_sum, (x,)),
+        "l2_norm_rows": (ad.l2_norm_rows, (x,)),
+    }
+
+
 def test_no_record_path_matches_recording_ops_bitwise():
     for seed in range(20):
         r = rng(100 + seed)
@@ -328,6 +359,15 @@ def test_no_record_path_matches_recording_ops_bitwise():
         assert type(plain) is np.ndarray
         assert np.array_equal(plain, taped.value)
 
+        cases = _op_cases(r, n, k, d)
+        assert set(cases) == set(BINARY + UNARY)
+        for name, (op, operands) in cases.items():
+            t = Tape()
+            taped = op(*(t.leaf(v, requires_grad=True) for v in operands))
+            plain = op(*operands)
+            assert type(plain) is np.ndarray, name
+            assert np.array_equal(plain, taped.value), name
+
 
 def test_no_record_path_checks_shapes():
     with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
@@ -339,11 +379,14 @@ def test_no_record_path_checks_shapes():
 
 
 def test_mixing_diffvalue_and_plain_array_raises():
-    x = Tape().leaf(np.ones((2, 2)), requires_grad=True)
-    with pytest.raises(TapeError, match="plain array"):
-        ad.matmul(x, np.ones((2, 2)))
-    with pytest.raises(TapeError, match="plain array"):
-        ad.add(np.ones((2, 2)), x)
+    cases = _op_cases(rng(7), 3, 2, 4)
+    for name in BINARY:
+        op, (a, b) = cases[name]
+        t = Tape()
+        with pytest.raises(TapeError, match="plain array"):
+            op(t.leaf(a, requires_grad=True), b)
+        with pytest.raises(TapeError, match="plain array"):
+            op(a, t.leaf(b, requires_grad=True))
 
 
 # --------------------------------------------------------------- properties

@@ -138,6 +138,10 @@ def assert_input_error(capsys, rc):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def _no_training(*args, **kwargs):
+    raise AssertionError("training started")
+
+
 def _drop(*keys):
     def edit(doc):
         for key in keys[:-1]:
@@ -154,6 +158,9 @@ def _set(value, *keys):
     return edit
 
 
+NAN, INF = float("nan"), float("inf")
+
+
 @pytest.mark.parametrize("edit", [
     _set(1, "config", "bogus"),
     _drop("config", "epochs"),  # would otherwise rerun with the default of 100 epochs
@@ -165,9 +172,14 @@ def _set(value, *keys):
     _drop("dataset", "stats", "name"),
     _set("sweep-eta", "command"),  # no extra.values recorded
     _set("no-such-command", "command"),
+    _set(NAN, "config", "eta"),  # json writes NaN and Infinity, and reads them back
+    _set(INF, "config", "learning_rate"),
+    _set(INF, "config", "alpha"),
+    _set(NAN, "config", "temperature"),
 ], ids=[
     "unknown_key", "missing_epochs", "missing_policy", "str_epochs", "bool_epochs",
     "str_ratio", "missing_dataset", "missing_name", "sweep_without_values", "unknown_command",
+    "nan_eta", "inf_lr", "inf_alpha", "nan_temperature",
 ])
 def test_rerun_rejects_malformed_manifest(run_dir, tmp_path, capsys, edit):
     doc = json.loads((run_dir / "manifest.json").read_text())
@@ -179,9 +191,11 @@ def test_rerun_rejects_malformed_manifest(run_dir, tmp_path, capsys, edit):
 
 
 @pytest.mark.parametrize(
-    "values", [None, [], ["a"], [True]], ids=["missing", "empty", "string", "bool"]
+    "values", [None, [], ["a"], [True], [0.5, NAN], [0.5, 2.0]],
+    ids=["missing", "empty", "string", "bool", "nan", "out_of_range"],
 )
-def test_rerun_rejects_bad_study_values(run_dir, tmp_path, capsys, values):
+def test_rerun_rejects_bad_study_values(run_dir, tmp_path, capsys, monkeypatch, values):
+    monkeypatch.setattr(cli_mod, "run_experiment", _no_training)  # rejected before any variant
     doc = json.loads((run_dir / "manifest.json").read_text())
     doc["command"] = "invariant-rate"
     doc["extra"] = {"ratios": values}
@@ -379,3 +393,49 @@ def test_parallel_folds_match_sequential(toy_dir, tmp_path):
     assert main(["run", str(toy_dir), *COMMON, "--parallel-folds", "2",
                  "--out", str(tmp_path / "p")]) == 0
     assert read(tmp_path / "s" / "metrics.json") == read(tmp_path / "p" / "metrics.json")
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("run", ["--eta", "nan"]),
+    ("run", ["--eta", "inf"]),
+    ("run", ["--lr", "nan"]),
+    ("run", ["--lr", "inf"]),
+    ("run", ["--alpha", "inf"]),
+    ("run", ["--temperature", "nan"]),
+    ("sweep-eta", ["--values", "0.5,nan"]),
+    ("invariant-rate", ["--ratios", "0.5,inf"]),
+], ids=["eta_nan", "eta_inf", "lr_nan", "lr_inf", "alpha_inf", "temperature_nan",
+        "sweep_values_nan", "rate_ratios_inf"])
+def test_non_finite_flag_exits_one(toy_dir, tmp_path, capsys, monkeypatch, command, flags):
+    monkeypatch.setattr(cli_mod, "run_experiment", _no_training)
+    rc = main([command, str(toy_dir), *COMMON, *flags, "--out", str(tmp_path / "r")])
+    assert_input_error(capsys, rc)
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize(
+    "command", ["run", "sweep-eta", "ablate-strategy", "ablate-negatives", "invariant-rate"]
+)
+def test_parallel_folds_below_one_exits_one(toy_dir, tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(cli_mod, "run_experiment", _no_training)
+    rc = main([command, str(toy_dir), *COMMON, "--parallel-folds", "0",
+               "--out", str(tmp_path / "r")])
+    assert rc == 1
+    assert "--parallel-folds" in capsys.readouterr().err
+
+
+def test_rerun_parallel_folds_below_one_exits_one(run_dir, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli_mod, "run_experiment", _no_training)
+    rc = main(["rerun", str(run_dir / "manifest.json"), "--parallel-folds", "-1",
+               "--out", str(tmp_path / "x")])
+    assert rc == 1
+    assert "--parallel-folds" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("features", ["constant_one:7", "one_hot_node_labels:1"])
+def test_feature_kind_without_argument_rejects_one(toy_dir, tmp_path, capsys, features):
+    rc = main(["run", str(toy_dir), *COMMON, "--features", features,
+               "--out", str(tmp_path / "r")])
+    assert_input_error(capsys, rc)
+    assert not (tmp_path / "r").exists()

@@ -283,5 +283,12 @@ def test_train_config_validation():
         tr.TrainConfig(negative_pairs=True, batch_size=1)
     with pytest.raises(InputError):
         tr.TrainConfig(strategy="no-such")
+    for name in ("alpha", "eta", "learning_rate", "temperature"):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(InputError, match="finite"):
+                tr.TrainConfig(**{name: bad})
+    for ratio in (0.0, 1.5, float("nan")):
+        with pytest.raises(InputError, match="label ratio"):
+            tr.TrainConfig(label_ratio=ratio)
     cfg = tr.TrainConfig()
     assert cfg.aug_config().eta == 1.0 and cfg.alpha == 1.0  # defaults under test

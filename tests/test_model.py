@@ -32,23 +32,47 @@ def dense_oracle(g: GraphInstance) -> np.ndarray:
     return d_inv_sqrt @ a @ d_inv_sqrt
 
 
+def entry_loop(g: GraphInstance) -> np.ndarray:
+    """The sparse (row, col, weight) construction, filled into a dense array."""
+    deg = (g.degrees() + 1).astype(np.float64)
+    entries = [(i, i, float(1.0 / deg[i])) for i in range(g.node_count)]
+    for u, v in g.edges:
+        w = float(1.0 / np.sqrt(deg[u] * deg[v]))
+        entries.append((u, v, w))
+        entries.append((v, u, w))
+    m = np.zeros((g.node_count, g.node_count))
+    for i, j, w in sorted(entries):
+        m[i, j] = w
+    return m
+
+
 def test_single_isolated_node():
     g = GraphInstance(1, (), np.ones((1, 2)), label=0)
-    assert gm.normalize_adjacency(g).entries == ((0, 0, 1.0),)
+    assert np.array_equal(gm.normalize_adjacency(g), [[1.0]])
 
 
 def test_two_nodes_one_edge_all_half():
     g = GraphInstance(2, ((0, 1),), np.ones((2, 2)), label=0)
-    adj = gm.normalize_adjacency(g)
-    assert set(adj.entries) == {(0, 0, 0.5), (0, 1, 0.5), (1, 0, 0.5), (1, 1, 0.5)}
+    assert np.array_equal(gm.normalize_adjacency(g), np.full((2, 2), 0.5))
 
 
 def test_matches_dense_oracle_on_random_graphs():
     rng = np.random.default_rng(0)
     for _ in range(60):
         g = random_graph(rng)
-        got = gm.normalize_adjacency(g).to_dense()
+        got = gm.normalize_adjacency(g)
         np.testing.assert_allclose(got, dense_oracle(g), atol=1e-12)
+
+
+def test_normalize_adjacency_matches_entry_loop_bitwise():
+    rng = np.random.default_rng(2)
+    graphs = [random_graph(rng, max_nodes=30) for _ in range(60)]
+    graphs.append(GraphInstance(4, ((0, 1), (1, 2)), np.ones((4, 1)), label=0))  # node 3 isolated
+    graphs.append(GraphInstance(5, (), np.ones((5, 1)), label=0))  # no edges
+    for g in graphs:
+        got = gm.normalize_adjacency(g)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert np.array_equal(got, entry_loop(g))
 
 
 def test_adjacency_invariants():
@@ -56,12 +80,13 @@ def test_adjacency_invariants():
     for _ in range(20):
         g = random_graph(rng)
         adj = gm.normalize_adjacency(g)
-        entry_set = set(adj.entries)
-        diag = {i for i, j, _ in entry_set if i == j}
-        assert diag == set(range(g.node_count))
-        for i, j, w in entry_set:
-            assert (j, i, w) in entry_set
-            assert 0.0 < w <= 1.0
+        assert np.array_equal(adj, adj.T)
+        assert np.all(np.diag(adj) > 0.0)
+        nonzero = {(int(i), int(j)) for i, j in zip(*np.nonzero(adj))}
+        expected = {(i, i) for i in range(g.node_count)}
+        expected |= {(u, v) for u, v in g.edges} | {(v, u) for u, v in g.edges}
+        assert nonzero == expected
+        assert np.all(adj[adj != 0.0] <= 1.0)
 
 
 # ----------------------------------------------------------- numpy forward
@@ -192,7 +217,7 @@ def test_empty_graph_rejected():
     g = GraphInstance(0, (), np.zeros((0, 4)), label=0)
     t = Tape()
     with pytest.raises(InputError, match="empty"):
-        gm.encode(t, g, gm.NormalizedAdjacency(0, ()), params.bind(t))
+        gm.encode(t, g, np.zeros((0, 0)), params.bind(t))
 
 
 # --------------------------------------------------------------------- pool
@@ -385,7 +410,7 @@ def test_frozen_forward_keeps_input_errors():
         gm.encode(None, bad, gm.normalize_adjacency(bad), params.bind())
     empty = GraphInstance(0, (), np.zeros((0, 4)), label=0)
     with pytest.raises(InputError, match="empty"):
-        gm.represent(None, empty, gm.NormalizedAdjacency(0, ()), params.bind())
+        gm.represent(None, empty, np.zeros((0, 0)), params.bind())
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
