@@ -15,8 +15,13 @@ no operand is a `DiffValue`; otherwise hand it to `_record` with one
 model forward is written once and serves both modes with identical bits.
 Mixing a `DiffValue` with a plain array is a `TapeError`.
 
+The model runs a whole batch of graphs as one computation: `propagate`
+applies each graph's constant adjacency block to its rows of the stacked node
+matrix in one record, and `column_sum` pools every graph's row segment at
+once, so a training step records the same ops whatever its batch size.
+
 Conventions that matter downstream:
-  * everything is a matrix; vectors are 1 x n rows,
+  * everything is a matrix; vectors are 1 x n rows (n x 1 for per-row values),
   * ReLU's subgradient at 0 is 0,
   * softmax subtracts the row max before exponentiating,
   * `log` expects inputs already clamped away from 0 by the caller.
@@ -55,8 +60,9 @@ class Tape:
     """Recording of one forward pass, consumable by exactly one backward."""
 
     def __init__(self) -> None:
-        # (output node id, [(operand, vjp), ...]) per op with a gradient to pass back
-        self._records: list[tuple[int, list[tuple[DiffValue, Callable]]]] = []
+        # (output node id, [(operand node id, vjp), ...]) per op with a gradient to
+        # pass back; ids, not operands, so a value no vjp reads is freed after use
+        self._records: list[tuple[int, list[tuple[int, Callable]]]] = []
         self._leaves: list[DiffValue] = []
         self._next_id = 0
         self._consumed = False
@@ -124,8 +130,9 @@ def _record(out_val: np.ndarray, *pairs: tuple) -> DiffValue:
 
     Each pair is (operand, vjp), where vjp maps the output's gradient to that
     operand's contribution. Every operand must be a DiffValue on one tape.
-    Only the pairs whose operand requires a gradient are recorded; the output
-    requires one when any of them does.
+    Only the pairs whose operand requires a gradient are recorded, by the
+    operand's node id: a record keeps alive only what its vjp reads. The output
+    requires a gradient when any operand does.
     """
     tape = None
     for x, _ in pairs:
@@ -137,7 +144,7 @@ def _record(out_val: np.ndarray, *pairs: tuple) -> DiffValue:
             raise TapeError("operands live on different tapes")
     if tape._consumed:
         raise TapeError("tape already consumed by backward; build a new one")
-    live = [pair for pair in pairs if pair[0].requires_grad]
+    live = [(x.node_id, vjp) for x, vjp in pairs if x.requires_grad]
     out = DiffValue(out_val, tape, bool(live))
     if live:
         tape._records.append((out.node_id, live))
@@ -218,7 +225,8 @@ def relu(a: DiffValue) -> DiffValue:
     out_val = np.maximum(0.0, av)
     if _frozen(a):
         return out_val
-    return _record(out_val, (a, lambda g: g * (av > 0.0)))
+    mask = av > 0.0  # kept in place of the input, an eighth of its size
+    return _record(out_val, (a, lambda g: g * mask))
 
 
 def softmax_rows(a: DiffValue) -> DiffValue:
@@ -268,19 +276,80 @@ def sum_all(a: DiffValue) -> DiffValue:
     return _record(out_val, (a, lambda g: np.full(av.shape, g[0, 0])))
 
 
-def column_sum(a: DiffValue) -> DiffValue:
-    """Column sums: n x d -> 1 x d.
+def column_sum(a: DiffValue, bounds=None) -> DiffValue:
+    """Column sums per row segment: n x d -> B x d.
 
-    Each column is sorted before summing so the result depends only on the
-    multiset of entries, never on row order; downstream pooling promises
-    bit-identical output under node permutations. Sum gradients don't care
-    about order, so the VJP is the plain broadcast.
+    Segment b is rows bounds[b]:bounds[b+1]; without `bounds` the whole matrix
+    is one segment (1 x d). Each segment's columns are sorted before summing,
+    so a row depends only on the multiset of its segment's entries, never on
+    their order; downstream pooling promises bit-identical output under node
+    permutations. Sum gradients don't care about order, so the VJP repeats
+    each output row over its segment.
     """
     av = _value(a)
-    out_val = np.sort(av, axis=0).sum(axis=0, keepdims=True)
+    rows = av.shape[0]
+    b = np.asarray((0, rows) if bounds is None else bounds, dtype=np.intp).reshape(-1)
+    if b.size < 2 or b[0] != 0 or b[-1] != rows or np.any(np.diff(b) < 0):
+        raise ShapeError(f"column_sum: bounds {b.tolist()} do not split {rows} rows")
+    out_val = np.vstack(
+        [np.sort(av[s:e], axis=0).sum(axis=0, keepdims=True) for s, e in zip(b[:-1], b[1:])]
+    )
     if _frozen(a):
         return out_val
-    return _record(out_val, (a, lambda g: np.tile(g, (av.shape[0], 1))))
+    counts = np.diff(b)
+    return _record(out_val, (a, lambda g: np.repeat(g, counts, axis=0)))
+
+
+def row_sum(a: DiffValue) -> DiffValue:
+    """Row sums: n x d -> n x 1."""
+    av = _value(a)
+    out_val = av.sum(axis=1, keepdims=True)
+    if _frozen(a):
+        return out_val
+    return _record(out_val, (a, lambda g: np.repeat(g, av.shape[1], axis=1)))
+
+
+def transpose(a: DiffValue) -> DiffValue:
+    """a.T as a C-order matrix."""
+    out_val = np.ascontiguousarray(_value(a).T)
+    if _frozen(a):
+        return out_val
+    return _record(out_val, (a, lambda g: np.ascontiguousarray(g.T)))
+
+
+def _block_products(blocks, x: np.ndarray) -> np.ndarray:
+    """Rows of block b are blocks[b] @ x[s:e], for consecutive row ranges."""
+    out = np.empty_like(x)
+    s = 0
+    for block in blocks:
+        e = s + block.shape[0]
+        np.matmul(block, x[s:e], out=out[s:e])
+        s = e
+    return out
+
+
+def propagate(blocks, x: DiffValue) -> DiffValue:
+    """Block-diagonal product diag(blocks) @ x, one record for all blocks.
+
+    `blocks` are constant square arrays, one per consecutive row range of x;
+    each range's rows are blocks[b] @ x[s:e], the same product as a per-block
+    matmul, and its VJP is blocks[b].T @ g[s:e]. No n x n matrix of the whole
+    stack is formed.
+    """
+    xv = _value(x)
+    rows = 0
+    for block in blocks:
+        if isinstance(block, DiffValue):
+            raise TapeError("propagate: blocks are constants; got a DiffValue, not a plain array")
+        if block.ndim != 2 or block.shape[0] != block.shape[1]:
+            raise ShapeError(f"propagate: block of shape {block.shape} is not square")
+        rows += block.shape[0]
+    if rows != xv.shape[0]:
+        raise ShapeError(f"propagate: blocks cover {rows} rows, operand {xv.shape}")
+    out_val = _block_products(blocks, xv)
+    if _frozen(x):
+        return out_val
+    return _record(out_val, (x, lambda g: _block_products([blk.T for blk in blocks], g)))
 
 
 def l2_norm_rows(a: DiffValue, floor: float = 1e-12) -> DiffValue:
@@ -330,10 +399,10 @@ def backward(loss: DiffValue) -> dict[DiffValue, np.ndarray]:
         g = grads.pop(out_id, None)
         if g is None:
             continue
-        for inp, vjp in pairs:
+        for inp_id, vjp in pairs:
             contrib = vjp(g)
-            prev = grads.get(inp.node_id)
-            grads[inp.node_id] = contrib if prev is None else prev + contrib
+            prev = grads.get(inp_id)
+            grads[inp_id] = contrib if prev is None else prev + contrib
 
     result: dict[DiffValue, np.ndarray] = {}
     leaves, tape._leaves = tape._leaves, []

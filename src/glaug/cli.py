@@ -38,7 +38,7 @@ from .reporting import (
     trend_report,
     write_artifact,
 )
-from .training import ExperimentResult, TrainConfig, gradient_suite, run_experiment
+from .training import NUM_FOLDS, ExperimentResult, TrainConfig, gradient_suite, run_experiment
 
 DATA_DIR_VAR = "GLAUG_DATA_DIR"
 
@@ -415,9 +415,16 @@ def cmd_gradcheck(size):
 @click.option("--out", type=click.Path(path_type=Path), required=True)
 def cmd_gen_synth(graphs, classes, seed, sizes, densities, name, out):
     """Write a synthetic dataset in the four-file text layout."""
+    if graphs < NUM_FOLDS:
+        raise InputError(
+            f"--graphs must be at least {NUM_FOLDS}, the folds every experiment splits into; "
+            f"got {graphs}"
+        )
     lo_hi = _parse_floats(sizes, "--sizes")
     if len(lo_hi) != 2:
         raise InputError("--sizes needs exactly lo,hi")
+    if not all(v.is_integer() for v in lo_hi):
+        raise InputError(f"--sizes: node counts must be integers, got {sizes!r}")
     dens = tuple(_parse_floats(densities, "--densities"))
     ds = generate_synthetic(
         graphs, classes, (int(lo_hi[0]), int(lo_hi[1])), dens, seed, name=name

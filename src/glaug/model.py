@@ -1,8 +1,11 @@
 """The differentiable model: residual GCN encoder, sum pooling, two heads.
 
-Per-graph forward passes (no cross-graph batching): each graph is small, so
-its normalized adjacency is a dense n x n array, built by the caller for each
-forward and never kept. The adjacency is a constant of the computation, so it
+Every forward runs on a `GraphBatch`, the disjoint union of B graphs: their
+node rows stacked into one matrix and each graph's normalized adjacency kept
+as its own dense n x n block, built by the caller for each forward and never
+kept. A layer is one block-diagonal propagation and one X @ theta matmul over
+all rows; pooling sums each graph's row segment, giving a B x h matrix H; the
+heads map it row-wise. The adjacency is a constant of the computation, so it
 never carries gradients.
 
 Every forward is defined once and runs in two modes. Bound to a tape
@@ -12,6 +15,8 @@ themselves and returns plain ndarrays with the same bits.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,27 +129,49 @@ def _constant(tape: Tape | None, values) -> DiffValue | np.ndarray:
     return tape.constant(values)
 
 
-def encode(
-    tape: Tape | None, g: GraphInstance, a_hat: np.ndarray, bound: dict
-) -> DiffValue | np.ndarray:
-    """L rounds of relu(A_hat @ G @ theta); identity residual from layer 1 on.
+@dataclass(frozen=True)
+class GraphBatch:
+    """The disjoint union of B graphs, as one forward consumes it.
 
-    `a_hat` is `normalize_adjacency(g)`. `tape=None` with a frozen binding
-    records nothing and returns an ndarray.
+    Graph b owns rows bounds[b]:bounds[b+1] of `node_features`, and `blocks[b]`
+    is its normalized adjacency. `node_count` is the total number of rows.
     """
-    if g.node_count == 0:
-        raise InputError("cannot encode an empty graph")
-    a_hat = _constant(tape, a_hat)
-    out = _constant(tape, g.node_features)
+
+    node_features: np.ndarray  # N x f
+    blocks: tuple[np.ndarray, ...]
+    bounds: np.ndarray  # B + 1 row offsets, from 0 to N
+
+    @classmethod
+    def of(cls, graphs, blocks) -> "GraphBatch":
+        """Stack `graphs` in order; `blocks[b]` is `normalize_adjacency(graphs[b])`."""
+        if any(g.node_count == 0 for g in graphs):
+            raise InputError("cannot encode an empty graph")
+        bounds = np.concatenate([[0], np.cumsum([g.node_count for g in graphs])])
+        features = np.vstack([g.node_features for g in graphs])
+        return cls(features, tuple(blocks), bounds.astype(np.intp))
+
+    @property
+    def node_count(self) -> int:
+        return int(self.bounds[-1])
+
+
+def encode(tape: Tape | None, batch: GraphBatch, bound: dict) -> DiffValue | np.ndarray:
+    """L rounds of relu(A_hat @ G @ theta) over the batch's stacked node rows;
+    identity residual from layer 1 on. A_hat is block diagonal, one block per
+    graph, so no row mixes with another graph's.
+
+    `tape=None` with a frozen binding records nothing and returns an ndarray.
+    """
+    out = _constant(tape, batch.node_features)
     layer = 0
     while f"enc{layer}" in bound:
         theta = bound[f"enc{layer}"]
-        if layer == 0 and g.node_features.shape[1] != theta.shape[0]:
+        if layer == 0 and batch.node_features.shape[1] != theta.shape[0]:
             raise InputError(
-                f"feature dim {g.node_features.shape[1]} does not match "
+                f"feature dim {batch.node_features.shape[1]} does not match "
                 f"encoder input {theta.shape[0]}"
             )
-        new = ad.relu(ad.matmul(ad.matmul(a_hat, out), theta))
+        new = ad.relu(ad.matmul(ad.propagate(batch.blocks, out), theta))
         if layer > 0 and new.shape == out.shape:
             new = ad.add(new, out)
         out = new
@@ -152,26 +179,24 @@ def encode(
     return out
 
 
-def pool(nodes: DiffValue) -> DiffValue:
-    """Global sum pooling: n x h -> 1 x h."""
-    return ad.column_sum(nodes)
+def pool(nodes: DiffValue, bounds=None) -> DiffValue:
+    """Global sum pooling per graph: N x h -> B x h (1 x h without bounds)."""
+    return ad.column_sum(nodes, bounds)
 
 
 def classify(h: DiffValue, bound: dict) -> DiffValue:
-    """Class probabilities: softmax(relu(h W1 + b1) W2 + b2), a 1 x c row."""
+    """Class probabilities: softmax(relu(h W1 + b1) W2 + b2), one row per row of h."""
     hidden = ad.relu(ad.add_rowvec(ad.matmul(h, bound["cls_w1"]), bound["cls_b1"]))
     logits = ad.add_rowvec(ad.matmul(hidden, bound["cls_w2"]), bound["cls_b2"])
     return ad.softmax_rows(logits)
 
 
 def project(h: DiffValue, bound: dict) -> DiffValue:
-    """Contrastive projection: relu hidden, linear output, a 1 x p row."""
+    """Contrastive projection: relu hidden, linear output, one row per row of h."""
     hidden = ad.relu(ad.add_rowvec(ad.matmul(h, bound["proj_w1"]), bound["proj_b1"]))
     return ad.add_rowvec(ad.matmul(hidden, bound["proj_w2"]), bound["proj_b2"])
 
 
-def represent(
-    tape: Tape | None, g: GraphInstance, a_hat: np.ndarray, bound: dict
-) -> DiffValue | np.ndarray:
-    """Graph-level representation H = pool(encode(...)), a 1 x h row."""
-    return pool(encode(tape, g, a_hat, bound))
+def represent(tape: Tape | None, batch: GraphBatch, bound: dict) -> DiffValue | np.ndarray:
+    """Graph-level representations H = pool(encode(...)), one row per graph (B x h)."""
+    return pool(encode(tape, batch, bound), batch.bounds)

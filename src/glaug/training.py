@@ -6,6 +6,11 @@ its augmented twin and L_cls is cross-entropy on the labeled subset, applied
 to both the original and augmented predictions. Augmentation targets come
 from ground truth when the graph is labeled and from the live classifier's
 argmax otherwise, recomputed every step.
+
+A step is one computation over its batch of B graphs: one encoder forward on
+their disjoint union gives the B x h matrix H, each head runs once on H and
+once on H + offsets, and every loss reduces B-row matrices. Frozen passes run
+the same forward on chunks of at most FROZEN_CHUNK graphs.
 """
 
 from __future__ import annotations
@@ -28,13 +33,23 @@ from .augment import (
 from .autodiff import DiffValue, Tape
 from .data import FoldPlan, GraphDataset, assign_labels, make_folds
 from .errors import InputError, InvariantViolation
-from .model import ModelParams, classify, glorot, normalize_adjacency, project, represent
+from .model import (
+    GraphBatch,
+    ModelParams,
+    classify,
+    glorot,
+    normalize_adjacency,
+    project,
+    represent,
+)
 from .seeding import seeded_rng
 
 NORM_FLOOR = 1e-12
 PROB_FLOOR = 1e-12
 SURROGATE_STEPS = 200
 SURROGATE_LR = 1e-2
+NUM_FOLDS = 10  # the cross-validation protocol every experiment runs
+FROZEN_CHUNK = 32  # graphs per frozen forward: the default batch size
 
 
 @dataclass(frozen=True)
@@ -109,63 +124,56 @@ class ExperimentResult:
 
 
 def contrastive_loss(p_o: DiffValue, p_a: DiffValue) -> DiffValue:
-    """Negative cosine similarity of one projection pair (1 x 1).
+    """Mean over rows of the negative cosine similarity of each projection pair.
 
-    Norms are clamped below by 1e-12 so zero projections yield 0, not NaN.
+    `p_o` and `p_a` are B x p; row b of each belongs to graph b. Norms are
+    clamped below by 1e-12 so zero projections yield 0, not NaN.
     """
-    num = ad.dot(p_o, p_a)
+    num = ad.row_sum(ad.mul(p_o, p_a))
     den = ad.mul(ad.l2_norm_rows(p_o, NORM_FLOOR), ad.l2_norm_rows(p_a, NORM_FLOOR))
-    return ad.scale(ad.div(num, den), -1.0)
+    return ad.scale(ad.sum_all(ad.div(num, den)), -1.0 / p_o.shape[0])
 
 
-def _cosine(p_o: DiffValue, p_a: DiffValue, no: DiffValue, na: DiffValue) -> DiffValue:
-    return ad.div(ad.dot(p_o, p_a), ad.mul(no, na))
-
-
-def ntxent_with_negatives(
-    p_os: list[DiffValue], p_as: list[DiffValue], temperature: float
-) -> DiffValue:
+def ntxent_with_negatives(p_o: DiffValue, p_a: DiffValue, temperature: float) -> DiffValue:
     """Temperature-scaled cross entropy where every other augmented projection
     in the batch is a negative; mean over anchors.
 
-    Stabilized with the per-anchor detached max, which is exact for
-    log-sum-exp. Anchors and negatives are cosine similarities over tau.
+    Row i of the B x B matrix S holds the cosines of anchor p_o[i] with every
+    p_a[j], over tau; its diagonal holds the positives. Each row's log-sum-exp
+    is stabilized with the row's detached max, which is exact.
     """
-    batch = len(p_os)
-    if batch != len(p_as):
-        raise InvariantViolation("projection lists of different lengths")
+    if p_o.shape != p_a.shape:
+        raise InvariantViolation(f"projection matrices of shapes {p_o.shape} and {p_a.shape}")
+    batch = p_o.shape[0]
     if batch < 2:
         raise InputError("negative-pair loss needs a batch of at least 2")
     if temperature <= 0:
         raise InputError(f"temperature must be > 0, got {temperature}")
 
-    norms_o = [ad.l2_norm_rows(p, NORM_FLOOR) for p in p_os]
-    norms_a = [ad.l2_norm_rows(p, NORM_FLOOR) for p in p_as]
-    inv_t = 1.0 / temperature
-
-    total: DiffValue | None = None
-    for i in range(batch):
-        sims = [
-            ad.scale(_cosine(p_os[i], p_as[j], norms_o[i], norms_a[j]), inv_t)
-            for j in range(batch)
-        ]
-        m = max(float(s.value[0, 0]) for s in sims)  # detached constant
-        tape = p_os[i].tape
-        m_const = tape.constant([[m]])
-        exp_sum: DiffValue | None = None
-        for s in sims:
-            term = ad.exp(ad.sub(s, m_const))
-            exp_sum = term if exp_sum is None else ad.add(exp_sum, term)
-        anchor = ad.sub(ad.add(m_const, ad.log(exp_sum)), sims[i])
-        total = anchor if total is None else ad.add(total, anchor)
-    return ad.scale(total, 1.0 / batch)
+    num = ad.matmul(p_o, ad.transpose(p_a))
+    norms_a = ad.transpose(ad.l2_norm_rows(p_a, NORM_FLOOR))
+    den = ad.matmul(ad.l2_norm_rows(p_o, NORM_FLOOR), norms_a)  # outer product of the norms
+    sims = ad.scale(ad.div(num, den), 1.0 / temperature)
+    tape = sims.tape
+    row_max = sims.value.max(axis=1, keepdims=True)  # detached constant
+    shifted = ad.sub(sims, tape.constant(np.repeat(row_max, batch, axis=1)))
+    lse = ad.add(tape.constant(row_max), ad.log(ad.row_sum(ad.exp(shifted))))
+    positives = ad.row_sum(ad.mul(sims, tape.constant(np.eye(batch))))
+    return ad.scale(ad.sum_all(ad.sub(lse, positives)), 1.0 / batch)
 
 
 def classification_loss(c_o: DiffValue, c_a: DiffValue, y: DiffValue) -> DiffValue:
-    """Cross-entropy of one labeled graph, summed over both predictions."""
+    """Cross-entropy summed over both predictions, mean over labeled rows.
+
+    `c_o` and `c_a` are B x c class probabilities; `y` is a B x c one-hot mask
+    whose rows are zero for unlabeled graphs, which therefore add nothing.
+    """
+    labeled = int(np.count_nonzero(y.value.any(axis=1)))
+    if labeled == 0:
+        raise InputError("classification loss needs at least one labeled row")
     ce_o = ad.dot(y, ad.log(ad.clamp(c_o, PROB_FLOOR, 1.0)))
     ce_a = ad.dot(y, ad.log(ad.clamp(c_a, PROB_FLOOR, 1.0)))
-    return ad.scale(ad.add(ce_o, ce_a), -1.0)
+    return ad.scale(ad.add(ce_o, ce_a), -1.0 / labeled)
 
 
 def total_loss(l_p: DiffValue, l_c: DiffValue | None, alpha: float) -> DiffValue:
@@ -173,13 +181,6 @@ def total_loss(l_p: DiffValue, l_c: DiffValue | None, alpha: float) -> DiffValue
     if l_c is None:
         return l_p
     return ad.add(l_p, ad.scale(l_c, alpha))
-
-
-def _mean(terms: list[DiffValue]) -> DiffValue:
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = ad.add(acc, t)
-    return ad.scale(acc, 1.0 / len(terms))
 
 
 # --------------------------------------------------------------------- adam
@@ -219,24 +220,27 @@ def adam_step(
 # ----------------------------------------------------------------- training
 
 
+def _stack(dataset: GraphDataset, indices) -> GraphBatch:
+    """The disjoint union of the given graphs, adjacency built for this forward."""
+    graphs = [dataset.graphs[i] for i in indices]
+    return GraphBatch.of(graphs, [normalize_adjacency(g) for g in graphs])
+
+
 def _representations(dataset: GraphDataset, params: ModelParams, indices) -> np.ndarray:
     """Frozen H rows for the given graphs, stacked in index order."""
     frozen = params.bind()
-    graphs = [dataset.graphs[i] for i in indices]
-    return np.array([represent(None, g, normalize_adjacency(g), frozen)[0] for g in graphs])
+    indices = list(indices)
+    chunks = [indices[s : s + FROZEN_CHUNK] for s in range(0, len(indices), FROZEN_CHUNK)]
+    return np.vstack([represent(None, _stack(dataset, chunk), frozen) for chunk in chunks])
 
 
 def evaluate(dataset: GraphDataset, params: ModelParams, indices) -> float:
     """Accuracy of classify(H) argmax against ground truth over `indices`."""
     if len(indices) == 0:
         return 0.0
-    frozen = params.bind()
-    hits = 0
-    for i in indices:
-        g = dataset.graphs[i]
-        c = classify(represent(None, g, normalize_adjacency(g), frozen), frozen)
-        hits += int(np.argmax(c)) == g.label
-    return hits / len(indices)
+    probs = classify(_representations(dataset, params, indices), params.bind(prefix="cls"))
+    labels = np.array([dataset.graphs[i].label for i in indices])
+    return int((np.argmax(probs, axis=1) == labels).sum()) / len(indices)
 
 
 def _batches(order: list[int], batch_size: int) -> list[list[int]]:
@@ -246,6 +250,33 @@ def _batches(order: list[int], batch_size: int) -> list[list[int]]:
     if len(chunks) >= 2 and len(chunks[-1]) == 1:
         chunks[-2].extend(chunks.pop())
     return chunks
+
+
+def _batch_objective(
+    bound: dict,
+    h_o: DiffValue,
+    offsets: np.ndarray,
+    onehot: np.ndarray,
+    cfg: TrainConfig,
+) -> tuple[DiffValue, DiffValue, DiffValue | None]:
+    """The training objective of one batch: (loss, pair loss, classification loss).
+
+    `h_o` is the batch's B x h representation on the step's tape, `offsets` the B x h
+    augmentation offsets (constants: selection passes no gradient) and
+    `onehot` the B x c label mask, zero rows for unlabeled graphs. The
+    classification term is None when no graph of the batch is labeled.
+    """
+    tape = h_o.tape
+    h_a = ad.add(h_o, tape.constant(offsets))
+    p_o, p_a = project(h_o, bound), project(h_a, bound)
+    if cfg.negative_pairs:
+        l_p = ntxent_with_negatives(p_o, p_a, cfg.temperature)
+    else:
+        l_p = contrastive_loss(p_o, p_a)
+    l_c = None
+    if onehot.any():
+        l_c = classification_loss(classify(h_o, bound), classify(h_a, bound), tape.constant(onehot))
+    return total_loss(l_p, l_c, cfg.alpha), l_p, l_c
 
 
 def train_fold(dataset: GraphDataset, fold: FoldPlan, cfg: TrainConfig) -> FoldResult:
@@ -287,31 +318,18 @@ def train_fold(dataset: GraphDataset, fold: FoldPlan, cfg: TrainConfig) -> FoldR
         for batch in _batches(order, cfg.batch_size):
             tape = Tape()
             bound = params.bind(tape)
-            frozen = params.bind(prefix="cls")  # scores unlabeled graphs for their target
-            graphs = [dataset.graphs[i] for i in batch]
-            h_os = [represent(tape, g, normalize_adjacency(g), bound) for g in graphs]
-
-            d = epoch_d if epoch_d is not None else centroid_distance(
-                np.vstack([h.value for h in h_os])
-            )
-
+            h_o = represent(tape, _stack(dataset, batch), bound)
+            h = h_o.value
+            d = epoch_d if epoch_d is not None else centroid_distance(h)
             # selection is gated by the parameters entering this step
-            pair_terms: list[DiffValue] = []
-            cls_terms: list[DiffValue] = []
-            p_os: list[DiffValue] = []
-            p_as: list[DiffValue] = []
+            probs = classify(h, params.bind(prefix="cls"))  # targets of unlabeled graphs
+            offsets = np.zeros_like(h)
+            onehot = np.zeros((len(batch), dataset.num_classes))
             for pos, i in enumerate(batch):
-                g = dataset.graphs[i]
-                h_o = h_os[pos]
-                label = g.label if i in labeled else None
-                if label is None:
-                    target = target_class(None, classify(h_o.value, frozen))
-                else:
-                    target = int(label)
-                    c_o = classify(h_o, bound)
+                label = dataset.graphs[i].label if i in labeled else None
                 outcome: AugmentationOutcome = augment(
-                    h_o.value,
-                    target,
+                    h[pos : pos + 1],
+                    target_class(label, probs[pos]),
                     params,
                     aug_cfg,
                     d,
@@ -323,26 +341,11 @@ def train_fold(dataset: GraphDataset, fold: FoldPlan, cfg: TrainConfig) -> FoldR
                 if outcome.chosen_target_prob is not None:
                     chosen_prob_sum += outcome.chosen_target_prob
                     chosen_prob_n += 1
-
-                h_a = ad.add(h_o, tape.constant(outcome.offset))
-                p_o, p_a = project(h_o, bound), project(h_a, bound)
-                if cfg.negative_pairs:
-                    p_os.append(p_o)
-                    p_as.append(p_a)
-                else:
-                    pair_terms.append(contrastive_loss(p_o, p_a))
+                offsets[pos] = outcome.offset[0]
                 if label is not None:
-                    c_a = classify(h_a, bound)
-                    onehot = np.zeros((1, dataset.num_classes))
-                    onehot[0, label] = 1.0
-                    cls_terms.append(classification_loss(c_o, c_a, tape.constant(onehot)))
+                    onehot[pos, label] = 1.0
 
-            if cfg.negative_pairs:
-                l_p = ntxent_with_negatives(p_os, p_as, cfg.temperature)
-            else:
-                l_p = _mean(pair_terms)
-            l_c = _mean(cls_terms) if cls_terms else None
-            loss = total_loss(l_p, l_c, cfg.alpha)
+            loss, l_p, l_c = _batch_objective(bound, h_o, offsets, onehot, cfg)
             ad.backward(loss)
             grads = {name: leaf.grad for name, leaf in bound.items()}
             adam_step(params, grads, state, cfg.learning_rate)
@@ -350,8 +353,9 @@ def train_fold(dataset: GraphDataset, fold: FoldPlan, cfg: TrainConfig) -> FoldR
             pair_sum += float(l_p.value[0, 0]) * len(batch)
             pair_n += len(batch)
             if l_c is not None:
-                cls_sum += float(l_c.value[0, 0]) * len(cls_terms)
-                cls_n += len(cls_terms)
+                labeled_rows = int(onehot.sum())
+                cls_sum += float(l_c.value[0, 0]) * labeled_rows
+                cls_n += labeled_rows
 
         pair_curve.append(pair_sum / pair_n)
         cls_curve.append(cls_sum / cls_n if cls_n else 0.0)
@@ -452,29 +456,34 @@ def label_invariant_rate(
 
 
 def _toy_batch_objective_check(rng_seed: int, num_nodes: int = 5) -> float | None:
-    """FD error of the full objective on a toy batch, or None near a relu kink."""
+    """FD error of `_batch_objective`, with and without negative pairs, on a
+    toy batch of two graphs (one labeled); None near a relu kink."""
     from .data import generate_synthetic
 
     rng = np.random.default_rng(rng_seed)
     ds = generate_synthetic(2, size_range=(num_nodes, num_nodes), seed=rng_seed)
-    graphs = list(ds.graphs)
     params = ModelParams.init(ds.feature_dim, 2, hidden=5, proj_dim=4, depth=2, rng=rng)
     for a in params.arrays.values():
         a += rng.normal(scale=0.05, size=a.shape)
 
-    frozen = params.bind()
-    offsets = []
+    batch = _stack(ds, range(len(ds)))
+    h = represent(None, batch, params.bind())
+    frozen = params.bind(prefix="cls")
+    offsets = np.zeros_like(h)
+    onehot = np.zeros((len(ds), 2))
     margin = np.inf
-    for idx, g in enumerate(graphs):
-        a_hat = normalize_adjacency(g)
-        h = represent(None, g, a_hat, frozen)
-        target = target_class(
-            g.label if idx == 0 else None, augmentation.snapshot_probs(frozen, h)
-        )
-        out = augment(h, target, params, AugmentationConfig(), 1.0, seeded_rng(rng_seed, "fd", idx))
-        offsets.append(out.offset)
+    arr = params.arrays
+    for idx, g in enumerate(ds.graphs):
+        label = g.label if idx == 0 else None
+        row = h[idx : idx + 1]
+        target = target_class(label, augmentation.snapshot_probs(frozen, row))
+        rng_fd = seeded_rng(rng_seed, "fd", idx)
+        out = augment(row, target, params, AugmentationConfig(), 1.0, rng_fd)
+        offsets[idx] = out.offset[0]
+        if label is not None:
+            onehot[idx, label] = 1.0
         # relu margins along both branches
-        arr = params.arrays
+        a_hat = normalize_adjacency(g)
         cur = g.node_features
         for layer in range(params.depth):
             z = a_hat @ cur @ arr[f"enc{layer}"]
@@ -491,34 +500,20 @@ def _toy_batch_objective_check(rng_seed: int, num_nodes: int = 5) -> float | Non
     if margin <= 1e-3:
         return None
 
-    def batch_loss(tape: Tape, bound: dict) -> DiffValue:
-        pair_terms, cls_terms = [], []
-        for idx, (g, off) in enumerate(zip(graphs, offsets)):
-            h_o = represent(tape, g, normalize_adjacency(g), bound)
-            h_a = ad.add(h_o, tape.constant(off))
-            pair_terms.append(contrastive_loss(project(h_o, bound), project(h_a, bound)))
-            if idx == 0:
-                onehot = np.zeros((1, 2))
-                onehot[0, g.label] = 1.0
-                cls_terms.append(
-                    classification_loss(
-                        classify(h_o, bound), classify(h_a, bound), tape.constant(onehot)
-                    )
-                )
-        return total_loss(_mean(pair_terms), _mean(cls_terms), alpha=1.0)
-
     worst = 0.0
-    for name in params.arrays:
+    for cfg in (TrainConfig(), TrainConfig(negative_pairs=True)):
+        for name in params.arrays:
 
-        def f(x, _name=name):
-            tape = x.tape
-            bound = {
-                k: (x if k == _name else tape.leaf(v, requires_grad=False))
-                for k, v in params.arrays.items()
-            }
-            return batch_loss(tape, bound)
+            def f(x, _name=name, _cfg=cfg):
+                tape = x.tape
+                bound = {
+                    k: (x if k == _name else tape.leaf(v, requires_grad=False))
+                    for k, v in params.arrays.items()
+                }
+                h_o = represent(tape, batch, bound)
+                return _batch_objective(bound, h_o, offsets, onehot, _cfg)[0]
 
-        worst = max(worst, ad.grad_check(f, params.arrays[name]))
+            worst = max(worst, ad.grad_check(f, params.arrays[name]))
     return worst
 
 
@@ -572,36 +567,49 @@ def gradient_suite(size: str = "small") -> list[tuple[str, float]]:
         lambda x: ad.sum_all(ad.mul(ad.column_sum(x), x.tape.constant(wrow))),
         mat(),
     )
+    bounds = (0, 1, n - 1, n)  # a one-row segment, a middle one and a one-row tail
+    wseg = mat(3, m)
+    run(
+        "column_sum_segments",
+        lambda x: ad.sum_all(ad.mul(ad.column_sum(x, bounds), x.tape.constant(wseg))),
+        mat(),
+    )
+    wcol = mat(n, 1)
+    run("row_sum", lambda x: ad.sum_all(ad.mul(ad.row_sum(x), x.tape.constant(wcol))), mat())
+    wt = mat(m, n)
+    run("transpose", lambda x: ad.sum_all(ad.mul(ad.transpose(x), x.tape.constant(wt))), mat())
+    blocks = [mat(1, 1), mat(n - 1, n - 1)]
+    run(
+        "propagate",
+        lambda x: ad.sum_all(ad.mul(ad.propagate(blocks, x), x.tape.constant(b))),
+        mat(),
+    )
     run("l2_norm_rows", lambda x: ad.sum_all(ad.l2_norm_rows(x)), mat())
     run("dot", lambda x: ad.dot(x, x.tape.constant(b)), mat())
 
-    other = mat(1, m, shift=0.5)
+    other = mat(shift=0.5)
+    run("contrastive_loss", lambda x: contrastive_loss(x, x.tape.constant(other)), mat(shift=0.5))
+    neg = mat(shift=0.3)
     run(
-        "contrastive_loss",
-        lambda x: contrastive_loss(x, x.tape.constant(other)),
-        mat(1, m, shift=0.5),
+        "ntxent_with_negatives_anchors",
+        lambda x: ntxent_with_negatives(x, x.tape.constant(neg), 0.5),
+        mat(shift=0.3),
     )
-    neg_o = mat(2, m, shift=0.3)
-    neg_a = mat(3, m, shift=0.3)
     run(
-        "ntxent_with_negatives",
-        lambda x: ntxent_with_negatives(
-            [x] + [x.tape.constant([r]) for r in neg_o],
-            [x.tape.constant([r]) for r in neg_a],
-            0.5,
-        ),
-        mat(1, m, shift=0.3),
+        "ntxent_with_negatives_augmented",
+        lambda x: ntxent_with_negatives(x.tape.constant(neg), x, 0.5),
+        mat(shift=0.3),
     )
-    y = np.zeros((1, m))
-    y[0, 1] = 1.0
-    ca = np.abs(mat(1, m)) + 0.1
-    ca /= ca.sum()
+    y = np.zeros((n, m))
+    y[0, 1] = y[n - 1, 0] = 1.0  # the rows in between are unlabeled
+    ca = np.abs(mat()) + 0.1
+    ca /= ca.sum(axis=1, keepdims=True)
     run(
         "classification_loss",
         lambda x: classification_loss(
             ad.softmax_rows(x), x.tape.constant(ca), x.tape.constant(y)
         ),
-        mat(1, m),
+        mat(),
     )
 
     seeds = range(100) if size == "small" else range(300)
@@ -631,7 +639,8 @@ def run_experiment(dataset: GraphDataset, cfg: TrainConfig, workers: int = 1) ->
     """Full 10-fold protocol; folds are independent, so workers > 1 shards
     them across processes without changing any result."""
     plans = [
-        assign_labels(p, cfg.label_ratio, cfg.seed) for p in make_folds(dataset, 10, cfg.seed)
+        assign_labels(p, cfg.label_ratio, cfg.seed)
+        for p in make_folds(dataset, NUM_FOLDS, cfg.seed)
     ]
     if workers > 1:
         # a fork pool starts every worker at the first submit, so open no more than there are folds

@@ -116,6 +116,46 @@ def test_grad_column_sum():
     check(f, rng(21).normal(size=(5, 3)))
 
 
+def test_grad_column_sum_segments():
+    w = rng(40).normal(size=(3, 3))
+    check(
+        lambda x: ad.sum_all(ad.mul(ad.column_sum(x, (0, 2, 3, 6)), x.tape.constant(w))),
+        rng(41).normal(size=(6, 3)),
+    )
+
+
+def test_grad_row_sum():
+    w = rng(42).normal(size=(4, 1))
+    x0 = rng(43).normal(size=(4, 3))
+    check(lambda x: ad.sum_all(ad.mul(ad.row_sum(x), x.tape.constant(w))), x0)
+
+
+def test_grad_transpose():
+    w = rng(44).normal(size=(3, 4))
+    x0 = rng(45).normal(size=(4, 3))
+    check(lambda x: ad.sum_all(ad.mul(ad.transpose(x), x.tape.constant(w))), x0)
+
+
+def test_grad_propagate():
+    blocks = [rng(46).normal(size=(2, 2)), rng(47).normal(size=(1, 1)), rng(48).normal(size=(3, 3))]
+    w = rng(49).normal(size=(6, 4))
+    check(
+        lambda x: ad.sum_all(ad.mul(ad.propagate(blocks, x), x.tape.constant(w))),
+        rng(50).normal(size=(6, 4)),
+    )
+
+
+def test_segment_and_block_ops_check_shapes():
+    with pytest.raises(ShapeError, match="bounds"):
+        ad.column_sum(np.ones((4, 2)), (0, 3))
+    with pytest.raises(ShapeError, match="bounds"):
+        ad.column_sum(np.ones((4, 2)), (0, 3, 2, 4))
+    with pytest.raises(ShapeError, match="cover 3 rows"):
+        ad.propagate([np.eye(2), np.eye(1)], np.ones((4, 2)))
+    with pytest.raises(ShapeError, match="not square"):
+        ad.propagate([np.ones((2, 3))], np.ones((2, 2)))
+
+
 def test_grad_l2_norm_rows():
     x0 = rng(22).normal(size=(4, 3))
     check(lambda x: ad.sum_all(ad.l2_norm_rows(x)), x0)
@@ -319,7 +359,7 @@ def _chain(a, b, row, other):
 BINARY = ("matmul", "add", "sub", "mul", "div", "add_rowvec", "dot")
 UNARY = (
     "scale", "relu", "softmax_rows", "log", "exp", "clamp", "sum_all", "column_sum",
-    "l2_norm_rows",
+    "column_sum_segments", "row_sum", "transpose", "propagate", "l2_norm_rows",
 )
 
 
@@ -327,6 +367,9 @@ def _op_cases(r, n, k, d):
     """name -> (op, plain operands) for every engine op, on random n/k/d shapes."""
     x, y = r.normal(size=(n, d)), r.normal(size=(n, d))
     positive = np.abs(y) + 0.5
+    cut = int(r.integers(0, n + 1))
+    segments = (0, cut, n)  # the first may be empty
+    blocks = [r.normal(size=(cut, cut)), r.normal(size=(n - cut, n - cut))]
     return {
         "matmul": (ad.matmul, (x, r.normal(size=(d, k)))),
         "add": (ad.add, (x, y)),
@@ -343,6 +386,10 @@ def _op_cases(r, n, k, d):
         "clamp": (lambda a: ad.clamp(a, -0.5, 0.5), (x,)),
         "sum_all": (ad.sum_all, (x,)),
         "column_sum": (ad.column_sum, (x,)),
+        "column_sum_segments": (lambda a: ad.column_sum(a, segments), (x,)),
+        "row_sum": (ad.row_sum, (x,)),
+        "transpose": (ad.transpose, (x,)),
+        "propagate": (lambda a: ad.propagate(blocks, a), (x,)),
         "l2_norm_rows": (ad.l2_norm_rows, (x,)),
     }
 
@@ -387,6 +434,10 @@ def test_mixing_diffvalue_and_plain_array_raises():
             op(t.leaf(a, requires_grad=True), b)
         with pytest.raises(TapeError, match="plain array"):
             op(a, t.leaf(b, requires_grad=True))
+    # propagate's blocks are constants: a DiffValue there is refused too
+    t = Tape()
+    with pytest.raises(TapeError, match="plain array"):
+        ad.propagate([t.leaf(np.eye(2), requires_grad=True)], t.leaf(np.ones((2, 3))))
 
 
 # --------------------------------------------------------------- properties

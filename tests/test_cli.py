@@ -348,6 +348,22 @@ def test_gen_synth_bad_sizes(tmp_path):
     assert main(["gen-synth", "--sizes", "8", "--out", str(tmp_path / "S")]) == 1
 
 
+@pytest.mark.parametrize("args", [
+    ["--graphs", "0"],
+    ["--graphs", "-2"],
+    ["--graphs", "3"],
+    ["--graphs", "9"],
+    ["--sizes", "1.5,3"],
+    ["--sizes", "8,12.5"],
+], ids=["graphs_0", "graphs_neg", "graphs_3", "graphs_9", "sizes_lo_fraction", "sizes_hi_fraction"])
+def test_gen_synth_rejects_unusable_dataset(tmp_path, capsys, args):
+    # fewer graphs than folds, or fractional node counts, would give a dataset
+    # every experiment command rejects (or one silently truncated)
+    rc = main(["gen-synth", *args, "--out", str(tmp_path / "S")])
+    assert_input_error(capsys, rc)
+    assert not (tmp_path / "S").exists()
+
+
 # --------------------------------------------------------------- gradcheck
 
 

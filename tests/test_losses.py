@@ -25,24 +25,25 @@ def cosine_oracle(a, b):
 
 def test_identical_projections_give_minus_one():
     t = Tape()
-    p = t.leaf([[0.3, -1.2, 2.0]])
-    q = t.leaf([[0.3, -1.2, 2.0]])
+    p = t.leaf([[0.3, -1.2, 2.0], [4.0, 0.5, -0.1]])
+    q = t.leaf([[0.3, -1.2, 2.0], [4.0, 0.5, -0.1]])
     assert tr.contrastive_loss(p, q).value[0, 0] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_orthogonal_projections_give_zero():
     t = Tape()
-    loss = tr.contrastive_loss(t.leaf([[1.0, 0.0]]), t.leaf([[0.0, 5.0]]))
+    loss = tr.contrastive_loss(t.leaf([[1.0, 0.0], [0.0, 2.0]]), t.leaf([[0.0, 5.0], [3.0, 0.0]]))
     assert loss.value[0, 0] == 0.0
 
 
 def test_matches_independent_cosine():
     rng = np.random.default_rng(0)
-    for _ in range(30):
-        a, b = rng.normal(size=4), rng.normal(size=4)
+    for batch in range(1, 31):
+        a, b = rng.normal(size=(batch, 4)), rng.normal(size=(batch, 4))
         t = Tape()
-        got = tr.contrastive_loss(t.leaf([a]), t.leaf([b])).value[0, 0]
-        assert abs(got - (-cosine_oracle(a, b))) < 1e-12
+        got = tr.contrastive_loss(t.leaf(a), t.leaf(b)).value[0, 0]
+        want = -sum(cosine_oracle(x, y) for x, y in zip(a, b)) / batch
+        assert abs(got - want) < 1e-12
 
 
 def test_value_bounded_by_one():
@@ -50,20 +51,20 @@ def test_value_bounded_by_one():
     for _ in range(50):
         t = Tape()
         v = tr.contrastive_loss(
-            t.leaf([rng.normal(size=6) * 100]), t.leaf([rng.normal(size=6) * 0.01])
+            t.leaf(rng.normal(size=(5, 6)) * 100), t.leaf(rng.normal(size=(5, 6)) * 0.01)
         ).value[0, 0]
         assert -1.0 - 1e-12 <= v <= 1.0 + 1e-12
 
 
 def test_zero_projection_guarded_not_nan():
     t = Tape()
-    loss = tr.contrastive_loss(t.leaf([[0.0, 0.0]]), t.leaf([[1.0, 1.0]]))
-    assert loss.value[0, 0] == 0.0  # dot is 0, clamped norms keep it finite
+    loss = tr.contrastive_loss(t.leaf([[0.0, 0.0], [1.0, 0.0]]), t.leaf([[1.0, 1.0], [0.0, 1.0]]))
+    assert loss.value[0, 0] == 0.0  # dots are 0, clamped norms keep it finite
 
 
 def test_contrastive_gradient_both_sides():
     rng = np.random.default_rng(2)
-    other = rng.normal(size=(1, 5)) + 0.5
+    other = rng.normal(size=(3, 5)) + 0.5
 
     def wrt_left(x):
         return tr.contrastive_loss(x, x.tape.constant(other))
@@ -71,7 +72,7 @@ def test_contrastive_gradient_both_sides():
     def wrt_right(x):
         return tr.contrastive_loss(x.tape.constant(other), x)
 
-    x0 = rng.normal(size=(1, 5)) + 0.5  # norms well above 0.1
+    x0 = rng.normal(size=(3, 5)) + 0.5  # norms well above 0.1
     assert grad_check(wrt_left, x0) < 1e-4
     assert grad_check(wrt_right, x0) < 1e-4
 
@@ -80,14 +81,14 @@ def test_contrastive_gradient_both_sides():
 
 
 def build_projections(t, rows_o, rows_a):
-    return [t.leaf([r]) for r in rows_o], [t.leaf([r]) for r in rows_a]
+    return t.leaf(rows_o), t.leaf(rows_a)
 
 
 def test_ntxent_closed_form_orthogonal_cross_terms():
     # batch 2, tau 1; cross cosines 0, own cosines s0 and s1
     t = Tape()
-    p_os, p_as = build_projections(t, [[2.0, 0.0], [0.0, 3.0]], [[1.0, 0.0], [0.0, 1.0]])
-    got = tr.ntxent_with_negatives(p_os, p_as, 1.0).value[0, 0]
+    p_o, p_a = build_projections(t, [[2.0, 0.0], [0.0, 3.0]], [[1.0, 0.0], [0.0, 1.0]])
+    got = tr.ntxent_with_negatives(p_o, p_a, 1.0).value[0, 0]
     want = np.mean(
         [-np.log(np.e**1.0 / (np.e**1.0 + 1.0)), -np.log(np.e**1.0 / (np.e**1.0 + 1.0))]
     )
@@ -98,8 +99,8 @@ def test_ntxent_identical_projections_is_log_batch():
     for batch in (2, 3, 5):
         t = Tape()
         rows = [[1.0, 1.0]] * batch
-        p_os, p_as = build_projections(t, rows, rows)
-        got = tr.ntxent_with_negatives(p_os, p_as, 0.7).value[0, 0]
+        p_o, p_a = build_projections(t, rows, rows)
+        got = tr.ntxent_with_negatives(p_o, p_a, 0.7).value[0, 0]
         assert got == pytest.approx(np.log(batch), abs=1e-12)
 
 
@@ -109,8 +110,8 @@ def test_ntxent_brute_force_oracle():
     rows_a = rng.normal(size=(4, 3))
     tau = 0.5
     t = Tape()
-    p_os, p_as = build_projections(t, rows_o, rows_a)
-    got = tr.ntxent_with_negatives(p_os, p_as, tau).value[0, 0]
+    p_o, p_a = build_projections(t, rows_o, rows_a)
+    got = tr.ntxent_with_negatives(p_o, p_a, tau).value[0, 0]
     total = 0.0
     for i in range(4):
         sims = [cosine_oracle(rows_o[i], rows_a[j]) / tau for j in range(4)]
@@ -120,35 +121,84 @@ def test_ntxent_brute_force_oracle():
 
 def test_ntxent_rejects_singleton_and_bad_tau():
     t = Tape()
-    p_os, p_as = build_projections(t, [[1.0, 0.0]], [[1.0, 0.0]])
+    p_o, p_a = build_projections(t, [[1.0, 0.0]], [[1.0, 0.0]])
     with pytest.raises(InputError, match="at least 2"):
-        tr.ntxent_with_negatives(p_os, p_as, 1.0)
+        tr.ntxent_with_negatives(p_o, p_a, 1.0)
     t2 = Tape()
-    p_os, p_as = build_projections(t2, [[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]])
+    p_o, p_a = build_projections(t2, [[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(InputError, match="temperature"):
-        tr.ntxent_with_negatives(p_os, p_as, 0.0)
+        tr.ntxent_with_negatives(p_o, p_a, 0.0)
+    with pytest.raises(InvariantViolation):
+        tr.ntxent_with_negatives(p_o, Tape().leaf(np.ones((3, 2))), 1.0)
 
 
 def test_ntxent_gradient_fd():
     rng = np.random.default_rng(4)
-    others_o = rng.normal(size=(2, 4)) + 0.3
-    others_a = rng.normal(size=(3, 4)) + 0.3
+    others = rng.normal(size=(3, 4)) + 0.3
 
-    def f(x):
-        t = x.tape
-        p_os = [x] + [t.constant([r]) for r in others_o]
-        p_as = [t.constant([r]) for r in others_a]
-        return tr.ntxent_with_negatives(p_os, p_as, 0.5)
+    def wrt_anchors(x):
+        return tr.ntxent_with_negatives(x, x.tape.constant(others), 0.5)
 
-    assert grad_check(f, rng.normal(size=(1, 4)) + 0.3) < 1e-4
+    def wrt_augmented(x):
+        return tr.ntxent_with_negatives(x.tape.constant(others), x, 0.5)
+
+    x0 = rng.normal(size=(3, 4)) + 0.3
+    assert grad_check(wrt_anchors, x0) < 1e-4
+    assert grad_check(wrt_augmented, x0) < 1e-4
+
+
+def anchor_loop_ntxent(p_os, p_as, temperature):
+    """The per-anchor construction over 1 x p rows: B^2 scalar cosines."""
+    batch = len(p_os)
+    norms_o = [ad.l2_norm_rows(p, tr.NORM_FLOOR) for p in p_os]
+    norms_a = [ad.l2_norm_rows(p, tr.NORM_FLOOR) for p in p_as]
+    total = None
+    for i in range(batch):
+        sims = [
+            ad.scale(
+                ad.div(ad.dot(p_os[i], p_as[j]), ad.mul(norms_o[i], norms_a[j])), 1.0 / temperature
+            )
+            for j in range(batch)
+        ]
+        m_const = p_os[i].tape.constant([[max(float(s.value[0, 0]) for s in sims)]])
+        exp_sum = None
+        for s in sims:
+            term = ad.exp(ad.sub(s, m_const))
+            exp_sum = term if exp_sum is None else ad.add(exp_sum, term)
+        anchor = ad.sub(ad.add(m_const, ad.log(exp_sum)), sims[i])
+        total = anchor if total is None else ad.add(total, anchor)
+    return ad.scale(total, 1.0 / batch)
+
+
+def test_ntxent_matrix_matches_anchor_loop():
+    rng = np.random.default_rng(6)
+    for batch in range(2, 12):
+        rows_o = rng.normal(size=(batch, 5)) * 3.0
+        rows_a = rows_o + rng.normal(size=(batch, 5))
+        tau = float(rng.uniform(0.1, 2.0))
+
+        t = Tape()
+        p_o, p_a = t.leaf(rows_o, requires_grad=True), t.leaf(rows_a, requires_grad=True)
+        got = tr.ntxent_with_negatives(p_o, p_a, tau)
+        ad.backward(got)
+
+        t2 = Tape()
+        p_os = [t2.leaf(r[None, :], requires_grad=True) for r in rows_o]
+        p_as = [t2.leaf(r[None, :], requires_grad=True) for r in rows_a]
+        want = anchor_loop_ntxent(p_os, p_as, tau)
+        ad.backward(want)
+
+        assert abs(got.value[0, 0] - want.value[0, 0]) < 1e-12
+        np.testing.assert_allclose(p_o.grad, np.vstack([p.grad for p in p_os]), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(p_a.grad, np.vstack([p.grad for p in p_as]), rtol=0, atol=1e-12)
 
 
 # ----------------------------------------------------- classification loss
 
 
 def softmax_row(z):
-    e = np.exp(z - z.max())
-    return e / e.sum()
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def test_perfect_one_hot_predictions_give_zero():
@@ -169,18 +219,46 @@ def test_uniform_predictions_two_classes():
     assert got == pytest.approx(2 * np.log(2), abs=1e-12)
 
 
+def test_classification_zero_rows_for_unlabeled_graphs():
+    rng = np.random.default_rng(7)
+    c_o = softmax_row(rng.normal(size=(4, 3)))
+    c_a = softmax_row(rng.normal(size=(4, 3)))
+    labels = {0: 2, 3: 0}  # rows 1 and 2 are unlabeled
+    y = np.zeros((4, 3))
+    for row, label in labels.items():
+        y[row, label] = 1.0
+    want = -sum(math.log(c_o[r, k]) + math.log(c_a[r, k]) for r, k in labels.items()) / 2
+
+    t = Tape()
+    leaf_o = t.leaf(c_o, requires_grad=True)
+    loss = tr.classification_loss(leaf_o, t.constant(c_a), t.constant(y))
+    assert loss.value[0, 0] == pytest.approx(want, abs=1e-12)
+    ad.backward(loss)
+    assert np.array_equal(leaf_o.grad[1:3], np.zeros((2, 3)))  # unlabeled rows get nothing
+
+    other = c_o.copy()
+    other[1:3] = softmax_row(rng.normal(size=(2, 3)))
+    t2 = Tape()
+    same = tr.classification_loss(t2.leaf(other), t2.constant(c_a), t2.constant(y))
+    assert same.value[0, 0] == loss.value[0, 0]
+
+    t3 = Tape()
+    with pytest.raises(InputError, match="labeled"):
+        tr.classification_loss(t3.leaf(c_o), t3.leaf(c_a), t3.constant(np.zeros((4, 3))))
+
+
 def test_classification_gradient_fd():
     rng = np.random.default_rng(5)
-    y = np.zeros((1, 3))
-    y[0, 1] = 1.0
-    c_a = softmax_row(rng.normal(size=(1, 3)))
+    y = np.zeros((3, 3))
+    y[0, 1] = y[2, 2] = 1.0  # row 1 unlabeled
+    c_a = softmax_row(rng.normal(size=(3, 3)))
 
     def f(x):
         t = x.tape
         probs = ad.softmax_rows(x)  # keep FD inputs on logits, off the clamp edge
         return tr.classification_loss(probs, t.constant(c_a), t.constant(y))
 
-    assert grad_check(f, rng.normal(size=(1, 3))) < 1e-4
+    assert grad_check(f, rng.normal(size=(3, 3))) < 1e-4
 
 
 # --------------------------------------------------------------- total loss

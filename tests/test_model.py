@@ -12,6 +12,11 @@ from glaug.data import GraphInstance
 from glaug.errors import InputError
 
 
+def batch_of(*graphs):
+    """The disjoint union the model consumes, each block from `normalize_adjacency`."""
+    return gm.GraphBatch.of(graphs, [gm.normalize_adjacency(g) for g in graphs])
+
+
 def random_graph(rng, max_nodes=8, feature_dim=4):
     n = int(rng.integers(1, max_nodes + 1))
     edges = tuple(
@@ -137,10 +142,9 @@ def clean_case(seed0=0, feature_dim=4, **kw):
 
 def test_engine_forward_matches_numpy_route():
     g, params = clean_case(0)
-    adj = gm.normalize_adjacency(g)
     t = Tape()
     bound = params.bind(t)
-    h = gm.represent(t, g, adj, bound)
+    h = gm.represent(t, batch_of(g), bound)
     c = gm.classify(h, bound)
     p = gm.project(h, bound)
     h2, c2, p2, _ = numpy_forward(g, params)
@@ -168,10 +172,10 @@ def fd_wrt(params, name, build_loss):
 
 def test_encode_gradients_every_layer():
     g, params = clean_case(10)
-    adj = gm.normalize_adjacency(g)
+    batch = batch_of(g)
 
     def loss(t, bound):
-        return ad.sum_all(gm.encode(t, g, adj, bound))
+        return ad.sum_all(gm.encode(t, batch, bound))
 
     for layer in range(params.depth):
         err = fd_wrt(params, f"enc{layer}", loss)
@@ -183,13 +187,13 @@ def test_zero_weights_give_zero_encoding():
     for name in list(params.arrays):
         if name.startswith("enc"):
             params.arrays[name] = np.zeros_like(params.arrays[name])
-    out = gm.encode(None, g, gm.normalize_adjacency(g), params.bind())
+    out = gm.encode(None, batch_of(g), params.bind())
     np.testing.assert_array_equal(out, 0.0)
 
 
 def test_residual_skips_zeroed_upper_layer():
     g, params = clean_case(30)
-    first = gm.encode(None, g, gm.normalize_adjacency(g), params.bind())
+    first = gm.encode(None, batch_of(g), params.bind())
     zeroed = params.copy()
     for layer in range(1, params.depth):
         zeroed.arrays[f"enc{layer}"] = np.zeros_like(zeroed.arrays[f"enc{layer}"])
@@ -197,8 +201,8 @@ def test_residual_skips_zeroed_upper_layer():
         k: v for k, v in zeroed.arrays.items() if not k.startswith("enc") or k == "enc0"
     }
     bound = gm.ModelParams(only_first, 1).bind()
-    layer0 = gm.encode(None, g, gm.normalize_adjacency(g), bound)
-    full = gm.encode(None, g, gm.normalize_adjacency(g), zeroed.bind())
+    layer0 = gm.encode(None, batch_of(g), bound)
+    full = gm.encode(None, batch_of(g), zeroed.bind())
     # relu(0) = 0 at layers >= 1, residual carries layer 0 through unchanged
     np.testing.assert_array_equal(full, layer0)
     assert not np.array_equal(full, np.zeros_like(full)) or first is None
@@ -209,7 +213,7 @@ def test_feature_dim_mismatch_rejected():
     bad = GraphInstance(g.node_count, g.edges, np.ones((g.node_count, 7)), label=0)
     t = Tape()
     with pytest.raises(InputError, match="feature dim"):
-        gm.encode(t, bad, gm.normalize_adjacency(bad), params.bind(t))
+        gm.encode(t, batch_of(bad), params.bind(t))
 
 
 def test_empty_graph_rejected():
@@ -217,7 +221,7 @@ def test_empty_graph_rejected():
     g = GraphInstance(0, (), np.zeros((0, 4)), label=0)
     t = Tape()
     with pytest.raises(InputError, match="empty"):
-        gm.encode(t, g, np.zeros((0, 0)), params.bind(t))
+        gm.encode(t, gm.GraphBatch.of([g], [np.zeros((0, 0))]), params.bind(t))
 
 
 # --------------------------------------------------------------------- pool
@@ -256,6 +260,75 @@ def test_pool_permutation_bit_identical_random(seed):
     assert np.array_equal(gm.pool(t1.leaf(m)).value, gm.pool(t2.leaf(m[p])).value)
 
 
+def test_segment_pool_rows_equal_column_sum_of_slices():
+    rng = np.random.default_rng(11)
+    for _ in range(30):
+        counts = rng.integers(1, 9, size=int(rng.integers(1, 6)))
+        bounds = np.concatenate([[0], np.cumsum(counts)])
+        m = rng.normal(size=(int(bounds[-1]), 5)) * 10.0 ** rng.integers(-8, 9)
+        pooled = gm.pool(m, bounds)
+        assert pooled.shape == (len(counts), 5)
+        for b in range(len(counts)):
+            assert np.array_equal(pooled[b : b + 1], ad.column_sum(m[bounds[b] : bounds[b + 1]]))
+
+
+def test_segment_pool_permutation_bit_identical_adversarial():
+    # the adversarial column twice over, each segment permuted on its own
+    rows = np.array([[1e16], [1.0], [-1e16], [2.0]])
+    stacked = np.vstack([rows, rows[::-1] * 3.0])
+    bounds = (0, 4, 8)
+    want = gm.pool(stacked, bounds)
+    for p, q in (([2, 0, 3, 1], [1, 3, 0, 2]), ([3, 2, 1, 0], [0, 1, 2, 3])):
+        permuted = np.vstack([stacked[:4][p], stacked[4:][q]])
+        t = Tape()
+        assert np.array_equal(gm.pool(t.leaf(permuted), bounds).value, want)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_segment_pool_permutation_bit_identical_random(seed):
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(1, 7, size=int(rng.integers(1, 5)))
+    bounds = np.concatenate([[0], np.cumsum(counts)])
+    m = rng.normal(size=(int(bounds[-1]), 3)) * 10.0 ** rng.integers(-8, 9)
+    within = np.concatenate(
+        [s + rng.permutation(e - s) for s, e in zip(bounds[:-1], bounds[1:])]
+    )
+    assert np.array_equal(gm.pool(m, bounds), gm.pool(m[within], bounds))
+
+
+# ------------------------------------------------------------------ batches
+
+
+def test_propagate_equals_per_graph_products_bitwise():
+    rng = np.random.default_rng(12)
+    for _ in range(30):
+        graphs = [random_graph(rng, max_nodes=30) for _ in range(int(rng.integers(1, 6)))]
+        batch = batch_of(*graphs)
+        assert batch.node_count == sum(g.node_count for g in graphs)  # total node rows
+        x = rng.normal(size=(batch.node_count, int(rng.integers(1, 40))))
+        out = ad.propagate(batch.blocks, x)
+        for g, s, e in zip(graphs, batch.bounds[:-1], batch.bounds[1:]):
+            assert np.array_equal(out[s:e], gm.normalize_adjacency(g) @ x[s:e])
+
+
+def test_batched_forward_matches_numpy_route_per_graph():
+    rng = np.random.default_rng(13)
+    graphs = [random_graph(rng, max_nodes=10) for _ in range(6)]
+    params = gm.ModelParams.init(4, num_classes=3, hidden=7, proj_dim=5, depth=3, rng=rng)
+    for a in params.arrays.values():
+        a += rng.normal(scale=0.05, size=a.shape)
+    frozen = params.bind()
+    h = gm.represent(None, batch_of(*graphs), frozen)
+    c, p = gm.classify(h, frozen), gm.project(h, frozen)
+    assert h.shape == (6, 7) and c.shape == (6, 3) and p.shape == (6, 5)
+    for b, g in enumerate(graphs):  # no row sees another graph's nodes
+        h2, c2, p2, _ = numpy_forward(g, params)
+        np.testing.assert_allclose(h[b : b + 1], h2, atol=1e-12)
+        np.testing.assert_allclose(c[b : b + 1], c2, atol=1e-12)
+        np.testing.assert_allclose(p[b : b + 1], p2, atol=1e-12)
+
+
 # -------------------------------------------------------------------- heads
 
 
@@ -288,18 +361,18 @@ def test_project_zero_params_is_zero():
 
 def test_head_gradients_match_fd():
     g, params = clean_case(60)
-    adj = gm.normalize_adjacency(g)
+    batch = batch_of(g)
     onehot = np.zeros((1, params.num_classes))
     onehot[0, 1] = 1.0
 
     def ce_loss(t, bound):
-        h = gm.represent(t, g, adj, bound)
+        h = gm.represent(t, batch, bound)
         c = gm.classify(h, bound)
         y = t.constant(onehot)
         return ad.scale(ad.dot(y, ad.log(ad.clamp(c, 1e-12, 1.0))), -1.0)
 
     def proj_loss(t, bound):
-        h = gm.represent(t, g, adj, bound)
+        h = gm.represent(t, batch, bound)
         p = gm.project(h, bound)
         return ad.dot(p, p)
 
@@ -312,12 +385,12 @@ def test_head_gradients_match_fd():
 def test_end_to_end_gradient_every_parameter():
     # combined loss through encoder, both heads; every matrix FD-checked
     g, params = clean_case(70)
-    adj = gm.normalize_adjacency(g)
+    batch = batch_of(g)
     onehot = np.zeros((1, params.num_classes))
     onehot[0, 0] = 1.0
 
     def loss(t, bound):
-        h = gm.represent(t, g, adj, bound)
+        h = gm.represent(t, batch, bound)
         c = gm.classify(h, bound)
         p = gm.project(h, bound)
         ce = ad.scale(ad.dot(t.constant(onehot), ad.log(ad.clamp(c, 1e-12, 1.0))), -1.0)
@@ -372,7 +445,7 @@ def test_copy_is_independent():
 def test_bind_without_grad_records_nothing():
     g, params = clean_case(80)
     bound = params.bind()
-    h = gm.represent(None, g, gm.normalize_adjacency(g), bound)
+    h = gm.represent(None, batch_of(g), bound)
     c = gm.classify(h, bound)
     # snapshot scoring costs no tape: frozen forwards return plain arrays
     assert type(h) is np.ndarray and type(c) is np.ndarray
@@ -386,18 +459,20 @@ def test_frozen_forward_equals_tape_bitwise(depth):
     rng = np.random.default_rng(90 + depth)
     for trial in range(30):
         hidden = (6, 32)[trial % 2]
-        g = random_graph(rng, max_nodes=12, feature_dim=4)
+        # one graph, then batches of up to five
+        graphs = [random_graph(rng, max_nodes=12, feature_dim=4) for _ in range(1 + trial % 5)]
         params = gm.ModelParams.init(
             4, num_classes=3, hidden=hidden, proj_dim=5, depth=depth, rng=rng
         )
         for a in params.arrays.values():  # nonzero biases
             a += rng.normal(scale=0.05, size=a.shape)
-        adj = gm.normalize_adjacency(g)
+        batch = batch_of(*graphs)
         t = Tape()
         bound = params.bind(t)
-        h = gm.represent(t, g, adj, bound)
+        h = gm.represent(t, batch, bound)
         frozen = params.bind()
-        h_frozen = gm.represent(None, g, adj, frozen)
+        h_frozen = gm.represent(None, batch, frozen)
+        assert h_frozen.shape == (len(graphs), hidden)
         assert np.array_equal(h_frozen, h.value)
         assert np.array_equal(gm.classify(h_frozen, frozen), gm.classify(h, bound).value)
         assert np.array_equal(gm.project(h_frozen, frozen), gm.project(h, bound).value)
@@ -407,10 +482,10 @@ def test_frozen_forward_keeps_input_errors():
     g, params = clean_case(40, feature_dim=4)
     bad = GraphInstance(g.node_count, g.edges, np.ones((g.node_count, 7)), label=0)
     with pytest.raises(InputError, match="feature dim"):
-        gm.encode(None, bad, gm.normalize_adjacency(bad), params.bind())
+        gm.encode(None, batch_of(bad), params.bind())
     empty = GraphInstance(0, (), np.zeros((0, 4)), label=0)
     with pytest.raises(InputError, match="empty"):
-        gm.represent(None, empty, np.zeros((0, 0)), params.bind())
+        gm.GraphBatch.of([g, empty], [gm.normalize_adjacency(g), np.zeros((0, 0))])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

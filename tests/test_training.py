@@ -5,7 +5,7 @@ import pytest
 
 from glaug import autodiff as ad
 from glaug import training as tr
-from glaug.augment import augment, target_class
+from glaug.augment import augment, snapshot_probs, target_class
 from glaug.autodiff import grad_check
 from glaug.data import (
     FeaturePolicy,
@@ -15,7 +15,7 @@ from glaug.data import (
     generate_synthetic,
     make_folds,
 )
-from glaug.model import ModelParams, classify, normalize_adjacency, project, represent
+from glaug.model import GraphBatch, ModelParams, normalize_adjacency, represent
 from glaug.seeding import seeded_rng
 
 
@@ -207,55 +207,68 @@ def test_full_objective_gradient_matches_fd():
         ds = generate_synthetic(2, size_range=(4, 5), seed=seed)
         graphs = list(ds.graphs)
         adjs = [normalize_adjacency(g) for g in graphs]
+        batch = GraphBatch.of(graphs, adjs)
         params = ModelParams.init(ds.feature_dim, 2, hidden=5, proj_dim=4, depth=2, rng=rng)
         for a in params.arrays.values():
             a += rng.normal(scale=0.05, size=a.shape)
 
         # freeze the augmentation outcomes with the entering parameters
-        frozen = params.bind()
-        h_vals = [represent(None, g, adj, frozen) for g, adj in zip(graphs, adjs)]
+        h = represent(None, batch, params.bind())
         d = 1.0
-        offsets = []
-        for idx, (g, h) in enumerate(zip(graphs, h_vals)):
-            from glaug.augment import snapshot_probs
-
-            target = target_class(g.label if idx == 0 else None, snapshot_probs(params, h))
-            out = augment(h, target, params, tr.TrainConfig(hidden=5).aug_config(), d,
+        offsets = np.zeros_like(h)
+        onehot = np.zeros((2, 2))
+        onehot[0, graphs[0].label] = 1.0  # graph 1 is unlabeled: a zero row
+        for idx, g in enumerate(graphs):
+            row = h[idx : idx + 1]
+            target = target_class(g.label if idx == 0 else None, snapshot_probs(params, row))
+            out = augment(row, target, params, tr.TrainConfig(hidden=5).aug_config(), d,
                           seeded_rng(seed, "fd", idx))
-            offsets.append(out.offset)
+            offsets[idx] = out.offset[0]
 
         if margin_of(params, graphs, adjs, offsets) <= 1e-3:
             continue
 
-        def batch_loss(tape, bound):
-            pair_terms, cls_terms = [], []
-            for idx, (g, adj, off) in enumerate(zip(graphs, adjs, offsets)):
-                h_o = represent(tape, g, adj, bound)
-                h_a = ad.add(h_o, tape.constant(off))
-                pair_terms.append(tr.contrastive_loss(project(h_o, bound), project(h_a, bound)))
-                if idx == 0:
-                    onehot = np.zeros((1, 2))
-                    onehot[0, g.label] = 1.0
-                    cls_terms.append(
-                        tr.classification_loss(
-                            classify(h_o, bound), classify(h_a, bound), tape.constant(onehot)
-                        )
-                    )
-            return tr.total_loss(tr._mean(pair_terms), tr._mean(cls_terms), alpha=1.0)
+        for cfg in (tr.TrainConfig(), tr.TrainConfig(negative_pairs=True)):
+            for name in params.arrays:
+                def f(x, _name=name, _cfg=cfg):
+                    tape = x.tape
+                    bound = {
+                        k: (x if k == _name else tape.leaf(v, requires_grad=False))
+                        for k, v in params.arrays.items()
+                    }
+                    h_o = represent(tape, batch, bound)
+                    return tr._batch_objective(bound, h_o, offsets, onehot, _cfg)[0]
 
-        for name in params.arrays:
-            def f(x, _name=name):
-                tape = x.tape
-                bound = {
-                    k: (x if k == _name else tape.leaf(v, requires_grad=False))
-                    for k, v in params.arrays.items()
-                }
-                return batch_loss(tape, bound)
-
-            err = grad_check(f, params.arrays[name])
-            assert err < 1e-4, f"{name}: {err:.2e} (seed {seed})"
+                err = grad_check(f, params.arrays[name])
+                assert err < 1e-4, f"{name}: {err:.2e} (seed {seed}, {cfg.negative_pairs=})"
         return
     raise AssertionError("no kink-free seed found")
+
+
+@pytest.mark.parametrize("negative_pairs", [False, True])
+def test_training_step_records_do_not_grow_with_batch(monkeypatch, negative_pairs):
+    # each training step is one stacked computation: its tape records depend on
+    # the model and the loss, never on how many graphs the batch holds
+    ds = small_dataset(60, seed=2)
+    plan = plan_for(ds, ratio=1.0)  # every batch has labels, so every step has both terms
+    real_backward = ad.backward
+    per_step = {}
+    for batch_size in (4, 16):
+        counts = []
+
+        def counting_backward(loss, _counts=counts):
+            _counts.append(loss.tape.num_records)
+            return real_backward(loss)
+
+        monkeypatch.setattr(ad, "backward", counting_backward)
+        cfg = quick_cfg(epochs=1, batch_size=batch_size, negative_pairs=negative_pairs)
+        tr.train_fold(ds, plan, cfg)
+        monkeypatch.setattr(ad, "backward", real_backward)
+        # the surrogate head's steps in the rate pass come last
+        steps = len(tr._batches(list(plan.train_indices), batch_size))
+        per_step[batch_size] = set(counts[:steps])
+    assert len(per_step[4]) == 1
+    assert per_step[4] == per_step[16]
 
 
 def test_fold_pool_opens_at_most_one_worker_per_fold(monkeypatch):
