@@ -9,7 +9,10 @@ own under a temporary directory, so relative paths in output and manifests
 read the same on both sides. The commands cover a `gen-synth` data set, every
 experiment command, the `rerun` of each, `invariant-rate --from-run`,
 `gradcheck`, and `run` with `--negative-pairs`, `--dist-scope dataset`,
-`--parallel-folds 2` and `--features degree_one_hot:4`.
+`--parallel-folds 2` and `--features degree_one_hot:4`. One more `run` keeps
+the default width (hidden 128), where stacked products take BLAS's gemm path
+and single rows its gemv path; the narrow runs cannot show a difference
+between the two.
 
 After each command the exit code, stdout, stderr and every file the command
 wrote are compared. The script stops at the first difference and exits 1;
@@ -41,6 +44,7 @@ EXPERIMENTS = [
     ("dist-scope", ["run", DATA, *TINY, "--dist-scope", "dataset", "--strategy", "easiest"]),
     ("parallel-folds", ["run", DATA, *TINY, "--parallel-folds", "2", "--label-ratio", "0.3"]),
     ("features", ["run", DATA, *TINY, "--features", "degree_one_hot:4"]),
+    ("default-width", ["run", DATA, "--epochs", "1", "--k", "3"]),
 ]
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .autodiff import as_matrix
 from .errors import InputError, InvariantViolation
-from .model import ModelParams, classify
+from .model import classify
 
 STRATEGIES = ("hardest", "random", "easiest")
 DIST_SCOPES = ("batch", "dataset")
@@ -98,23 +98,21 @@ def target_class(label: int | None, original_probs: np.ndarray) -> int:
     return int(np.argmax(original_probs))
 
 
-def snapshot_probs(params: ModelParams | dict, h_value: np.ndarray) -> np.ndarray:
+def snapshot_probs(frozen: dict, h_value: np.ndarray) -> np.ndarray:
     """Class probabilities from the classifier snapshot, no gradients recorded.
 
     Runs the same classify() as the training path on its no-record route, so
     scores agree bit-for-bit with the tape forward and no tape is built.
-    `params` is a frozen binding (`ModelParams.bind()`), which callers that
-    score many rows make once per pass, or a ModelParams, whose classifier is
-    bound for this call.
+    `frozen` is the classifier's frozen binding (`params.bind(prefix="cls")`),
+    made once per selection pass.
     """
-    bound = params.bind(prefix="cls") if isinstance(params, ModelParams) else params
-    return classify(as_matrix(h_value, copy=False), bound)
+    return classify(as_matrix(h_value, copy=False), frozen)
 
 
 def augment(
     h: np.ndarray,
     target: int,
-    params: ModelParams,
+    frozen: dict,
     cfg: AugmentationConfig,
     d: float,
     rng: np.random.Generator,
@@ -123,12 +121,12 @@ def augment(
 
     All K directions are drawn before any strategy-specific rng use, so the
     candidate pool for a given rng state is identical across strategies.
-    `params`' classifier is bound frozen once for the K scores and the recheck.
+    `frozen` is the classifier's frozen binding; it scores the K candidates
+    and rechecks the pick, one `snapshot_probs` call each.
     """
     if d < 0:
         raise InputError(f"d must be >= 0, got {d}")
     h = np.asarray(h, dtype=np.float64)
-    frozen = params.bind(prefix="cls")
 
     qualified: list[tuple[int, np.ndarray, float]] = []  # (draw index, offset, target prob)
     for k in range(cfg.num_candidates):

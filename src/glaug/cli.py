@@ -18,6 +18,7 @@ from typing import Callable
 import click
 
 from . import __version__
+from .augment import DIST_SCOPES, STRATEGIES
 from .data import (  # build_node_features stays a name here: bench/spans.py wraps it
     FeaturePolicy,
     build_node_features,
@@ -189,7 +190,7 @@ STUDIES = {
         row=lambda s, r: [s, r.mean_accuracy, r.std_accuracy, _mean_chosen(r), _mean_rate(r)],
         echo=lambda runs: [_fmt_summary(s, r) for s, r in runs],
         trends=_strategy_trends,
-        fixed=("hardest", "random", "easiest"),
+        fixed=STRATEGIES,
     ),
     "ablate-negatives": Study(
         field="negative_pairs",
@@ -282,37 +283,49 @@ def cli():
     """Label-invariant representation-space augmentation experiments."""
 
 
-def train_options(fn):
+DEFAULTS = TrainConfig()
+CONFIG_OPTIONS = (  # (flag, TrainConfig field, further click settings)
+    ("--label-ratio", "label_ratio", {}),
+    ("--eta", "eta", {}),
+    ("--k", "num_candidates", {"help": "Perturbation candidates per graph."}),
+    ("--strategy", "strategy", {"type": click.Choice(STRATEGIES)}),
+    ("--alpha", "alpha", {}),
+    ("--seed", "seed", {}),
+    ("--epochs", "epochs", {}),
+    ("--dist-scope", "dist_scope", {"type": click.Choice(DIST_SCOPES)}),
+    ("--lr", "learning_rate", {}),
+    ("--batch-size", "batch_size", {}),
+    ("--hidden", "hidden", {}),
+    ("--proj-dim", "proj_dim", {}),
+    ("--depth", "depth", {}),
+    ("--temperature", "temperature", {"help": "NT-Xent temperature (negatives mode only)."}),
+)
+
+
+def train_options(swept: str | None = None):
+    """Decorator adding the experiment options. A config option's default is
+    its TrainConfig field's; the field `swept`, which a study sets once per
+    variant itself, gets no option."""
     opts = [
         click.option("--name", default=None, help="Dataset name (default: directory basename)."),
         click.option("--features", default=None,
                       help="one_hot_node_labels | degree_one_hot:CAP | constant_one."),
-        click.option("--label-ratio", type=float, default=0.5, show_default=True),
-        click.option("--eta", type=float, default=1.0, show_default=True),
-        click.option("--k", "num_candidates", type=int, default=10, show_default=True,
-                      help="Perturbation candidates per graph."),
-        click.option("--strategy", type=click.Choice(["hardest", "random", "easiest"]),
-                      default="hardest", show_default=True),
-        click.option("--alpha", type=float, default=1.0, show_default=True),
-        click.option("--seed", type=int, default=0, show_default=True),
-        click.option("--epochs", type=int, default=100, show_default=True),
-        click.option("--dist-scope", type=click.Choice(["batch", "dataset"]),
-                      default="batch", show_default=True),
-        click.option("--lr", "learning_rate", type=float, default=1e-3, show_default=True),
-        click.option("--batch-size", type=int, default=32, show_default=True),
-        click.option("--hidden", type=int, default=128, show_default=True),
-        click.option("--proj-dim", type=int, default=128, show_default=True),
-        click.option("--depth", type=int, default=3, show_default=True),
-        click.option("--temperature", type=float, default=0.5, show_default=True,
-                      help="NT-Xent temperature (negatives mode only)."),
+        *(
+            click.option(flag, field, default=getattr(DEFAULTS, field), show_default=True, **kw)
+            for flag, field, kw in CONFIG_OPTIONS if field != swept
+        ),
         click.option("--out", type=click.Path(path_type=Path), default=Path("runs"),
                       show_default=True),
         click.option("--parallel-folds", "workers", type=click.IntRange(min=1), default=1,
                       show_default=True),
     ]
-    for opt in reversed(opts):
-        fn = opt(fn)
-    return fn
+
+    def decorate(fn):
+        for opt in reversed(opts):
+            fn = opt(fn)
+        return fn
+
+    return decorate
 
 
 CFG_FIELD_NAMES = {f.name for f in dataclasses.fields(TrainConfig)}
@@ -330,9 +343,9 @@ def _command(command: str, dataset_path: str, kw: dict, values_text: str | None 
 
 @cli.command("run")
 @click.argument("dataset_path")
-@click.option("--negative-pairs", is_flag=True, default=False,
+@click.option("--negative-pairs", is_flag=True, default=DEFAULTS.negative_pairs,
               help="Use the NT-Xent loss with in-batch negatives.")
-@train_options
+@train_options()
 def cmd_run(dataset_path, **kw):
     """Full 10-fold experiment on one dataset."""
     _command("run", dataset_path, kw)
@@ -342,7 +355,7 @@ def cmd_run(dataset_path, **kw):
 @click.argument("dataset_path")
 @click.option("--values", default="0.1,0.5,1.0,2.0", show_default=True,
               help="Comma-separated eta values.")
-@train_options
+@train_options(swept="eta")
 def cmd_sweep_eta(dataset_path, values, **kw):
     """One experiment per perturbation magnitude, fold-matched."""
     _command("sweep-eta", dataset_path, kw, values)
@@ -350,7 +363,7 @@ def cmd_sweep_eta(dataset_path, values, **kw):
 
 @cli.command("ablate-strategy")
 @click.argument("dataset_path")
-@train_options
+@train_options(swept="strategy")
 def cmd_ablate_strategy(dataset_path, **kw):
     """Fold-matched comparison of hardest / random / easiest selection."""
     _command("ablate-strategy", dataset_path, kw)
@@ -358,7 +371,7 @@ def cmd_ablate_strategy(dataset_path, **kw):
 
 @cli.command("ablate-negatives")
 @click.argument("dataset_path")
-@train_options
+@train_options()
 def cmd_ablate_negatives(dataset_path, **kw):
     """Paired runs with and without in-batch negative pairs."""
     _command("ablate-negatives", dataset_path, kw)
@@ -369,7 +382,7 @@ def cmd_ablate_negatives(dataset_path, **kw):
 @click.option("--ratios", default="0.3,0.5,0.7", show_default=True)
 @click.option("--from-run", "from_run", type=click.Path(path_type=Path), default=None,
               help="Report rates recorded in an existing metrics.json instead of retraining.")
-@train_options
+@train_options(swept="label_ratio")
 def cmd_invariant_rate(dataset_path, ratios, from_run, **kw):
     """Label-invariant rate across label ratios (retrains per ratio)."""
     if from_run is not None:

@@ -9,6 +9,7 @@ order so class ids are stable across runs.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -29,12 +30,14 @@ class GraphInstance:
     label: int | None
     node_labels: tuple[int, ...] | None = None  # raw values from the file
 
+    def edge_array(self) -> np.ndarray:
+        """The edges as an E x 2 integer array."""
+        flat = itertools.chain.from_iterable(self.edges)
+        return np.fromiter(flat, np.intp, 2 * len(self.edges)).reshape(-1, 2)
+
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.node_count, dtype=np.int64)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        """Edges incident to each node, as a length node_count integer array."""
+        return np.bincount(self.edge_array().ravel(), minlength=self.node_count)
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,14 +254,12 @@ def build_node_features(dataset: GraphDataset, policy: FeaturePolicy) -> GraphDa
     if policy.kind == "one_hot_node_labels":
         if any(g.node_labels is None for g in dataset.graphs):
             raise InputError("one_hot_node_labels requires a node-label file")
-        values = sorted({lab for g in dataset.graphs for lab in g.node_labels})
-        index = {lab: i for i, lab in enumerate(values)}
+        values = np.array(sorted({lab for g in dataset.graphs for lab in g.node_labels}))
         dim = len(values)
 
         def features(g: GraphInstance) -> np.ndarray:
             x = np.zeros((g.node_count, dim))
-            for row, lab in enumerate(g.node_labels):
-                x[row, index[lab]] = 1.0
+            x[np.arange(g.node_count), np.searchsorted(values, g.node_labels)] = 1.0
             return x
 
     elif policy.kind == "degree_one_hot":
@@ -266,8 +267,7 @@ def build_node_features(dataset: GraphDataset, policy: FeaturePolicy) -> GraphDa
 
         def features(g: GraphInstance) -> np.ndarray:
             x = np.zeros((g.node_count, dim))
-            for row, deg in enumerate(g.degrees()):
-                x[row, min(int(deg), policy.degree_cap)] = 1.0
+            x[np.arange(g.node_count), np.minimum(g.degrees(), policy.degree_cap)] = 1.0
             return x
 
     else:  # constant_one

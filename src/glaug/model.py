@@ -29,12 +29,9 @@ from .errors import InputError
 def normalize_adjacency(g: GraphInstance) -> np.ndarray:
     """Dense D^(-1/2) (A+I) D^(-1/2): weight(i, j) = 1 / sqrt(deg_i * deg_j),
     degrees counting the self-connection, so the diagonal is 1 / deg_i."""
-    n = g.node_count
-    edges = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
-    deg = (np.bincount(edges.ravel(), minlength=n) + 1).astype(np.float64)
-    a_hat = np.zeros((n, n))
-    a_hat[np.arange(n), np.arange(n)] = 1.0 / deg
-    u, v = edges[:, 0], edges[:, 1]
+    deg = (g.degrees() + 1).astype(np.float64)
+    a_hat = np.diag(1.0 / deg)
+    u, v = g.edge_array().T
     a_hat[u, v] = a_hat[v, u] = 1.0 / np.sqrt(deg[u] * deg[v])
     return a_hat
 
@@ -171,12 +168,22 @@ def encode(tape: Tape | None, batch: GraphBatch, bound: dict) -> DiffValue | np.
                 f"feature dim {batch.node_features.shape[1]} does not match "
                 f"encoder input {theta.shape[0]}"
             )
-        new = ad.relu(ad.matmul(ad.propagate(batch.blocks, out), theta))
+        new = ad.relu(layer_input(batch, out, theta))
         if layer > 0 and new.shape == out.shape:
             new = ad.add(new, out)
         out = new
         layer += 1
     return out
+
+
+def layer_input(batch: GraphBatch, out, theta):
+    """The relu input of one encoder layer: A_hat @ G @ theta over the batch's rows."""
+    return ad.matmul(ad.propagate(batch.blocks, out), theta)
+
+
+def hidden_input(h, bound: dict, head: str):
+    """The relu input of a head's hidden layer: h W1 + b1, for head "cls" or "proj"."""
+    return ad.add_rowvec(ad.matmul(h, bound[f"{head}_w1"]), bound[f"{head}_b1"])
 
 
 def pool(nodes: DiffValue, bounds=None) -> DiffValue:
@@ -186,14 +193,14 @@ def pool(nodes: DiffValue, bounds=None) -> DiffValue:
 
 def classify(h: DiffValue, bound: dict) -> DiffValue:
     """Class probabilities: softmax(relu(h W1 + b1) W2 + b2), one row per row of h."""
-    hidden = ad.relu(ad.add_rowvec(ad.matmul(h, bound["cls_w1"]), bound["cls_b1"]))
+    hidden = ad.relu(hidden_input(h, bound, "cls"))
     logits = ad.add_rowvec(ad.matmul(hidden, bound["cls_w2"]), bound["cls_b2"])
     return ad.softmax_rows(logits)
 
 
 def project(h: DiffValue, bound: dict) -> DiffValue:
     """Contrastive projection: relu hidden, linear output, one row per row of h."""
-    hidden = ad.relu(ad.add_rowvec(ad.matmul(h, bound["proj_w1"]), bound["proj_b1"]))
+    hidden = ad.relu(hidden_input(h, bound, "proj"))
     return ad.add_rowvec(ad.matmul(hidden, bound["proj_w2"]), bound["proj_b2"])
 
 

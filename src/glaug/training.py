@@ -5,7 +5,9 @@ L = L_pair + alpha * L_cls, where L_pair pulls each graph's projection toward
 its augmented twin and L_cls is cross-entropy on the labeled subset, applied
 to both the original and augmented predictions. Augmentation targets come
 from ground truth when the graph is labeled and from the live classifier's
-argmax otherwise, recomputed every step.
+argmax otherwise, recomputed every step. One selection pass (`_select`)
+picks the augmentations of a batch of rows; training, the invariance rate
+and the objective's gradient check all use it.
 
 A step is one computation over its batch of B graphs: one encoder forward on
 their disjoint union gives the B x h matrix H, each head runs once on H and
@@ -22,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from . import augment as augmentation
 from .augment import (
     AugmentationConfig,
     AugmentationOutcome,
@@ -31,13 +32,16 @@ from .augment import (
     target_class,
 )
 from .autodiff import DiffValue, Tape
-from .data import FoldPlan, GraphDataset, assign_labels, make_folds
+from .data import FoldPlan, GraphDataset, assign_labels, generate_synthetic, make_folds
 from .errors import InputError, InvariantViolation
 from .model import (
     GraphBatch,
     ModelParams,
     classify,
+    encode,
     glorot,
+    hidden_input,
+    layer_input,
     normalize_adjacency,
     project,
     represent,
@@ -252,6 +256,26 @@ def _batches(order: list[int], batch_size: int) -> list[list[int]]:
     return chunks
 
 
+def _select(
+    h: np.ndarray, labels: list, params: ModelParams, aug_cfg: AugmentationConfig, d: float,
+    rngs: list,
+) -> tuple[np.ndarray, list[AugmentationOutcome]]:
+    """The label-invariant selection of every row of the frozen B x h matrix `h`.
+
+    Row b's target is `labels[b]`, or the classifier's argmax when that is
+    None; one frozen `classify` scores all B rows for it. Row b then gets one
+    `augment` call with rng `rngs[b]`, all sharing one classifier binding.
+    Returns the B x h offsets and the B outcomes, in row order.
+    """
+    frozen = params.bind(prefix="cls")
+    probs = classify(h, frozen)
+    outcomes = [
+        augment(h[b : b + 1], target_class(label, probs[b]), frozen, aug_cfg, d, rng)
+        for b, (label, rng) in enumerate(zip(labels, rngs))
+    ]
+    return np.vstack([o.offset for o in outcomes]), outcomes
+
+
 def _batch_objective(
     bound: dict,
     h_o: DiffValue,
@@ -301,10 +325,7 @@ def train_fold(dataset: GraphDataset, fold: FoldPlan, cfg: TrainConfig) -> FoldR
     val_curve: list[float] = []
     pair_curve: list[float] = []
     cls_curve: list[float] = []
-    fallbacks = 0
-    aug_calls = 0
-    qualified_hist = [0] * (cfg.num_candidates + 1)
-    chosen_prob_sum, chosen_prob_n = 0.0, 0
+    selections: list[tuple[int, float | None]] = []  # (qualified count, chosen prob) per augment
 
     for epoch in range(1, cfg.epochs + 1):
         order = [train[i] for i in seeded_rng(cfg.seed, "shuffle", fold.fold_index, epoch).permutation(len(train))]
@@ -321,27 +342,13 @@ def train_fold(dataset: GraphDataset, fold: FoldPlan, cfg: TrainConfig) -> FoldR
             h_o = represent(tape, _stack(dataset, batch), bound)
             h = h_o.value
             d = epoch_d if epoch_d is not None else centroid_distance(h)
+            labels = [dataset.graphs[i].label if i in labeled else None for i in batch]
+            rngs = [seeded_rng(cfg.seed, "aug", fold.fold_index, epoch, i) for i in batch]
             # selection is gated by the parameters entering this step
-            probs = classify(h, params.bind(prefix="cls"))  # targets of unlabeled graphs
-            offsets = np.zeros_like(h)
+            offsets, chosen = _select(h, labels, params, aug_cfg, d, rngs)
+            selections += [(o.qualified_count, o.chosen_target_prob) for o in chosen]
             onehot = np.zeros((len(batch), dataset.num_classes))
-            for pos, i in enumerate(batch):
-                label = dataset.graphs[i].label if i in labeled else None
-                outcome: AugmentationOutcome = augment(
-                    h[pos : pos + 1],
-                    target_class(label, probs[pos]),
-                    params,
-                    aug_cfg,
-                    d,
-                    seeded_rng(cfg.seed, "aug", fold.fold_index, epoch, i),
-                )
-                aug_calls += 1
-                fallbacks += int(outcome.fallback)
-                qualified_hist[outcome.qualified_count] += 1
-                if outcome.chosen_target_prob is not None:
-                    chosen_prob_sum += outcome.chosen_target_prob
-                    chosen_prob_n += 1
-                offsets[pos] = outcome.offset[0]
+            for pos, label in enumerate(labels):
                 if label is not None:
                     onehot[pos, label] = 1.0
 
@@ -367,17 +374,19 @@ def train_fold(dataset: GraphDataset, fold: FoldPlan, cfg: TrainConfig) -> FoldR
 
     test_acc = evaluate(dataset, best_params, fold.test_indices)
     rate = label_invariant_rate(best_params, dataset, fold, cfg)
+    hist = np.bincount([q for q, _ in selections], minlength=cfg.num_candidates + 1)
+    probs = [p for _, p in selections if p is not None]  # a fallback has no chosen prob
     return FoldResult(
         fold_index=fold.fold_index,
         best_epoch=best_epoch,
         test_accuracy=test_acc,
         validation_curve=tuple(val_curve),
         label_invariant_rate=rate,
-        fallback_rate=fallbacks / aug_calls if aug_calls else 0.0,
+        fallback_rate=(len(selections) - len(probs)) / len(selections),
         epoch_pair_losses=tuple(pair_curve),
         epoch_cls_losses=tuple(cls_curve),
-        qualified_histogram=tuple(qualified_hist),
-        mean_chosen_prob=chosen_prob_sum / chosen_prob_n if chosen_prob_n else None,
+        qualified_histogram=tuple(hist.tolist()),
+        mean_chosen_prob=sum(probs) / len(probs) if probs else None,
     )
 
 
@@ -420,7 +429,8 @@ def label_invariant_rate(
     surrogate classifier trained on the frozen encoder with full labels.
 
     Selection is still gated by the trained model's own classifier (the one
-    that chose augmentations during training); the surrogate only measures.
+    that chose augmentations during training); the surrogate only measures,
+    by one batch `classify` of the original rows and one of the augmented rows.
     """
     train = list(fold.train_indices)
     h = _representations(dataset, params, train)
@@ -429,27 +439,14 @@ def label_invariant_rate(
         h, labels, dataset.num_classes, seeded_rng(cfg.seed, "surrogate", fold.fold_index)
     )
 
-    d = centroid_distance(h)
     labeled = set(fold.labeled_mask)
-    aug_cfg = cfg.aug_config()
-    trained, probe = params.bind(prefix="cls"), surrogate.bind()
-    agree = 0
-    for row, i in enumerate(train):
-        h_o = h[row : row + 1]
-        c_o = augmentation.snapshot_probs(trained, h_o)
-        label = dataset.graphs[i].label if i in labeled else None
-        outcome = augment(
-            h_o,
-            target_class(label, c_o),
-            params,
-            aug_cfg,
-            d,
-            seeded_rng(cfg.seed, "rate", fold.fold_index, i),
-        )
-        before = int(np.argmax(augmentation.snapshot_probs(probe, h_o)))
-        after = int(np.argmax(augmentation.snapshot_probs(probe, outcome.augmented)))
-        agree += before == after
-    return agree / len(train)
+    known = [dataset.graphs[i].label if i in labeled else None for i in train]
+    rngs = [seeded_rng(cfg.seed, "rate", fold.fold_index, i) for i in train]
+    offsets, _ = _select(h, known, params, cfg.aug_config(), centroid_distance(h), rngs)
+    probe = surrogate.bind()
+    before = np.argmax(classify(h, probe), axis=1)
+    after = np.argmax(classify(h + offsets, probe), axis=1)
+    return int((before == after).sum()) / len(train)
 
 
 # ----------------------------------------------------------- gradient suite
@@ -458,8 +455,6 @@ def label_invariant_rate(
 def _toy_batch_objective_check(rng_seed: int, num_nodes: int = 5) -> float | None:
     """FD error of `_batch_objective`, with and without negative pairs, on a
     toy batch of two graphs (one labeled); None near a relu kink."""
-    from .data import generate_synthetic
-
     rng = np.random.default_rng(rng_seed)
     ds = generate_synthetic(2, size_range=(num_nodes, num_nodes), seed=rng_seed)
     params = ModelParams.init(ds.feature_dim, 2, hidden=5, proj_dim=4, depth=2, rng=rng)
@@ -467,37 +462,23 @@ def _toy_batch_objective_check(rng_seed: int, num_nodes: int = 5) -> float | Non
         a += rng.normal(scale=0.05, size=a.shape)
 
     batch = _stack(ds, range(len(ds)))
-    h = represent(None, batch, params.bind())
-    frozen = params.bind(prefix="cls")
-    offsets = np.zeros_like(h)
+    frozen = params.bind()
+    h = represent(None, batch, frozen)
+    label = ds.graphs[0].label  # the second graph is unlabeled: a zero row
+    rngs = [seeded_rng(rng_seed, "fd", idx) for idx in range(len(ds))]
+    offsets, _ = _select(h, [label, None], params, AugmentationConfig(), 1.0, rngs)
     onehot = np.zeros((len(ds), 2))
-    margin = np.inf
-    arr = params.arrays
-    for idx, g in enumerate(ds.graphs):
-        label = g.label if idx == 0 else None
-        row = h[idx : idx + 1]
-        target = target_class(label, augmentation.snapshot_probs(frozen, row))
-        rng_fd = seeded_rng(rng_seed, "fd", idx)
-        out = augment(row, target, params, AugmentationConfig(), 1.0, rng_fd)
-        offsets[idx] = out.offset[0]
-        if label is not None:
-            onehot[idx, label] = 1.0
-        # relu margins along both branches
-        a_hat = normalize_adjacency(g)
-        cur = g.node_features
-        for layer in range(params.depth):
-            z = a_hat @ cur @ arr[f"enc{layer}"]
-            margin = min(margin, float(np.abs(z).min()))
-            new = np.maximum(0.0, z)
-            if layer > 0 and new.shape == cur.shape:
-                new = new + cur
-            cur = new
-        pooled = np.sort(cur, axis=0).sum(axis=0, keepdims=True)
-        for branch in (pooled, pooled + out.offset):
-            for head in ("cls", "proj"):
-                z1 = branch @ arr[f"{head}_w1"] + arr[f"{head}_b1"]
-                margin = min(margin, float(np.abs(z1).min()))
-    if margin <= 1e-3:
+    onehot[0, label] = 1.0
+    # relu inputs: each encoder layer's (on the layers before it), each head's on both branches
+    layers = [f"enc{layer}" for layer in range(params.depth)]
+    relu_inputs = [
+        layer_input(batch, encode(None, batch, {k: frozen[k] for k in layers[:at]}), frozen[name])
+        for at, name in enumerate(layers)
+    ]
+    relu_inputs += [
+        hidden_input(branch, frozen, head) for branch in (h, h + offsets) for head in ("cls", "proj")
+    ]
+    if min(float(np.abs(z).min()) for z in relu_inputs) <= 1e-3:
         return None
 
     worst = 0.0

@@ -195,10 +195,11 @@ def test_criterion_05_strategy_ordering(announce):
 
     h = _representations(ds, params, range(len(ds)))
     d = centroid_distance(h)
+    frozen = params.bind(prefix="cls")
     checked = 0
     for trial in range(80):
         row = h[trial % len(ds)][None, :]
-        target = int(np.argmax(snapshot_probs(params, row)))
+        target = int(np.argmax(snapshot_probs(frozen, row)))
         chosen = {}
         qualified = None
         for strategy in ("hardest", "random", "easiest"):
@@ -206,7 +207,7 @@ def test_criterion_05_strategy_ordering(announce):
                 eta=1.0, num_candidates=6, strategy=strategy, dist_scope="dataset"
             )
             rng = seeded_rng(900 + trial, "acc5-pool")  # identical pool per strategy
-            out = augment(row, target, params, cfg, d, rng)
+            out = augment(row, target, frozen, cfg, d, rng)
             chosen[strategy] = out.chosen_target_prob
             qualified = out.qualified_count
         if qualified is not None and qualified >= 2:

@@ -22,13 +22,13 @@ def brute_centroid_distance(rows):
 
 
 def plain_classifier(hidden=2, classes=2):
-    """Identity-ish head: logits equal relu(h), boundary at h0 = h1."""
+    """Identity-ish head, bound frozen: logits equal relu(h), boundary at h0 = h1."""
     params = ModelParams.init(4, classes, hidden=hidden, proj_dim=3)
     params.arrays["cls_w1"] = np.eye(hidden)
     params.arrays["cls_b1"] = np.zeros((1, hidden))
     params.arrays["cls_w2"] = np.eye(hidden)[:, :classes]
     params.arrays["cls_b2"] = np.zeros((1, classes))
-    return params
+    return params.bind(prefix="cls")
 
 
 CFG = ga.AugmentationConfig  # short alias for test bodies
@@ -147,11 +147,11 @@ def test_exact_tie_breaks_low():
 
 
 def test_single_qualified_candidate_chosen_for_every_strategy():
-    params = plain_classifier()
+    frozen = plain_classifier()
     h = np.array([[5.0, 0.0]])  # far from the boundary: tiny nudges always qualify
     for strategy in ga.STRATEGIES:
         out = ga.augment(
-            h, 0, params, CFG(eta=1.0, num_candidates=1, strategy=strategy), 0.01,
+            h, 0, frozen, CFG(eta=1.0, num_candidates=1, strategy=strategy), 0.01,
             seeded_rng(7, "aug", 0),
         )
         assert not out.fallback and out.qualified_count == 1
@@ -159,10 +159,10 @@ def test_single_qualified_candidate_chosen_for_every_strategy():
 
 
 def test_zero_qualified_falls_back_to_identity():
-    params = plain_classifier()
+    frozen = plain_classifier()
     h = np.array([[5.0, 0.0]])
     # target class 1 is unreachable from here with a small step
-    out = ga.augment(h, 1, params, CFG(eta=1.0, num_candidates=8), 0.01, seeded_rng(8))
+    out = ga.augment(h, 1, frozen, CFG(eta=1.0, num_candidates=8), 0.01, seeded_rng(8))
     assert out.fallback and out.qualified_count == 0
     assert out.chosen_target_prob is None
     np.testing.assert_array_equal(out.augmented, h)
@@ -170,12 +170,12 @@ def test_zero_qualified_falls_back_to_identity():
 
 
 def test_strategy_ordering_on_matched_pools():
-    params = plain_classifier()
+    frozen = plain_classifier()
     h = np.array([[1.0, 0.0]])  # close enough that candidates spread in prob
     checked = 0
     for seed in range(40):
         outs = {
-            s: ga.augment(h, 0, params, CFG(eta=1.0, num_candidates=10, strategy=s), 0.8,
+            s: ga.augment(h, 0, frozen, CFG(eta=1.0, num_candidates=10, strategy=s), 0.8,
                           seeded_rng(seed, "aug"))
             for s in ga.STRATEGIES
         }
@@ -192,7 +192,7 @@ def test_strategy_ordering_on_matched_pools():
 
 def test_hardest_and_easiest_are_pool_extremes():
     # replicate the candidate pool by redrawing the same directions
-    params = plain_classifier()
+    frozen = plain_classifier()
     h = np.array([[1.0, 0.0]])
     cfg = CFG(eta=1.0, num_candidates=10, strategy="hardest")
     d = 0.8
@@ -201,12 +201,12 @@ def test_hardest_and_easiest_are_pool_extremes():
     for _ in range(cfg.num_candidates):
         delta = ga.sample_unit_vector(2, rng)
         cand = h + ga.perturbation_offset(cfg.eta, d, delta)
-        p = ga.snapshot_probs(params, cand)
+        p = ga.snapshot_probs(frozen, cand)
         if int(np.argmax(p)) == 0:
             probs.append(float(p[0, 0]))
-    hardest = ga.augment(h, 0, params, cfg, d, seeded_rng(11, "aug"))
+    hardest = ga.augment(h, 0, frozen, cfg, d, seeded_rng(11, "aug"))
     easiest = ga.augment(
-        h, 0, params, CFG(eta=1.0, num_candidates=10, strategy="easiest"), d,
+        h, 0, frozen, CFG(eta=1.0, num_candidates=10, strategy="easiest"), d,
         seeded_rng(11, "aug"),
     )
     assert hardest.chosen_target_prob == min(probs)
@@ -215,21 +215,21 @@ def test_hardest_and_easiest_are_pool_extremes():
 
 
 def test_augment_is_deterministic():
-    params = plain_classifier()
+    frozen = plain_classifier()
     h = np.array([[1.0, 0.2]])
     cfg = CFG(eta=1.0, num_candidates=10, strategy="random")
-    a = ga.augment(h, 0, params, cfg, 0.5, seeded_rng(21, "aug", 3))
-    b = ga.augment(h, 0, params, cfg, 0.5, seeded_rng(21, "aug", 3))
+    a = ga.augment(h, 0, frozen, cfg, 0.5, seeded_rng(21, "aug", 3))
+    b = ga.augment(h, 0, frozen, cfg, 0.5, seeded_rng(21, "aug", 3))
     assert np.array_equal(a.augmented, b.augmented)
     assert a.chosen_target_prob == b.chosen_target_prob
-    c = ga.augment(h, 0, params, cfg, 0.5, seeded_rng(22, "aug", 3))
+    c = ga.augment(h, 0, frozen, cfg, 0.5, seeded_rng(22, "aug", 3))
     assert not np.array_equal(a.augmented, c.augmented)
 
 
 def test_nonfallback_displacement_norm():
-    params = plain_classifier()
+    frozen = plain_classifier()
     h = np.array([[3.0, 0.0]])
-    out = ga.augment(h, 0, params, CFG(eta=0.7, num_candidates=5), 1.3, seeded_rng(31))
+    out = ga.augment(h, 0, frozen, CFG(eta=0.7, num_candidates=5), 1.3, seeded_rng(31))
     assert not out.fallback
     assert abs(np.linalg.norm(out.augmented - h) - 0.7 * 1.3) < 1e-12
 
@@ -237,24 +237,24 @@ def test_nonfallback_displacement_norm():
 def test_snapshot_agreement_holds_under_random_params():
     rng = np.random.default_rng(41)
     for trial in range(30):
-        params = ModelParams.init(4, 3, hidden=5, proj_dim=3, rng=rng)
+        frozen = ModelParams.init(4, 3, hidden=5, proj_dim=3, rng=rng).bind(prefix="cls")
         h = rng.normal(size=(1, 5)) * 2
         target = int(rng.integers(3))
-        out = ga.augment(h, target, params, CFG(eta=1.0, num_candidates=6), 1.0,
+        out = ga.augment(h, target, frozen, CFG(eta=1.0, num_candidates=6), 1.0,
                          seeded_rng(trial, "aug"))
         if out.fallback:
             np.testing.assert_array_equal(out.augmented, h)
         else:
-            probs = ga.snapshot_probs(params, out.augmented)
+            probs = ga.snapshot_probs(frozen, out.augmented)
             assert int(np.argmax(probs)) == out.target_class == target
             assert out.chosen_target_prob == pytest.approx(float(probs[0, target]), abs=0)
             assert 1 <= out.qualified_count <= 6
 
 
 def test_eta_zero_candidates_equal_original():
-    params = plain_classifier()
+    frozen = plain_classifier()
     h = np.array([[2.0, 1.0]])
-    out = ga.augment(h, 0, params, CFG(eta=0.0, num_candidates=4), 1.0, seeded_rng(51))
+    out = ga.augment(h, 0, frozen, CFG(eta=0.0, num_candidates=4), 1.0, seeded_rng(51))
     np.testing.assert_array_equal(out.augmented, h)
     assert not out.fallback and out.qualified_count == 4  # H^O itself qualifies
 
@@ -282,9 +282,9 @@ def test_config_validation():
 @settings(max_examples=30, deadline=None)
 def test_outcome_invariant_chain_with_positive_step(seed):
     rng = np.random.default_rng(seed)
-    params = ModelParams.init(4, 2, hidden=4, proj_dim=3, rng=rng)
+    frozen = ModelParams.init(4, 2, hidden=4, proj_dim=3, rng=rng).bind(prefix="cls")
     h = rng.normal(size=(1, 4))
-    out = ga.augment(h, int(rng.integers(2)), params, CFG(eta=1.0, num_candidates=5), 1.0,
+    out = ga.augment(h, int(rng.integers(2)), frozen, CFG(eta=1.0, num_candidates=5), 1.0,
                      seeded_rng(seed, "chain"))
     same = np.array_equal(out.augmented, h)
     assert out.fallback == (out.qualified_count == 0) == same

@@ -51,6 +51,33 @@ def test_bad_choice_exit_one(toy_dir, tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("sweep-eta", "--eta", "3.0"),
+    ("ablate-strategy", "--strategy", "easiest"),
+    ("invariant-rate", "--label-ratio", "0.3"),
+])
+def test_study_rejects_its_swept_flag(toy_dir, tmp_path, capsys, monkeypatch, command, flag, value):
+    # the study sets this field once per variant, so a user value could only be ignored
+    monkeypatch.setattr(cli_mod, "run_experiment", _no_training)
+    rc = main([command, str(toy_dir), flag, value, "--out", str(tmp_path / "r")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "No such option" in err and flag in err
+    assert not (tmp_path / "r").exists()
+
+
+def test_option_defaults_are_config_defaults():
+    defaults = cli_mod.TrainConfig()
+    checked = 0
+    for name in ("run", "sweep-eta", "ablate-strategy", "ablate-negatives", "invariant-rate"):
+        for param in cli_mod.cli.commands[name].params:
+            if param.name in cli_mod.CFG_FIELD_NAMES:
+                assert param.default == getattr(defaults, param.name), (name, param.name)
+                checked += 1
+    # every shared config option on five commands, plus --negative-pairs, less three swept flags
+    assert checked == 5 * len(cli_mod.CONFIG_OPTIONS) + 1 - 3
+
+
 def test_internal_failure_exit_two(toy_dir, tmp_path, monkeypatch):
     def boom(*a, **k):
         raise InvariantViolation("forced")

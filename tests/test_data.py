@@ -182,6 +182,23 @@ def test_degree_cap_maps_to_last_slot():
     np.testing.assert_array_equal(hub, [0, 0, 1])  # degree 4 >= cap 2
 
 
+@pytest.mark.parametrize("policy", [
+    gd.FeaturePolicy("one_hot_node_labels"), gd.FeaturePolicy("degree_one_hot", 3),
+])
+def test_one_hot_features_match_row_loop(policy):
+    # sizes from 1 node up, so isolated nodes and edgeless graphs occur
+    ds = gd.generate_synthetic(30, size_range=(1, 9), seed=4)
+    values = sorted({lab for g in ds.graphs for lab in g.node_labels})
+    for g in gd.build_node_features(ds, policy).graphs:
+        want = np.zeros_like(g.node_features)
+        for row in range(g.node_count):
+            if policy.kind == "one_hot_node_labels":
+                want[row, values.index(g.node_labels[row])] = 1.0
+            else:
+                want[row, min(sum(row in e for e in g.edges), policy.degree_cap)] = 1.0
+        assert np.array_equal(g.node_features, want)
+
+
 def test_constant_one_features(tmp_path):
     ds = gd.parse_tudataset(write_files(tmp_path, **MINIMAL), "TINY")
     ds = gd.build_node_features(ds, gd.FeaturePolicy("constant_one"))

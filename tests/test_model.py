@@ -37,9 +37,18 @@ def dense_oracle(g: GraphInstance) -> np.ndarray:
     return d_inv_sqrt @ a @ d_inv_sqrt
 
 
+def loop_degrees(g: GraphInstance) -> np.ndarray:
+    """Edge endpoints counted one edge at a time, the independent route."""
+    deg = np.zeros(g.node_count, dtype=np.int64)
+    for u, v in g.edges:
+        deg[u] += 1
+        deg[v] += 1
+    return deg
+
+
 def entry_loop(g: GraphInstance) -> np.ndarray:
     """The sparse (row, col, weight) construction, filled into a dense array."""
-    deg = (g.degrees() + 1).astype(np.float64)
+    deg = (loop_degrees(g) + 1).astype(np.float64)
     entries = [(i, i, float(1.0 / deg[i])) for i in range(g.node_count)]
     for u, v in g.edges:
         w = float(1.0 / np.sqrt(deg[u] * deg[v]))
@@ -49,6 +58,17 @@ def entry_loop(g: GraphInstance) -> np.ndarray:
     for i, j, w in sorted(entries):
         m[i, j] = w
     return m
+
+
+def test_degrees_match_edge_loop():
+    rng = np.random.default_rng(3)
+    graphs = [random_graph(rng, max_nodes=30) for _ in range(40)]
+    graphs.append(GraphInstance(4, ((0, 1), (1, 2)), np.ones((4, 1)), label=0))  # node 3 isolated
+    graphs.append(GraphInstance(5, (), np.ones((5, 1)), label=0))  # no edges
+    for g in graphs:
+        got = g.degrees()
+        assert got.shape == (g.node_count,) and got.dtype.kind == "i"
+        assert np.array_equal(got, loop_degrees(g))
 
 
 def test_single_isolated_node():

@@ -6,7 +6,6 @@ import pytest
 from glaug import autodiff as ad
 from glaug import training as tr
 from glaug.augment import augment, snapshot_probs, target_class
-from glaug.autodiff import grad_check
 from glaug.data import (
     FeaturePolicy,
     FoldPlan,
@@ -15,7 +14,7 @@ from glaug.data import (
     generate_synthetic,
     make_folds,
 )
-from glaug.model import GraphBatch, ModelParams, normalize_adjacency, represent
+from glaug.model import ModelParams
 from glaug.seeding import seeded_rng
 
 
@@ -179,70 +178,39 @@ def test_easiest_rate_at_least_hardest_rate():
 # ------------------------------------------------------------- end-to-end FD
 
 
-def margin_of(params, graphs, adjs, offsets):
-    """min |relu preactivation| across both branches of a toy batch."""
-    margin = np.inf
-    arr = params.arrays
-    for g, a_hat, off in zip(graphs, adjs, offsets):
-        out = g.node_features
-        for layer in range(params.depth):
-            z = a_hat @ out @ arr[f"enc{layer}"]
-            margin = min(margin, float(np.abs(z).min()))
-            new = np.maximum(0.0, z)
-            if layer > 0 and new.shape == out.shape:
-                new = new + out
-            out = new
-        h = np.sort(out, axis=0).sum(axis=0, keepdims=True)
-        for branch in (h, h + off):
-            for head in ("cls", "proj"):
-                z1 = branch @ arr[f"{head}_w1"] + arr[f"{head}_b1"]
-                margin = min(margin, float(np.abs(z1).min()))
-    return margin
-
-
 def test_full_objective_gradient_matches_fd():
     # two-graph batch, one labeled; selection frozen as in a real step
-    for seed in range(60):
-        rng = np.random.default_rng(seed)
-        ds = generate_synthetic(2, size_range=(4, 5), seed=seed)
-        graphs = list(ds.graphs)
-        adjs = [normalize_adjacency(g) for g in graphs]
-        batch = GraphBatch.of(graphs, adjs)
-        params = ModelParams.init(ds.feature_dim, 2, hidden=5, proj_dim=4, depth=2, rng=rng)
-        for a in params.arrays.values():
-            a += rng.normal(scale=0.05, size=a.shape)
+    for num_nodes in (4, 5):
+        for seed in range(60):
+            err = tr._toy_batch_objective_check(seed, num_nodes)
+            if err is not None:
+                break
+        else:
+            raise AssertionError(f"no kink-free seed at {num_nodes} nodes")
+        assert err < 1e-4, f"{err:.2e} (seed {seed}, {num_nodes} nodes)"
 
-        # freeze the augmentation outcomes with the entering parameters
-        h = represent(None, batch, params.bind())
-        d = 1.0
-        offsets = np.zeros_like(h)
-        onehot = np.zeros((2, 2))
-        onehot[0, graphs[0].label] = 1.0  # graph 1 is unlabeled: a zero row
-        for idx, g in enumerate(graphs):
-            row = h[idx : idx + 1]
-            target = target_class(g.label if idx == 0 else None, snapshot_probs(params, row))
-            out = augment(row, target, params, tr.TrainConfig(hidden=5).aug_config(), d,
-                          seeded_rng(seed, "fd", idx))
-            offsets[idx] = out.offset[0]
 
-        if margin_of(params, graphs, adjs, offsets) <= 1e-3:
-            continue
-
-        for cfg in (tr.TrainConfig(), tr.TrainConfig(negative_pairs=True)):
-            for name in params.arrays:
-                def f(x, _name=name, _cfg=cfg):
-                    tape = x.tape
-                    bound = {
-                        k: (x if k == _name else tape.leaf(v, requires_grad=False))
-                        for k, v in params.arrays.items()
-                    }
-                    h_o = represent(tape, batch, bound)
-                    return tr._batch_objective(bound, h_o, offsets, onehot, _cfg)[0]
-
-                err = grad_check(f, params.arrays[name])
-                assert err < 1e-4, f"{name}: {err:.2e} (seed {seed}, {cfg.negative_pairs=})"
-        return
-    raise AssertionError("no kink-free seed found")
+@pytest.mark.parametrize("strategy", ["hardest", "random", "easiest"])
+def test_select_equals_per_row_augment(strategy):
+    rng = np.random.default_rng(7)
+    params = ModelParams.init(4, 3, hidden=6, proj_dim=3, depth=1, rng=rng)
+    h = rng.normal(size=(6, 6))
+    labels = [2, None, 0, None, None, 1]
+    cfg = tr.TrainConfig(strategy=strategy, num_candidates=5).aug_config()
+    offsets, outcomes = tr._select(
+        h, labels, params, cfg, 0.9, [seeded_rng(3, "sel", b) for b in range(6)]
+    )
+    frozen = params.bind(prefix="cls")
+    assert offsets.shape == h.shape and len(outcomes) == 6
+    for b, label in enumerate(labels):
+        target = target_class(label, snapshot_probs(frozen, h[b : b + 1]))
+        want = augment(h[b : b + 1], target, frozen, cfg, 0.9, seeded_rng(3, "sel", b))
+        got = outcomes[b]
+        assert got.target_class == target
+        assert np.array_equal(offsets[b : b + 1], want.offset)
+        assert (got.qualified_count, got.chosen_target_prob, got.fallback) == (
+            want.qualified_count, want.chosen_target_prob, want.fallback
+        )
 
 
 @pytest.mark.parametrize("negative_pairs", [False, True])
