@@ -12,7 +12,8 @@ experiment command, the `rerun` of each, `invariant-rate --from-run`,
 `--parallel-folds 2` and `--features degree_one_hot:4`. One more `run` keeps
 the default width (hidden 128), where stacked products take BLAS's gemm path
 and single rows its gemv path; the narrow runs cannot show a difference
-between the two.
+between the two. A last `run` draws one candidate (K = 1) in a representation
+of width 1, so every direction is +1 or -1: the smallest block of directions.
 
 After each command the exit code, stdout, stderr and every file the command
 wrote are compared. The script stops at the first difference and exits 1;
@@ -45,6 +46,8 @@ EXPERIMENTS = [
     ("parallel-folds", ["run", DATA, *TINY, "--parallel-folds", "2", "--label-ratio", "0.3"]),
     ("features", ["run", DATA, *TINY, "--features", "degree_one_hot:4"]),
     ("default-width", ["run", DATA, "--epochs", "1", "--k", "3"]),
+    ("k1-dim1", ["run", DATA, "--epochs", "1", "--k", "1", "--hidden", "1", "--proj-dim", "1",
+                 "--depth", "1"]),
 ]
 
 

@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Callable
 
 import click
+from click.core import ParameterSource
 
 from . import __version__
 from .augment import DIST_SCOPES, STRATEGIES
@@ -386,6 +387,11 @@ def cmd_ablate_negatives(dataset_path, **kw):
 def cmd_invariant_rate(dataset_path, ratios, from_run, **kw):
     """Label-invariant rate across label ratios (retrains per ratio)."""
     if from_run is not None:
+        ctx = click.get_current_context()  # nothing given beside a recorded run would apply
+        given = [p.get_error_hint(ctx) for p in ctx.command.params if p.name != "from_run"
+                 and ctx.get_parameter_source(p.name) is not ParameterSource.DEFAULT]
+        if given:
+            raise InputError(f"--from-run takes no dataset or options, got {', '.join(given)}")
         doc = load_document(from_run, METRICS_SCHEMA, "metrics document")
         folds = doc.get("folds")
         if not isinstance(folds, list) or not folds:

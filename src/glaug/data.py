@@ -111,11 +111,13 @@ def default_policy(has_node_labels: bool) -> FeaturePolicy:
 
 def _read_int_lines(path: Path, fields: int):
     """Yield (lineno, tuple_of_ints); blank lines are skipped."""
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
+            if not line.isascii():  # a non-ASCII byte decodes to a lone surrogate
+                raise DatasetFormatError(path, lineno, f"not ASCII text: {line!r}")
             parts = [p.strip() for p in line.split(",")]
             if len(parts) != fields:
                 raise DatasetFormatError(
@@ -170,9 +172,7 @@ def parse_tudataset(directory, name: str, policy: FeaturePolicy | None = None) -
     counts = np.bincount(node_graph_arr)[1:].tolist()
     first_node = np.concatenate([[0], np.cumsum(counts)[:-1]])  # global base per graph
 
-    raw_labels: list[int] = []
-    for _, (lab,) in _read_int_lines(paths["graph_labels"], 1):
-        raw_labels.append(lab)
+    raw_labels = [lab for _, (lab,) in _read_int_lines(paths["graph_labels"], 1)]
     if len(raw_labels) != num_graphs:
         raise DatasetFormatError(
             paths["graph_labels"],
@@ -182,9 +182,7 @@ def parse_tudataset(directory, name: str, policy: FeaturePolicy | None = None) -
 
     node_labels: list[int] | None = None
     if paths["node_labels"].is_file():
-        node_labels = []
-        for _, (lab,) in _read_int_lines(paths["node_labels"], 1):
-            node_labels.append(lab)
+        node_labels = [lab for _, (lab,) in _read_int_lines(paths["node_labels"], 1)]
         if len(node_labels) != total_nodes:
             raise DatasetFormatError(
                 paths["node_labels"],

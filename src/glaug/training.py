@@ -25,11 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .augment import (
-    AugmentationConfig,
-    AugmentationOutcome,
-    augment,
-    centroid_distance,
-    target_class,
+    DIST_SCOPES, STRATEGIES, AugmentationOutcome, augment, centroid_distance, target_class,
 )
 from .autodiff import DiffValue, Tape
 from .data import FoldPlan, GraphDataset, assign_labels, generate_synthetic, make_folds
@@ -92,15 +88,16 @@ class TrainConfig:
             raise InputError(f"temperature must be > 0, got {self.temperature}")
         if self.negative_pairs and self.batch_size < 2:
             raise InputError(f"negative pairs need batch_size >= 2, got {self.batch_size}")
-        self.aug_config()  # validates eta/K/strategy/dist_scope
-
-    def aug_config(self) -> AugmentationConfig:
-        return AugmentationConfig(
-            eta=self.eta,
-            num_candidates=self.num_candidates,
-            strategy=self.strategy,
-            dist_scope=self.dist_scope,
-        )
+        if not math.isfinite(self.eta):
+            raise InputError(f"eta must be finite, got {self.eta}")
+        if self.eta < 0:
+            raise InputError(f"eta must be >= 0, got {self.eta}")
+        if self.num_candidates < 1:
+            raise InputError(f"num_candidates must be >= 1, got {self.num_candidates}")
+        if self.strategy not in STRATEGIES:
+            raise InputError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
+        if self.dist_scope not in DIST_SCOPES:
+            raise InputError(f"dist_scope must be one of {DIST_SCOPES}, got {self.dist_scope!r}")
 
 
 @dataclass(frozen=True)
@@ -166,18 +163,20 @@ def ntxent_with_negatives(p_o: DiffValue, p_a: DiffValue, temperature: float) ->
     return ad.scale(ad.sum_all(ad.sub(lse, positives)), 1.0 / batch)
 
 
-def classification_loss(c_o: DiffValue, c_a: DiffValue, y: DiffValue) -> DiffValue:
+def classification_loss(c_o: DiffValue, c_a: DiffValue | None, y: DiffValue) -> DiffValue:
     """Cross-entropy summed over both predictions, mean over labeled rows.
 
-    `c_o` and `c_a` are B x c class probabilities; `y` is a B x c one-hot mask
-    whose rows are zero for unlabeled graphs, which therefore add nothing.
+    `c_o` and `c_a` are B x c class probabilities, `c_a` None for a single
+    prediction (the surrogate's); `y` is a B x c one-hot mask whose rows are
+    zero for unlabeled graphs, which therefore add nothing.
     """
     labeled = int(np.count_nonzero(y.value.any(axis=1)))
     if labeled == 0:
         raise InputError("classification loss needs at least one labeled row")
-    ce_o = ad.dot(y, ad.log(ad.clamp(c_o, PROB_FLOOR, 1.0)))
-    ce_a = ad.dot(y, ad.log(ad.clamp(c_a, PROB_FLOOR, 1.0)))
-    return ad.scale(ad.add(ce_o, ce_a), -1.0 / labeled)
+    ce = ad.dot(y, ad.log(ad.clamp(c_o, PROB_FLOOR, 1.0)))
+    if c_a is not None:
+        ce = ad.add(ce, ad.dot(y, ad.log(ad.clamp(c_a, PROB_FLOOR, 1.0))))
+    return ad.scale(ce, -1.0 / labeled)
 
 
 def total_loss(l_p: DiffValue, l_c: DiffValue | None, alpha: float) -> DiffValue:
@@ -257,20 +256,20 @@ def _batches(order: list[int], batch_size: int) -> list[list[int]]:
 
 
 def _select(
-    h: np.ndarray, labels: list, params: ModelParams, aug_cfg: AugmentationConfig, d: float,
-    rngs: list,
+    h: np.ndarray, labels: list, params: ModelParams, cfg: TrainConfig, d: float, rngs: list
 ) -> tuple[np.ndarray, list[AugmentationOutcome]]:
     """The label-invariant selection of every row of the frozen B x h matrix `h`.
 
     Row b's target is `labels[b]`, or the classifier's argmax when that is
     None; one frozen `classify` scores all B rows for it. Row b then gets one
-    `augment` call with rng `rngs[b]`, all sharing one classifier binding.
-    Returns the B x h offsets and the B outcomes, in row order.
+    `augment` call with rng `rngs[b]` and `cfg`'s eta, K and strategy, all
+    sharing one classifier binding. Returns the B x h offsets and the B
+    outcomes, in row order.
     """
     frozen = params.bind(prefix="cls")
     probs = classify(h, frozen)
     outcomes = [
-        augment(h[b : b + 1], target_class(label, probs[b]), frozen, aug_cfg, d, rng)
+        augment(h[b : b + 1], target_class(label, probs[b]), frozen, cfg, d, rng)
         for b, (label, rng) in enumerate(zip(labels, rngs))
     ]
     return np.vstack([o.offset for o in outcomes]), outcomes
@@ -319,7 +318,6 @@ def train_fold(dataset: GraphDataset, fold: FoldPlan, cfg: TrainConfig) -> FoldR
         rng=seeded_rng(cfg.seed, "init", fold.fold_index),
     )
     state = AdamState()
-    aug_cfg = cfg.aug_config()
 
     best_val, best_epoch, best_params = -1.0, 0, params.copy()
     val_curve: list[float] = []
@@ -345,7 +343,7 @@ def train_fold(dataset: GraphDataset, fold: FoldPlan, cfg: TrainConfig) -> FoldR
             labels = [dataset.graphs[i].label if i in labeled else None for i in batch]
             rngs = [seeded_rng(cfg.seed, "aug", fold.fold_index, epoch, i) for i in batch]
             # selection is gated by the parameters entering this step
-            offsets, chosen = _select(h, labels, params, aug_cfg, d, rngs)
+            offsets, chosen = _select(h, labels, params, cfg, d, rngs)
             selections += [(o.qualified_count, o.chosen_target_prob) for o in chosen]
             onehot = np.zeros((len(batch), dataset.num_classes))
             for pos, label in enumerate(labels):
@@ -394,7 +392,8 @@ def train_fold(dataset: GraphDataset, fold: FoldPlan, cfg: TrainConfig) -> FoldR
 
 
 def _train_surrogate(h: np.ndarray, labels: np.ndarray, num_classes: int, rng) -> ModelParams:
-    """Fresh classifier head fit on frozen representations with full labels."""
+    """Fresh classifier head fit on frozen representations with full labels,
+    by full-batch Adam on `classification_loss` of its single prediction."""
     hidden = h.shape[1]
     head = ModelParams(
         {
@@ -405,15 +404,12 @@ def _train_surrogate(h: np.ndarray, labels: np.ndarray, num_classes: int, rng) -
         },
         depth=0,
     )
-    onehot = np.zeros((h.shape[0], num_classes))
-    onehot[np.arange(h.shape[0]), labels] = 1.0
+    onehot = np.eye(num_classes)[labels]
     state = AdamState()
     for _ in range(SURROGATE_STEPS):
         tape = Tape()
         bound = head.bind(tape)
-        probs = classify(tape.constant(h), bound)
-        ce = ad.dot(tape.constant(onehot), ad.log(ad.clamp(probs, PROB_FLOOR, 1.0)))
-        loss = ad.scale(ce, -1.0 / h.shape[0])
+        loss = classification_loss(classify(tape.constant(h), bound), None, tape.constant(onehot))
         ad.backward(loss)
         adam_step(head, {k: leaf.grad for k, leaf in bound.items()}, state, SURROGATE_LR)
     return head
@@ -442,7 +438,7 @@ def label_invariant_rate(
     labeled = set(fold.labeled_mask)
     known = [dataset.graphs[i].label if i in labeled else None for i in train]
     rngs = [seeded_rng(cfg.seed, "rate", fold.fold_index, i) for i in train]
-    offsets, _ = _select(h, known, params, cfg.aug_config(), centroid_distance(h), rngs)
+    offsets, _ = _select(h, known, params, cfg, centroid_distance(h), rngs)
     probe = surrogate.bind()
     before = np.argmax(classify(h, probe), axis=1)
     after = np.argmax(classify(h + offsets, probe), axis=1)
@@ -466,7 +462,7 @@ def _toy_batch_objective_check(rng_seed: int, num_nodes: int = 5) -> float | Non
     h = represent(None, batch, frozen)
     label = ds.graphs[0].label  # the second graph is unlabeled: a zero row
     rngs = [seeded_rng(rng_seed, "fd", idx) for idx in range(len(ds))]
-    offsets, _ = _select(h, [label, None], params, AugmentationConfig(), 1.0, rngs)
+    offsets, _ = _select(h, [label, None], params, TrainConfig(), 1.0, rngs)
     onehot = np.zeros((len(ds), 2))
     onehot[0, label] = 1.0
     # relu inputs: each encoder layer's (on the layers before it), each head's on both branches

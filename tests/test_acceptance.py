@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from glaug.augment import AugmentationConfig, augment, centroid_distance, snapshot_probs
+from glaug.augment import augment, centroid_distance, snapshot_probs
 from glaug.cli import main
 from glaug.data import (
     FeaturePolicy,
@@ -203,7 +203,7 @@ def test_criterion_05_strategy_ordering(announce):
         chosen = {}
         qualified = None
         for strategy in ("hardest", "random", "easiest"):
-            cfg = AugmentationConfig(
+            cfg = TrainConfig(
                 eta=1.0, num_candidates=6, strategy=strategy, dist_scope="dataset"
             )
             rng = seeded_rng(900 + trial, "acc5-pool")  # identical pool per strategy

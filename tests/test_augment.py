@@ -9,6 +9,7 @@ from glaug import augment as ga
 from glaug.errors import InputError, InvariantViolation
 from glaug.model import ModelParams
 from glaug.seeding import seeded_rng
+from glaug.training import TrainConfig
 
 
 def brute_centroid_distance(rows):
@@ -31,7 +32,17 @@ def plain_classifier(hidden=2, classes=2):
     return params.bind(prefix="cls")
 
 
-CFG = ga.AugmentationConfig  # short alias for test bodies
+CFG = TrainConfig  # short alias for test bodies
+
+
+def single_direction(dim, rng):
+    """One direction drawn the row-at-a-time way: a 1 x dim normal draw,
+    resampled while all zeros, divided by its norm."""
+    while True:
+        v = rng.standard_normal((1, dim))
+        norm = float(np.sqrt((v * v).sum()))
+        if norm > 0.0:
+            return v / norm
 
 
 # -------------------------------------------------------- centroid distance
@@ -65,24 +76,33 @@ def test_empty_input_rejected():
 def test_unit_norm():
     rng = np.random.default_rng(1)
     for dim in (1, 2, 7, 64):
-        v = ga.sample_unit_vector(dim, rng)
-        assert v.shape == (1, dim)
-        assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+        v = ga.unit_directions(3, dim, rng)
+        assert v.shape == (3, dim)
+        assert np.all(np.abs(np.linalg.norm(v, axis=1) - 1.0) < 1e-12)
 
 
 def test_dim_one_is_sign():
     rng = np.random.default_rng(2)
-    values = {float(ga.sample_unit_vector(1, rng)[0, 0]) for _ in range(50)}
+    values = {float(x) for x in ga.unit_directions(50, 1, rng)[:, 0]}
     assert values <= {1.0, -1.0} and len(values) == 2
 
 
 def test_monte_carlo_coordinate_means_near_zero():
     rng = np.random.default_rng(3)
-    total = np.zeros(5)
     n = 100_000
-    for _ in range(n):
-        total += ga.sample_unit_vector(5, rng)[0]
+    total = ga.unit_directions(n, 5, rng).sum(axis=0)
     assert np.all(np.abs(total / n) < 0.02)
+
+
+@pytest.mark.parametrize("count", [1, 10])
+@pytest.mark.parametrize("dim", [1, 128])
+def test_block_draw_equals_row_draws(count, dim):
+    block_rng, row_rng = seeded_rng(61, "dir", dim), seeded_rng(61, "dir", dim)
+    block = ga.unit_directions(count, dim, block_rng)
+    rows = np.vstack([single_direction(dim, row_rng) for _ in range(count)])
+    assert block.tobytes() == rows.tobytes()
+    # the rng is left where K row draws leave it: a strategy's next draw is the same
+    assert block_rng.integers(1 << 62) == row_rng.integers(1 << 62)
 
 
 def test_zero_draw_resampled():
@@ -93,16 +113,18 @@ def test_zero_draw_resampled():
         def standard_normal(self, shape):
             self.calls += 1
             if self.calls == 1:
-                return np.zeros(shape)
-            return np.ones(shape)
+                out = np.ones(shape)
+                out[1] = 0.0  # the middle row of the block is all zeros
+                return out
+            return np.full(shape, 2.0)
 
-    v = ga.sample_unit_vector(3, StubRng())
-    assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+    v = ga.unit_directions(3, 4, StubRng())
+    np.testing.assert_array_equal(v, np.full((3, 4), 0.5))
 
 
 def test_bad_dim_rejected():
     with pytest.raises(InputError):
-        ga.sample_unit_vector(0, np.random.default_rng(0))
+        ga.unit_directions(1, 0, np.random.default_rng(0))
 
 
 # ------------------------------------------------------ perturbation offset
@@ -110,22 +132,27 @@ def test_bad_dim_rejected():
 
 def test_eta_zero_is_identity():
     h = np.array([[1.0, 2.0, 3.0]])
-    delta = ga.sample_unit_vector(3, np.random.default_rng(4))
-    np.testing.assert_array_equal(h + ga.perturbation_offset(0.0, 5.0, delta), h)
+    out = ga.augment(h, 2, plain_classifier(3, 3), CFG(eta=0.0, num_candidates=3), 5.0,
+                     np.random.default_rng(4))
+    np.testing.assert_array_equal(h + out.offset, h)
 
 
 def test_substitution_example():
-    out = np.array([[0.0, 0.0]]) + ga.perturbation_offset(1.0, 1.0, np.array([[1.0, 0.0]]))
-    np.testing.assert_array_equal(out, [[1.0, 0.0]])
+    class StubRng:
+        def standard_normal(self, shape):
+            return np.array([[1.0, 0.0]])
+
+    h = np.array([[0.0, 0.0]])
+    out = ga.augment(h, 0, plain_classifier(), CFG(eta=1.0, num_candidates=1), 1.0, StubRng())
+    np.testing.assert_array_equal(h + out.offset, [[1.0, 0.0]])
 
 
 def test_displacement_norm_is_eta_times_d():
     rng = np.random.default_rng(5)
     for _ in range(20):
-        h = rng.normal(size=(1, 6))
         eta, d = float(rng.uniform(0, 3)), float(rng.uniform(0, 3))
-        out = h + ga.perturbation_offset(eta, d, ga.sample_unit_vector(6, rng))
-        assert abs(np.linalg.norm(out - h) - eta * d) < 1e-12
+        offsets = (eta * d) * ga.unit_directions(4, 6, rng)
+        assert np.all(np.abs(np.linalg.norm(offsets, axis=1) - eta * d) < 1e-12)
 
 
 # ------------------------------------------------------------- target class
@@ -155,7 +182,7 @@ def test_single_qualified_candidate_chosen_for_every_strategy():
             seeded_rng(7, "aug", 0),
         )
         assert not out.fallback and out.qualified_count == 1
-        np.testing.assert_array_equal(out.augmented, h + out.offset)
+        assert abs(np.linalg.norm(out.offset) - 1.0 * 0.01) < 1e-12
 
 
 def test_zero_qualified_falls_back_to_identity():
@@ -165,7 +192,6 @@ def test_zero_qualified_falls_back_to_identity():
     out = ga.augment(h, 1, frozen, CFG(eta=1.0, num_candidates=8), 0.01, seeded_rng(8))
     assert out.fallback and out.qualified_count == 0
     assert out.chosen_target_prob is None
-    np.testing.assert_array_equal(out.augmented, h)
     np.testing.assert_array_equal(out.offset, 0.0)
 
 
@@ -191,7 +217,7 @@ def test_strategy_ordering_on_matched_pools():
 
 
 def test_hardest_and_easiest_are_pool_extremes():
-    # replicate the candidate pool by redrawing the same directions
+    # replicate the candidate pool by redrawing the same directions one row at a time
     frozen = plain_classifier()
     h = np.array([[1.0, 0.0]])
     cfg = CFG(eta=1.0, num_candidates=10, strategy="hardest")
@@ -199,9 +225,7 @@ def test_hardest_and_easiest_are_pool_extremes():
     rng = seeded_rng(11, "aug")
     probs = []
     for _ in range(cfg.num_candidates):
-        delta = ga.sample_unit_vector(2, rng)
-        cand = h + ga.perturbation_offset(cfg.eta, d, delta)
-        p = ga.snapshot_probs(frozen, cand)
+        p = ga.snapshot_probs(frozen, h + (cfg.eta * d) * single_direction(2, rng))
         if int(np.argmax(p)) == 0:
             probs.append(float(p[0, 0]))
     hardest = ga.augment(h, 0, frozen, cfg, d, seeded_rng(11, "aug"))
@@ -220,10 +244,10 @@ def test_augment_is_deterministic():
     cfg = CFG(eta=1.0, num_candidates=10, strategy="random")
     a = ga.augment(h, 0, frozen, cfg, 0.5, seeded_rng(21, "aug", 3))
     b = ga.augment(h, 0, frozen, cfg, 0.5, seeded_rng(21, "aug", 3))
-    assert np.array_equal(a.augmented, b.augmented)
+    assert np.array_equal(a.offset, b.offset)
     assert a.chosen_target_prob == b.chosen_target_prob
     c = ga.augment(h, 0, frozen, cfg, 0.5, seeded_rng(22, "aug", 3))
-    assert not np.array_equal(a.augmented, c.augmented)
+    assert not np.array_equal(a.offset, c.offset)
 
 
 def test_nonfallback_displacement_norm():
@@ -231,7 +255,7 @@ def test_nonfallback_displacement_norm():
     h = np.array([[3.0, 0.0]])
     out = ga.augment(h, 0, frozen, CFG(eta=0.7, num_candidates=5), 1.3, seeded_rng(31))
     assert not out.fallback
-    assert abs(np.linalg.norm(out.augmented - h) - 0.7 * 1.3) < 1e-12
+    assert abs(np.linalg.norm(out.offset) - 0.7 * 1.3) < 1e-12
 
 
 def test_snapshot_agreement_holds_under_random_params():
@@ -243,9 +267,9 @@ def test_snapshot_agreement_holds_under_random_params():
         out = ga.augment(h, target, frozen, CFG(eta=1.0, num_candidates=6), 1.0,
                          seeded_rng(trial, "aug"))
         if out.fallback:
-            np.testing.assert_array_equal(out.augmented, h)
+            np.testing.assert_array_equal(h + out.offset, h)
         else:
-            probs = ga.snapshot_probs(frozen, out.augmented)
+            probs = ga.snapshot_probs(frozen, h + out.offset)
             assert int(np.argmax(probs)) == out.target_class == target
             assert out.chosen_target_prob == pytest.approx(float(probs[0, target]), abs=0)
             assert 1 <= out.qualified_count <= 6
@@ -255,7 +279,7 @@ def test_eta_zero_candidates_equal_original():
     frozen = plain_classifier()
     h = np.array([[2.0, 1.0]])
     out = ga.augment(h, 0, frozen, CFG(eta=0.0, num_candidates=4), 1.0, seeded_rng(51))
-    np.testing.assert_array_equal(out.augmented, h)
+    np.testing.assert_array_equal(h + out.offset, h)
     assert not out.fallback and out.qualified_count == 4  # H^O itself qualifies
 
 
@@ -286,6 +310,6 @@ def test_outcome_invariant_chain_with_positive_step(seed):
     h = rng.normal(size=(1, 4))
     out = ga.augment(h, int(rng.integers(2)), frozen, CFG(eta=1.0, num_candidates=5), 1.0,
                      seeded_rng(seed, "chain"))
-    same = np.array_equal(out.augmented, h)
+    same = np.array_equal(h + out.offset, h)
     assert out.fallback == (out.qualified_count == 0) == same
     assert (out.chosen_target_prob is None) == out.fallback

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, artifacts, manifest reruns."""
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -159,10 +160,11 @@ def run_dir(toy_dir, tmp_path_factory):
 
 
 def assert_input_error(capsys, rc):
-    """Exit 1 with a one-line `error:` message and no traceback."""
+    """Exit 1 with a one-line `error:` message and no traceback; returns it."""
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
 
 
 def _no_training(*args, **kwargs):
@@ -357,6 +359,53 @@ def test_invariant_rate_from_run_rejects_json_list(tmp_path, capsys):
     path = tmp_path / "metrics.json"
     path.write_text("[]")
     assert_input_error(capsys, main(["invariant-rate", "--from-run", str(path)]))
+
+
+@pytest.mark.parametrize("given, named", [
+    (["DATASET"], ["DATASET_PATH"]),
+    (["--eta", "5", "--epochs", "7"], ["--eta", "--epochs"]),
+    (["--hidden", "3"], ["--hidden"]),
+    (["--eta", "1.0"], ["--eta"]),  # the default value, given: it would be ignored all the same
+    (["--ratios", "0.1"], ["--ratios"]),
+    (["--features", "constant_one"], ["--features"]),
+    (["--name", "TOY"], ["--name"]),
+    (["--out", "elsewhere"], ["--out"]),
+    (["--parallel-folds", "2"], ["--parallel-folds"]),
+], ids=["dataset", "eta_epochs", "hidden", "default_eta", "ratios", "features", "name", "out",
+        "parallel_folds"])
+def test_invariant_rate_from_run_rejects_what_it_ignores(run_dir, toy_dir, capsys, given, named):
+    args = [str(toy_dir) if a == "DATASET" else a for a in given]
+    rc = main(["invariant-rate", "--from-run", str(run_dir / "metrics.json"), *args])
+    err = assert_input_error(capsys, rc)
+    assert all(name in err for name in named), err
+
+
+# ----------------------------------------------------------- text encoding
+
+
+@pytest.mark.parametrize("suffix", ["A", "graph_indicator", "graph_labels", "node_labels"])
+def test_non_ascii_dataset_byte_exits_one(toy_dir, tmp_path, capsys, monkeypatch, suffix):
+    monkeypatch.setattr(cli_mod, "run_experiment", _no_training)
+    data = tmp_path / "TOY"
+    shutil.copytree(toy_dir, data)
+    path = data / f"TOY_{suffix}.txt"
+    lines = path.read_bytes().split(b"\n")
+    lines[2] += b"\xc3\xa9"  # an e-acute in UTF-8
+    path.write_bytes(b"\n".join(lines))
+    err = assert_input_error(capsys, main(["run", str(data), "--out", str(tmp_path / "r")]))
+    assert f"TOY_{suffix}.txt:3: not ASCII text" in err
+
+
+@pytest.mark.parametrize("command, document", [
+    (["rerun"], "manifest.json"),
+    (["invariant-rate", "--from-run"], "metrics.json"),
+], ids=["rerun", "from_run"])
+def test_non_utf8_document_exits_one(run_dir, tmp_path, capsys, monkeypatch, command, document):
+    monkeypatch.setattr(cli_mod, "run_experiment", _no_training)
+    path = tmp_path / document
+    path.write_bytes((run_dir / document).read_bytes().replace(b'"schema"', b'"sch\xffema"'))
+    err = assert_input_error(capsys, main([*command, str(path)]))
+    assert err.startswith("error: cannot read") and "utf-8" in err
 
 
 # -------------------------------------------------------------- generation

@@ -369,4 +369,4 @@ def test_train_config_validation():
         with pytest.raises(InputError, match="label ratio"):
             tr.TrainConfig(label_ratio=ratio)
     cfg = tr.TrainConfig()
-    assert cfg.aug_config().eta == 1.0 and cfg.alpha == 1.0  # defaults under test
+    assert cfg.eta == 1.0 and cfg.alpha == 1.0  # defaults under test

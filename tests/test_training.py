@@ -196,7 +196,7 @@ def test_select_equals_per_row_augment(strategy):
     params = ModelParams.init(4, 3, hidden=6, proj_dim=3, depth=1, rng=rng)
     h = rng.normal(size=(6, 6))
     labels = [2, None, 0, None, None, 1]
-    cfg = tr.TrainConfig(strategy=strategy, num_candidates=5).aug_config()
+    cfg = tr.TrainConfig(strategy=strategy, num_candidates=5)
     offsets, outcomes = tr._select(
         h, labels, params, cfg, 0.9, [seeded_rng(3, "sel", b) for b in range(6)]
     )
