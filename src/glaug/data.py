@@ -107,27 +107,204 @@ def default_policy(has_node_labels: bool) -> FeaturePolicy:
 
 
 # ------------------------------------------------------------------ parsing
+#
+# The record grammar is what Python's text-mode reader and int() accept:
+# lines end at \n, \r\n or a lone \r; a line is stripped of ASCII
+# whitespace (space, \t, \x0b, \x0c, \r, \x1c-\x1f) and skipped when nothing
+# is left; the rest is comma-separated fields, each stripped and each an
+# integer: [+-]?digits, single underscores allowed between digits. Every
+# value must fit int64. Each file is decoded by array operations, with no
+# loop over its lines.
+
+# Byte classes. Every class from _DIGIT up belongs to a token, and every class
+# from _SIGN up is rare in a well-formed file. A \r is whitespace, or a line
+# end where no \n follows it.
+_SPACE, _NEWLINE, _COMMA, _DIGIT, _SIGN, _UNDERSCORE, _OTHER, _HIGH = range(8)
+_BYTE_CLASS = np.full(256, _OTHER, np.uint8)
+_BYTE_CLASS[128:] = _HIGH
+_BYTE_CLASS[list(b" \t\r\x0b\x0c\x1c\x1d\x1e\x1f")] = _SPACE
+_BYTE_CLASS[list(b"0123456789")] = _DIGIT
+_BYTE_CLASS[list(b"+-")] = _SIGN
+_BYTE_CLASS[[ord("\n"), ord(","), ord("_")]] = [_NEWLINE, _COMMA, _UNDERSCORE]
+_BYTE_CLASS.flags.writeable = False
+_INT64_MAGNITUDE = np.uint64(2**63)
 
 
-def _read_int_lines(path: Path, fields: int):
-    """Yield (lineno, tuple_of_ints); blank lines are skipped."""
-    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if not line.isascii():  # a non-ASCII byte decodes to a lone surrogate
-                raise DatasetFormatError(path, lineno, f"not ASCII text: {line!r}")
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) != fields:
-                raise DatasetFormatError(
-                    path, lineno, f"expected {fields} comma-separated fields, got {len(parts)}"
-                )
-            try:
-                values = tuple(int(p) for p in parts)
-            except ValueError:
-                raise DatasetFormatError(path, lineno, f"not an integer record: {line!r}") from None
-            yield lineno, values
+@dataclass(frozen=True)
+class _Records:
+    """The records of one file that precede its first malformed line."""
+
+    path: Path
+    values: np.ndarray  # records x fields, int64
+    lines: np.ndarray  # 1-based line number of each record
+    error: DatasetFormatError | None  # the first malformed line, if any
+
+    def raise_first(self, bad: np.ndarray | None = None, message=None) -> None:
+        """Raise for the first record flagged in `bad`, with text message(row);
+        else for the first malformed line. Records all precede that line, so
+        either way the error raised is the first in file order."""
+        if bad is not None and bad.any():
+            row = int(np.argmax(bad))
+            raise DatasetFormatError(self.path, int(self.lines[row]), message(row))
+        if self.error is not None:
+            raise self.error
+
+
+def _read_records(path: Path, fields: int) -> _Records:
+    """Decode one file of `fields`-integer records with array operations.
+
+    Temporaries the size of the file are deleted once spent: the A file is
+    most of a data set's bytes, so its decoding sets the parser's peak memory."""
+    raw = path.read_bytes()
+    buf = np.frombuffer(raw, np.uint8)
+    cls = _BYTE_CLASS[buf]
+    cr = np.flatnonzero(buf == ord("\r"))
+    cls[cr[buf[np.minimum(cr + 1, len(buf) - 1)] != ord("\n")]] = _NEWLINE
+
+    # a field ends at each comma and line end; a last line may end at EOF
+    seps = np.flatnonzero((cls == _NEWLINE) | (cls == _COMMA))
+    at_end = cls[seps] == _NEWLINE
+    if len(buf) and cls[-1] != _NEWLINE:
+        seps = np.append(seps, len(buf))
+        at_end = np.append(at_end, True)
+    ends = seps[at_end]
+    last_field = np.flatnonzero(at_end)  # of each line
+    fields_per_line = np.diff(last_field, prepend=-1)
+
+    # tokens: maximal runs of bytes that are neither whitespace, comma nor line end
+    token = np.zeros(len(buf) + 2, bool)
+    np.greater_equal(cls, _DIGIT, out=token[1:-1])
+    starts = np.flatnonzero(token[1:] > token[:-1])
+    stops = np.flatnonzero(token[1:] < token[:-1])
+    del token
+    tokens_per_field = np.bincount(np.searchsorted(seps, starts), minlength=len(seps))
+    tokens_per_line = np.diff(np.cumsum(tokens_per_field)[last_field], prepend=0)
+    blank = (fields_per_line == 1) & (tokens_per_line == 0)  # nothing left after stripping
+    odd_field_lines = np.searchsorted(ends, seps[tokens_per_field != 1])
+    del seps, tokens_per_field
+
+    # bytes int() rejects: any other character, a sign that does not open a
+    # token or is not followed by a digit, an underscore not between digits
+    rare = np.flatnonzero(cls >= _SIGN)
+    kind = cls[rare]
+    before = np.where(rare > 0, cls[rare - 1], _SPACE)
+    after = np.where(rare + 1 < len(buf), cls[np.minimum(rare + 1, len(buf) - 1)], _SPACE)
+    del cls
+    allowed = ((kind == _SIGN) & (before < _DIGIT) & (after == _DIGIT)) | (
+        (kind == _UNDERSCORE) & (before == _DIGIT) & (after == _DIGIT)
+    )
+    not_ascii = np.zeros(len(ends), bool)
+    not_ascii[np.searchsorted(ends, rare[kind == _HIGH])] = True
+    not_int = np.zeros(len(ends), bool)
+    not_int[np.searchsorted(ends, rare[~allowed])] = True
+    not_int[odd_field_lines] = True
+    wrong_count = fields_per_line != fields
+    malformed = ~blank & (not_ascii | wrong_count | not_int)
+
+    bad_line = int(np.argmax(malformed)) if malformed.any() else len(ends)
+    record_lines = np.flatnonzero(~blank[:bad_line])
+    count = len(record_lines) * fields  # the first tokens, one per field of each record
+    values, outside = _token_values(buf, starts[:count], stops[:count])
+    values = values.reshape(-1, fields)
+    overflow = outside.any()
+    if overflow:
+        row = int(np.argmax(outside)) // fields
+        bad_line, values, record_lines = int(record_lines[row]), values[:row], record_lines[:row]
+    error = None
+    if bad_line < len(ends):  # per-line text only for the one message
+        start = int(ends[bad_line - 1]) + 1 if bad_line else 0
+        line = raw[start : int(ends[bad_line])].decode("ascii", "surrogateescape").strip()
+        if overflow:
+            message = f"integer outside the int64 range: {line!r}"
+        elif not_ascii[bad_line]:
+            message = f"not ASCII text: {line!r}"
+        elif wrong_count[bad_line]:
+            message = f"expected {fields} comma-separated fields, got {fields_per_line[bad_line]}"
+        else:
+            message = f"not an integer record: {line!r}"
+        error = DatasetFormatError(path, bad_line + 1, message)
+    return _Records(path, values, record_lines + 1, error)
+
+
+def _token_values(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray):
+    """Values of well-formed integer tokens, and a mask of those outside int64.
+
+    Horner's rule over one column of token bytes at a time, in place; signs
+    and underscores are skipped. Only from the 19th byte on can a magnitude
+    pass 2**63."""
+    width = int((stops - starts).max(initial=0))
+    negative = buf[starts] == ord("-")
+    magnitude = np.zeros(len(starts), np.uint64)
+    outside = np.zeros(len(starts), bool)
+    digit = np.empty(len(starts), np.uint8)
+    take = np.empty(len(starts), bool)
+    at = starts.copy()
+    for col in range(width):
+        np.take(buf, at, out=digit, mode="clip")  # past a token's end is masked below
+        digit -= ord("0")  # non-digits wrap above 9
+        np.less(digit, 10, out=take)
+        take &= at < stops
+        if col >= 18:
+            outside |= take & (magnitude > (_INT64_MAGNITUDE - digit) // np.uint64(10))
+            take &= ~outside
+        np.multiply(magnitude, 10, out=magnitude, where=take)
+        np.add(magnitude, digit, out=magnitude, where=take)
+        at += 1
+    outside |= (magnitude == _INT64_MAGNITUDE) & ~negative
+    values = magnitude.view(np.int64)  # 2**63 reads as -2**63, its own negation
+    np.negative(values, out=values, where=negative)
+    return values, outside
+
+
+def _check_edges(records: _Records, node_graph: np.ndarray) -> None:
+    """Every endpoint is a known node, and both lie in one graph."""
+    total_nodes = len(node_graph)
+    u, v = records.values.T
+    u_unknown = (u < 1) | (u > total_nodes)
+    v_unknown = (v < 1) | (v > total_nodes)
+    gu = node_graph[np.clip(u, 1, total_nodes) - 1]
+    gv = node_graph[np.clip(v, 1, total_nodes) - 1]
+
+    def message(row: int) -> str:
+        if u_unknown[row]:
+            return f"edge references unknown node {u[row]}"
+        if v_unknown[row]:
+            return f"edge references unknown node {v[row]}"
+        return f"edge ({u[row]}, {v[row]}) spans graphs {gu[row]} and {gv[row]}"
+
+    records.raise_first(u_unknown | v_unknown | (gu != gv), message)
+
+
+def _graph_edges(records: _Records, node_graph: np.ndarray, first_node: np.ndarray) -> list:
+    """Each graph's canonical edges from checked A records: local (u, v)
+    pairs, u < v, sorted and unique. Self-loops and repeated ordered pairs
+    are dropped with a warning; a pair listed in both directions is one edge."""
+    total_nodes = len(node_graph)
+    u, v = records.values.T
+    loop = u == v
+    u, v = u[~loop] - 1, v[~loop] - 1
+    # 0-based ids below total_nodes pack a pair into one int64 key (a node
+    # file of 3 billion lines is far beyond what one process parses)
+    directed = np.sort(u * total_nodes + v)
+    duplicates = np.count_nonzero(directed[1:] == directed[:-1])
+    del directed
+    if loop.any():
+        log.warning("%s: dropped %d self-loop edge(s)", records.path.name, loop.sum())
+    if duplicates:
+        log.warning("%s: dropped %d duplicate edge(s)", records.path.name, duplicates)
+
+    # sorted keys order edges by graph, then local (lo, hi): each graph is one run
+    key = np.sort(np.minimum(u, v) * total_nodes + np.maximum(u, v))
+    del u, v
+    lo, hi = np.divmod(key[np.diff(key, prepend=-1) != 0], total_nodes)
+    del key
+    graph = node_graph[lo] - 1
+    base = first_node[graph]
+    lo -= base
+    hi -= base
+    pairs = list(zip(lo.tolist(), hi.tolist()))
+    stops = np.cumsum(np.bincount(graph, minlength=len(first_node))).tolist()
+    return [tuple(pairs[start:stop]) for start, stop in zip([0, *stops], stops)]
 
 
 def parse_tudataset(directory, name: str, policy: FeaturePolicy | None = None) -> GraphDataset:
@@ -135,7 +312,9 @@ def parse_tudataset(directory, name: str, policy: FeaturePolicy | None = None) -
 
     Node features are built once, under `policy`, or when it is None under
     the default policy (one-hot over node labels when
-    `<name>_node_labels.txt` exists, degree one-hot otherwise).
+    `<name>_node_labels.txt` exists, degree one-hot otherwise). The files are
+    read in the order graph_indicator, graph_labels, node_labels, A, and the
+    error raised is the first problem in that order, line by line.
     """
     directory = Path(directory)
     paths = {
@@ -147,95 +326,65 @@ def parse_tudataset(directory, name: str, policy: FeaturePolicy | None = None) -
             raise InputError(f"missing mandatory dataset file: {paths[key]}")
 
     # graph_indicator: 1-based graph id per node, non-decreasing, no gaps
-    node_graph: list[int] = []
-    for lineno, (gid,) in _read_int_lines(paths["graph_indicator"], 1):
-        if not node_graph:
-            if gid != 1:
-                raise DatasetFormatError(
-                    paths["graph_indicator"], lineno, f"graph ids must start at 1, got {gid}"
-                )
-        else:
-            prev = node_graph[-1]
-            if gid < prev or gid > prev + 1:
-                raise DatasetFormatError(
-                    paths["graph_indicator"],
-                    lineno,
-                    f"graph ids must be non-decreasing without gaps (got {gid} after {prev})",
-                )
-        node_graph.append(gid)
-    if not node_graph:
+    indicator = _read_records(paths["graph_indicator"], 1)
+    node_graph = indicator.values[:, 0]
+    step = np.diff(node_graph)
+    bad = np.concatenate([node_graph[:1] != 1, (step < 0) | (step > 1)])
+
+    def indicator_message(row: int) -> str:
+        if row == 0:
+            return f"graph ids must start at 1, got {node_graph[0]}"
+        return (
+            "graph ids must be non-decreasing without gaps "
+            f"(got {node_graph[row]} after {node_graph[row - 1]})"
+        )
+
+    indicator.raise_first(bad, indicator_message)
+    if not len(node_graph):
         raise DatasetFormatError(paths["graph_indicator"], 1, "no nodes declared")
 
-    num_graphs = node_graph[-1]
+    num_graphs = int(node_graph[-1])
     total_nodes = len(node_graph)
-    node_graph_arr = np.asarray(node_graph)
-    counts = np.bincount(node_graph_arr)[1:].tolist()
+    counts = np.bincount(node_graph)[1:]
     first_node = np.concatenate([[0], np.cumsum(counts)[:-1]])  # global base per graph
 
-    raw_labels = [lab for _, (lab,) in _read_int_lines(paths["graph_labels"], 1)]
-    if len(raw_labels) != num_graphs:
+    labels = _read_records(paths["graph_labels"], 1)
+    labels.raise_first()
+    if len(labels.values) != num_graphs:
         raise DatasetFormatError(
             paths["graph_labels"],
-            len(raw_labels) + 1,
-            f"expected {num_graphs} labels, found {len(raw_labels)}",
+            len(labels.values) + 1,
+            f"expected {num_graphs} labels, found {len(labels.values)}",
         )
 
     node_labels: list[int] | None = None
     if paths["node_labels"].is_file():
-        node_labels = [lab for _, (lab,) in _read_int_lines(paths["node_labels"], 1)]
-        if len(node_labels) != total_nodes:
+        records = _read_records(paths["node_labels"], 1)
+        records.raise_first()
+        if len(records.values) != total_nodes:
             raise DatasetFormatError(
                 paths["node_labels"],
-                len(node_labels) + 1,
-                f"expected {total_nodes} node labels, found {len(node_labels)}",
+                len(records.values) + 1,
+                f"expected {total_nodes} node labels, found {len(records.values)}",
             )
+        node_labels = records.values[:, 0].tolist()
 
-    edge_sets: list[set[tuple[int, int]]] = [set() for _ in range(num_graphs)]
-    seen_directed: set[tuple[int, int]] = set()
-    dup_count = 0
-    loop_count = 0
-    for lineno, (u, v) in _read_int_lines(paths["A"], 2):
-        for endpoint in (u, v):
-            if not (1 <= endpoint <= total_nodes):
-                raise DatasetFormatError(
-                    paths["A"], lineno, f"edge references unknown node {endpoint}"
-                )
-        gu, gv = node_graph[u - 1], node_graph[v - 1]
-        if gu != gv:
-            raise DatasetFormatError(
-                paths["A"], lineno, f"edge ({u}, {v}) spans graphs {gu} and {gv}"
-            )
-        if u == v:
-            loop_count += 1
-            continue
-        if (u, v) in seen_directed:  # same ordered pair again; reverse listing is normal
-            dup_count += 1
-            continue
-        seen_directed.add((u, v))
-        g = gu - 1
-        base = int(first_node[g])
-        lu, lv = u - 1 - base, v - 1 - base
-        edge_sets[g].add((min(lu, lv), max(lu, lv)))
-
-    if loop_count:
-        log.warning("%s: dropped %d self-loop edge(s)", paths["A"].name, loop_count)
-    if dup_count:
-        log.warning("%s: dropped %d duplicate edge(s)", paths["A"].name, dup_count)
-
-    distinct = sorted(set(raw_labels))
-    class_of = {raw: i for i, raw in enumerate(distinct)}
+    edges = _read_records(paths["A"], 2)
+    _check_edges(edges, node_graph)
+    edge_lists = _graph_edges(edges, node_graph, first_node)
+    del edges
+    distinct, class_of = np.unique(labels.values[:, 0], return_inverse=True)
+    class_of = class_of.tolist()
 
     graphs = []
-    for g in range(num_graphs):
-        n = counts[g]
-        base = int(first_node[g])
+    for g, (n, base) in enumerate(zip(counts.tolist(), first_node.tolist())):
         nl = tuple(node_labels[base : base + n]) if node_labels is not None else None
         graphs.append(
             GraphInstance(
                 node_count=n,
-                edges=tuple(sorted(edge_sets[g])),
+                edges=edge_lists[g],
                 node_features=np.zeros((n, 0)),  # filled below
-                label=class_of[raw_labels[g]],
+                label=class_of[g],
                 node_labels=nl,
             )
         )

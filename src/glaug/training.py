@@ -202,7 +202,11 @@ class AdamState:
 def adam_step(
     params: ModelParams, grads: dict[str, np.ndarray], state: AdamState, lr: float
 ) -> None:
-    """One bias-corrected Adam update, in place on params and state."""
+    """One bias-corrected Adam update, in place on params and state:
+    m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) (g g);
+    arr -= (lr (m / (1 - b1^t))) / (sqrt(v / (1 - b2^t)) + eps).
+    Each operation writes into one of two scratch buffers, in the order the
+    expression evaluates, so the bits equal the expression's."""
     state.step += 1
     t = state.step
     for name, arr in params.arrays.items():
@@ -211,13 +215,19 @@ def adam_step(
             raise InvariantViolation(f"gradient shape {g.shape} != param {arr.shape} ({name})")
         m = state.m.setdefault(name, np.zeros_like(arr))
         v = state.v.setdefault(name, np.zeros_like(arr))
+        step, denom = np.empty_like(arr), np.empty_like(arr)
         m *= state.beta1
-        m += (1 - state.beta1) * g
+        m += np.multiply(1 - state.beta1, g, out=step)
         v *= state.beta2
-        v += (1 - state.beta2) * (g * g)
-        m_hat = m / (1 - state.beta1**t)
-        v_hat = v / (1 - state.beta2**t)
-        arr -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        np.multiply(g, g, out=step)
+        v += np.multiply(1 - state.beta2, step, out=step)
+        np.divide(v, 1 - state.beta2**t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        np.divide(m, 1 - state.beta1**t, out=step)
+        np.multiply(lr, step, out=step)
+        step /= denom
+        arr -= step
 
 
 # ----------------------------------------------------------------- training

@@ -1,13 +1,21 @@
 """Dataset parsing, features, synthetic round-trips, fold plans."""
 
+import contextlib
+import io
 import logging
+import re
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import glaug.cli as cli_mod
 from glaug import data as gd
+from glaug.cli import main
 from glaug.errors import DatasetFormatError, InputError
 
 
@@ -150,6 +158,314 @@ def test_trailing_whitespace_tolerated(tmp_path):
     files = dict(A="1, 2 \n2, 1\n\n", graph_indicator="1 \n1\n", graph_labels="1\n")
     ds = gd.parse_tudataset(write_files(tmp_path, **files), "TINY")
     assert ds.graphs[0].edges == ((0, 1),)
+
+
+def test_int64_range_edges_accepted_and_beyond_rejected(tmp_path):
+    files = dict(MINIMAL, graph_labels="-9_223_372_036_854_775_808\n")
+    assert gd.parse_tudataset(write_files(tmp_path, **files), "TINY").num_classes == 1
+    files = dict(MINIMAL, node_labels="9223372036854775807\n+0009223372036854775807\n")
+    ds = gd.parse_tudataset(write_files(tmp_path, **files), "TINY")
+    assert ds.graphs[0].node_labels == (2**63 - 1, 2**63 - 1)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("9223372036854775808\n", 1),
+    ("9999999999999999999\n", 1),
+    ("1\n18446744073709551617\n", 2),  # 2**64 + 1
+    ("\n1\n-9223372036854775809\n", 3),
+    ("1\n" + "9" * 5000 + "\n", 2),
+])
+def test_integer_outside_int64_names_file_and_line(tmp_path, text, line):
+    files = dict(MINIMAL, node_labels=text)
+    with pytest.raises(DatasetFormatError) as info:
+        gd.parse_tudataset(write_files(tmp_path, **files), "TINY")
+    assert str(info.value).startswith(f"{tmp_path / 'TINY_node_labels.txt'}:{line}: integer outside")
+
+
+def test_integer_outside_int64_exits_one_through_cli(tmp_path, capsys):
+    files = dict(MINIMAL, graph_labels="1_000_000_000_000_000_000_000\n")
+    (tmp_path / "TINY").mkdir()
+    rc = main(["run", str(write_files(tmp_path / "TINY", **files)), "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.count("\n") == 1
+    assert err.startswith("error: ") and "TINY_graph_labels.txt:1: integer outside" in err
+
+
+@pytest.mark.parametrize("ending", ["crlf", "cr", "no_final_newline", "trailing_blank_lines"])
+def test_line_ends_parse_as_text_mode_reads_them(tmp_path, ending):
+    src = gd.generate_synthetic(6, size_range=(1, 6), seed=21)
+    gd.write_tudataset(src, tmp_path, "LE")
+    for path in tmp_path.glob("LE_*.txt"):
+        text = path.read_bytes()
+        text = {
+            "crlf": text.replace(b"\n", b"\r\n"),
+            "cr": text.replace(b"\n", b"\r"),
+            "no_final_newline": text.rstrip(b"\n"),
+            "trailing_blank_lines": text + b"\n \r\n\t\n\x0c\x1c\n\n",
+        }[ending]
+        path.write_bytes(text)
+    got = gd.parse_tudataset(tmp_path, "LE")
+    assert gd.dataset_fingerprint(got) == gd.dataset_fingerprint(src)
+    assert gd.dataset_fingerprint(got) == gd.dataset_fingerprint(reference_parse(tmp_path, "LE"))
+
+
+def test_first_error_in_file_order_wins(tmp_path):
+    # a range error two lines above a syntax error, and the other way round
+    files = dict(MINIMAL, A="1, 2\n1, 9\n2, 1\n1, x\n")
+    with pytest.raises(DatasetFormatError, match=r"TINY_A\.txt:2: edge references unknown node 9"):
+        gd.parse_tudataset(write_files(tmp_path, **files), "TINY")
+    files = dict(MINIMAL, A="1, 2\n1, x\n1, 9\n")
+    with pytest.raises(DatasetFormatError, match=r"TINY_A\.txt:2: not an integer record"):
+        gd.parse_tudataset(write_files(tmp_path, **files), "TINY")
+
+
+# -------------------------------------------------------- differential fuzz
+#
+# reference_parse is the per-line parser the bulk reader replaced, kept as an
+# independent reference: text-mode lines, str.strip, int() per field.
+
+
+def _reference_int_lines(path: Path, fields: int):
+    """Yield (lineno, tuple_of_ints); blank lines are skipped."""
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            if not line.isascii():  # a non-ASCII byte decodes to a lone surrogate
+                raise DatasetFormatError(path, lineno, f"not ASCII text: {line!r}")
+            parts = [p.strip() for p in line.split(",")]
+            if len(parts) != fields:
+                raise DatasetFormatError(
+                    path, lineno, f"expected {fields} comma-separated fields, got {len(parts)}"
+                )
+            try:
+                values = tuple(int(p) for p in parts)
+            except ValueError:
+                raise DatasetFormatError(path, lineno, f"not an integer record: {line!r}") from None
+            yield lineno, values
+
+
+def reference_parse(directory, name: str) -> gd.GraphDataset:
+    directory = Path(directory)
+    paths = {
+        key: directory / f"{name}_{key}.txt"
+        for key in ("A", "graph_indicator", "graph_labels", "node_labels")
+    }
+    for key in ("A", "graph_indicator", "graph_labels"):
+        if not paths[key].is_file():
+            raise InputError(f"missing mandatory dataset file: {paths[key]}")
+
+    node_graph: list[int] = []
+    for lineno, (gid,) in _reference_int_lines(paths["graph_indicator"], 1):
+        if not node_graph:
+            if gid != 1:
+                raise DatasetFormatError(
+                    paths["graph_indicator"], lineno, f"graph ids must start at 1, got {gid}"
+                )
+        else:
+            prev = node_graph[-1]
+            if gid < prev or gid > prev + 1:
+                raise DatasetFormatError(
+                    paths["graph_indicator"],
+                    lineno,
+                    f"graph ids must be non-decreasing without gaps (got {gid} after {prev})",
+                )
+        node_graph.append(gid)
+    if not node_graph:
+        raise DatasetFormatError(paths["graph_indicator"], 1, "no nodes declared")
+
+    num_graphs = node_graph[-1]
+    total_nodes = len(node_graph)
+    counts = np.bincount(np.asarray(node_graph))[1:].tolist()
+    first_node = np.concatenate([[0], np.cumsum(counts)[:-1]])
+
+    raw_labels = [lab for _, (lab,) in _reference_int_lines(paths["graph_labels"], 1)]
+    if len(raw_labels) != num_graphs:
+        raise DatasetFormatError(
+            paths["graph_labels"],
+            len(raw_labels) + 1,
+            f"expected {num_graphs} labels, found {len(raw_labels)}",
+        )
+
+    node_labels = None
+    if paths["node_labels"].is_file():
+        node_labels = [lab for _, (lab,) in _reference_int_lines(paths["node_labels"], 1)]
+        if len(node_labels) != total_nodes:
+            raise DatasetFormatError(
+                paths["node_labels"],
+                len(node_labels) + 1,
+                f"expected {total_nodes} node labels, found {len(node_labels)}",
+            )
+
+    edge_sets = [set() for _ in range(num_graphs)]
+    seen_directed = set()
+    dup_count = 0
+    loop_count = 0
+    for lineno, (u, v) in _reference_int_lines(paths["A"], 2):
+        for endpoint in (u, v):
+            if not (1 <= endpoint <= total_nodes):
+                raise DatasetFormatError(
+                    paths["A"], lineno, f"edge references unknown node {endpoint}"
+                )
+        gu, gv = node_graph[u - 1], node_graph[v - 1]
+        if gu != gv:
+            raise DatasetFormatError(
+                paths["A"], lineno, f"edge ({u}, {v}) spans graphs {gu} and {gv}"
+            )
+        if u == v:
+            loop_count += 1
+            continue
+        if (u, v) in seen_directed:
+            dup_count += 1
+            continue
+        seen_directed.add((u, v))
+        g = gu - 1
+        base = int(first_node[g])
+        lu, lv = u - 1 - base, v - 1 - base
+        edge_sets[g].add((min(lu, lv), max(lu, lv)))
+
+    if loop_count:
+        gd.log.warning("%s: dropped %d self-loop edge(s)", paths["A"].name, loop_count)
+    if dup_count:
+        gd.log.warning("%s: dropped %d duplicate edge(s)", paths["A"].name, dup_count)
+
+    class_of = {raw: i for i, raw in enumerate(sorted(set(raw_labels)))}
+    graphs = []
+    for g in range(num_graphs):
+        n = counts[g]
+        base = int(first_node[g])
+        nl = tuple(node_labels[base : base + n]) if node_labels is not None else None
+        graphs.append(gd.GraphInstance(
+            node_count=n,
+            edges=tuple(sorted(edge_sets[g])),
+            node_features=np.zeros((n, 0)),
+            label=class_of[raw_labels[g]],
+            node_labels=nl,
+        ))
+    ds = gd.GraphDataset(name=name, graphs=tuple(graphs), num_classes=len(class_of), feature_dim=0)
+    return gd.build_node_features(ds, gd.default_policy(node_labels is not None))
+
+
+@contextlib.contextmanager
+def logged_warnings():
+    """Collect the messages logged to glaug.data at WARNING and above."""
+    messages = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = lambda record: messages.append(record.getMessage())
+    logger = logging.getLogger("glaug.data")
+    logger.addHandler(handler)
+    try:
+        yield messages
+    finally:
+        logger.removeHandler(handler)
+
+
+def outcome(parse, directory):
+    """('accept', fingerprint) or ('reject', error type, text), and the warnings."""
+    with logged_warnings() as messages:
+        try:
+            result = ("accept", gd.dataset_fingerprint(parse(directory, "FZ")))
+        except InputError as exc:
+            result = ("reject", type(exc).__name__, str(exc))
+    return result, messages
+
+
+FUZZ_FILES = ("A", "graph_indicator", "graph_labels", "node_labels")
+# bytes and strings at the edges of the grammar: separators, every ASCII
+# whitespace str.strip removes (bytes.strip does not remove \x1c-\x1f),
+# signs, leading zeros, underscores, non-integers and non-ASCII bytes
+FUZZ_PIECES = [
+    b",", b" ", b"\t", b"\r", b"\n", b"\r\n", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e",
+    b"\x1f", b"+", b"-", b"_", b"0", b"1", b"7", b"+5", b"-2", b"007", b"1_0", b"1__0", b"_1",
+    b"x", b"1e3", b"0x1", b"\x00", b"\x7f", b"\xff", b"\xc3\xa9", b"\x85", b"\xa0", b" , ", b"3, 3",
+]
+FUZZ_OPS = (
+    "insert", "delete", "replace_line", "bump", "drop_line", "dup_line", "swap_lines",
+    "truncate", "crlf", "lone_cr", "self_loop", "remove",
+)
+
+
+def mutate(content: bytes, op: str, at: int, piece: bytes, delta: int) -> bytes | None:
+    """One edit of a file's bytes; None deletes the file."""
+    lines = content.split(b"\n")
+    row = at % len(lines)
+    if op == "insert":
+        pos = at % (len(content) + 1)
+        return content[:pos] + piece + content[pos:]
+    if op == "delete":
+        pos = at % (len(content) + 1)
+        return content[:pos] + content[pos + 1 + abs(delta):]
+    if op == "replace_line":
+        lines[row] = piece
+    elif op == "bump":  # counts, gaps, decreases, cross-graph and unknown endpoints
+        lines[row] = re.sub(rb"\d+", lambda m: str(max(int(m[0]) + delta, 0)).encode(), lines[row], 1)
+    elif op == "drop_line":
+        del lines[row]
+    elif op == "dup_line":
+        lines.insert(row, lines[row])
+    elif op == "swap_lines":
+        other = (row + delta) % len(lines)
+        lines[row], lines[other] = lines[other], lines[row]
+    elif op == "truncate":  # possibly mid-line
+        return content[: at % (len(content) + 1)]
+    elif op == "crlf":
+        return content.replace(b"\n", b"\r\n")
+    elif op == "lone_cr":
+        return content.replace(b"\n", b"\r")
+    elif op == "self_loop":
+        node = re.match(rb"\s*(\d+)", lines[row])
+        lines.insert(row, node[1] + b", " + node[1] if node else b"1, 1")
+    elif op == "remove":
+        return None
+    return b"\n".join(lines)
+
+
+@given(
+    graphs=st.integers(1, 4),
+    seed=st.integers(0, 50),
+    edits=st.lists(
+        st.tuples(
+            st.sampled_from(FUZZ_FILES),
+            st.sampled_from(FUZZ_OPS),
+            st.integers(0, 10**6),
+            st.sampled_from(FUZZ_PIECES),
+            st.integers(-3, 3),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+@settings(max_examples=600, deadline=None)
+def test_bulk_reader_matches_per_line_reference(graphs, seed, edits):
+    src = gd.generate_synthetic(graphs, size_range=(1, 5), seed=seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = gd.write_tudataset(src, Path(tmp) / "FZ", "FZ")
+        for suffix, op, at, piece, delta in edits:
+            path = directory / f"FZ_{suffix}.txt"
+            if path.is_file():
+                content = mutate(path.read_bytes(), op, at, piece, delta)
+                if content is not None:
+                    path.write_bytes(content)
+                elif suffix == "node_labels":  # the one optional file
+                    path.unlink()
+
+        want, want_warnings = outcome(reference_parse, directory)
+        got, got_warnings = outcome(gd.parse_tudataset, directory)
+        assert got == want
+        if want[0] == "accept":
+            assert got_warnings == want_warnings
+            return
+
+        # a rejected input exits 1 through the CLI, with one error line
+        stderr = io.StringIO()
+        with mock.patch.object(cli_mod, "run_experiment", side_effect=AssertionError):
+            with contextlib.redirect_stderr(stderr):
+                rc = main(["run", str(directory), "--out", str(Path(tmp) / "run")])
+        err = stderr.getvalue()
+        assert rc == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+        if want[1] == "DatasetFormatError":  # the CLI reports a missing A file itself
+            assert err == f"error: {want[2]}\n"
 
 
 # ----------------------------------------------------------------- features

@@ -326,6 +326,33 @@ def test_adam_matches_reference_two_steps():
     assert state.step == 2
 
 
+def test_adam_in_place_equals_formula_bitwise():
+    # the expression form the in-place update must reproduce bit for bit
+    rng = np.random.default_rng(5)
+    shapes = {"w": (3, 4), "b": (1, 4), "s": (1, 1), "wide": (17, 33), "empty": (0, 2)}
+    params = ModelParams({k: rng.normal(size=shape) for k, shape in shapes.items()}, depth=0)
+    want = {k: arr.copy() for k, arr in params.arrays.items()}
+    m = {k: np.zeros_like(arr) for k, arr in want.items()}
+    v = {k: np.zeros_like(arr) for k, arr in want.items()}
+    state = tr.AdamState()
+    for t in range(1, 51):
+        grads = {k: rng.normal(size=shape) * 10.0 ** rng.integers(-6, 4) for k, shape in shapes.items()}
+        lr = float(rng.uniform(1e-4, 1e-1))
+        tr.adam_step(params, grads, state, lr)
+        for k, g in grads.items():
+            m[k] *= state.beta1
+            m[k] += (1 - state.beta1) * g
+            v[k] *= state.beta2
+            v[k] += (1 - state.beta2) * (g * g)
+            m_hat = m[k] / (1 - state.beta1**t)
+            v_hat = v[k] / (1 - state.beta2**t)
+            want[k] -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    for k in shapes:
+        assert np.array_equal(params.arrays[k], want[k])
+        assert np.array_equal(state.m[k], m[k]) and np.array_equal(state.v[k], v[k])
+    assert state.step == 50
+
+
 def test_adam_is_deterministic():
     runs = []
     for _ in range(2):
