@@ -9,7 +9,8 @@ own under a temporary directory, so relative paths in output and manifests
 read the same on both sides. The commands cover a `gen-synth` data set, every
 experiment command, the `rerun` of each, `invariant-rate --from-run`,
 `gradcheck`, and `run` with `--negative-pairs`, `--dist-scope dataset`,
-`--parallel-folds 2` and `--features degree_one_hot:4`. One more `run` keeps
+`--parallel-folds 2`, and each feature builder by name (`--features
+degree_one_hot:4`, `constant_one` and `one_hot_node_labels`). One more `run` keeps
 the default width (hidden 128), where stacked products take BLAS's gemm path
 and single rows its gemv path; the narrow runs cannot show a difference
 between the two. Another `run` draws one candidate (K = 1) in a representation
@@ -50,6 +51,8 @@ EXPERIMENTS = [
     ("dist-scope", ["run", DATA, *TINY, "--dist-scope", "dataset", "--strategy", "easiest"]),
     ("parallel-folds", ["run", DATA, *TINY, "--parallel-folds", "2", "--label-ratio", "0.3"]),
     ("features", ["run", DATA, *TINY, "--features", "degree_one_hot:4"]),
+    ("features-constant", ["run", DATA, *TINY, "--features", "constant_one"]),
+    ("features-labels", ["run", DATA, *TINY, "--features", "one_hot_node_labels"]),
     ("default-width", ["run", DATA, "--epochs", "1", "--k", "3"]),
     ("k1-dim1", ["run", DATA, "--epochs", "1", "--k", "1", "--hidden", "1", "--proj-dim", "1",
                  "--depth", "1"]),

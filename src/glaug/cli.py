@@ -222,6 +222,17 @@ STUDIES = {
 }
 
 
+def _check_out(out: Path) -> None:
+    """Reject an output path that cannot become a directory: the nearest
+    existing path on the way to it must be one. Nothing is created, so a
+    command that fails later leaves no output directory behind."""
+    for path in (out, *out.parents):
+        if os.path.lexists(path):
+            if not path.is_dir():
+                raise InputError(f"--out {out}: {path} is not a directory")
+            return
+
+
 def _execute(command, ds, path_str, policy, cfg, out: Path, workers, values=None) -> None:
     """Run an experiment command, write its artifacts and echo its summary.
 
@@ -229,6 +240,7 @@ def _execute(command, ds, path_str, policy, cfg, out: Path, workers, values=None
     functions are looked up as module globals at call time, so anything that
     replaces them on this module (tests, the benchmark's tracer) takes effect.
     """
+    _check_out(out)
     artifacts, extra, trends = ["metrics.json"], {}, []
     if command == "run":
         results = run_experiment(ds, cfg, workers=workers)
@@ -445,6 +457,7 @@ def cmd_gen_synth(graphs, classes, seed, sizes, densities, name, out):
     if not all(v.is_integer() for v in lo_hi):
         raise InputError(f"--sizes: node counts must be integers, got {sizes!r}")
     dens = tuple(_parse_floats(densities, "--densities"))
+    _check_out(out)
     ds = generate_synthetic(
         graphs, classes, (int(lo_hi[0]), int(lo_hi[1])), dens, seed, name=name
     )

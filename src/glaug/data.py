@@ -1,15 +1,19 @@
 """Graph collections: TUDataset-format parsing, node features, splits.
 
-A graph is stored with canonical unordered edge pairs (u < v, no duplicates,
-no self-loops); the symmetric adjacency is reconstructed where needed. Raw
-class labels are remapped to contiguous 0-based indices in sorted raw-label
-order so class ids are stable across runs.
+A graph holds arrays only. Its edges are an E x 2 intp array of canonical
+unordered pairs (u < v, sorted, no duplicates, no self-loops); the symmetric
+adjacency is reconstructed where needed. Its node labels, when the data set
+has them, are an int64 array of the raw values. Its node features are its
+rows of one N x dim matrix built for the whole data set. The parser's graphs
+are views into its bulk arrays. Raw class labels are remapped to contiguous
+0-based indices in sorted raw-label order so class ids are stable across
+runs. The fingerprint hashes edges and node labels in their tuple text, so
+it reads the same as when graphs stored tuples.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -20,24 +24,26 @@ from .errors import DatasetFormatError, InputError
 from .seeding import seeded_rng
 
 log = logging.getLogger("glaug.data")
+_UNSET = np.zeros((0, 0))  # every graph's features until build_node_features fills them
 
 
 @dataclass(frozen=True, eq=False)
 class GraphInstance:
     node_count: int
-    edges: tuple[tuple[int, int], ...]  # canonical: u < v, sorted, unique
+    edges: np.ndarray  # E x 2 intp, canonical: u < v, sorted, unique
     node_features: np.ndarray  # node_count x feature_dim
     label: int | None
-    node_labels: tuple[int, ...] | None = None  # raw values from the file
+    node_labels: np.ndarray | None = None  # int64 raw values from the file
 
-    def edge_array(self) -> np.ndarray:
-        """The edges as an E x 2 integer array."""
-        flat = itertools.chain.from_iterable(self.edges)
-        return np.fromiter(flat, np.intp, 2 * len(self.edges)).reshape(-1, 2)
+    def __post_init__(self):
+        """Store array-likes (tuples of pairs, lists) as the arrays above."""
+        object.__setattr__(self, "edges", np.asarray(self.edges, np.intp).reshape(-1, 2))
+        if self.node_labels is not None:
+            object.__setattr__(self, "node_labels", np.asarray(self.node_labels, np.int64))
 
     def degrees(self) -> np.ndarray:
         """Edges incident to each node, as a length node_count integer array."""
-        return np.bincount(self.edge_array().ravel(), minlength=self.node_count)
+        return np.bincount(self.edges.ravel(), minlength=self.node_count)
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,9 +282,10 @@ def _check_edges(records: _Records, node_graph: np.ndarray) -> None:
 
 
 def _graph_edges(records: _Records, node_graph: np.ndarray, first_node: np.ndarray) -> list:
-    """Each graph's canonical edges from checked A records: local (u, v)
-    pairs, u < v, sorted and unique. Self-loops and repeated ordered pairs
-    are dropped with a warning; a pair listed in both directions is one edge."""
+    """Each graph's canonical edges from checked A records: an E x 2 view of
+    local (u, v) pairs, u < v, sorted and unique. Self-loops and repeated
+    ordered pairs are dropped with a warning; a pair listed in both
+    directions is one edge."""
     total_nodes = len(node_graph)
     u, v = records.values.T
     loop = u == v
@@ -302,9 +309,8 @@ def _graph_edges(records: _Records, node_graph: np.ndarray, first_node: np.ndarr
     base = first_node[graph]
     lo -= base
     hi -= base
-    pairs = list(zip(lo.tolist(), hi.tolist()))
-    stops = np.cumsum(np.bincount(graph, minlength=len(first_node))).tolist()
-    return [tuple(pairs[start:stop]) for start, stop in zip([0, *stops], stops)]
+    stops = np.cumsum(np.bincount(graph, minlength=len(first_node)))
+    return np.split(np.stack([lo, hi], axis=1), stops[:-1])
 
 
 def parse_tudataset(directory, name: str, policy: FeaturePolicy | None = None) -> GraphDataset:
@@ -357,7 +363,7 @@ def parse_tudataset(directory, name: str, policy: FeaturePolicy | None = None) -
             f"expected {num_graphs} labels, found {len(labels.values)}",
         )
 
-    node_labels: list[int] | None = None
+    node_labels: list | None = None  # each graph's view of the node-label records
     if paths["node_labels"].is_file():
         records = _read_records(paths["node_labels"], 1)
         records.raise_first()
@@ -367,29 +373,21 @@ def parse_tudataset(directory, name: str, policy: FeaturePolicy | None = None) -
                 len(records.values) + 1,
                 f"expected {total_nodes} node labels, found {len(records.values)}",
             )
-        node_labels = records.values[:, 0].tolist()
+        node_labels = np.split(records.values[:, 0], first_node[1:])
 
     edges = _read_records(paths["A"], 2)
     _check_edges(edges, node_graph)
-    edge_lists = _graph_edges(edges, node_graph, first_node)
+    edge_arrays = _graph_edges(edges, node_graph, first_node)
     del edges
     distinct, class_of = np.unique(labels.values[:, 0], return_inverse=True)
-    class_of = class_of.tolist()
 
-    graphs = []
-    for g, (n, base) in enumerate(zip(counts.tolist(), first_node.tolist())):
-        nl = tuple(node_labels[base : base + n]) if node_labels is not None else None
-        graphs.append(
-            GraphInstance(
-                node_count=n,
-                edges=edge_lists[g],
-                node_features=np.zeros((n, 0)),  # filled below
-                label=class_of[g],
-                node_labels=nl,
-            )
+    graphs = tuple(
+        GraphInstance(n, e, _UNSET, y, nl)
+        for n, e, y, nl in zip(
+            counts.tolist(), edge_arrays, class_of.tolist(), node_labels or [None] * num_graphs
         )
-
-    ds = GraphDataset(name=name, graphs=tuple(graphs), num_classes=len(distinct), feature_dim=0)
+    )
+    ds = GraphDataset(name=name, graphs=graphs, num_classes=len(distinct), feature_dim=0)
     return build_node_features(ds, policy or default_policy(node_labels is not None))
 
 
@@ -397,34 +395,34 @@ def parse_tudataset(directory, name: str, policy: FeaturePolicy | None = None) -
 
 
 def build_node_features(dataset: GraphDataset, policy: FeaturePolicy) -> GraphDataset:
-    """Rebuild every graph's feature matrix under `policy`."""
+    """Rebuild every graph's feature matrix under `policy`.
+
+    Each node gets one hot column: its node label's rank among all distinct
+    labels, its degree capped at degree_cap, or column 0. One N x dim matrix
+    holds every node's row, and each graph's features are a view of its rows."""
+    graphs = dataset.graphs
+    counts = [g.node_count for g in graphs]
     if policy.kind == "one_hot_node_labels":
-        if any(g.node_labels is None for g in dataset.graphs):
+        if any(g.node_labels is None for g in graphs):
             raise InputError("one_hot_node_labels requires a node-label file")
-        values = np.array(sorted({lab for g in dataset.graphs for lab in g.node_labels}))
+        labels = np.concatenate([np.empty(0, np.int64), *(g.node_labels for g in graphs)])
+        values, column = np.unique(labels, return_inverse=True)
         dim = len(values)
-
-        def features(g: GraphInstance) -> np.ndarray:
-            x = np.zeros((g.node_count, dim))
-            x[np.arange(g.node_count), np.searchsorted(values, g.node_labels)] = 1.0
-            return x
-
     elif policy.kind == "degree_one_hot":
         dim = policy.degree_cap + 1
-
-        def features(g: GraphInstance) -> np.ndarray:
-            x = np.zeros((g.node_count, dim))
-            x[np.arange(g.node_count), np.minimum(g.degrees(), policy.degree_cap)] = 1.0
-            return x
-
+        degrees = np.concatenate([np.empty(0, np.intp), *(g.degrees() for g in graphs)])
+        column = np.minimum(degrees, policy.degree_cap)
     else:  # constant_one
         dim = 1
-
-        def features(g: GraphInstance) -> np.ndarray:
-            return np.ones((g.node_count, 1))
-
-    graphs = tuple(replace(g, node_features=features(g)) for g in dataset.graphs)
-    return replace(dataset, graphs=graphs, feature_dim=dim)
+        column = np.zeros(sum(counts), np.intp)
+    x = np.zeros((len(column), dim))
+    x[np.arange(len(column)), column] = 1.0
+    rows = np.split(x, np.cumsum(counts)[:-1])
+    graphs = tuple(
+        GraphInstance(g.node_count, g.edges, r, g.label, g.node_labels)
+        for g, r in zip(graphs, rows)
+    )
+    return GraphDataset(dataset.name, graphs, dataset.num_classes, dim)
 
 
 # ---------------------------------------------------------------- synthetic
@@ -464,16 +462,7 @@ def generate_synthetic(
             for v in range(u + 1, n)
             if rng.random() < edge_density_per_class[k]
         ]
-        node_labels = tuple(int(x) for x in rng.integers(1, 4, size=n))
-        graphs.append(
-            GraphInstance(
-                node_count=n,
-                edges=tuple(edges),
-                node_features=np.zeros((n, 0)),
-                label=k,
-                node_labels=node_labels,
-            )
-        )
+        graphs.append(GraphInstance(n, edges, _UNSET, k, rng.integers(1, 4, size=n)))
     ds = GraphDataset(name=name, graphs=tuple(graphs), num_classes=classes, feature_dim=0)
     return build_node_features(ds, default_policy(True))
 
@@ -494,8 +483,8 @@ def write_tudataset(dataset: GraphDataset, directory, name: str | None = None) -
         ind_lines.extend([str(gid)] * g.node_count)
         lab_lines.append(str(g.label))
         if g.node_labels is not None:
-            nl_lines.extend(str(x) for x in g.node_labels)
-        for u, v in g.edges:
+            nl_lines.extend(map(str, g.node_labels.tolist()))
+        for u, v in g.edges.tolist():
             gu, gv = base + u + 1, base + v + 1
             a_lines.append(f"{gu}, {gv}")
             a_lines.append(f"{gv}, {gu}")
@@ -564,9 +553,9 @@ def dataset_fingerprint(dataset: GraphDataset) -> str:
     """SHA-256 over the full structure and features; pins runs to their input."""
     h = hashlib.sha256()
     h.update(f"classes={dataset.num_classes};dim={dataset.feature_dim}".encode())
-    for g in dataset.graphs:
-        h.update(f"|n={g.node_count};y={g.label};e={g.edges}".encode())
+    for g in dataset.graphs:  # edges and node labels in their tuple text, as first hashed
+        h.update(f"|n={g.node_count};y={g.label};e={tuple(map(tuple, g.edges.tolist()))}".encode())
         if g.node_labels is not None:
-            h.update(f";nl={g.node_labels}".encode())
+            h.update(f";nl={tuple(g.node_labels.tolist())}".encode())
         h.update(np.ascontiguousarray(g.node_features).tobytes())
     return h.hexdigest()

@@ -29,10 +29,9 @@ from .errors import InputError
 def normalize_adjacency(g: GraphInstance) -> np.ndarray:
     """Dense D^(-1/2) (A+I) D^(-1/2): weight(i, j) = 1 / sqrt(deg_i * deg_j),
     degrees counting the self-connection, so the diagonal is 1 / deg_i."""
-    edges = g.edge_array()
-    deg = (np.bincount(edges.ravel(), minlength=g.node_count) + 1).astype(np.float64)
+    deg = (g.degrees() + 1).astype(np.float64)
     a_hat = np.diag(1.0 / deg)
-    u, v = edges.T
+    u, v = g.edges.T
     a_hat[u, v] = a_hat[v, u] = 1.0 / np.sqrt(deg[u] * deg[v])
     return a_hat
 
@@ -84,22 +83,6 @@ class ModelParams:
             arrays[f"{head}_w2"] = glorot(rng, hidden, out_dim)
             arrays[f"{head}_b2"] = np.zeros((1, out_dim))
         return cls(arrays, depth)
-
-    @property
-    def hidden(self) -> int:
-        return self.arrays["enc0"].shape[1]
-
-    @property
-    def num_classes(self) -> int:
-        return self.arrays["cls_w2"].shape[1]
-
-    @property
-    def proj_dim(self) -> int:
-        return self.arrays["proj_w2"].shape[1]
-
-    @property
-    def feature_dim(self) -> int:
-        return self.arrays["enc0"].shape[0]
 
     def copy(self) -> "ModelParams":
         return ModelParams({k: v.copy() for k, v in self.arrays.items()}, self.depth)

@@ -146,8 +146,8 @@ def test_criterion_03_parser(announce, tmp_path):
     write_tudataset(ds, out, ds.name)
     back = parse_tudataset(out, ds.name)
     exact = len(back) == len(ds) and all(
-        a.node_count == b.node_count and a.edges == b.edges
-        and a.label == b.label and a.node_labels == b.node_labels
+        a.node_count == b.node_count and a.edges.tolist() == b.edges.tolist()
+        and a.label == b.label and a.node_labels.tolist() == b.node_labels.tolist()
         for a, b in zip(ds.graphs, back.graphs)
     )
     announce(3, "PASS" if exact else "FAIL",

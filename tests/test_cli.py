@@ -525,6 +525,29 @@ def test_rerun_parallel_folds_below_one_exits_one(run_dir, tmp_path, capsys, mon
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("below", [False, True], ids=["file", "under_file"])
+@pytest.mark.parametrize("command", [
+    "run", "sweep-eta", "ablate-strategy", "ablate-negatives", "invariant-rate", "rerun",
+    "gen-synth",
+])
+def test_out_that_cannot_be_a_directory_exits_one(
+    toy_dir, run_dir, tmp_path, capsys, monkeypatch, command, below
+):
+    monkeypatch.setattr(cli_mod, "run_experiment", _no_training)
+    blocker = tmp_path / "F"
+    blocker.write_text("keep")
+    out = blocker / "x" if below else blocker
+    if command == "rerun":
+        args = ["rerun", str(run_dir / "manifest.json")]
+    elif command == "gen-synth":
+        args = ["gen-synth", "--graphs", "10"]
+    else:
+        args = [command, str(toy_dir), *COMMON]
+    err = assert_input_error(capsys, main([*args, "--out", str(out)]))
+    assert f"{blocker} is not a directory" in err
+    assert blocker.read_text() == "keep"
+
+
 @pytest.mark.parametrize("features", ["constant_one:7", "one_hot_node_labels:1"])
 def test_feature_kind_without_argument_rejects_one(toy_dir, tmp_path, capsys, features):
     rc = main(["run", str(toy_dir), *COMMON, "--features", features,

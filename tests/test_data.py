@@ -40,7 +40,7 @@ def test_parse_minimal_single_graph(tmp_path):
     assert len(ds) == 1 and ds.num_classes == 1
     g = ds.graphs[0]
     assert g.node_count == 2
-    assert g.edges == ((0, 1),)
+    assert g.edges.tolist() == [[0, 1]]
     assert g.label == 0
 
 
@@ -52,7 +52,7 @@ def test_parse_two_graphs_local_ids(tmp_path):
     )
     ds = gd.parse_tudataset(write_files(tmp_path, **files), "TINY")
     assert [g.node_count for g in ds.graphs] == [2, 3]
-    assert ds.graphs[1].edges == ((0, 2), (1, 2))
+    assert ds.graphs[1].edges.tolist() == [[0, 2], [1, 2]]
     # raw labels 3, 7 remapped in sorted order
     assert [g.label for g in ds.graphs] == [0, 1]
 
@@ -68,7 +68,7 @@ def test_parse_drops_self_loops_with_warning(tmp_path, caplog):
     files = dict(MINIMAL, A="1, 2\n2, 1\n1, 1\n")
     with caplog.at_level(logging.WARNING, logger="glaug.data"):
         ds = gd.parse_tudataset(write_files(tmp_path, **files), "TINY")
-    assert ds.graphs[0].edges == ((0, 1),)
+    assert ds.graphs[0].edges.tolist() == [[0, 1]]
     assert any("self-loop" in r.message for r in caplog.records)
 
 
@@ -76,7 +76,7 @@ def test_parse_drops_repeated_directed_edges_with_warning(tmp_path, caplog):
     files = dict(MINIMAL, A="1, 2\n2, 1\n1, 2\n")
     with caplog.at_level(logging.WARNING, logger="glaug.data"):
         ds = gd.parse_tudataset(write_files(tmp_path, **files), "TINY")
-    assert ds.graphs[0].edges == ((0, 1),)
+    assert ds.graphs[0].edges.tolist() == [[0, 1]]
     assert any("duplicate" in r.message for r in caplog.records)
 
 
@@ -157,7 +157,7 @@ def test_node_label_count_mismatch(tmp_path):
 def test_trailing_whitespace_tolerated(tmp_path):
     files = dict(A="1, 2 \n2, 1\n\n", graph_indicator="1 \n1\n", graph_labels="1\n")
     ds = gd.parse_tudataset(write_files(tmp_path, **files), "TINY")
-    assert ds.graphs[0].edges == ((0, 1),)
+    assert ds.graphs[0].edges.tolist() == [[0, 1]]
 
 
 def test_int64_range_edges_accepted_and_beyond_rejected(tmp_path):
@@ -165,7 +165,7 @@ def test_int64_range_edges_accepted_and_beyond_rejected(tmp_path):
     assert gd.parse_tudataset(write_files(tmp_path, **files), "TINY").num_classes == 1
     files = dict(MINIMAL, node_labels="9223372036854775807\n+0009223372036854775807\n")
     ds = gd.parse_tudataset(write_files(tmp_path, **files), "TINY")
-    assert ds.graphs[0].node_labels == (2**63 - 1, 2**63 - 1)
+    assert ds.graphs[0].node_labels.tolist() == [2**63 - 1, 2**63 - 1]
 
 
 @pytest.mark.parametrize("text, line", [
@@ -500,18 +500,21 @@ def test_degree_cap_maps_to_last_slot():
 
 @pytest.mark.parametrize("policy", [
     gd.FeaturePolicy("one_hot_node_labels"), gd.FeaturePolicy("degree_one_hot", 3),
+    gd.FeaturePolicy("constant_one"),
 ])
 def test_one_hot_features_match_row_loop(policy):
     # sizes from 1 node up, so isolated nodes and edgeless graphs occur
     ds = gd.generate_synthetic(30, size_range=(1, 9), seed=4)
-    values = sorted({lab for g in ds.graphs for lab in g.node_labels})
+    values = sorted({lab for g in ds.graphs for lab in g.node_labels.tolist()})
     for g in gd.build_node_features(ds, policy).graphs:
         want = np.zeros_like(g.node_features)
         for row in range(g.node_count):
             if policy.kind == "one_hot_node_labels":
                 want[row, values.index(g.node_labels[row])] = 1.0
+            elif policy.kind == "degree_one_hot":
+                want[row, min(sum(row in e for e in g.edges.tolist()), policy.degree_cap)] = 1.0
             else:
-                want[row, min(sum(row in e for e in g.edges), policy.degree_cap)] = 1.0
+                want[row, 0] = 1.0
         assert np.array_equal(g.node_features, want)
 
 
@@ -548,6 +551,54 @@ def test_policy_parse_spellings():
 # ---------------------------------------------------------------- synthetic
 
 
+# SHA-256 digests recorded from the tuple-storing implementation. Every
+# manifest's `rerun` compares against this text, so it must never change.
+HAND = dict(  # a one-edge graph, an isolated-node graph, a star with an isolated node
+    A="1, 2\n2, 1\n4, 5\n5, 4\n4, 6\n6, 4\n4, 7\n7, 4\n5, 6\n6, 5\n",
+    graph_indicator="1\n1\n2\n3\n3\n3\n3\n3\n4\n4\n4\n",  # graph 4 is edgeless
+    graph_labels="1\n-1\n1\n4\n",
+    node_labels="3\n1\n7\n1\n3\n7\n7\n0\n3\n-2\n1\n",
+)
+GOLDEN = {
+    ("hand", "one_hot_node_labels"):
+        "431a0fdd3195fba3320c1f4fc147546b78660c887cdac3fff181be508b77582b",
+    ("hand", "degree_one_hot:2"):
+        "b353a8737bf379610b955b574084983011b640ab0a17f2b5ef0e32a84a0693f0",
+    ("hand", "constant_one"):
+        "5281f1dac53fa597a3179c5cea77db006a3190b090fd61e5f08b76f24927f7f7",
+    ("synth", "one_hot_node_labels"):
+        "07e8219e2903118baf9cf1547ac00d15973299a62ac7c3fc88cf244d3bd35bd9",
+    ("synth", "degree_one_hot:2"):
+        "cc61637281bfa2bb1d01506cb7014b1a14d5b067811447b5646e9af70c9c2c24",
+    ("synth", "constant_one"):
+        "2c549d45a8b4faadcfb798f2177cb53e16c3449d1c0bc40c8438e959c067a056",
+}
+
+
+@pytest.mark.parametrize("source, spelling", sorted(GOLDEN))
+def test_fingerprint_matches_recorded_digest(source, spelling, tmp_path):
+    policy = gd.FeaturePolicy.parse(spelling)
+    if source == "hand":
+        ds = gd.parse_tudataset(write_files(tmp_path, "HAND", **HAND), "HAND", policy)
+    else:
+        synth = gd.generate_synthetic(12, 3, (1, 6), (0.2, 0.5, 0.8), seed=5)
+        ds = gd.build_node_features(synth, policy)
+    assert gd.dataset_fingerprint(ds) == GOLDEN[source, spelling]
+
+
+def test_fingerprint_same_for_tuple_and_array_graphs():
+    def dataset(edges, node_labels):
+        g = gd.GraphInstance(4, edges, np.ones((4, 1)), 1, node_labels)
+        return gd.GraphDataset("T", (g,), 2, 1)
+
+    from_tuples = dataset(((0, 1), (1, 3)), (5, -2, 5, 0))
+    from_arrays = dataset(np.array([[0, 1], [1, 3]]), np.array([5, -2, 5, 0]))
+    assert gd.dataset_fingerprint(from_tuples) == gd.dataset_fingerprint(from_arrays)
+    assert gd.dataset_fingerprint(dataset((), None)) == gd.dataset_fingerprint(
+        dataset(np.empty((0, 2), np.intp), None)
+    )
+
+
 def test_generate_is_deterministic():
     a = gd.generate_synthetic(20, seed=42)
     b = gd.generate_synthetic(20, seed=42)
@@ -582,9 +633,9 @@ def test_write_parse_round_trip(tmp_path):
     assert len(back) == len(src)
     for a, b in zip(src.graphs, back.graphs):
         assert a.node_count == b.node_count
-        assert a.edges == b.edges
+        assert a.edges.tolist() == b.edges.tolist()
         assert a.label == b.label
-        assert a.node_labels == b.node_labels
+        assert a.node_labels.tolist() == b.node_labels.tolist()
     assert gd.dataset_fingerprint(src) == gd.dataset_fingerprint(back)
 
 
