@@ -87,9 +87,11 @@ def snapshot_probs(frozen: dict, h_value: np.ndarray) -> np.ndarray:
 
     The training path's classify() on its no-record route, so scores agree
     bit-for-bit with the tape forward. `frozen` is the classifier's frozen
-    binding (`params.bind(prefix="cls")`), made once per selection pass.
+    binding (`params.bind(prefix="cls")`), made once per selection pass, and
+    `h_value` a finite 2-D float64 matrix: `augment` checks its whole block of
+    candidates once, not each row it scores.
     """
-    return classify(as_matrix(h_value, copy=False), frozen)
+    return classify(h_value, frozen)
 
 
 def augment(
@@ -100,18 +102,20 @@ def augment(
     The K = `cfg.num_candidates` offsets are (cfg.eta * d) times one block of
     K unit directions, drawn before any strategy-specific rng use, so the
     candidate pool for a given rng state is identical across strategies.
-    `frozen` is the classifier's frozen binding; it scores each candidate row
-    and rechecks the pick, one `snapshot_probs` call each.
+    The candidates are one K x h block `h + offsets`. `frozen` is the
+    classifier's frozen binding; it scores each candidate row, a view of the
+    block, and rechecks the pick, one `snapshot_probs` call each.
     """
     if d < 0:
         raise InputError(f"d must be >= 0, got {d}")
     h = np.asarray(h, dtype=np.float64)
     offsets = (cfg.eta * d) * unit_directions(cfg.num_candidates, h.shape[1], rng)
+    candidates = as_matrix(h + offsets, copy=False)
 
     qualified: list[tuple[int, float]] = []  # (draw index, target prob)
     for k in range(cfg.num_candidates):
-        probs = snapshot_probs(frozen, h + offsets[k : k + 1])
-        if int(np.argmax(probs)) == target:
+        probs = snapshot_probs(frozen, candidates[k : k + 1])
+        if probs.argmax() == target:
             qualified.append((k, float(probs[0, target])))
 
     offset, prob = np.zeros_like(h), None
@@ -123,7 +127,7 @@ def augment(
         else:
             k, prob = qualified[int(rng.integers(len(qualified)))]
         offset = offsets[k : k + 1]
-        if int(np.argmax(snapshot_probs(frozen, h + offset))) != target:
+        if snapshot_probs(frozen, candidates[k : k + 1]).argmax() != target:
             raise InvariantViolation(
                 "selected augmentation lost the target class under the same snapshot"
             )

@@ -72,15 +72,25 @@ class Tape:
         self._next_id += 1
         return node_id
 
-    def leaf(self, values, requires_grad: bool = False) -> "DiffValue":
-        """Register an input matrix. Only leaves can receive gradients."""
-        dv = DiffValue(as_matrix(values), self, requires_grad)
+    def leaf(self, values, requires_grad: bool = False, copy: bool = True) -> "DiffValue":
+        """Register an input matrix. Only leaves can receive gradients.
+
+        The leaf holds a checked copy of `values`. With `copy=False` it holds
+        `values` itself, unchecked: the caller passes a finite 2-D float64
+        C-order array that nothing changes while the tape lives, as
+        `ModelParams.bind` does with views of the one copy it checked.
+        """
+        dv = DiffValue(as_matrix(values) if copy else values, self, requires_grad)
         if requires_grad:
             self._leaves.append(dv)
         return dv
 
     def constant(self, values) -> "DiffValue":
-        return self.leaf(values, requires_grad=False)
+        """A matrix that receives no gradient. An array that is already
+        float64, C-ordered, 2-D and finite is kept as is, not copied, so the
+        caller must not change it while the tape lives; anything else is
+        coerced and checked like a leaf."""
+        return DiffValue(as_matrix(values, copy=False), self, False)
 
     @property
     def num_records(self) -> int:
@@ -107,22 +117,9 @@ class DiffValue:
         return f"DiffValue(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def _same_shape(a, b, op: str) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
-
-
-def _value(x) -> np.ndarray:
-    """The matrix behind an operand: a DiffValue's value or the plain array."""
-    return x.value if isinstance(x, DiffValue) else x
-
-
-def _frozen(*operands) -> bool:
-    """True when no operand is a DiffValue: the op returns a plain ndarray."""
-    for x in operands:
-        if isinstance(x, DiffValue):
-            return False
-    return True
+def _same_shape(av: np.ndarray, bv: np.ndarray, op: str) -> None:
+    if av.shape != bv.shape:
+        raise ShapeError(f"{op}: shapes {av.shape} and {bv.shape} differ")
 
 
 def _record(out_val: np.ndarray, *pairs: tuple) -> DiffValue:
@@ -136,7 +133,7 @@ def _record(out_val: np.ndarray, *pairs: tuple) -> DiffValue:
     """
     tape = None
     for x, _ in pairs:
-        if not isinstance(x, DiffValue):
+        if type(x) is not DiffValue:
             raise TapeError("expected DiffValue operands on one tape, got a plain array")
         if tape is None:
             tape = x.tape
@@ -151,79 +148,100 @@ def _record(out_val: np.ndarray, *pairs: tuple) -> DiffValue:
     return out
 
 
+# Every op first tests each operand once with `type(x) is DiffValue` and reads
+# its matrix from that answer; when no operand is tracked it returns the plain
+# result before touching the tape machinery.
+
+
 def matmul(a: DiffValue, b: DiffValue) -> DiffValue:
     """Matrix product a @ b."""
-    av, bv = _value(a), _value(b)
+    ta, tb = type(a) is DiffValue, type(b) is DiffValue
+    av = a.value if ta else a
+    bv = b.value if tb else b
     if av.shape[1] != bv.shape[0]:
         raise ShapeError(f"matmul: shapes {av.shape} and {bv.shape} do not chain")
     out_val = av @ bv
-    if _frozen(a, b):
+    if not (ta or tb):
         return out_val
     return _record(out_val, (a, lambda g: g @ bv.T), (b, lambda g: av.T @ g))
 
 
 def add(a: DiffValue, b: DiffValue) -> DiffValue:
     """Elementwise sum of two same-shape matrices."""
-    _same_shape(a, b, "add")
-    out_val = _value(a) + _value(b)
-    if _frozen(a, b):
+    ta, tb = type(a) is DiffValue, type(b) is DiffValue
+    av = a.value if ta else a
+    bv = b.value if tb else b
+    _same_shape(av, bv, "add")
+    out_val = av + bv
+    if not (ta or tb):
         return out_val
     return _record(out_val, (a, lambda g: g), (b, lambda g: g))
 
 
 def sub(a: DiffValue, b: DiffValue) -> DiffValue:
-    _same_shape(a, b, "sub")
-    out_val = _value(a) - _value(b)
-    if _frozen(a, b):
+    ta, tb = type(a) is DiffValue, type(b) is DiffValue
+    av = a.value if ta else a
+    bv = b.value if tb else b
+    _same_shape(av, bv, "sub")
+    out_val = av - bv
+    if not (ta or tb):
         return out_val
     return _record(out_val, (a, lambda g: g), (b, lambda g: -g))
 
 
 def mul(a: DiffValue, b: DiffValue) -> DiffValue:
     """Elementwise (Hadamard) product."""
-    _same_shape(a, b, "mul")
-    av, bv = _value(a), _value(b)
+    ta, tb = type(a) is DiffValue, type(b) is DiffValue
+    av = a.value if ta else a
+    bv = b.value if tb else b
+    _same_shape(av, bv, "mul")
     out_val = av * bv
-    if _frozen(a, b):
+    if not (ta or tb):
         return out_val
     return _record(out_val, (a, lambda g: g * bv), (b, lambda g: g * av))
 
 
 def div(a: DiffValue, b: DiffValue) -> DiffValue:
     """Elementwise quotient a / b."""
-    _same_shape(a, b, "div")
-    av, bv = _value(a), _value(b)
+    ta, tb = type(a) is DiffValue, type(b) is DiffValue
+    av = a.value if ta else a
+    bv = b.value if tb else b
+    _same_shape(av, bv, "div")
     out_val = av / bv
-    if _frozen(a, b):
+    if not (ta or tb):
         return out_val
     return _record(out_val, (a, lambda g: g / bv), (b, lambda g: -g * av / (bv * bv)))
 
 
 def scale(a: DiffValue, s: float) -> DiffValue:
     """Multiply by a python scalar (constant, no gradient of its own)."""
+    ta = type(a) is DiffValue
     s = float(s)
-    out_val = s * _value(a)
-    if _frozen(a):
+    out_val = s * (a.value if ta else a)
+    if not ta:
         return out_val
     return _record(out_val, (a, lambda g: s * g))
 
 
 def add_rowvec(a: DiffValue, b: DiffValue) -> DiffValue:
     """Add a 1 x d row vector to every row of an n x d matrix."""
-    av, bv = _value(a), _value(b)
+    ta, tb = type(a) is DiffValue, type(b) is DiffValue
+    av = a.value if ta else a
+    bv = b.value if tb else b
     if bv.shape[0] != 1 or bv.shape[1] != av.shape[1]:
         raise ShapeError(f"add_rowvec: {av.shape} plus row {bv.shape}")
     out_val = av + bv
-    if _frozen(a, b):
+    if not (ta or tb):
         return out_val
     return _record(out_val, (a, lambda g: g), (b, lambda g: g.sum(axis=0, keepdims=True)))
 
 
 def relu(a: DiffValue) -> DiffValue:
     """Elementwise max(0, x); subgradient at 0 is 0."""
-    av = _value(a)
+    ta = type(a) is DiffValue
+    av = a.value if ta else a
     out_val = np.maximum(0.0, av)
-    if _frozen(a):
+    if not ta:
         return out_val
     mask = av > 0.0  # kept in place of the input, an eighth of its size
     return _record(out_val, (a, lambda g: g * mask))
@@ -231,47 +249,52 @@ def relu(a: DiffValue) -> DiffValue:
 
 def softmax_rows(a: DiffValue) -> DiffValue:
     """Row-wise softmax with max subtraction for overflow safety."""
-    av = _value(a)
+    ta = type(a) is DiffValue
+    av = a.value if ta else a
     shifted = av - av.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=1, keepdims=True)
-    if _frozen(a):
+    if not ta:
         return y
     return _record(y, (a, lambda g: y * (g - (g * y).sum(axis=1, keepdims=True))))
 
 
 def log(a: DiffValue) -> DiffValue:
     """Elementwise natural log. Callers clamp away from 0 first."""
-    av = _value(a)
+    ta = type(a) is DiffValue
+    av = a.value if ta else a
     if np.any(av <= 0.0):
         raise ValueError("log: non-positive entry; clamp inputs first")
     out_val = np.log(av)
-    if _frozen(a):
+    if not ta:
         return out_val
     return _record(out_val, (a, lambda g: g / av))
 
 
 def exp(a: DiffValue) -> DiffValue:
-    out_val = np.exp(_value(a))
-    if _frozen(a):
+    ta = type(a) is DiffValue
+    out_val = np.exp(a.value if ta else a)
+    if not ta:
         return out_val
     return _record(out_val, (a, lambda g: g * out_val))
 
 
 def clamp(a: DiffValue, lo: float, hi: float) -> DiffValue:
     """Clip entries to [lo, hi]; gradient passes only where unclipped."""
-    av = _value(a)
+    ta = type(a) is DiffValue
+    av = a.value if ta else a
     out_val = np.clip(av, lo, hi)
-    if _frozen(a):
+    if not ta:
         return out_val
     return _record(out_val, (a, lambda g: g * ((av >= lo) & (av <= hi))))
 
 
 def sum_all(a: DiffValue) -> DiffValue:
     """Sum of all entries, as a 1 x 1 matrix."""
-    av = _value(a)
+    ta = type(a) is DiffValue
+    av = a.value if ta else a
     out_val = np.array([[av.sum()]])
-    if _frozen(a):
+    if not ta:
         return out_val
     return _record(out_val, (a, lambda g: np.full(av.shape, g[0, 0])))
 
@@ -286,7 +309,8 @@ def column_sum(a: DiffValue, bounds=None) -> DiffValue:
     permutations. Sum gradients don't care about order, so the VJP repeats
     each output row over its segment.
     """
-    av = _value(a)
+    ta = type(a) is DiffValue
+    av = a.value if ta else a
     rows = av.shape[0]
     b = np.asarray((0, rows) if bounds is None else bounds, dtype=np.intp).reshape(-1)
     if b.size < 2 or b[0] != 0 or b[-1] != rows or np.any(np.diff(b) < 0):
@@ -294,7 +318,7 @@ def column_sum(a: DiffValue, bounds=None) -> DiffValue:
     out_val = np.vstack(
         [np.sort(av[s:e], axis=0).sum(axis=0, keepdims=True) for s, e in zip(b[:-1], b[1:])]
     )
-    if _frozen(a):
+    if not ta:
         return out_val
     counts = np.diff(b)
     return _record(out_val, (a, lambda g: np.repeat(g, counts, axis=0)))
@@ -302,17 +326,19 @@ def column_sum(a: DiffValue, bounds=None) -> DiffValue:
 
 def row_sum(a: DiffValue) -> DiffValue:
     """Row sums: n x d -> n x 1."""
-    av = _value(a)
+    ta = type(a) is DiffValue
+    av = a.value if ta else a
     out_val = av.sum(axis=1, keepdims=True)
-    if _frozen(a):
+    if not ta:
         return out_val
     return _record(out_val, (a, lambda g: np.repeat(g, av.shape[1], axis=1)))
 
 
 def transpose(a: DiffValue) -> DiffValue:
     """a.T as a C-order matrix."""
-    out_val = np.ascontiguousarray(_value(a).T)
-    if _frozen(a):
+    ta = type(a) is DiffValue
+    out_val = np.ascontiguousarray((a.value if ta else a).T)
+    if not ta:
         return out_val
     return _record(out_val, (a, lambda g: np.ascontiguousarray(g.T)))
 
@@ -336,10 +362,11 @@ def propagate(blocks, x: DiffValue) -> DiffValue:
     matmul, and its VJP is blocks[b].T @ g[s:e]. No n x n matrix of the whole
     stack is formed.
     """
-    xv = _value(x)
+    tx = type(x) is DiffValue
+    xv = x.value if tx else x
     rows = 0
     for block in blocks:
-        if isinstance(block, DiffValue):
+        if type(block) is DiffValue:
             raise TapeError("propagate: blocks are constants; got a DiffValue, not a plain array")
         if block.ndim != 2 or block.shape[0] != block.shape[1]:
             raise ShapeError(f"propagate: block of shape {block.shape} is not square")
@@ -347,7 +374,7 @@ def propagate(blocks, x: DiffValue) -> DiffValue:
     if rows != xv.shape[0]:
         raise ShapeError(f"propagate: blocks cover {rows} rows, operand {xv.shape}")
     out_val = _block_products(blocks, xv)
-    if _frozen(x):
+    if not tx:
         return out_val
     return _record(out_val, (x, lambda g: _block_products([blk.T for blk in blocks], g)))
 
@@ -357,20 +384,23 @@ def l2_norm_rows(a: DiffValue, floor: float = 1e-12) -> DiffValue:
 
     Rows at the floor get zero gradient: the output is constant there.
     """
-    av = _value(a)
+    ta = type(a) is DiffValue
+    av = a.value if ta else a
     norms = np.sqrt((av * av).sum(axis=1, keepdims=True))
     clamped = np.maximum(norms, floor)
-    if _frozen(a):
+    if not ta:
         return clamped
     return _record(clamped, (a, lambda g: (g * (norms > floor) / clamped) * av))
 
 
 def dot(a: DiffValue, b: DiffValue) -> DiffValue:
     """Sum of the elementwise product of two same-shape matrices (1 x 1)."""
-    _same_shape(a, b, "dot")
-    av, bv = _value(a), _value(b)
+    ta, tb = type(a) is DiffValue, type(b) is DiffValue
+    av = a.value if ta else a
+    bv = b.value if tb else b
+    _same_shape(av, bv, "dot")
     out_val = np.array([[float((av * bv).sum())]])
-    if _frozen(a, b):
+    if not (ta or tb):
         return out_val
     return _record(out_val, (a, lambda g: g[0, 0] * bv), (b, lambda g: g[0, 0] * av))
 

@@ -456,12 +456,10 @@ def generate_synthetic(
         rng = seeded_rng(seed, "synth", j)
         k = j % classes
         n = int(rng.integers(lo, hi + 1))
-        edges = [
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if rng.random() < edge_density_per_class[k]
-        ]
+        # one uniform draw per candidate edge, in (u, v) order with u < v
+        keep = rng.random(n * (n - 1) // 2) < edge_density_per_class[k]
+        u, v = np.triu_indices(n, 1)
+        edges = np.column_stack((u[keep], v[keep]))
         graphs.append(GraphInstance(n, edges, _UNSET, k, rng.integers(1, 4, size=n)))
     ds = GraphDataset(name=name, graphs=tuple(graphs), num_classes=classes, feature_dim=0)
     return build_node_features(ds, default_policy(True))

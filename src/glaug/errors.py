@@ -20,3 +20,9 @@ class DatasetFormatError(InputError):
 
 class InvariantViolation(RuntimeError):
     """An internal contract that should be unbreakable was broken."""
+
+
+class TrainingDiverged(InputError):
+    """Training produced a value that is not finite, for example after a
+    learning rate, alpha or eta too large for float64; the message names the
+    fold and the epoch or pass."""

@@ -16,6 +16,8 @@ themselves and returns plain ndarrays with the same bits.
 
 from __future__ import annotations
 
+import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,17 +47,54 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-s, s, size=(fan_in, fan_out))
 
 
+class _Views(dict):
+    """Name -> view of a parameter vector. Assigning to a name writes the
+    values into its view, so the vector stays the only store."""
+
+    def __setitem__(self, name: str, values) -> None:
+        view = self[name]
+        values = np.asarray(values, dtype=np.float64)
+        if values.shape != view.shape:
+            raise ad.ShapeError(f"{name}: shape {values.shape} does not fit {view.shape}")
+        view[...] = values
+
+
 class ModelParams:
     """All trainable arrays, keyed by name, plus the shape chain they satisfy.
 
     Encoder: enc0 (feature_dim x hidden), enc1..enc{L-1} (hidden x hidden),
     no biases. Heads: w1/b1 (hidden x hidden), w2/b2 to num_classes (cls_*)
     or proj_dim (proj_*).
+
+    Every array lives in one contiguous float64 vector, `flat`, in key order;
+    `arrays[name]` is a 2-D view of its part. `copy` is one copy of the
+    vector and `adam_step` one pass over it. Updating a view in place, or
+    assigning `arrays[name] = values` of the same shape, writes the vector.
     """
 
     def __init__(self, arrays: dict[str, np.ndarray], depth: int) -> None:
-        self.arrays = arrays
+        for name, values in arrays.items():
+            if np.ndim(values) != 2:
+                raise ad.ShapeError(f"{name}: expected a 2-D matrix, got ndim={np.ndim(values)}")
+        self._layout = tuple((name, np.shape(values)) for name, values in arrays.items())
         self.depth = depth
+        self._place(np.empty(sum(math.prod(shape) for _, shape in self._layout)))
+        for name, values in arrays.items():
+            self.arrays[name] = values
+
+    def views(self, vector: np.ndarray) -> _Views:
+        """Name -> 2-D view of the part of `vector` (laid out like `flat`) that
+        holds that array."""
+        views, at = {}, 0
+        for name, shape in self._layout:
+            size = math.prod(shape)
+            views[name] = vector[at : at + size].reshape(shape)
+            at += size
+        return _Views(views)
+
+    def _place(self, flat: np.ndarray) -> None:
+        self.flat = flat
+        self.arrays = self.views(flat)
 
     @classmethod
     def init(
@@ -85,20 +124,33 @@ class ModelParams:
         return cls(arrays, depth)
 
     def copy(self) -> "ModelParams":
-        return ModelParams({k: v.copy() for k, v in self.arrays.items()}, self.depth)
+        """An independent copy: one copy of the parameter vector."""
+        dup = copy.copy(self)
+        dup._place(self.flat.copy())
+        return dup
 
     def bind(self, tape: Tape | None = None, prefix: str = "") -> dict:
         """Name -> operand for the forward functions, for names starting with `prefix`.
 
-        With a tape, every array becomes a leaf that requires a gradient.
-        Without one the binding is frozen: the arrays themselves, each checked
-        2-D and finite here, once, and none copied. A frozen binding is only
-        valid while the arrays are not updated, so bind once per pass.
+        With a tape, the parameter vector is copied once and checked finite
+        once, and every array becomes a leaf that requires a gradient and
+        holds a view of that copy: later updates to the parameters do not
+        reach the tape. Without one the binding is frozen: the arrays
+        themselves, each checked 2-D and finite here, once, and none copied.
+        A frozen binding is only valid while the arrays are not updated, so
+        bind once per pass.
         """
-        arrays = {k: v for k, v in self.arrays.items() if k.startswith(prefix)}
         if tape is None:
-            return {k: ad.as_matrix(v, copy=False) for k, v in arrays.items()}
-        return {k: tape.leaf(v, requires_grad=True) for k, v in arrays.items()}
+            return {
+                k: ad.as_matrix(v, copy=False) for k, v in self.arrays.items() if k.startswith(prefix)
+            }
+        flat = self.flat.copy()
+        if not np.isfinite(flat).all():
+            raise ValueError("matrix contains NaN or Inf")
+        return {
+            k: tape.leaf(v, requires_grad=True, copy=False)
+            for k, v in self.views(flat).items() if k.startswith(prefix)
+        }
 
 
 # ------------------------------------------------------------------ forward

@@ -17,7 +17,10 @@ the same forward on chunks of at most FROZEN_CHUNK graphs.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import multiprocessing
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -29,7 +32,7 @@ from .augment import (
 )
 from .autodiff import DiffValue, Tape
 from .data import FoldPlan, GraphDataset, assign_labels, generate_synthetic, make_folds
-from .errors import InputError, InvariantViolation
+from .errors import InputError, InvariantViolation, TrainingDiverged
 from .model import (
     GraphBatch,
     ModelParams,
@@ -191,12 +194,17 @@ def total_loss(l_p: DiffValue, l_c: DiffValue | None, alpha: float) -> DiffValue
 
 @dataclass
 class AdamState:
+    """Adam's moments and step count. `m[name]` and `v[name]` are views of
+    two vectors laid out like the parameters' `flat`, made at the first step."""
+
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    # the m and v vectors, then two scratch vectors: the gradient, the step
+    vectors: tuple[np.ndarray, ...] = field(default=(), repr=False)
 
 
 def adam_step(
@@ -205,29 +213,44 @@ def adam_step(
     """One bias-corrected Adam update, in place on params and state:
     m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) (g g);
     arr -= (lr (m / (1 - b1^t))) / (sqrt(v / (1 - b2^t)) + eps).
-    Each operation writes into one of two scratch buffers, in the order the
-    expression evaluates, so the bits equal the expression's."""
+    The gradients are gathered into one vector laid out like `params.flat`,
+    and the formula runs once over the whole vector (Kingma & Ba,
+    arXiv:1412.6980). Each operation writes into one of two scratch vectors
+    kept in `state`, in the order the expression evaluates; the update is
+    elementwise, so the bits equal the expression's applied to each array on
+    its own."""
+    for name, arr in params.arrays.items():
+        if grads[name].shape != arr.shape:
+            raise InvariantViolation(
+                f"gradient shape {grads[name].shape} != param {arr.shape} ({name})"
+            )
+    if not state.vectors:
+        state.vectors = tuple(np.zeros_like(params.flat) for _ in range(4))
+        state.m, state.v = params.views(state.vectors[0]), params.views(state.vectors[1])
+    m, v, g, step = state.vectors
+    np.concatenate([grads[name].ravel() for name in params.arrays], out=g)
     state.step += 1
     t = state.step
-    for name, arr in params.arrays.items():
-        g = grads[name]
-        if g.shape != arr.shape:
-            raise InvariantViolation(f"gradient shape {g.shape} != param {arr.shape} ({name})")
-        m = state.m.setdefault(name, np.zeros_like(arr))
-        v = state.v.setdefault(name, np.zeros_like(arr))
-        step, denom = np.empty_like(arr), np.empty_like(arr)
-        m *= state.beta1
-        m += np.multiply(1 - state.beta1, g, out=step)
-        v *= state.beta2
-        np.multiply(g, g, out=step)
-        v += np.multiply(1 - state.beta2, step, out=step)
-        np.divide(v, 1 - state.beta2**t, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += state.eps
-        np.divide(m, 1 - state.beta1**t, out=step)
-        np.multiply(lr, step, out=step)
-        step /= denom
-        arr -= step
+    m *= state.beta1
+    m += np.multiply(1 - state.beta1, g, out=step)
+    v *= state.beta2
+    np.multiply(g, g, out=g)  # the gradient is not read again: g holds g g, then the denominator
+    v += np.multiply(1 - state.beta2, g, out=g)
+    denom = np.divide(v, 1 - state.beta2**t, out=g)
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    np.divide(m, 1 - state.beta1**t, out=step)
+    np.multiply(lr, step, out=step)
+    step /= denom
+    params.flat -= step
+
+
+def _adam_finite(params: ModelParams, grads: dict, state: AdamState, lr: float, where: str) -> None:
+    """`adam_step`, then a TrainingDiverged naming `where` if it left a
+    parameter NaN or infinite."""
+    adam_step(params, grads, state, lr)
+    if not np.isfinite(params.flat).all():
+        raise TrainingDiverged(f"{where}: training diverged, a parameter is not finite")
 
 
 # ----------------------------------------------------------------- training
@@ -266,7 +289,8 @@ def _batches(order: list[int], batch_size: int) -> list[list[int]]:
 
 
 def _select(
-    h: np.ndarray, labels: list, params: ModelParams, cfg: TrainConfig, d: float, rngs: list
+    h: np.ndarray, labels: list, params: ModelParams, cfg: TrainConfig, d: float, rngs: list,
+    where: str = "selection",
 ) -> tuple[np.ndarray, list[AugmentationOutcome]]:
     """The label-invariant selection of every row of the frozen B x h matrix `h`.
 
@@ -274,8 +298,14 @@ def _select(
     None; one frozen `classify` scores all B rows for it. Row b then gets one
     `augment` call with rng `rngs[b]` and `cfg`'s eta, K and strategy, all
     sharing one classifier binding. Returns the B x h offsets and the B
-    outcomes, in row order.
+    outcomes, in row order. An offset length eta * d that is not finite is a
+    TrainingDiverged naming `where`, raised before any offset is drawn.
     """
+    if not math.isfinite(cfg.eta * d):
+        raise TrainingDiverged(
+            f"{where}: training diverged, the offset length eta * d = {cfg.eta:g} * {d:g} "
+            "is not finite"
+        )
     frozen = params.bind(prefix="cls")
     probs = classify(h, frozen)
     outcomes = [
@@ -312,8 +342,14 @@ def _batch_objective(
     return total_loss(l_p, l_c, cfg.alpha), l_p, l_c
 
 
+@np.errstate(over="ignore", invalid="ignore")  # divergence is reported as TrainingDiverged
 def train_fold(dataset: GraphDataset, fold: FoldPlan, cfg: TrainConfig) -> FoldResult:
-    """Train on one fold; returns the best-validation checkpoint's metrics."""
+    """Train on one fold; returns the best-validation checkpoint's metrics.
+
+    Training that leaves a parameter, an offset length or a representation
+    NaN or infinite stops with a TrainingDiverged naming the fold and the
+    epoch (or the rate pass); numpy's overflow warnings on the way are muted.
+    """
     train = list(fold.train_indices)
     labeled = set(fold.labeled_mask)
     if cfg.negative_pairs and len(train) < 2:
@@ -344,6 +380,7 @@ def train_fold(dataset: GraphDataset, fold: FoldPlan, cfg: TrainConfig) -> FoldR
 
         pair_sum, pair_n = 0.0, 0
         cls_sum, cls_n = 0.0, 0
+        where = f"fold {fold.fold_index}, epoch {epoch}"
         for batch in _batches(order, cfg.batch_size):
             tape = Tape()
             bound = params.bind(tape)
@@ -353,7 +390,7 @@ def train_fold(dataset: GraphDataset, fold: FoldPlan, cfg: TrainConfig) -> FoldR
             labels = [dataset.graphs[i].label if i in labeled else None for i in batch]
             rngs = [seeded_rng(cfg.seed, "aug", fold.fold_index, epoch, i) for i in batch]
             # selection is gated by the parameters entering this step
-            offsets, chosen = _select(h, labels, params, cfg, d, rngs)
+            offsets, chosen = _select(h, labels, params, cfg, d, rngs, where)
             selections += [(o.qualified_count, o.chosen_target_prob) for o in chosen]
             onehot = np.zeros((len(batch), dataset.num_classes))
             for pos, label in enumerate(labels):
@@ -363,7 +400,7 @@ def train_fold(dataset: GraphDataset, fold: FoldPlan, cfg: TrainConfig) -> FoldR
             loss, l_p, l_c = _batch_objective(bound, h_o, offsets, onehot, cfg)
             ad.backward(loss)
             grads = {name: leaf.grad for name, leaf in bound.items()}
-            adam_step(params, grads, state, cfg.learning_rate)
+            _adam_finite(params, grads, state, cfg.learning_rate, where)
 
             pair_sum += float(l_p.value[0, 0]) * len(batch)
             pair_n += len(batch)
@@ -401,9 +438,12 @@ def train_fold(dataset: GraphDataset, fold: FoldPlan, cfg: TrainConfig) -> FoldR
 # --------------------------------------------------------- invariance rate
 
 
-def _train_surrogate(h: np.ndarray, labels: np.ndarray, num_classes: int, rng) -> ModelParams:
+def _train_surrogate(
+    h: np.ndarray, labels: np.ndarray, num_classes: int, rng, where: str
+) -> ModelParams:
     """Fresh classifier head fit on frozen representations with full labels,
-    by full-batch Adam on `classification_loss` of its single prediction."""
+    by full-batch Adam on `classification_loss` of its single prediction.
+    Every step's tape holds `h` and the one-hot mask as constants, not copies."""
     hidden = h.shape[1]
     head = ModelParams(
         {
@@ -421,7 +461,8 @@ def _train_surrogate(h: np.ndarray, labels: np.ndarray, num_classes: int, rng) -
         bound = head.bind(tape)
         loss = classification_loss(classify(tape.constant(h), bound), None, tape.constant(onehot))
         ad.backward(loss)
-        adam_step(head, {k: leaf.grad for k, leaf in bound.items()}, state, SURROGATE_LR)
+        grads = {k: leaf.grad for k, leaf in bound.items()}
+        _adam_finite(head, grads, state, SURROGATE_LR, where)
     return head
 
 
@@ -439,16 +480,19 @@ def label_invariant_rate(
     by one batch `classify` of the original rows and one of the augmented rows.
     """
     train = list(fold.train_indices)
+    where = f"fold {fold.fold_index}, invariance rate pass"
     h = _representations(dataset, params, train)
+    if not np.isfinite(h).all():
+        raise TrainingDiverged(f"{where}: training diverged, a representation is not finite")
     labels = np.array([dataset.graphs[i].label for i in train])
     surrogate = _train_surrogate(
-        h, labels, dataset.num_classes, seeded_rng(cfg.seed, "surrogate", fold.fold_index)
+        h, labels, dataset.num_classes, seeded_rng(cfg.seed, "surrogate", fold.fold_index), where
     )
 
     labeled = set(fold.labeled_mask)
     known = [dataset.graphs[i].label if i in labeled else None for i in train]
     rngs = [seeded_rng(cfg.seed, "rate", fold.fold_index, i) for i in train]
-    offsets, _ = _select(h, known, params, cfg, centroid_distance(h), rngs)
+    offsets, _ = _select(h, known, params, cfg, centroid_distance(h), rngs, where)
     probe = surrogate.bind()
     before = np.argmax(classify(h, probe), axis=1)
     after = np.argmax(classify(h + offsets, probe), axis=1)
@@ -622,6 +666,53 @@ def _run_fold_task(args) -> FoldResult:
     return train_fold(dataset, fold, cfg)
 
 
+SET_BLAS_THREADS = "scipy_openblas_set_num_threads64_"
+GET_BLAS_THREADS = "scipy_openblas_get_num_threads64_"
+
+
+def _blas_function(name: str):
+    """The thread-count function `name` (SET_ or GET_BLAS_THREADS) exported
+    by the BLAS library numpy loaded, typed for ctypes, or None.
+
+    numpy's core extension links that library, and a symbol lookup through
+    the extension's handle also searches the libraries it links.
+    """
+    try:
+        from numpy._core import _multiarray_umath
+
+        fn = getattr(ctypes.CDLL(_multiarray_umath.__file__), name)
+    except (ImportError, OSError, AttributeError):
+        return None
+    if name == SET_BLAS_THREADS:
+        fn.argtypes, fn.restype = [ctypes.c_int], None
+    else:
+        fn.argtypes, fn.restype = [], ctypes.c_int
+    return fn
+
+
+def _pin_blas() -> None:
+    """Pool initializer: this fold worker runs BLAS on one thread."""
+    pin = _blas_function(SET_BLAS_THREADS)
+    if pin is not None:
+        pin(1)
+
+
+def _fold_pool(workers: int) -> ProcessPoolExecutor:
+    """A fork pool of `workers` fold processes, each running BLAS on one
+    thread, so N workers use N cores. Forked workers inherit the parent's
+    state (the benchmark's tracer relies on it). Where numpy's BLAS exports no
+    thread setter, the workers keep its thread count and one warning says so.
+    """
+    if _blas_function(SET_BLAS_THREADS) is None:
+        print(
+            f"warning: numpy's BLAS has no {SET_BLAS_THREADS}; fold workers keep its thread count",
+            file=sys.stderr,
+        )
+    return ProcessPoolExecutor(
+        max_workers=workers, mp_context=multiprocessing.get_context("fork"), initializer=_pin_blas
+    )
+
+
 def run_experiment(dataset: GraphDataset, cfg: TrainConfig, workers: int = 1) -> ExperimentResult:
     """Full 10-fold protocol; folds are independent, so workers > 1 shards
     them across processes without changing any result."""
@@ -631,7 +722,7 @@ def run_experiment(dataset: GraphDataset, cfg: TrainConfig, workers: int = 1) ->
     ]
     if workers > 1:
         # a fork pool starts every worker at the first submit, so open no more than there are folds
-        with ProcessPoolExecutor(max_workers=min(workers, len(plans))) as pool:
+        with _fold_pool(min(workers, len(plans))) as pool:
             results = list(pool.map(_run_fold_task, [(dataset, p, cfg) for p in plans]))
     else:
         results = [train_fold(dataset, p, cfg) for p in plans]

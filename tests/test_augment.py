@@ -313,3 +313,38 @@ def test_outcome_invariant_chain_with_positive_step(seed):
     same = np.array_equal(h + out.offset, h)
     assert out.fallback == (out.qualified_count == 0) == same
     assert (out.chosen_target_prob is None) == out.fallback
+
+
+def row_by_row_augment(h, target, frozen, cfg, d, rng):
+    """The selection with each candidate built as h + its offset row and
+    scored on its own, kept as the reference for the candidate block."""
+    offsets = (cfg.eta * d) * ga.unit_directions(cfg.num_candidates, h.shape[1], rng)
+    qualified = []
+    for k in range(cfg.num_candidates):
+        probs = ga.snapshot_probs(frozen, h + offsets[k : k + 1])
+        if int(np.argmax(probs)) == target:
+            qualified.append((k, float(probs[0, target])))
+    if not qualified:
+        return np.zeros_like(h), 0, None
+    if cfg.strategy == "hardest":
+        k, prob = min(qualified, key=lambda c: c[1])
+    elif cfg.strategy == "easiest":
+        k, prob = max(qualified, key=lambda c: c[1])
+    else:
+        k, prob = qualified[int(rng.integers(len(qualified)))]
+    return offsets[k : k + 1], len(qualified), prob
+
+
+@pytest.mark.parametrize("strategy", ga.STRATEGIES)
+def test_candidate_block_equals_row_by_row_candidates(strategy):
+    rng = np.random.default_rng(23)
+    for trial in range(40):
+        hidden, classes = (5, 3) if trial % 2 else (32, 2)
+        frozen = ModelParams.init(4, classes, hidden=hidden, proj_dim=3, rng=rng).bind(prefix="cls")
+        h = rng.normal(size=(1, hidden))
+        cfg = CFG(strategy=strategy, num_candidates=1 + trial % 10, eta=float(rng.uniform(0, 3)))
+        target = int(rng.integers(classes))
+        got = ga.augment(h, target, frozen, cfg, 0.8, seeded_rng(5, "blk", trial))
+        offset, count, prob = row_by_row_augment(h, target, frozen, cfg, 0.8, seeded_rng(5, "blk", trial))
+        assert got.offset.tobytes() == offset.tobytes()
+        assert (got.qualified_count, got.chosen_target_prob) == (count, prob)

@@ -490,3 +490,35 @@ def test_replay_is_bit_identical(seed):
     v1, g1 = run()
     v2, g2 = run()
     assert np.array_equal(v1, v2) and np.array_equal(g1, g2)
+
+
+def test_constant_aliases_a_finite_float64_matrix():
+    t = Tape()
+    raw = rng(30).normal(size=(4, 3))
+    assert t.constant(raw).value is raw
+    row = raw[1:2]  # a row view is C-ordered too
+    assert t.constant(row).value is row
+    assert not t.constant(raw).requires_grad
+
+
+@pytest.mark.parametrize("given", [
+    [[1.0, 2.0], [3.0, 4.0]],
+    np.array([[1, 2], [3, 4]]),
+    np.asfortranarray(np.arange(6.0).reshape(2, 3)),
+    np.arange(12.0).reshape(3, 4)[:, ::2],
+], ids=["list", "int", "fortran", "strided"])
+def test_constant_copies_what_it_must_convert(given):
+    c = Tape().constant(given)
+    assert c.value is not given
+    assert c.value.dtype == np.float64 and c.value.flags.c_contiguous
+    assert np.array_equal(c.value, np.asarray(given, dtype=np.float64))
+
+
+def test_constant_rejects_non_finite_and_non_matrix():
+    t = Tape()
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            t.constant(np.array([[0.0, bad]]))
+    for shape in ((3,), (2, 2, 2)):
+        with pytest.raises(ShapeError):
+            t.constant(np.zeros(shape))

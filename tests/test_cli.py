@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, artifacts, manifest reruns."""
 
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -554,3 +555,31 @@ def test_feature_kind_without_argument_rejects_one(toy_dir, tmp_path, capsys, fe
                "--out", str(tmp_path / "r")])
     assert_input_error(capsys, rc)
     assert not (tmp_path / "r").exists()
+
+
+@pytest.fixture(scope="module")
+def synth40_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("data40") / "SYNTH"
+    assert main(["gen-synth", "--graphs", "40", "--out", str(d)]) == 0
+    return d
+
+
+@pytest.mark.parametrize("workers", ["1", "2"], ids=["sequential", "parallel"])
+@pytest.mark.parametrize("flag, value", [
+    ("--lr", "1e300"), ("--eta", "1e308"), ("--alpha", "1e308"),
+], ids=["lr", "eta", "alpha"])
+def test_diverging_run_exits_one(synth40_dir, tmp_path, capsys, flag, value, workers):
+    rc = main(["run", str(synth40_dir), "--name", "SYNTH", "--epochs", "3", flag, value,
+               "--hidden", "8", "--proj-dim", "8", "--parallel-folds", workers,
+               "--out", str(tmp_path / "r")])
+    err = assert_input_error(capsys, rc)
+    assert re.search(r"fold \d+, epoch \d+: training diverged", err), err
+    assert not (tmp_path / "r").exists()
+
+
+def test_representations_diverging_after_the_last_step_exit_one(synth40_dir, tmp_path, capsys):
+    # one step per fold: its parameters are finite, the rate pass's representations are not
+    rc = main(["run", str(synth40_dir), "--name", "SYNTH", "--epochs", "1", "--batch-size", "64",
+               "--lr", "1e300", "--hidden", "8", "--proj-dim", "8", "--out", str(tmp_path / "r")])
+    err = assert_input_error(capsys, rc)
+    assert "fold 0, invariance rate pass: training diverged" in err, err

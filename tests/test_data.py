@@ -17,6 +17,7 @@ import glaug.cli as cli_mod
 from glaug import data as gd
 from glaug.cli import main
 from glaug.errors import DatasetFormatError, InputError
+from glaug.seeding import seeded_rng
 
 
 def write_files(tmp_path, name="TINY", **contents):
@@ -605,6 +606,37 @@ def test_generate_is_deterministic():
     assert gd.dataset_fingerprint(a) == gd.dataset_fingerprint(b)
     c = gd.generate_synthetic(20, seed=43)
     assert gd.dataset_fingerprint(a) != gd.dataset_fingerprint(c)
+
+
+def scalar_synthetic(num_graphs, n, density, seed):
+    """Each graph's edges drawn the scalar way, one `rng.random()` per
+    candidate edge in (u, v) order, then its node labels: the reference for
+    the block draw. Returns (edges, node labels, the next integers draw)."""
+    out = []
+    for j in range(num_graphs):
+        rng = seeded_rng(seed, "synth", j)
+        size = int(rng.integers(n, n + 1))
+        edges = [(u, v) for u in range(size) for v in range(u + 1, size) if rng.random() < density]
+        out.append((edges, rng.integers(1, 4, size=size).tolist(), int(rng.integers(1 << 62))))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 28])
+@pytest.mark.parametrize("density", [0.0, 0.5, 1.0])
+def test_block_edge_draw_equals_scalar_draws(n, density):
+    want = scalar_synthetic(6, n, density, seed=17)
+    ds = gd.generate_synthetic(6, size_range=(n, n), edge_density_per_class=(density, density),
+                               seed=17)
+    for g, (edges, node_labels, _) in zip(ds.graphs, want):
+        assert g.edges.tolist() == [list(e) for e in edges]
+        assert g.node_labels.tolist() == node_labels  # the integers draw after the edges
+    # the block leaves the generator where the scalar draws leave it
+    for j, (_, node_labels, after) in enumerate(want):
+        rng = seeded_rng(17, "synth", j)
+        rng.integers(n, n + 1)
+        rng.random(n * (n - 1) // 2)
+        assert rng.integers(1, 4, size=n).tolist() == node_labels
+        assert int(rng.integers(1 << 62)) == after
 
 
 def test_density_separates_classes():

@@ -397,3 +397,63 @@ def test_train_config_validation():
             tr.TrainConfig(label_ratio=ratio)
     cfg = tr.TrainConfig()
     assert cfg.eta == 1.0 and cfg.alpha == 1.0  # defaults under test
+
+
+def per_array_adam(arrays, grads, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """The per-array in-place update, one array at a time, kept as the reference
+    for the one pass over the flat vector."""
+    for name, arr in arrays.items():
+        g = grads[name]
+        step, denom = np.empty_like(arr), np.empty_like(arr)
+        m[name] *= b1
+        m[name] += np.multiply(1 - b1, g, out=step)
+        v[name] *= b2
+        np.multiply(g, g, out=step)
+        v[name] += np.multiply(1 - b2, step, out=step)
+        np.divide(v[name], 1 - b2**t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        np.divide(m[name], 1 - b1**t, out=step)
+        np.multiply(lr, step, out=step)
+        step /= denom
+        arr -= step
+
+
+SURROGATE_SHAPES = {"cls_w1": (128, 128), "cls_b1": (1, 128), "cls_w2": (128, 2), "cls_b2": (1, 2)}
+
+
+@pytest.mark.parametrize("which", ["surrogate", "full_model"])
+def test_flat_adam_equals_per_array_adam_bitwise(which):
+    rng = np.random.default_rng(11)
+    if which == "surrogate":
+        shapes = dict(SURROGATE_SHAPES)
+    else:
+        full = ModelParams.init(7, 3, rng=rng)
+        shapes = {k: a.shape for k, a in full.arrays.items()}
+    shapes["empty"] = (0, 5)
+    start = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+    params = ModelParams(start, depth=0)
+    want = {k: a.copy() for k, a in start.items()}
+    m = {k: np.zeros_like(a) for k, a in want.items()}
+    v = {k: np.zeros_like(a) for k, a in want.items()}
+    state = tr.AdamState()
+    for t in range(1, 201):
+        grads = {
+            k: rng.normal(size=shape) * 10.0 ** rng.integers(-6, 4) for k, shape in shapes.items()
+        }
+        lr = float(rng.uniform(1e-4, 1e-1))
+        tr.adam_step(params, grads, state, lr)
+        per_array_adam(want, grads, m, v, t, lr)
+    for k in shapes:
+        assert params.arrays[k].tobytes() == want[k].tobytes(), k
+        assert state.m[k].tobytes() == m[k].tobytes() and state.v[k].tobytes() == v[k].tobytes()
+    assert state.step == 200
+
+
+def test_adam_rejects_shape_mismatch_before_updating():
+    params = ModelParams({"a": np.ones((2, 2)), "b": np.ones((1, 3))}, depth=0)
+    before = params.flat.copy()
+    state = tr.AdamState()
+    with pytest.raises(InvariantViolation, match=r"\(b\)"):
+        tr.adam_step(params, {"a": np.ones((2, 2)), "b": np.ones((3, 1))}, state, 0.1)
+    assert params.flat.tobytes() == before.tobytes() and state.step == 0

@@ -519,3 +519,86 @@ def test_frozen_bind_copies_nothing():
     assert frozen.keys() == params.arrays.keys()
     assert all(frozen[k] is v for k, v in params.arrays.items())
     assert set(params.bind(prefix="cls")) == {"cls_w1", "cls_b1", "cls_w2", "cls_b2"}
+
+
+# ------------------------------------------------------- parameter vector
+
+
+def noisy_params(seed=0):
+    rng = np.random.default_rng(seed)
+    params = gm.ModelParams.init(4, 3, hidden=5, proj_dim=3, depth=2, rng=rng)
+    for a in params.arrays.values():
+        a += rng.normal(scale=0.1, size=a.shape)
+    return params
+
+
+def test_arrays_are_views_of_one_vector():
+    params = noisy_params()
+    assert params.flat.ndim == 1 and params.flat.flags.c_contiguous
+    assert params.flat.size == sum(a.size for a in params.arrays.values())
+    at = 0
+    for a in params.arrays.values():  # back to back, in key order
+        assert a.flags.c_contiguous and np.shares_memory(a, params.flat)
+        assert a.ravel().tobytes() == params.flat[at : at + a.size].tobytes()
+        at += a.size
+
+
+def test_copy_is_independent_of_the_original_bitwise():
+    params = noisy_params(1)
+    want = {k: v.copy() for k, v in params.arrays.items()}  # the array-by-array copy
+    dup = params.copy()
+    assert dup.depth == params.depth and list(dup.arrays) == list(params.arrays)
+    assert not np.shares_memory(dup.flat, params.flat)
+    assert all(np.shares_memory(a, dup.flat) for a in dup.arrays.values())
+    params.flat += 1.0
+    params.arrays["enc0"][0, 0] = 7.0
+    assert all(dup.arrays[k].tobytes() == want[k].tobytes() for k in want)
+    dup.arrays["cls_w2"][...] = 0.0
+    assert params.arrays["cls_w2"].tobytes() == (want["cls_w2"] + 1.0).tobytes()
+
+
+def test_tape_leaves_do_not_follow_later_updates():
+    from glaug.training import AdamState, adam_step
+
+    params = noisy_params(2)
+    g = random_graph(np.random.default_rng(2), max_nodes=6)
+    t = Tape()
+    bound = params.bind(t)
+    # the reference binding: every array copied into a leaf of its own
+    ref_tape = Tape()
+    ref = {k: ref_tape.leaf(v.copy(), requires_grad=True) for k, v in params.arrays.items()}
+    grads = {k: np.ones_like(v) for k, v in params.arrays.items()}
+    adam_step(params, grads, AdamState(), 0.5)
+    params.arrays["cls_b1"] = np.full((1, 5), 3.0)
+    for k, leaf in bound.items():
+        assert not np.shares_memory(leaf.value, params.flat)
+        assert leaf.value.tobytes() == ref[k].value.tobytes(), k
+
+    def loss(tape, b):
+        return ad.sum_all(gm.classify(gm.represent(tape, batch_of(g), b), b))
+
+    got, want = loss(t, bound), loss(ref_tape, ref)
+    assert got.value.tobytes() == want.value.tobytes()
+    ad.backward(got)
+    ad.backward(want)
+    assert all(bound[k].grad.tobytes() == ref[k].grad.tobytes() for k in bound)
+
+
+def test_assigning_an_array_writes_the_vector():
+    params = noisy_params(3)
+    params.arrays["cls_b1"] = np.full((1, 5), 2.5)
+    assert np.shares_memory(params.arrays["cls_b1"], params.flat)
+    assert np.count_nonzero(params.flat == 2.5) >= 5
+    assert params.bind()["cls_b1"].tolist() == [[2.5] * 5]
+    with pytest.raises(ad.ShapeError, match="cls_b1"):
+        params.arrays["cls_b1"] = np.ones((5, 1))
+    with pytest.raises(ad.ShapeError, match="ndim=1"):
+        gm.ModelParams({"w": np.ones(3)}, depth=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_tape_bind_rejects_non_finite(bad):
+    params = noisy_params(4)
+    params.arrays["proj_b2"][0, 1] = bad
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        params.bind(Tape())

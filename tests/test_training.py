@@ -240,13 +240,14 @@ def test_training_step_records_do_not_grow_with_batch(monkeypatch, negative_pair
 
 
 def test_fold_pool_opens_at_most_one_worker_per_fold(monkeypatch):
-    opened = []
+    opened, options = [], []
 
     class InProcessPool:
         """Stands in for ProcessPoolExecutor: records its size, starts no process."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, **kw):
             opened.append(max_workers)
+            options.append(kw)
 
         def __enter__(self):
             return self
@@ -262,4 +263,32 @@ def test_fold_pool_opens_at_most_one_worker_per_fold(monkeypatch):
     monkeypatch.setattr(tr, "ProcessPoolExecutor", InProcessPool)
     pooled = tr.run_experiment(ds, cfg, workers=5000)
     assert opened == [10]
+    assert options[0]["mp_context"].get_start_method() == "fork"
+    assert options[0]["initializer"] is tr._pin_blas
     assert pooled == tr.run_experiment(ds, cfg, workers=1)
+
+
+def _blas_threads() -> int:
+    return tr._blas_function(tr.GET_BLAS_THREADS)()
+
+
+def test_fold_pool_workers_run_blas_on_one_thread():
+    get = tr._blas_function(tr.GET_BLAS_THREADS)
+    put = tr._blas_function(tr.SET_BLAS_THREADS)
+    if get is None or put is None:
+        pytest.skip("numpy's BLAS exports no scipy_openblas thread functions")
+    before = get()
+    put(2)  # a worker that kept the count it inherited would read 2 where there are 2 cores
+    try:
+        with tr._fold_pool(1) as pool:
+            assert pool.submit(_blas_threads).result() == 1
+    finally:
+        put(before)
+
+
+def test_fold_pool_without_blas_setter_warns_once(monkeypatch, capsys):
+    monkeypatch.setattr(tr, "_blas_function", lambda name: None)
+    with tr._fold_pool(2) as pool:
+        assert list(pool.map(abs, [-1, -2, -3])) == [1, 2, 3]
+    err = capsys.readouterr().err
+    assert err.startswith("warning: ") and err.count("\n") == 1, err
