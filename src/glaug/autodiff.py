@@ -72,15 +72,13 @@ class Tape:
         self._next_id += 1
         return node_id
 
-    def leaf(self, values, requires_grad: bool = False, copy: bool = True) -> "DiffValue":
+    def leaf(self, values, requires_grad: bool = False) -> "DiffValue":
         """Register an input matrix. Only leaves can receive gradients.
 
-        The leaf holds a checked copy of `values`. With `copy=False` it holds
-        `values` itself, unchecked: the caller passes a finite 2-D float64
-        C-order array that nothing changes while the tape lives, as
-        `ModelParams.bind` does with views of the one copy it checked.
+        The leaf holds a checked copy of `values`, so later changes to the
+        caller's array (a parameter update, say) do not reach the tape.
         """
-        dv = DiffValue(as_matrix(values) if copy else values, self, requires_grad)
+        dv = DiffValue(as_matrix(values), self, requires_grad)
         if requires_grad:
             self._leaves.append(dv)
         return dv

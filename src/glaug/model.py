@@ -132,10 +132,9 @@ class ModelParams:
     def bind(self, tape: Tape | None = None, prefix: str = "") -> dict:
         """Name -> operand for the forward functions, for names starting with `prefix`.
 
-        With a tape, the parameter vector is copied once and checked finite
-        once, and every array becomes a leaf that requires a gradient and
-        holds a view of that copy: later updates to the parameters do not
-        reach the tape. Without one the binding is frozen: the arrays
+        With a tape, every array becomes a leaf that requires a gradient and
+        holds a checked copy of the array, so later updates to the parameters
+        do not reach the tape. Without one the binding is frozen: the arrays
         themselves, each checked 2-D and finite here, once, and none copied.
         A frozen binding is only valid while the arrays are not updated, so
         bind once per pass.
@@ -144,12 +143,8 @@ class ModelParams:
             return {
                 k: ad.as_matrix(v, copy=False) for k, v in self.arrays.items() if k.startswith(prefix)
             }
-        flat = self.flat.copy()
-        if not np.isfinite(flat).all():
-            raise ValueError("matrix contains NaN or Inf")
         return {
-            k: tape.leaf(v, requires_grad=True, copy=False)
-            for k, v in self.views(flat).items() if k.startswith(prefix)
+            k: tape.leaf(v, requires_grad=True) for k, v in self.arrays.items() if k.startswith(prefix)
         }
 
 

@@ -290,7 +290,7 @@ def _batches(order: list[int], batch_size: int) -> list[list[int]]:
 
 def _select(
     h: np.ndarray, labels: list, params: ModelParams, cfg: TrainConfig, d: float, rngs: list,
-    where: str = "selection",
+    where: str,
 ) -> tuple[np.ndarray, list[AugmentationOutcome]]:
     """The label-invariant selection of every row of the frozen B x h matrix `h`.
 
@@ -516,7 +516,7 @@ def _toy_batch_objective_check(rng_seed: int, num_nodes: int = 5) -> float | Non
     h = represent(None, batch, frozen)
     label = ds.graphs[0].label  # the second graph is unlabeled: a zero row
     rngs = [seeded_rng(rng_seed, "fd", idx) for idx in range(len(ds))]
-    offsets, _ = _select(h, [label, None], params, TrainConfig(), 1.0, rngs)
+    offsets, _ = _select(h, [label, None], params, TrainConfig(), 1.0, rngs, "objective check")
     onehot = np.zeros((len(ds), 2))
     onehot[0, label] = 1.0
     # relu inputs: each encoder layer's (on the layers before it), each head's on both branches
@@ -667,12 +667,11 @@ def _run_fold_task(args) -> FoldResult:
 
 
 SET_BLAS_THREADS = "scipy_openblas_set_num_threads64_"
-GET_BLAS_THREADS = "scipy_openblas_get_num_threads64_"
 
 
-def _blas_function(name: str):
-    """The thread-count function `name` (SET_ or GET_BLAS_THREADS) exported
-    by the BLAS library numpy loaded, typed for ctypes, or None.
+def _blas_function():
+    """SET_BLAS_THREADS as exported by the BLAS library numpy loaded, typed
+    for ctypes, or None.
 
     numpy's core extension links that library, and a symbol lookup through
     the extension's handle also searches the libraries it links.
@@ -680,19 +679,16 @@ def _blas_function(name: str):
     try:
         from numpy._core import _multiarray_umath
 
-        fn = getattr(ctypes.CDLL(_multiarray_umath.__file__), name)
+        pin = getattr(ctypes.CDLL(_multiarray_umath.__file__), SET_BLAS_THREADS)
     except (ImportError, OSError, AttributeError):
         return None
-    if name == SET_BLAS_THREADS:
-        fn.argtypes, fn.restype = [ctypes.c_int], None
-    else:
-        fn.argtypes, fn.restype = [], ctypes.c_int
-    return fn
+    pin.argtypes, pin.restype = [ctypes.c_int], None
+    return pin
 
 
 def _pin_blas() -> None:
     """Pool initializer: this fold worker runs BLAS on one thread."""
-    pin = _blas_function(SET_BLAS_THREADS)
+    pin = _blas_function()
     if pin is not None:
         pin(1)
 
@@ -703,7 +699,7 @@ def _fold_pool(workers: int) -> ProcessPoolExecutor:
     state (the benchmark's tracer relies on it). Where numpy's BLAS exports no
     thread setter, the workers keep its thread count and one warning says so.
     """
-    if _blas_function(SET_BLAS_THREADS) is None:
+    if _blas_function() is None:
         print(
             f"warning: numpy's BLAS has no {SET_BLAS_THREADS}; fold workers keep its thread count",
             file=sys.stderr,
