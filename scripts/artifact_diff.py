@@ -10,11 +10,13 @@ read the same on both sides. The commands cover a `gen-synth` data set, every
 experiment command, the `rerun` of each, `invariant-rate --from-run`,
 `gradcheck`, and `run` with `--negative-pairs`, `--dist-scope dataset`,
 `--parallel-folds 2`, and each feature builder by name (`--features
-degree_one_hot:4`, `constant_one` and `one_hot_node_labels`). One more `run` keeps
-the default width (hidden 128), where stacked products take BLAS's gemm path
-and single rows its gemv path; the narrow runs cannot show a difference
-between the two. Another `run` draws one candidate (K = 1) in a representation
-of width 1, so every direction is +1 or -1: the smallest block of directions.
+degree_one_hot:4`, `constant_one` and `one_hot_node_labels`). One more `run` and
+one `ablate-strategy` keep the default width (hidden 128), where stacked
+products take BLAS's gemm path and single rows its gemv path; the narrow runs
+cannot show a difference between the two, and the ablation runs all three
+selection strategies at that width. Another `run` draws one candidate (K = 1)
+in a representation of width 1, so every direction is +1 or -1: the smallest
+block of directions.
 A last `run` and its `rerun` read a data set written by hand in the shape of
 a downloaded one: CRLF line ends, blank lines, a self-loop and a repeated
 ordered pair, so the parser's line-end handling and its warnings on stderr
@@ -54,6 +56,7 @@ EXPERIMENTS = [
     ("features-constant", ["run", DATA, *TINY, "--features", "constant_one"]),
     ("features-labels", ["run", DATA, *TINY, "--features", "one_hot_node_labels"]),
     ("default-width", ["run", DATA, "--epochs", "1", "--k", "3"]),
+    ("default-width-strategies", ["ablate-strategy", DATA, "--epochs", "1", "--k", "3"]),
     ("k1-dim1", ["run", DATA, "--epochs", "1", "--k", "1", "--hidden", "1", "--proj-dim", "1",
                  "--depth", "1"]),
     ("hand-written", ["run", HAND, *TINY]),

@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import autodiff as ad
 from .autodiff import as_matrix
 from .errors import InputError, InvariantViolation
 from .model import classify
@@ -27,22 +28,22 @@ DIST_SCOPES = ("batch", "dataset")
 
 
 @dataclass(frozen=True)
-class AugmentationOutcome:
-    """One graph's augmentation pick.
+class Selection:
+    """One selection pass over B rows, in row order. Row b's offset is its
+    pick's eta * d * delta, or zeros where no candidate qualified (a fallback);
+    training adds it to the tape-bound H as a constant."""
 
-    `offset` is the picked candidate's eta * d * delta, or zeros on fallback
-    (no candidate qualified). Training re-adds this constant to the tape-bound
-    H, so the gradient of the augmented branch flows through H unchanged.
-    """
-
-    offset: np.ndarray  # 1 x h, augmented = original + offset
-    target_class: int
-    qualified_count: int
-    chosen_target_prob: float | None
+    offsets: np.ndarray  # B x h, augmented = original + offsets
+    counts: np.ndarray  # B qualified counts, each 0..K
+    chosen: np.ndarray  # B chosen target probabilities, NaN on fallback
 
     @property
-    def fallback(self) -> bool:
-        return self.qualified_count == 0
+    def qualified_count(self) -> int:  # over all rows
+        return int(self.counts.sum())
+
+    @property
+    def fallback(self) -> int:  # the number of rows that fell back
+        return int(np.count_nonzero(self.counts == 0))
 
 
 def centroid_distance(reps: np.ndarray) -> float:
@@ -73,64 +74,62 @@ def unit_directions(count: int, dim: int, rng: np.random.Generator) -> np.ndarra
 
 
 def target_class(label: int | None, original_probs: np.ndarray) -> int:
-    """Ground-truth label when known, else the classifier's own argmax.
-
-    np.argmax resolves exact ties to the lowest index, which is the tie rule.
-    """
-    if label is not None:
-        return int(label)
-    return int(np.argmax(original_probs))
+    """Ground-truth label when known, else the classifier's own argmax (np.argmax
+    resolves exact ties to the lowest index, which is the tie rule)."""
+    return int(label) if label is not None else int(np.argmax(original_probs))
 
 
 def snapshot_probs(frozen: dict, h_value: np.ndarray) -> np.ndarray:
-    """Class probabilities from the classifier snapshot, no gradients recorded.
-
-    The training path's classify() on its no-record route, so scores agree
-    bit-for-bit with the tape forward. `frozen` is the classifier's frozen
-    binding (`params.bind(prefix="cls")`), made once per selection pass, and
-    `h_value` a finite 2-D float64 matrix: `augment` checks its whole block of
-    candidates once, not each row it scores.
-    """
-    return classify(h_value, frozen)
+    """Class probabilities from the frozen binding `frozen` of the classifier:
+    `classify` with the row-exact product, so each row of the finite float64
+    matrix `h_value` gets the bits it gets scored alone, in any stack."""
+    return classify(h_value, frozen, product=ad.matmul_rows)
 
 
-def augment(
-    h: np.ndarray, target: int, frozen: dict, cfg: TrainConfig, d: float, rng: np.random.Generator
-) -> AugmentationOutcome:
-    """Draw K candidates, keep the label-invariant ones, pick one per strategy.
+def augment(h: np.ndarray, targets, frozen: dict, cfg: TrainConfig, d: float, rngs) -> Selection:
+    """Draw K candidates per row, keep the label-invariant ones, pick one per row.
 
-    The K = `cfg.num_candidates` offsets are (cfg.eta * d) times one block of
-    K unit directions, drawn before any strategy-specific rng use, so the
-    candidate pool for a given rng state is identical across strategies.
-    The candidates are one K x h block `h + offsets`. `frozen` is the
-    classifier's frozen binding; it scores each candidate row, a view of the
-    block, and rechecks the pick, one `snapshot_probs` call each.
+    Row b of the B x h matrix `h` draws its K = `cfg.num_candidates` unit
+    directions as one block from `rngs[b]`, before any strategy draw, so its
+    pool is the same under every strategy; offsets are (cfg.eta * d) times
+    them. One `snapshot_probs` call scores candidate k of every row (K calls).
+    A candidate qualifies when its argmax is `targets[b]`. `hardest` and
+    `easiest` pick the first minimal or maximal target probability in draw
+    order, `random` the `rngs[b].integers(count)`-th qualified one. A pick
+    that a single-row `classify` (the 2-D product) does not give the target
+    is an InvariantViolation.
     """
     if d < 0:
         raise InputError(f"d must be >= 0, got {d}")
     h = np.asarray(h, dtype=np.float64)
-    offsets = (cfg.eta * d) * unit_directions(cfg.num_candidates, h.shape[1], rng)
-    candidates = as_matrix(h + offsets, copy=False)
+    width, count = h.shape[1], cfg.num_candidates
+    rows = np.arange(h.shape[0])
+    targets = np.asarray(targets, dtype=np.intp)
+    offsets = np.empty((count, len(rows), width))  # K x B x h
+    for b, rng in enumerate(rngs):
+        offsets[:, b] = unit_directions(count, width, rng)
+    offsets *= cfg.eta * d
+    # candidate k of every row, h + offsets[k], is built (and checked finite) as it is scored
+    probs = np.stack([snapshot_probs(frozen, as_matrix(h + step, copy=False)) for step in offsets])
+    qualified = probs.argmax(axis=2) == targets  # K x B
+    target_probs = probs[:, rows, targets]
+    counts = qualified.sum(axis=0)
+    if cfg.strategy == "random":
+        drawn = [int(rng.integers(c)) if c else 0 for rng, c in zip(rngs, counts.tolist())]
+        picks = (qualified.cumsum(axis=0) > drawn).argmax(axis=0)  # the drawn-th qualified
+    elif cfg.strategy == "hardest":
+        picks = np.where(qualified, target_probs, np.inf).argmin(axis=0)  # first minimal
+    else:
+        picks = np.where(qualified, target_probs, -np.inf).argmax(axis=0)  # first maximal
 
-    qualified: list[tuple[int, float]] = []  # (draw index, target prob)
-    for k in range(cfg.num_candidates):
-        probs = snapshot_probs(frozen, candidates[k : k + 1])
-        if probs.argmax() == target:
-            qualified.append((k, float(probs[0, target])))
-
-    offset, prob = np.zeros_like(h), None
-    if qualified:
-        if cfg.strategy == "hardest":
-            k, prob = min(qualified, key=lambda c: c[1])  # first minimal: draw-order ties
-        elif cfg.strategy == "easiest":
-            k, prob = max(qualified, key=lambda c: c[1])  # first maximal
-        else:
-            k, prob = qualified[int(rng.integers(len(qualified)))]
-        offset = offsets[k : k + 1]
-        if snapshot_probs(frozen, candidates[k : k + 1]).argmax() != target:
+    kept = counts > 0
+    for b in np.flatnonzero(kept).tolist():
+        if classify(h[b : b + 1] + offsets[picks[b], b : b + 1], frozen).argmax() != targets[b]:
             raise InvariantViolation(
                 "selected augmentation lost the target class under the same snapshot"
             )
-    return AugmentationOutcome(
-        offset=offset, target_class=target, qualified_count=len(qualified), chosen_target_prob=prob
+    return Selection(
+        offsets=np.where(kept[:, None], offsets[picks, rows], 0.0),
+        counts=counts,
+        chosen=np.where(kept, target_probs[picks, rows], np.nan),
     )

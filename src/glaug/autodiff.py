@@ -164,6 +164,15 @@ def matmul(a: DiffValue, b: DiffValue) -> DiffValue:
     return _record(out_val, (a, lambda g: g @ bv.T), (b, lambda g: av.T @ g))
 
 
+def matmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for plain arrays as numpy's single-row (gemv) product on each
+    row, so row i has the bits of `matmul(a[i : i + 1], b)`; a stacked (gemm)
+    product does not promise that. No tape route."""
+    if a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul_rows: shapes {a.shape} and {b.shape} do not chain")
+    return np.matmul(a[:, None, :], b)[:, 0, :]
+
+
 def add(a: DiffValue, b: DiffValue) -> DiffValue:
     """Elementwise sum of two same-shape matrices."""
     ta, tb = type(a) is DiffValue, type(b) is DiffValue

@@ -547,13 +547,24 @@ def dataset_stats(dataset: GraphDataset) -> dict:
     }
 
 
+def _tuple_template(count: int, item: str) -> str:
+    """The %-template of a tuple of `count` items: `(a, b)`, `(a,)` or `()`."""
+    return f"({item},)" if count == 1 else "(" + ", ".join([item] * count) + ")"
+
+
 def dataset_fingerprint(dataset: GraphDataset) -> str:
-    """SHA-256 over the full structure and features; pins runs to their input."""
+    """SHA-256 over the full structure and features; pins runs to their input.
+
+    A graph's edges and node labels are hashed as the text of their tuples,
+    as first hashed; one %-format over the graph's integers writes it."""
     h = hashlib.sha256()
     h.update(f"classes={dataset.num_classes};dim={dataset.feature_dim}".encode())
-    for g in dataset.graphs:  # edges and node labels in their tuple text, as first hashed
-        h.update(f"|n={g.node_count};y={g.label};e={tuple(map(tuple, g.edges.tolist()))}".encode())
+    for g in dataset.graphs:
+        text = f"|n={g.node_count};y={g.label};e={_tuple_template(len(g.edges), '(%d, %d)')}"
+        ints = g.edges.ravel().tolist()
         if g.node_labels is not None:
-            h.update(f";nl={tuple(g.node_labels.tolist())}".encode())
-        h.update(np.ascontiguousarray(g.node_features).tobytes())
+            text += f";nl={_tuple_template(len(g.node_labels), '%d')}"
+            ints += g.node_labels.tolist()
+        h.update((text % tuple(ints)).encode())
+        h.update(np.ascontiguousarray(g.node_features))
     return h.hexdigest()

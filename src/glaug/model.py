@@ -212,9 +212,9 @@ def layer_input(batch: GraphBatch, out, theta):
     return ad.matmul(ad.propagate(batch.blocks, out), theta)
 
 
-def hidden_input(h, bound: dict, head: str):
+def hidden_input(h, bound: dict, head: str, product=ad.matmul):
     """The relu input of a head's hidden layer: h W1 + b1, for head "cls" or "proj"."""
-    return ad.add_rowvec(ad.matmul(h, bound[f"{head}_w1"]), bound[f"{head}_b1"])
+    return ad.add_rowvec(product(h, bound[f"{head}_w1"]), bound[f"{head}_b1"])
 
 
 def pool(nodes: DiffValue, bounds=None) -> DiffValue:
@@ -222,10 +222,11 @@ def pool(nodes: DiffValue, bounds=None) -> DiffValue:
     return ad.column_sum(nodes, bounds)
 
 
-def classify(h: DiffValue, bound: dict) -> DiffValue:
-    """Class probabilities: softmax(relu(h W1 + b1) W2 + b2), one row per row of h."""
-    hidden = ad.relu(hidden_input(h, bound, "cls"))
-    logits = ad.add_rowvec(ad.matmul(hidden, bound["cls_w2"]), bound["cls_b2"])
+def classify(h: DiffValue, bound: dict, product=ad.matmul) -> DiffValue:
+    """Class probabilities: softmax(relu(h W1 + b1) W2 + b2), one row per row of h.
+    Frozen callers may pass `ad.matmul_rows` as both products' `product`."""
+    hidden = ad.relu(hidden_input(h, bound, "cls", product))
+    logits = ad.add_rowvec(product(hidden, bound["cls_w2"]), bound["cls_b2"])
     return ad.softmax_rows(logits)
 
 

@@ -6,8 +6,9 @@ its augmented twin and L_cls is cross-entropy on the labeled subset, applied
 to both the original and augmented predictions. Augmentation targets come
 from ground truth when the graph is labeled and from the live classifier's
 argmax otherwise, recomputed every step. One selection pass (`_select`)
-picks the augmentations of a batch of rows; training, the invariance rate
-and the objective's gradient check all use it.
+picks the augmentations of a batch of rows with one `augment` call, which
+returns the offsets, qualified counts and chosen probabilities as arrays;
+training, the invariance rate and the objective's gradient check all use it.
 
 A step is one computation over its batch of B graphs: one encoder forward on
 their disjoint union gives the B x h matrix H, each head runs once on H and
@@ -27,9 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .augment import (
-    DIST_SCOPES, STRATEGIES, AugmentationOutcome, augment, centroid_distance, target_class,
-)
+from .augment import DIST_SCOPES, STRATEGIES, Selection, augment, centroid_distance, target_class
 from .autodiff import DiffValue, Tape
 from .data import FoldPlan, GraphDataset, assign_labels, generate_synthetic, make_folds
 from .errors import InputError, InvariantViolation, TrainingDiverged
@@ -194,11 +193,10 @@ def total_loss(l_p: DiffValue, l_c: DiffValue | None, alpha: float) -> DiffValue
 
 @dataclass
 class AdamState:
-    """Adam's moments and step count. `m[name]` and `v[name]` are views of
-    two vectors laid out like the parameters' `flat`, made at the first step."""
+    """Adam's moments and step count. The moments m and v are two vectors
+    laid out like the parameters' `flat` (`params.views` names their parts),
+    made at the first step."""
 
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -226,7 +224,6 @@ def adam_step(
             )
     if not state.vectors:
         state.vectors = tuple(np.zeros_like(params.flat) for _ in range(4))
-        state.m, state.v = params.views(state.vectors[0]), params.views(state.vectors[1])
     m, v, g, step = state.vectors
     np.concatenate([grads[name].ravel() for name in params.arrays], out=g)
     state.step += 1
@@ -291,16 +288,12 @@ def _batches(order: list[int], batch_size: int) -> list[list[int]]:
 def _select(
     h: np.ndarray, labels: list, params: ModelParams, cfg: TrainConfig, d: float, rngs: list,
     where: str,
-) -> tuple[np.ndarray, list[AugmentationOutcome]]:
-    """The label-invariant selection of every row of the frozen B x h matrix `h`.
-
-    Row b's target is `labels[b]`, or the classifier's argmax when that is
-    None; one frozen `classify` scores all B rows for it. Row b then gets one
-    `augment` call with rng `rngs[b]` and `cfg`'s eta, K and strategy, all
-    sharing one classifier binding. Returns the B x h offsets and the B
-    outcomes, in row order. An offset length eta * d that is not finite is a
-    TrainingDiverged naming `where`, raised before any offset is drawn.
-    """
+) -> Selection:
+    """The label-invariant selection of every row of the frozen B x h matrix `h`:
+    one `augment` call, row b drawing from `rngs[b]`. Row b's target is
+    `labels[b]`, or where that is None the argmax of one frozen `classify` of
+    all B rows. An offset length eta * d that is not finite is a
+    TrainingDiverged naming `where`, raised before any offset is drawn."""
     if not math.isfinite(cfg.eta * d):
         raise TrainingDiverged(
             f"{where}: training diverged, the offset length eta * d = {cfg.eta:g} * {d:g} "
@@ -308,11 +301,8 @@ def _select(
         )
     frozen = params.bind(prefix="cls")
     probs = classify(h, frozen)
-    outcomes = [
-        augment(h[b : b + 1], target_class(label, probs[b]), frozen, cfg, d, rng)
-        for b, (label, rng) in enumerate(zip(labels, rngs))
-    ]
-    return np.vstack([o.offset for o in outcomes]), outcomes
+    targets = [target_class(label, row) for label, row in zip(labels, probs)]
+    return augment(h, targets, frozen, cfg, d, rngs)
 
 
 def _batch_objective(
@@ -369,7 +359,7 @@ def train_fold(dataset: GraphDataset, fold: FoldPlan, cfg: TrainConfig) -> FoldR
     val_curve: list[float] = []
     pair_curve: list[float] = []
     cls_curve: list[float] = []
-    selections: list[tuple[int, float | None]] = []  # (qualified count, chosen prob) per augment
+    selections: list[tuple[np.ndarray, np.ndarray]] = []  # (counts, chosen probs) per pass
 
     for epoch in range(1, cfg.epochs + 1):
         order = [train[i] for i in seeded_rng(cfg.seed, "shuffle", fold.fold_index, epoch).permutation(len(train))]
@@ -390,14 +380,14 @@ def train_fold(dataset: GraphDataset, fold: FoldPlan, cfg: TrainConfig) -> FoldR
             labels = [dataset.graphs[i].label if i in labeled else None for i in batch]
             rngs = [seeded_rng(cfg.seed, "aug", fold.fold_index, epoch, i) for i in batch]
             # selection is gated by the parameters entering this step
-            offsets, chosen = _select(h, labels, params, cfg, d, rngs, where)
-            selections += [(o.qualified_count, o.chosen_target_prob) for o in chosen]
+            selection = _select(h, labels, params, cfg, d, rngs, where)
+            selections.append((selection.counts, selection.chosen))
             onehot = np.zeros((len(batch), dataset.num_classes))
             for pos, label in enumerate(labels):
                 if label is not None:
                     onehot[pos, label] = 1.0
 
-            loss, l_p, l_c = _batch_objective(bound, h_o, offsets, onehot, cfg)
+            loss, l_p, l_c = _batch_objective(bound, h_o, selection.offsets, onehot, cfg)
             ad.backward(loss)
             grads = {name: leaf.grad for name, leaf in bound.items()}
             _adam_finite(params, grads, state, cfg.learning_rate, where)
@@ -419,15 +409,16 @@ def train_fold(dataset: GraphDataset, fold: FoldPlan, cfg: TrainConfig) -> FoldR
 
     test_acc = evaluate(dataset, best_params, fold.test_indices)
     rate = label_invariant_rate(best_params, dataset, fold, cfg)
-    hist = np.bincount([q for q, _ in selections], minlength=cfg.num_candidates + 1)
-    probs = [p for _, p in selections if p is not None]  # a fallback has no chosen prob
+    qualified, chosen = (np.concatenate(arrays) for arrays in zip(*selections))
+    hist = np.bincount(qualified, minlength=cfg.num_candidates + 1)
+    probs = chosen[qualified > 0].tolist()  # a fallback has no chosen prob
     return FoldResult(
         fold_index=fold.fold_index,
         best_epoch=best_epoch,
         test_accuracy=test_acc,
         validation_curve=tuple(val_curve),
         label_invariant_rate=rate,
-        fallback_rate=(len(selections) - len(probs)) / len(selections),
+        fallback_rate=(len(qualified) - len(probs)) / len(qualified),
         epoch_pair_losses=tuple(pair_curve),
         epoch_cls_losses=tuple(cls_curve),
         qualified_histogram=tuple(hist.tolist()),
@@ -492,7 +483,7 @@ def label_invariant_rate(
     labeled = set(fold.labeled_mask)
     known = [dataset.graphs[i].label if i in labeled else None for i in train]
     rngs = [seeded_rng(cfg.seed, "rate", fold.fold_index, i) for i in train]
-    offsets, _ = _select(h, known, params, cfg, centroid_distance(h), rngs, where)
+    offsets = _select(h, known, params, cfg, centroid_distance(h), rngs, where).offsets
     probe = surrogate.bind()
     before = np.argmax(classify(h, probe), axis=1)
     after = np.argmax(classify(h + offsets, probe), axis=1)
@@ -516,7 +507,8 @@ def _toy_batch_objective_check(rng_seed: int, num_nodes: int = 5) -> float | Non
     h = represent(None, batch, frozen)
     label = ds.graphs[0].label  # the second graph is unlabeled: a zero row
     rngs = [seeded_rng(rng_seed, "fd", idx) for idx in range(len(ds))]
-    offsets, _ = _select(h, [label, None], params, TrainConfig(), 1.0, rngs, "objective check")
+    selection = _select(h, [label, None], params, TrainConfig(), 1.0, rngs, "objective check")
+    offsets = selection.offsets
     onehot = np.zeros((len(ds), 2))
     onehot[0, label] = 1.0
     # relu inputs: each encoder layer's (on the layers before it), each head's on both branches
@@ -566,26 +558,25 @@ def gradient_suite(size: str = "small") -> list[tuple[str, float]]:
     def run(name, f, x):
         checks.append((name, ad.grad_check(f, x)))
 
+    def weighted(v, w):  # sum(v * w) for a fixed w: a scalar that reads every entry of v
+        return ad.sum_all(ad.mul(v, v.tape.constant(w)))
+
     b = mat()
     mm_right = mat(m, n)  # constants must be fixed across FD evaluations
     div_den = mat(shift=4.0)
-    rowvec_base = mat()
+    base = mat()
     run("matmul", lambda x: ad.sum_all(ad.matmul(x, x.tape.constant(mm_right))), mat())
     run("add", lambda x: ad.sum_all(ad.add(x, x.tape.constant(b))), mat())
     run("sub", lambda x: ad.sum_all(ad.sub(x, x.tape.constant(b))), mat())
     run("mul", lambda x: ad.sum_all(ad.mul(x, x.tape.constant(b))), mat())
     run("div", lambda x: ad.sum_all(ad.div(x, x.tape.constant(div_den))), mat())
     run("scale", lambda x: ad.sum_all(ad.scale(x, -1.7)), mat())
-    run(
-        "add_rowvec",
-        lambda x: ad.sum_all(ad.add_rowvec(x.tape.constant(rowvec_base), x)),
-        mat(1, m),
-    )
+    run("add_rowvec", lambda x: ad.sum_all(ad.add_rowvec(x.tape.constant(base), x)), mat(1, m))
     relu_x = mat()
     relu_x[np.abs(relu_x) < 1e-2] = 0.3
     run("relu", lambda x: ad.sum_all(ad.relu(x)), relu_x)
     w = mat()
-    run("softmax_rows", lambda x: ad.sum_all(ad.mul(ad.softmax_rows(x), x.tape.constant(w))), mat())
+    run("softmax_rows", lambda x: weighted(ad.softmax_rows(x), w), mat())
     run("log", lambda x: ad.sum_all(ad.log(x)), np.abs(mat()) + 0.5)
     run("exp", lambda x: ad.sum_all(ad.exp(x)), mat())
     clamp_x = mat() * 3
@@ -593,28 +584,16 @@ def gradient_suite(size: str = "small") -> list[tuple[str, float]]:
     run("clamp", lambda x: ad.sum_all(ad.clamp(x, -1.0, 1.0)), clamp_x)
     run("sum_all", lambda x: ad.sum_all(x), mat())
     wrow = mat(1, m)
-    run(
-        "column_sum",
-        lambda x: ad.sum_all(ad.mul(ad.column_sum(x), x.tape.constant(wrow))),
-        mat(),
-    )
+    run("column_sum", lambda x: weighted(ad.column_sum(x), wrow), mat())
     bounds = (0, 1, n - 1, n)  # a one-row segment, a middle one and a one-row tail
     wseg = mat(3, m)
-    run(
-        "column_sum_segments",
-        lambda x: ad.sum_all(ad.mul(ad.column_sum(x, bounds), x.tape.constant(wseg))),
-        mat(),
-    )
+    run("column_sum_segments", lambda x: weighted(ad.column_sum(x, bounds), wseg), mat())
     wcol = mat(n, 1)
-    run("row_sum", lambda x: ad.sum_all(ad.mul(ad.row_sum(x), x.tape.constant(wcol))), mat())
+    run("row_sum", lambda x: weighted(ad.row_sum(x), wcol), mat())
     wt = mat(m, n)
-    run("transpose", lambda x: ad.sum_all(ad.mul(ad.transpose(x), x.tape.constant(wt))), mat())
+    run("transpose", lambda x: weighted(ad.transpose(x), wt), mat())
     blocks = [mat(1, 1), mat(n - 1, n - 1)]
-    run(
-        "propagate",
-        lambda x: ad.sum_all(ad.mul(ad.propagate(blocks, x), x.tape.constant(b))),
-        mat(),
-    )
+    run("propagate", lambda x: weighted(ad.propagate(blocks, x), b), mat())
     run("l2_norm_rows", lambda x: ad.sum_all(ad.l2_norm_rows(x)), mat())
     run("dot", lambda x: ad.dot(x, x.tape.constant(b)), mat())
 

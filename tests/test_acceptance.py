@@ -207,8 +207,8 @@ def test_criterion_05_strategy_ordering(announce):
                 eta=1.0, num_candidates=6, strategy=strategy, dist_scope="dataset"
             )
             rng = seeded_rng(900 + trial, "acc5-pool")  # identical pool per strategy
-            out = augment(row, target, frozen, cfg, d, rng)
-            chosen[strategy] = out.chosen_target_prob
+            out = augment(row, [target], frozen, cfg, d, [rng])
+            chosen[strategy] = out.chosen[0]
             qualified = out.qualified_count
         if qualified is not None and qualified >= 2:
             checked += 1

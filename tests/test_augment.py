@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from glaug import augment as ga
 from glaug.errors import InputError, InvariantViolation
-from glaug.model import ModelParams
+from glaug.model import ModelParams, classify
 from glaug.seeding import seeded_rng
 from glaug.training import TrainConfig
 
@@ -132,9 +132,9 @@ def test_bad_dim_rejected():
 
 def test_eta_zero_is_identity():
     h = np.array([[1.0, 2.0, 3.0]])
-    out = ga.augment(h, 2, plain_classifier(3, 3), CFG(eta=0.0, num_candidates=3), 5.0,
-                     np.random.default_rng(4))
-    np.testing.assert_array_equal(h + out.offset, h)
+    out = ga.augment(h, [2], plain_classifier(3, 3), CFG(eta=0.0, num_candidates=3), 5.0,
+                     [np.random.default_rng(4)])
+    np.testing.assert_array_equal(h + out.offsets, h)
 
 
 def test_substitution_example():
@@ -143,8 +143,8 @@ def test_substitution_example():
             return np.array([[1.0, 0.0]])
 
     h = np.array([[0.0, 0.0]])
-    out = ga.augment(h, 0, plain_classifier(), CFG(eta=1.0, num_candidates=1), 1.0, StubRng())
-    np.testing.assert_array_equal(h + out.offset, [[1.0, 0.0]])
+    out = ga.augment(h, [0], plain_classifier(), CFG(eta=1.0, num_candidates=1), 1.0, [StubRng()])
+    np.testing.assert_array_equal(h + out.offsets, [[1.0, 0.0]])
 
 
 def test_displacement_norm_is_eta_times_d():
@@ -178,21 +178,21 @@ def test_single_qualified_candidate_chosen_for_every_strategy():
     h = np.array([[5.0, 0.0]])  # far from the boundary: tiny nudges always qualify
     for strategy in ga.STRATEGIES:
         out = ga.augment(
-            h, 0, frozen, CFG(eta=1.0, num_candidates=1, strategy=strategy), 0.01,
-            seeded_rng(7, "aug", 0),
+            h, [0], frozen, CFG(eta=1.0, num_candidates=1, strategy=strategy), 0.01,
+            [seeded_rng(7, "aug", 0)],
         )
         assert not out.fallback and out.qualified_count == 1
-        assert abs(np.linalg.norm(out.offset) - 1.0 * 0.01) < 1e-12
+        assert abs(np.linalg.norm(out.offsets) - 1.0 * 0.01) < 1e-12
 
 
 def test_zero_qualified_falls_back_to_identity():
     frozen = plain_classifier()
     h = np.array([[5.0, 0.0]])
     # target class 1 is unreachable from here with a small step
-    out = ga.augment(h, 1, frozen, CFG(eta=1.0, num_candidates=8), 0.01, seeded_rng(8))
+    out = ga.augment(h, [1], frozen, CFG(eta=1.0, num_candidates=8), 0.01, [seeded_rng(8)])
     assert out.fallback and out.qualified_count == 0
-    assert out.chosen_target_prob is None
-    np.testing.assert_array_equal(out.offset, 0.0)
+    assert np.isnan(out.chosen[0])
+    np.testing.assert_array_equal(out.offsets, 0.0)
 
 
 def test_strategy_ordering_on_matched_pools():
@@ -201,17 +201,13 @@ def test_strategy_ordering_on_matched_pools():
     checked = 0
     for seed in range(40):
         outs = {
-            s: ga.augment(h, 0, frozen, CFG(eta=1.0, num_candidates=10, strategy=s), 0.8,
-                          seeded_rng(seed, "aug"))
+            s: ga.augment(h, [0], frozen, CFG(eta=1.0, num_candidates=10, strategy=s), 0.8,
+                          [seeded_rng(seed, "aug")])
             for s in ga.STRATEGIES
         }
         if any(o.fallback for o in outs.values()):
             continue
-        assert (
-            outs["hardest"].chosen_target_prob
-            <= outs["random"].chosen_target_prob
-            <= outs["easiest"].chosen_target_prob
-        )
+        assert outs["hardest"].chosen[0] <= outs["random"].chosen[0] <= outs["easiest"].chosen[0]
         checked += 1
     assert checked >= 20  # the geometry must actually exercise the comparison
 
@@ -228,13 +224,13 @@ def test_hardest_and_easiest_are_pool_extremes():
         p = ga.snapshot_probs(frozen, h + (cfg.eta * d) * single_direction(2, rng))
         if int(np.argmax(p)) == 0:
             probs.append(float(p[0, 0]))
-    hardest = ga.augment(h, 0, frozen, cfg, d, seeded_rng(11, "aug"))
+    hardest = ga.augment(h, [0], frozen, cfg, d, [seeded_rng(11, "aug")])
     easiest = ga.augment(
-        h, 0, frozen, CFG(eta=1.0, num_candidates=10, strategy="easiest"), d,
-        seeded_rng(11, "aug"),
+        h, [0], frozen, CFG(eta=1.0, num_candidates=10, strategy="easiest"), d,
+        [seeded_rng(11, "aug")],
     )
-    assert hardest.chosen_target_prob == min(probs)
-    assert easiest.chosen_target_prob == max(probs)
+    assert hardest.chosen[0] == min(probs)
+    assert easiest.chosen[0] == max(probs)
     assert hardest.qualified_count == len(probs)
 
 
@@ -242,20 +238,20 @@ def test_augment_is_deterministic():
     frozen = plain_classifier()
     h = np.array([[1.0, 0.2]])
     cfg = CFG(eta=1.0, num_candidates=10, strategy="random")
-    a = ga.augment(h, 0, frozen, cfg, 0.5, seeded_rng(21, "aug", 3))
-    b = ga.augment(h, 0, frozen, cfg, 0.5, seeded_rng(21, "aug", 3))
-    assert np.array_equal(a.offset, b.offset)
-    assert a.chosen_target_prob == b.chosen_target_prob
-    c = ga.augment(h, 0, frozen, cfg, 0.5, seeded_rng(22, "aug", 3))
-    assert not np.array_equal(a.offset, c.offset)
+    a = ga.augment(h, [0], frozen, cfg, 0.5, [seeded_rng(21, "aug", 3)])
+    b = ga.augment(h, [0], frozen, cfg, 0.5, [seeded_rng(21, "aug", 3)])
+    assert np.array_equal(a.offsets, b.offsets)
+    assert a.chosen[0] == b.chosen[0]
+    c = ga.augment(h, [0], frozen, cfg, 0.5, [seeded_rng(22, "aug", 3)])
+    assert not np.array_equal(a.offsets, c.offsets)
 
 
 def test_nonfallback_displacement_norm():
     frozen = plain_classifier()
     h = np.array([[3.0, 0.0]])
-    out = ga.augment(h, 0, frozen, CFG(eta=0.7, num_candidates=5), 1.3, seeded_rng(31))
+    out = ga.augment(h, [0], frozen, CFG(eta=0.7, num_candidates=5), 1.3, [seeded_rng(31)])
     assert not out.fallback
-    assert abs(np.linalg.norm(out.offset) - 0.7 * 1.3) < 1e-12
+    assert abs(np.linalg.norm(out.offsets) - 0.7 * 1.3) < 1e-12
 
 
 def test_snapshot_agreement_holds_under_random_params():
@@ -264,28 +260,28 @@ def test_snapshot_agreement_holds_under_random_params():
         frozen = ModelParams.init(4, 3, hidden=5, proj_dim=3, rng=rng).bind(prefix="cls")
         h = rng.normal(size=(1, 5)) * 2
         target = int(rng.integers(3))
-        out = ga.augment(h, target, frozen, CFG(eta=1.0, num_candidates=6), 1.0,
-                         seeded_rng(trial, "aug"))
+        out = ga.augment(h, [target], frozen, CFG(eta=1.0, num_candidates=6), 1.0,
+                         [seeded_rng(trial, "aug")])
         if out.fallback:
-            np.testing.assert_array_equal(h + out.offset, h)
+            np.testing.assert_array_equal(h + out.offsets, h)
         else:
-            probs = ga.snapshot_probs(frozen, h + out.offset)
-            assert int(np.argmax(probs)) == out.target_class == target
-            assert out.chosen_target_prob == pytest.approx(float(probs[0, target]), abs=0)
+            probs = ga.snapshot_probs(frozen, h + out.offsets)
+            assert int(np.argmax(probs)) == target
+            assert out.chosen[0] == pytest.approx(float(probs[0, target]), abs=0)
             assert 1 <= out.qualified_count <= 6
 
 
 def test_eta_zero_candidates_equal_original():
     frozen = plain_classifier()
     h = np.array([[2.0, 1.0]])
-    out = ga.augment(h, 0, frozen, CFG(eta=0.0, num_candidates=4), 1.0, seeded_rng(51))
-    np.testing.assert_array_equal(h + out.offset, h)
+    out = ga.augment(h, [0], frozen, CFG(eta=0.0, num_candidates=4), 1.0, [seeded_rng(51)])
+    np.testing.assert_array_equal(h + out.offsets, h)
     assert not out.fallback and out.qualified_count == 4  # H^O itself qualifies
 
 
 def test_negative_d_rejected():
     with pytest.raises(InputError):
-        ga.augment(np.ones((1, 2)), 0, plain_classifier(), CFG(), -0.1, seeded_rng(0))
+        ga.augment(np.ones((1, 2)), [0], plain_classifier(), CFG(), -0.1, [seeded_rng(0)])
 
 
 def test_config_validation():
@@ -308,11 +304,11 @@ def test_outcome_invariant_chain_with_positive_step(seed):
     rng = np.random.default_rng(seed)
     frozen = ModelParams.init(4, 2, hidden=4, proj_dim=3, rng=rng).bind(prefix="cls")
     h = rng.normal(size=(1, 4))
-    out = ga.augment(h, int(rng.integers(2)), frozen, CFG(eta=1.0, num_candidates=5), 1.0,
-                     seeded_rng(seed, "chain"))
-    same = np.array_equal(h + out.offset, h)
+    out = ga.augment(h, [int(rng.integers(2))], frozen, CFG(eta=1.0, num_candidates=5), 1.0,
+                     [seeded_rng(seed, "chain")])
+    same = np.array_equal(h + out.offsets, h)
     assert out.fallback == (out.qualified_count == 0) == same
-    assert (out.chosen_target_prob is None) == out.fallback
+    assert bool(np.isnan(out.chosen[0])) == out.fallback
 
 
 def row_by_row_augment(h, target, frozen, cfg, d, rng):
@@ -344,7 +340,131 @@ def test_candidate_block_equals_row_by_row_candidates(strategy):
         h = rng.normal(size=(1, hidden))
         cfg = CFG(strategy=strategy, num_candidates=1 + trial % 10, eta=float(rng.uniform(0, 3)))
         target = int(rng.integers(classes))
-        got = ga.augment(h, target, frozen, cfg, 0.8, seeded_rng(5, "blk", trial))
+        got = ga.augment(h, [target], frozen, cfg, 0.8, [seeded_rng(5, "blk", trial)])
         offset, count, prob = row_by_row_augment(h, target, frozen, cfg, 0.8, seeded_rng(5, "blk", trial))
-        assert got.offset.tobytes() == offset.tobytes()
-        assert (got.qualified_count, got.chosen_target_prob) == (count, prob)
+        assert got.offsets.tobytes() == offset.tobytes()
+        assert (got.qualified_count, None if got.fallback else got.chosen[0]) == (count, prob)
+
+
+# ------------------------------------------------------- batched selection
+
+
+@pytest.mark.parametrize("classes", [2, 3, 10])
+@pytest.mark.parametrize("hidden", [1, 8, 32, 128])
+def test_stacked_rows_keep_their_bits(classes, hidden):
+    rng = np.random.default_rng(classes * 1000 + hidden)
+    frozen = ModelParams.init(4, classes, hidden=hidden, proj_dim=3, rng=rng).bind(prefix="cls")
+    k, b = 10, 32
+    for height in (1, 2, k, b, b * k):
+        stack = rng.normal(size=(height, hidden)) * 3.0
+        got = ga.snapshot_probs(frozen, stack)
+        assert got.shape == (height, classes)
+        for i in range(height):  # each row scored on its own, on the 2-D product route
+            want = classify(stack[i : i + 1], frozen)
+            assert got[i : i + 1].tobytes() == want.tobytes(), (height, i)
+
+
+def per_row_augment(h, target, frozen, cfg, d, rng):
+    """One row's selection as it ran row by row: K single-row scores, the
+    pick from a Python list, and its recheck. Returns (offset, qualified
+    count, pick or None, chosen probability or None)."""
+    offsets = (cfg.eta * d) * ga.unit_directions(cfg.num_candidates, h.shape[1], rng)
+    candidates = h + offsets
+    qualified = []
+    for k in range(cfg.num_candidates):
+        probs = classify(candidates[k : k + 1], frozen)
+        if probs.argmax() == target:
+            qualified.append((k, float(probs[0, target])))
+    if not qualified:
+        return np.zeros_like(h), 0, None, None
+    if cfg.strategy == "hardest":
+        k, prob = min(qualified, key=lambda c: c[1])
+    elif cfg.strategy == "easiest":
+        k, prob = max(qualified, key=lambda c: c[1])
+    else:
+        k, prob = qualified[int(rng.integers(len(qualified)))]
+    assert classify(candidates[k : k + 1], frozen).argmax() == target
+    return offsets[k : k + 1], len(qualified), k, prob
+
+
+def unique_pick(offset, block):
+    """The index of the one row of `block` equal to `offset`, or None when
+    several are (width 1 draws only +1 and -1)."""
+    same = np.flatnonzero((block == offset).all(axis=1))
+    return int(same[0]) if len(same) == 1 else None
+
+
+@pytest.mark.parametrize("strategy", ga.STRATEGIES)
+def test_batch_augment_equals_per_row_augment(strategy):
+    rng = np.random.default_rng(29)
+    fallbacks = picked = 0
+    for trial in range(36):
+        hidden = (1, 5, 32, 128)[trial % 4]
+        classes = (2, 3)[trial % 2]
+        rows = 1 + trial % 9
+        cfg = CFG(strategy=strategy, num_candidates=(1, 3, 10)[trial % 3],
+                  eta=float(rng.uniform(0.1, 3.0)))
+        frozen = ModelParams.init(4, classes, hidden=hidden, proj_dim=3, rng=rng).bind(prefix="cls")
+        h = rng.normal(size=(rows, hidden))
+        targets = rng.integers(classes, size=rows).tolist()
+        batch_rngs = [seeded_rng(6, "batch", trial, b) for b in range(rows)]
+        got = ga.augment(h, targets, frozen, cfg, 0.8, batch_rngs)
+        assert got.offsets.shape == h.shape and got.counts.shape == got.chosen.shape == (rows,)
+        for b in range(rows):
+            row_rng = seeded_rng(6, "batch", trial, b)
+            block = (cfg.eta * 0.8) * ga.unit_directions(
+                cfg.num_candidates, hidden, seeded_rng(6, "batch", trial, b)
+            )
+            offset, count, k, prob = per_row_augment(
+                h[b : b + 1], targets[b], frozen, cfg, 0.8, row_rng
+            )
+            assert got.offsets[b : b + 1].tobytes() == offset.tobytes()
+            assert got.counts[b] == count
+            if k is None:
+                assert np.isnan(got.chosen[b])
+                fallbacks += 1
+            else:
+                assert got.chosen[b] == prob
+                assert unique_pick(got.offsets[b], block) == unique_pick(offset[0], block)
+                picked += 1
+            # each rng is left where the row-by-row selection leaves it
+            assert batch_rngs[b].integers(1 << 62) == row_rng.integers(1 << 62)
+        assert got.qualified_count == int(got.counts.sum())
+        assert got.fallback == int((got.counts == 0).sum())
+    assert fallbacks >= 5 and picked >= 20  # both kinds of row are exercised
+
+
+def test_augment_scores_each_candidate_index_once(monkeypatch):
+    calls = []
+    real = ga.snapshot_probs
+
+    def counting(frozen, rows):
+        calls.append(rows.shape[0])
+        return real(frozen, rows)
+
+    monkeypatch.setattr(ga, "snapshot_probs", counting)
+    rng = np.random.default_rng(3)
+    frozen = ModelParams.init(4, 2, hidden=6, proj_dim=3, rng=rng).bind(prefix="cls")
+    rows = 7
+    ga.augment(rng.normal(size=(rows, 6)), [0] * rows, frozen, CFG(num_candidates=4), 0.5,
+               [seeded_rng(1, b) for b in range(rows)])
+    assert calls == [rows] * 4
+
+
+def test_pick_that_fails_the_recheck_raises(monkeypatch):
+    frozen = plain_classifier()
+    h = np.array([[5.0, 0.0], [5.0, 0.0]])
+    cfg = CFG(eta=1.0, num_candidates=3)
+    # row 0's target 1 is out of reach, so every candidate of it falls back
+    out = ga.augment(h, [1, 0], frozen, cfg, 0.01, [seeded_rng(9, b) for b in range(2)])
+    assert out.counts.tolist() == [0, 3]
+    real = ga.snapshot_probs
+
+    def flipped(frozen, rows):
+        probs = real(frozen, rows)
+        probs[0] = probs[0, ::-1]  # row 0 now appears to keep class 1
+        return probs
+
+    monkeypatch.setattr(ga, "snapshot_probs", flipped)
+    with pytest.raises(InvariantViolation):
+        ga.augment(h, [1, 0], frozen, cfg, 0.01, [seeded_rng(9, b) for b in range(2)])

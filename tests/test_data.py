@@ -1,6 +1,7 @@
 """Dataset parsing, features, synthetic round-trips, fold plans."""
 
 import contextlib
+import hashlib
 import io
 import logging
 import re
@@ -598,6 +599,55 @@ def test_fingerprint_same_for_tuple_and_array_graphs():
     assert gd.dataset_fingerprint(dataset((), None)) == gd.dataset_fingerprint(
         dataset(np.empty((0, 2), np.intp), None)
     )
+
+
+def tuple_text_fingerprint(dataset):
+    """The fingerprint as first written: each graph's edges and node labels
+    formatted as Python tuple text, one graph and one update at a time."""
+    h = hashlib.sha256()
+    h.update(f"classes={dataset.num_classes};dim={dataset.feature_dim}".encode())
+    for g in dataset.graphs:
+        h.update(f"|n={g.node_count};y={g.label};e={tuple(map(tuple, g.edges.tolist()))}".encode())
+        if g.node_labels is not None:
+            h.update(f";nl={tuple(g.node_labels.tolist())}".encode())
+        h.update(np.ascontiguousarray(g.node_features).tobytes())
+    return h.hexdigest()
+
+
+INT64 = st.integers(-(2**63), 2**63 - 1)
+# a float whose eight bytes are all "%", the template's escape character
+PERCENT = float(np.frombuffer(b"%" * 8, np.float64)[0])
+
+
+@st.composite
+def fingerprint_graph(draw, dim):
+    nodes = draw(st.integers(0, 4))
+    edges = draw(st.lists(st.tuples(INT64, INT64), max_size=4))  # 0, 1 and several pairs
+    node_labels = draw(st.none() | st.lists(INT64, max_size=4))
+    values = st.floats(allow_nan=True, allow_infinity=True) | st.just(PERCENT) | st.just(-0.0)
+    features = np.array(draw(st.lists(values, min_size=nodes * dim, max_size=nodes * dim)))
+    features = features.reshape(dim, nodes).T if draw(st.booleans()) else features.reshape(nodes, dim)
+    label = draw(st.none() | st.integers(-3, 10**20))
+    return gd.GraphInstance(nodes, edges, features, label, node_labels)
+
+
+@st.composite
+def fingerprint_dataset(draw):
+    dim = draw(st.integers(0, 3))
+    graphs = draw(st.lists(fingerprint_graph(dim), max_size=7))
+    return gd.GraphDataset("FP", tuple(graphs), draw(st.integers(1, 4)), dim)
+
+
+@given(fingerprint_dataset())
+@settings(max_examples=300, deadline=None)
+def test_fingerprint_equals_tuple_text_route(dataset):
+    assert gd.dataset_fingerprint(dataset) == tuple_text_fingerprint(dataset)
+
+
+def test_fingerprint_equals_tuple_text_route_on_synthetic_sets():
+    for seed, (low, high) in ((1, (1, 6)), (2, (10, 28))):
+        ds = gd.generate_synthetic(600, 3, (low, high), (0.1, 0.3, 0.9), seed=seed)
+        assert gd.dataset_fingerprint(ds) == tuple_text_fingerprint(ds)
 
 
 def test_generate_is_deterministic():

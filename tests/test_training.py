@@ -199,19 +199,17 @@ def test_select_equals_per_row_augment(strategy):
     h = rng.normal(size=(6, 6))
     labels = [2, None, 0, None, None, 1]
     cfg = tr.TrainConfig(strategy=strategy, num_candidates=5)
-    offsets, outcomes = tr._select(
+    got = tr._select(
         h, labels, params, cfg, 0.9, [seeded_rng(3, "sel", b) for b in range(6)], "selection"
     )
     frozen = params.bind(prefix="cls")
-    assert offsets.shape == h.shape and len(outcomes) == 6
+    assert got.offsets.shape == h.shape and len(got.counts) == 6
     for b, label in enumerate(labels):
         target = target_class(label, snapshot_probs(frozen, h[b : b + 1]))
-        want = augment(h[b : b + 1], target, frozen, cfg, 0.9, seeded_rng(3, "sel", b))
-        got = outcomes[b]
-        assert got.target_class == target
-        assert np.array_equal(offsets[b : b + 1], want.offset)
-        assert (got.qualified_count, got.chosen_target_prob, got.fallback) == (
-            want.qualified_count, want.chosen_target_prob, want.fallback
+        want = augment(h[b : b + 1], [target], frozen, cfg, 0.9, [seeded_rng(3, "sel", b)])
+        assert np.array_equal(got.offsets[b : b + 1], want.offsets)
+        assert (got.counts[b], got.chosen[b : b + 1].tobytes(), got.counts[b] == 0) == (
+            want.qualified_count, want.chosen.tobytes(), bool(want.fallback)
         )
 
 
