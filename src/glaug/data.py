@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import logging
 from dataclasses import dataclass, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -25,10 +26,15 @@ from .seeding import seeded_rng
 
 log = logging.getLogger("glaug.data")
 _UNSET = np.zeros((0, 0))  # every graph's features until build_node_features fills them
+_INTP, _INT64 = np.dtype(np.intp), np.dtype(np.int64)
 
 
 @dataclass(frozen=True, eq=False)
 class GraphInstance:
+    """One graph. Edges and node labels passed in another form (tuples of
+    pairs, lists, other dtypes) are converted to the arrays below; arrays
+    already in that form are kept as given, uncopied."""
+
     node_count: int
     edges: np.ndarray  # E x 2 intp, canonical: u < v, sorted, unique
     node_features: np.ndarray  # node_count x feature_dim
@@ -36,10 +42,11 @@ class GraphInstance:
     node_labels: np.ndarray | None = None  # int64 raw values from the file
 
     def __post_init__(self):
-        """Store array-likes (tuples of pairs, lists) as the arrays above."""
-        object.__setattr__(self, "edges", np.asarray(self.edges, np.intp).reshape(-1, 2))
-        if self.node_labels is not None:
-            object.__setattr__(self, "node_labels", np.asarray(self.node_labels, np.int64))
+        e, nl = self.edges, self.node_labels
+        if not (type(e) is np.ndarray and e.dtype is _INTP and e.shape[1:] == (2,)):
+            object.__setattr__(self, "edges", np.asarray(e, np.intp).reshape(-1, 2))
+        if not (nl is None or type(nl) is np.ndarray and nl.dtype is _INT64):
+            object.__setattr__(self, "node_labels", np.asarray(nl, np.int64))
 
     def degrees(self) -> np.ndarray:
         """Edges incident to each node, as a length node_count integer array."""
@@ -119,8 +126,8 @@ def default_policy(has_node_labels: bool) -> FeaturePolicy:
 # whitespace (space, \t, \x0b, \x0c, \r, \x1c-\x1f) and skipped when nothing
 # is left; the rest is comma-separated fields, each stripped and each an
 # integer: [+-]?digits, single underscores allowed between digits. Every
-# value must fit int64. Each file is decoded by array operations, with no
-# loop over its lines.
+# value must fit int64. Each file is decoded in line-aligned chunks, each by
+# array operations with no loop over its lines.
 
 # Byte classes. Every class from _DIGIT up belongs to a token, and every class
 # from _SIGN up is rare in a well-formed file. A \r is whitespace, or a line
@@ -134,6 +141,7 @@ _BYTE_CLASS[list(b"+-")] = _SIGN
 _BYTE_CLASS[[ord("\n"), ord(","), ord("_")]] = [_NEWLINE, _COMMA, _UNDERSCORE]
 _BYTE_CLASS.flags.writeable = False
 _INT64_MAGNITUDE = np.uint64(2**63)
+CHUNK_BYTES = 1 << 18  # bytes per decoded chunk; its temporaries take about 15 times that
 
 
 @dataclass(frozen=True)
@@ -157,11 +165,40 @@ class _Records:
 
 
 def _read_records(path: Path, fields: int) -> _Records:
-    """Decode one file of `fields`-integer records with array operations.
+    """Decode one file of `fields`-integer records, about CHUNK_BYTES at a time.
 
-    Temporaries the size of the file are deleted once spent: the A file is
-    most of a data set's bytes, so its decoding sets the parser's peak memory."""
-    raw = path.read_bytes()
+    A chunk ends after the last line feed read so far and the partial line
+    after it is carried into the next, so every chunk holds whole lines,
+    numbered on from the chunks before it; a file with no line feed (lone
+    carriage-return line ends) is one chunk. Decoding stops at the first
+    chunk with a malformed line. Memory is the decoded records plus a few
+    chunks' temporaries, never the whole file."""
+    values, lines = [np.empty((0, fields), np.int64)], [np.empty(0, np.intp)]
+    error, first_line, pending = None, 1, bytearray()
+    with open(path, "rb") as f:
+        while error is None:
+            block = f.read(CHUNK_BYTES)
+            pending += block
+            cut = pending.rfind(b"\n", len(pending) - len(block)) + 1 if block else len(pending)
+            if cut:
+                chunk_values, chunk_lines, error, line_count = _decode(
+                    pending[:cut], fields, path, first_line
+                )
+                del pending[:cut]
+                values.append(chunk_values)
+                lines.append(chunk_lines)
+                first_line += line_count
+            elif not block:
+                break
+    return _Records(path, np.concatenate(values), np.concatenate(lines), error)
+
+
+def _decode(raw: bytearray, fields: int, path: Path, first_line: int):
+    """Records, their line numbers, the first malformed line's error and the
+    line count of `raw`, whole lines of a file starting at line `first_line`;
+    array operations with no loop over the lines. Temporaries the size of the
+    chunk are deleted once spent: most files are one chunk, and its decoding
+    sets the parser's peak memory."""
     buf = np.frombuffer(raw, np.uint8)
     cls = _BYTE_CLASS[buf]
     cr = np.flatnonzero(buf == ord("\r"))
@@ -228,8 +265,8 @@ def _read_records(path: Path, fields: int) -> _Records:
             message = f"expected {fields} comma-separated fields, got {fields_per_line[bad_line]}"
         else:
             message = f"not an integer record: {line!r}"
-        error = DatasetFormatError(path, bad_line + 1, message)
-    return _Records(path, values, record_lines + 1, error)
+        error = DatasetFormatError(path, first_line + bad_line, message)
+    return values, record_lines + first_line, error, len(ends)
 
 
 def _token_values(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray):
@@ -290,27 +327,31 @@ def _graph_edges(records: _Records, node_graph: np.ndarray, first_node: np.ndarr
     u, v = records.values.T
     loop = u == v
     u, v = u[~loop] - 1, v[~loop] - 1
-    # 0-based ids below total_nodes pack a pair into one int64 key (a node
-    # file of 3 billion lines is far beyond what one process parses)
-    directed = np.sort(u * total_nodes + v)
-    duplicates = np.count_nonzero(directed[1:] == directed[:-1])
-    del directed
+    # 0-based ids below total_nodes pack a pair and its direction into one
+    # int64 key, (lo * N + hi) * 2 + (u > v), for up to 2**31 nodes (a node
+    # file of 2.1 billion lines is far beyond what one process parses). Sorted
+    # keys order edges by graph, then local (lo, hi): each graph is one run.
+    key = np.sort((np.minimum(u, v) * total_nodes + np.maximum(u, v)) * 2 + (u > v))
+    duplicates = np.count_nonzero(key[1:] == key[:-1])  # repeated ordered pairs
     if loop.any():
         log.warning("%s: dropped %d self-loop edge(s)", records.path.name, loop.sum())
     if duplicates:
         log.warning("%s: dropped %d duplicate edge(s)", records.path.name, duplicates)
 
-    # sorted keys order edges by graph, then local (lo, hi): each graph is one run
-    key = np.sort(np.minimum(u, v) * total_nodes + np.maximum(u, v))
-    del u, v
+    del u, v  # spent; what follows sets the parse's peak memory
+    key >>= 1
     lo, hi = np.divmod(key[np.diff(key, prepend=-1) != 0], total_nodes)
-    del key
     graph = node_graph[lo] - 1
     base = first_node[graph]
     lo -= base
     hi -= base
-    stops = np.cumsum(np.bincount(graph, minlength=len(first_node)))
-    return np.split(np.stack([lo, hi], axis=1), stops[:-1])
+    return _pieces(np.stack([lo, hi], axis=1), np.bincount(graph, minlength=len(first_node)))
+
+
+def _pieces(array: np.ndarray, sizes: np.ndarray) -> list:
+    """Consecutive views of `array` (along axis 0) of the given sizes."""
+    stops = np.cumsum(sizes).tolist()
+    return list(map(array.__getitem__, map(slice, [0, *stops[:-1]], stops)))
 
 
 def parse_tudataset(directory, name: str, policy: FeaturePolicy | None = None) -> GraphDataset:
@@ -320,7 +361,9 @@ def parse_tudataset(directory, name: str, policy: FeaturePolicy | None = None) -
     the default policy (one-hot over node labels when
     `<name>_node_labels.txt` exists, degree one-hot otherwise). The files are
     read in the order graph_indicator, graph_labels, node_labels, A, and the
-    error raised is the first problem in that order, line by line.
+    error raised is the first problem in that order, line by line. Each
+    graph is built from slices of the decoded arrays, uncopied, and
+    build_node_features then gives it its rows.
     """
     directory = Path(directory)
     paths = {
@@ -373,20 +416,15 @@ def parse_tudataset(directory, name: str, policy: FeaturePolicy | None = None) -
                 len(records.values) + 1,
                 f"expected {total_nodes} node labels, found {len(records.values)}",
             )
-        node_labels = np.split(records.values[:, 0], first_node[1:])
+        node_labels = _pieces(records.values[:, 0], counts)
 
     edges = _read_records(paths["A"], 2)
     _check_edges(edges, node_graph)
     edge_arrays = _graph_edges(edges, node_graph, first_node)
-    del edges
     distinct, class_of = np.unique(labels.values[:, 0], return_inverse=True)
 
-    graphs = tuple(
-        GraphInstance(n, e, _UNSET, y, nl)
-        for n, e, y, nl in zip(
-            counts.tolist(), edge_arrays, class_of.tolist(), node_labels or [None] * num_graphs
-        )
-    )
+    columns = counts.tolist(), edge_arrays, repeat(_UNSET), class_of.tolist()
+    graphs = tuple(map(GraphInstance, *columns, node_labels or repeat(None)))
     ds = GraphDataset(name=name, graphs=graphs, num_classes=len(distinct), feature_dim=0)
     return build_node_features(ds, policy or default_policy(node_labels is not None))
 
@@ -417,7 +455,7 @@ def build_node_features(dataset: GraphDataset, policy: FeaturePolicy) -> GraphDa
         column = np.zeros(sum(counts), np.intp)
     x = np.zeros((len(column), dim))
     x[np.arange(len(column)), column] = 1.0
-    rows = np.split(x, np.cumsum(counts)[:-1])
+    rows = _pieces(x, counts)
     graphs = tuple(
         GraphInstance(g.node_count, g.edges, r, g.label, g.node_labels)
         for g, r in zip(graphs, rows)

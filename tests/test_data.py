@@ -6,6 +6,7 @@ import io
 import logging
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -423,34 +424,43 @@ def mutate(content: bytes, op: str, at: int, piece: bytes, delta: int) -> bytes 
     return b"\n".join(lines)
 
 
+FUZZ_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(FUZZ_FILES),
+        st.sampled_from(FUZZ_OPS),
+        st.integers(0, 10**6),
+        st.sampled_from(FUZZ_PIECES),
+        st.integers(-3, 3),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def fuzzed_files(src: gd.GraphDataset, tmp: Path, edits) -> Path:
+    """`src` written as FZ under `tmp`, then edited; returns its directory."""
+    directory = gd.write_tudataset(src, tmp / "FZ", "FZ")
+    for suffix, op, at, piece, delta in edits:
+        path = directory / f"FZ_{suffix}.txt"
+        if path.is_file():
+            content = mutate(path.read_bytes(), op, at, piece, delta)
+            if content is not None:
+                path.write_bytes(content)
+            elif suffix == "node_labels":  # the one optional file
+                path.unlink()
+    return directory
+
+
 @given(
     graphs=st.integers(1, 4),
     seed=st.integers(0, 50),
-    edits=st.lists(
-        st.tuples(
-            st.sampled_from(FUZZ_FILES),
-            st.sampled_from(FUZZ_OPS),
-            st.integers(0, 10**6),
-            st.sampled_from(FUZZ_PIECES),
-            st.integers(-3, 3),
-        ),
-        min_size=1,
-        max_size=4,
-    ),
+    edits=FUZZ_EDITS,
 )
 @settings(max_examples=600, deadline=None)
 def test_bulk_reader_matches_per_line_reference(graphs, seed, edits):
     src = gd.generate_synthetic(graphs, size_range=(1, 5), seed=seed)
     with tempfile.TemporaryDirectory() as tmp:
-        directory = gd.write_tudataset(src, Path(tmp) / "FZ", "FZ")
-        for suffix, op, at, piece, delta in edits:
-            path = directory / f"FZ_{suffix}.txt"
-            if path.is_file():
-                content = mutate(path.read_bytes(), op, at, piece, delta)
-                if content is not None:
-                    path.write_bytes(content)
-                elif suffix == "node_labels":  # the one optional file
-                    path.unlink()
+        directory = fuzzed_files(src, Path(tmp), edits)
 
         want, want_warnings = outcome(reference_parse, directory)
         got, got_warnings = outcome(gd.parse_tudataset, directory)
@@ -468,6 +478,86 @@ def test_bulk_reader_matches_per_line_reference(graphs, seed, edits):
         assert rc == 1 and err.startswith("error: ") and err.count("\n") == 1, err
         if want[1] == "DatasetFormatError":  # the CLI reports a missing A file itself
             assert err == f"error: {want[2]}\n"
+
+
+@given(chunk=st.integers(1, 64), graphs=st.integers(1, 4), seed=st.integers(0, 50), edits=FUZZ_EDITS)
+@settings(max_examples=300, deadline=None)
+def test_small_chunks_match_per_line_reference(chunk, graphs, seed, edits):
+    """The fuzz above, with lines cut across many small chunks."""
+    with mock.patch.object(gd, "CHUNK_BYTES", chunk):
+        test_bulk_reader_matches_per_line_reference.hypothesis.inner_test(graphs, seed, edits)
+
+
+# ------------------------------------------------------------ chunk boundaries
+
+
+def decoded(path: Path, fields: int, chunk: int | None = None):
+    """Everything _read_records returns, read `chunk` bytes at a time."""
+    with mock.patch.object(gd, "CHUNK_BYTES", chunk or gd.CHUNK_BYTES):
+        records = gd._read_records(path, fields)
+    error = records.error
+    return (
+        records.values.shape, records.values.dtype, records.values.tolist(),
+        records.lines.dtype, records.lines.tolist(),
+        error and (type(error).__name__, str(error), error.lineno),
+    )
+
+
+@pytest.mark.parametrize(
+    "content, chunk",
+    [
+        (b"1, 2\r\n3, 4\r\n5, 6\r\n", 5),  # the first \r\n is split across two reads
+        (b"1, 2\r\n3, x\r\n5, 6\r\n", 11),  # and a bad line after the split
+        (b"1, 2\r3, 4\r\r5, 6\r", 2),  # lone \r ends: no line feed, so one chunk
+        (b"1, 2\n3, 4", 3),  # no final newline
+        (b"1, 2\n3, 4\r", 4),  # a lone \r ends the file
+        (b"1,          " + b"2" * 18 + b"\n3, 4\n", 4),  # a line longer than the chunk
+        (b"1, 2\n\n \n\t\n\r\n\x0c\n\n3, 4\n\n\n", 2),  # blank lines across chunks
+        (b"\n\n\n1, 2\n7, 99999999999999999999\n", 3),  # an overflow in a later chunk
+        (b"1, 2\n" * 7 + b"1, \xc3\xa9\n", 5),  # not ASCII in a later chunk
+        (b"1, 2\n" * 7 + b"1, 2, 3\n1, x\n", 1),  # a wrong field count in a later chunk
+        (b"", 1),
+        (b"\n \n", 1),
+    ],
+)
+def test_chunk_boundaries_decode_as_one_chunk(tmp_path, content, chunk):
+    path = tmp_path / "X_A.txt"
+    path.write_bytes(content)
+    assert len(content) <= gd.CHUNK_BYTES  # the default reads it as one chunk
+    for fields in (1, 2):
+        assert decoded(path, fields, chunk) == decoded(path, fields)
+
+
+@given(chunk=st.integers(1, 64), graphs=st.integers(1, 4), seed=st.integers(0, 50), edits=FUZZ_EDITS)
+@settings(max_examples=300, deadline=None)
+def test_any_chunk_size_decodes_like_the_default(chunk, graphs, seed, edits):
+    src = gd.generate_synthetic(graphs, size_range=(1, 5), seed=seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = fuzzed_files(src, Path(tmp), edits)
+        for path in sorted(directory.iterdir()):
+            fields = 2 if path.name == "FZ_A.txt" else 1
+            assert decoded(path, fields, chunk) == decoded(path, fields)
+
+
+def test_decoding_memory_is_bounded_by_chunk_and_records(tmp_path):
+    """A few MiB of A records decode within twice the records' arrays (the
+    chunks' pieces and their concatenation) plus a few chunks' temporaries,
+    not in temporaries the size of the file."""
+    pairs = np.random.default_rng(0).integers(1, 10**6, size=(250_000, 2))
+    path = tmp_path / "M_A.txt"
+    path.write_text("".join(map("%d, %d\n".__mod__, map(tuple, pairs.tolist()))))
+    chunk = 64 << 10
+    with mock.patch.object(gd, "CHUNK_BYTES", chunk):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            records = gd._read_records(path, 2)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+    assert records.error is None and np.array_equal(records.values, pairs)
+    assert path.stat().st_size > 3 << 20
+    assert peak <= 2 * (records.values.nbytes + records.lines.nbytes) + 16 * chunk, peak
 
 
 # ----------------------------------------------------------------- features
