@@ -253,13 +253,19 @@ def _execute(command, ds, path_str, policy, cfg, out: Path, workers, values=None
         runs = [(v, run_experiment(ds, sub, workers=workers)) for v, sub in zip(values, variants)]
         trends = study.trends(runs)
         rows = [study.row(v, r) for v, r in runs]
-        write_artifact(out / study.table, render_table(list(study.columns), rows))
+        table = render_table(list(study.columns), rows)
         artifacts.append(study.table)
         results = [({study.field: v}, r) for v, r in runs]
         extra = {name: getattr(cfg, name) for name in study.extra_config}
         if study.extra_key is not None:
             extra[study.extra_key] = values
         lines = study.echo(runs)
+    # a manifest means a complete run: the last run's files go before any new
+    # file lands, and the new manifest lands last
+    for name in ["manifest.json", *artifacts]:
+        (out / name).unlink(missing_ok=True)
+    if command != "run":
+        write_artifact(out / study.table, table)
     write_artifact(
         out / "metrics.json", metrics_document(cfg, policy, ds, path_str, results, trends)
     )

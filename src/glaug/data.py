@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import warnings
 from dataclasses import dataclass, replace
 from itertools import repeat
 from pathlib import Path
@@ -126,8 +127,11 @@ def default_policy(has_node_labels: bool) -> FeaturePolicy:
 # whitespace (space, \t, \x0b, \x0c, \r, \x1c-\x1f) and skipped when nothing
 # is left; the rest is comma-separated fields, each stripped and each an
 # integer: [+-]?digits, single underscores allowed between digits. Every
-# value must fit int64. Each file is decoded in line-aligned chunks, each by
-# array operations with no loop over its lines.
+# value must fit int64. Each file is decoded in line-aligned chunks. A plain
+# chunk (digits, commas, spaces and \n only, one integer in every field, the
+# right field count on every line, no blank line, no value at or past
+# INT64_MAX) is parsed by one np.fromstring call; every other chunk, and so
+# every error, goes to _decode, array operations with no loop over its lines.
 
 # Byte classes. Every class from _DIGIT up belongs to a token, and every class
 # from _SIGN up is rare in a well-formed file. A \r is whitespace, or a line
@@ -142,6 +146,9 @@ _BYTE_CLASS[[ord("\n"), ord(","), ord("_")]] = [_NEWLINE, _COMMA, _UNDERSCORE]
 _BYTE_CLASS.flags.writeable = False
 _INT64_MAGNITUDE = np.uint64(2**63)
 CHUNK_BYTES = 1 << 18  # bytes per decoded chunk; its temporaries take about 15 times that
+_NOT_SEPARATORS = b"0123456789 "
+_LF_TO_COMMA = bytes.maketrans(b"\n", b",")
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -172,7 +179,9 @@ def _read_records(path: Path, fields: int) -> _Records:
     numbered on from the chunks before it; a file with no line feed (lone
     carriage-return line ends) is one chunk. Decoding stops at the first
     chunk with a malformed line. Memory is the decoded records plus a few
-    chunks' temporaries, never the whole file."""
+    chunks' temporaries, never the whole file. Each chunk is first tried by
+    _fast_decode, and _decode takes every chunk that is not plain, so the
+    records, line numbers and errors do not depend on which path ran."""
     values, lines = [np.empty((0, fields), np.int64)], [np.empty(0, np.intp)]
     error, first_line, pending = None, 1, bytearray()
     with open(path, "rb") as f:
@@ -181,10 +190,11 @@ def _read_records(path: Path, fields: int) -> _Records:
             pending += block
             cut = pending.rfind(b"\n", len(pending) - len(block)) + 1 if block else len(pending)
             if cut:
-                chunk_values, chunk_lines, error, line_count = _decode(
-                    pending[:cut], fields, path, first_line
-                )
+                chunk = bytes(pending[:cut])
                 del pending[:cut]
+                chunk_values, chunk_lines, error, line_count = _fast_decode(
+                    chunk, fields, first_line
+                ) or _decode(chunk, fields, path, first_line)
                 values.append(chunk_values)
                 lines.append(chunk_lines)
                 first_line += line_count
@@ -193,7 +203,35 @@ def _read_records(path: Path, fields: int) -> _Records:
     return _Records(path, np.concatenate(values), np.concatenate(lines), error)
 
 
-def _decode(raw: bytearray, fields: int, path: Path, first_line: int):
+def _fast_decode(raw: bytes, fields: int, first_line: int):
+    """What _decode returns for a plain chunk, by one C-level integer parse;
+    None when `raw` is not plain. np.fromstring raises where a field holds
+    two tokens, but reads a field of spaces as 0 and clamps an overflow to
+    INT64_MAX, so the chunk's tokens are counted first and INT64_MAX is
+    refused. A plain chunk has no blank line, so its lines are its records."""
+    separators = raw.translate(None, _NOT_SEPARATORS)
+    if not raw.endswith(b"\n"):
+        separators += b"\n"  # the last line ends at EOF
+    line_count = len(separators) // fields
+    # only digits, spaces and separators, and `fields` fields on every line
+    if separators != (b"," * (fields - 1) + b"\n") * line_count:
+        return None
+    digit = np.frombuffer(raw, np.uint8) >= ord("0")  # only digits, of the bytes left
+    tokens = np.count_nonzero(digit[1:] > digit[:-1]) + digit[:1].sum()
+    with warnings.catch_warnings():  # older numpy warns and stops at "1 2"
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            values = np.fromstring(raw.translate(_LF_TO_COMMA), np.int64, sep=",")
+        except (ValueError, DeprecationWarning):
+            return None
+    # one value per token and one token per field; INT64_MAX may be a clamp
+    if not tokens == len(values) == line_count * fields or values.max() == _INT64_MAX:
+        return None
+    lines = np.arange(first_line, first_line + line_count, dtype=np.intp)
+    return values.reshape(-1, fields), lines, None, line_count
+
+
+def _decode(raw: bytes, fields: int, path: Path, first_line: int):
     """Records, their line numbers, the first malformed line's error and the
     line count of `raw`, whole lines of a file starting at line `first_line`;
     array operations with no loop over the lines. Temporaries the size of the

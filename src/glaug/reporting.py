@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 from pathlib import Path
 
 from . import __version__
@@ -27,9 +28,17 @@ def canonical_json(obj) -> str:
 
 
 def write_artifact(path, text: str) -> Path:
+    """Write `text` to a temporary file beside `path` and move it into place,
+    so `path` holds either its old content or all of `text`, never a part."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 

@@ -160,6 +160,37 @@ def run_dir(toy_dir, tmp_path_factory):
     return out
 
 
+def test_run_killed_between_artifact_writes_leaves_one_runs_files(toy_dir, tmp_path, monkeypatch):
+    """Ctrl-C between two artifact writes, over an earlier run's directory,
+    leaves complete files of the new run only, and no manifest to trust."""
+    sweep = ["sweep-eta", str(toy_dir), "--values", "0.0,1.0", *COMMON]
+    out, whole = tmp_path / "out", tmp_path / "whole"
+    assert main([*sweep, "--out", str(out)]) == 0
+    assert main([*sweep, "--seed", "5", "--out", str(whole)]) == 0
+    assert read(out / "sweep_eta.tsv") != read(whole / "sweep_eta.tsv")
+
+    real, written = cli_mod.write_artifact, []
+
+    def interrupted_after_first(path, text):
+        if written:
+            raise KeyboardInterrupt
+        written.append(real(path, text))
+
+    monkeypatch.setattr(cli_mod, "write_artifact", interrupted_after_first)
+    assert main([*sweep, "--seed", "5", "--out", str(out)]) == 1
+    assert written == [out / "sweep_eta.tsv"]
+    assert sorted(p.name for p in out.iterdir()) == ["sweep_eta.tsv"]
+    assert read(out / "sweep_eta.tsv") == read(whole / "sweep_eta.tsv")
+
+
+def test_failed_artifact_write_keeps_the_old_file(tmp_path):
+    path = cli_mod.write_artifact(tmp_path / "metrics.json", "{}\n")
+    with pytest.raises(UnicodeEncodeError):
+        cli_mod.write_artifact(path, "{\ud800")  # fails part-way through the write
+    assert [p.name for p in tmp_path.iterdir()] == ["metrics.json"]
+    assert path.read_text() == "{}\n"
+
+
 def assert_input_error(capsys, rc):
     """Exit 1 with a one-line `error:` message and no traceback; returns it."""
     err = capsys.readouterr().err

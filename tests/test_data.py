@@ -7,6 +7,7 @@ import logging
 import re
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -491,16 +492,18 @@ def test_small_chunks_match_per_line_reference(chunk, graphs, seed, edits):
 # ------------------------------------------------------------ chunk boundaries
 
 
+def summary(values: np.ndarray, lines: np.ndarray, error):
+    return (
+        values.shape, values.dtype, values.tolist(), lines.dtype, lines.tolist(),
+        error and (type(error).__name__, str(error), error.lineno),
+    )
+
+
 def decoded(path: Path, fields: int, chunk: int | None = None):
     """Everything _read_records returns, read `chunk` bytes at a time."""
     with mock.patch.object(gd, "CHUNK_BYTES", chunk or gd.CHUNK_BYTES):
         records = gd._read_records(path, fields)
-    error = records.error
-    return (
-        records.values.shape, records.values.dtype, records.values.tolist(),
-        records.lines.dtype, records.lines.tolist(),
-        error and (type(error).__name__, str(error), error.lineno),
-    )
+    return summary(records.values, records.lines, records.error)
 
 
 @pytest.mark.parametrize(
@@ -558,6 +561,105 @@ def test_decoding_memory_is_bounded_by_chunk_and_records(tmp_path):
     assert records.error is None and np.array_equal(records.values, pairs)
     assert path.stat().st_size > 3 << 20
     assert peak <= 2 * (records.values.nbytes + records.lines.nbytes) + 16 * chunk, peak
+
+
+# ------------------------------------------------------------ plain fast path
+
+
+def exact(raw: bytes, fields: int, first_line: int = 1, path=Path("X_A.txt")):
+    """What _decode alone makes of `raw`, and its line count."""
+    values, lines, error, line_count = gd._decode(raw, fields, path, first_line)
+    return summary(values, lines, error), line_count
+
+
+@pytest.mark.parametrize(
+    "content, fields, taken",
+    [
+        (b"1, , 3\n", 3, False),  # fromstring reads the empty field as 0
+        (b"1, 2\n3,", 2, False),  # a trailing comma at EOF, no line feed
+        (b"1, 2\n3, ", 2, False),  # and a field of spaces at EOF
+        (b"1, 2\n   \n3, 4\n", 2, False),  # a whitespace-only line
+        (b"1, 2\n\n3, 4\n\n", 2, False),  # blank lines
+        (b"1\n\n2\n", 1, False),
+        (b"1, 2\n  ", 2, False),  # a whitespace-only last line counts as a line
+        (b"1 2, 3\n", 2, False),  # two tokens in one field
+        (b"9223372036854775807, 1\n", 2, False),  # INT64_MAX, which _decode accepts
+        (b"9223372036854775808, 1\n", 2, False),  # fromstring clamps it to INT64_MAX
+        (b"1, 99999999999999999999999\n", 2, False),
+        (b"0000000000000000000000007, 0000000000000000000000012\n", 2, True),
+        (b"010, 2\n", 2, True),  # decimal, never octal
+        (b"1, 2\r\n3, 4\r\n", 2, False),
+        (b" 1 ,2 \n3,  4", 2, True),
+    ],
+)
+def test_fast_path_decodes_like_the_exact_decoder(tmp_path, content, fields, taken):
+    path = tmp_path / "X_A.txt"
+    path.write_bytes(content)
+    want, line_count = exact(content, fields, path=path)
+    assert decoded(path, fields) == want
+    fast = gd._fast_decode(content, fields, 1)
+    assert (fast is not None) == taken
+    if taken:
+        assert fast[3] == line_count and fast[2] is None
+
+
+# any string over the plain alphabet, or lines of fields that are mostly
+# integers padded with spaces, with empty, blank, two-token and int64-edge fields
+PLAIN_TEXT = st.binary(min_size=1, max_size=80).map(
+    lambda b: bytes(b"0123456789, \n"[x % 13] for x in b)
+)
+PADDING = st.sampled_from([b"", b"", b" ", b"  "])
+INTEGER_FIELD = st.tuples(PADDING, st.sampled_from([b"", b"0", b"00"]), st.integers(0, 10**12), PADDING)
+ODD_FIELD = st.sampled_from(
+    [b"", b" ", b"1 2", b"9223372036854775806", b"9223372036854775807", b"9223372036854775808",
+     b"99999999999999999999999", b"0" * 25 + b"9"]
+)
+FIELD = st.one_of(INTEGER_FIELD.map(lambda t: t[0] + t[1] + b"%d" % t[2] + t[3]), ODD_FIELD)
+
+
+@st.composite
+def plain_chunks(draw, fields):
+    if draw(st.integers(0, 3)) == 0:
+        return draw(PLAIN_TEXT)
+    width = st.sampled_from([fields] * 8 + [1, 3])  # now and then a wrong field count
+    lines = draw(st.lists(width.flatmap(lambda n: st.lists(FIELD, min_size=n, max_size=n)),
+                          min_size=1, max_size=6))
+    return b"\n".join(b",".join(line) for line in lines) + draw(st.sampled_from([b"\n", b""]))
+
+
+@given(
+    fields_and_raw=st.sampled_from([1, 2]).flatmap(lambda f: st.tuples(st.just(f), plain_chunks(f))),
+    first_line=st.integers(1, 10**6),
+)
+@settings(max_examples=1000, deadline=None)
+def test_fast_path_declines_or_equals_the_exact_decoder(fields_and_raw, first_line):
+    fields, raw = fields_and_raw
+    fast = gd._fast_decode(raw, fields, first_line)
+    if fast is not None:
+        values, lines, error, line_count = fast
+        assert (summary(values, lines, error), line_count) == exact(raw, fields, first_line)
+
+
+def test_written_files_never_reach_the_exact_decoder(tmp_path):
+    """Every file write_tudataset writes is plain, at any chunk size."""
+    src = gd.generate_synthetic(40, size_range=(5, 20), seed=3)
+    directory = gd.write_tudataset(src, tmp_path / "W", "W")
+    for chunk in (gd.CHUNK_BYTES, 64, 7):
+        with mock.patch.object(gd, "CHUNK_BYTES", chunk):
+            with mock.patch.object(gd, "_decode", wraps=gd._decode) as exact_decoder:
+                parsed = gd.parse_tudataset(directory, "W")
+        assert exact_decoder.call_count == 0
+        assert gd.dataset_fingerprint(parsed) == gd.dataset_fingerprint(src)
+
+
+def test_two_tokens_in_a_field_emit_no_warning(tmp_path):
+    path = tmp_path / "X_A.txt"
+    path.write_bytes(b"1 2, 3\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        records = gd._read_records(path, 2)
+    assert caught == []
+    assert str(records.error) == f"{path}:1: not an integer record: '1 2, 3'"
 
 
 # ----------------------------------------------------------------- features
