@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import re
 import warnings
+from array import array
 from dataclasses import dataclass, replace
 from itertools import repeat
 from pathlib import Path
@@ -128,25 +130,15 @@ def default_policy(has_node_labels: bool) -> FeaturePolicy:
 # is left; the rest is comma-separated fields, each stripped and each an
 # integer: [+-]?digits, single underscores allowed between digits. Every
 # value must fit int64. Each file is decoded in line-aligned chunks. A plain
-# chunk (digits, commas, spaces and \n only, one integer in every field, the
-# right field count on every line, no blank line, no value at or past
-# INT64_MAX) is parsed by one np.fromstring call; every other chunk, and so
-# every error, goes to _decode, array operations with no loop over its lines.
+# chunk (digits, commas, spaces, tabs and \n or \r\n line ends only, one
+# integer in every field, the right field count on every line, no blank
+# line, no value at or past INT64_MAX) is parsed by one np.fromstring call;
+# every other chunk, and so every error, goes to _decode, which is this
+# grammar written out one line at a time.
 
-# Byte classes. Every class from _DIGIT up belongs to a token, and every class
-# from _SIGN up is rare in a well-formed file. A \r is whitespace, or a line
-# end where no \n follows it.
-_SPACE, _NEWLINE, _COMMA, _DIGIT, _SIGN, _UNDERSCORE, _OTHER, _HIGH = range(8)
-_BYTE_CLASS = np.full(256, _OTHER, np.uint8)
-_BYTE_CLASS[128:] = _HIGH
-_BYTE_CLASS[list(b" \t\r\x0b\x0c\x1c\x1d\x1e\x1f")] = _SPACE
-_BYTE_CLASS[list(b"0123456789")] = _DIGIT
-_BYTE_CLASS[list(b"+-")] = _SIGN
-_BYTE_CLASS[[ord("\n"), ord(","), ord("_")]] = [_NEWLINE, _COMMA, _UNDERSCORE]
-_BYTE_CLASS.flags.writeable = False
-_INT64_MAGNITUDE = np.uint64(2**63)
-CHUNK_BYTES = 1 << 18  # bytes per decoded chunk; its temporaries take about 15 times that
-_NOT_SEPARATORS = b"0123456789 "
+CHUNK_BYTES = 1 << 18  # bytes per decoded chunk; temporaries of 4 (plain) to 10 times that
+_INTEGER = re.compile(r"[+-]?[0-9]+(?:_[0-9]+)*")
+_NOT_SEPARATORS = b"0123456789 \t"
 _LF_TO_COMMA = bytes.maketrans(b"\n", b",")
 _INT64_MAX = np.iinfo(np.int64).max
 
@@ -208,12 +200,15 @@ def _fast_decode(raw: bytes, fields: int, first_line: int):
     None when `raw` is not plain. np.fromstring raises where a field holds
     two tokens, but reads a field of spaces as 0 and clamps an overflow to
     INT64_MAX, so the chunk's tokens are counted first and INT64_MAX is
-    refused. A plain chunk has no blank line, so its lines are its records."""
+    refused. A plain chunk has no blank line, so its lines are its records;
+    a CRLF line end is one line end either way."""
+    if b"\r" in raw:  # one memchr; a search for b"\r\n" scans far more slowly
+        raw = raw.replace(b"\r\n", b"\n")
     separators = raw.translate(None, _NOT_SEPARATORS)
     if not raw.endswith(b"\n"):
         separators += b"\n"  # the last line ends at EOF
     line_count = len(separators) // fields
-    # only digits, spaces and separators, and `fields` fields on every line
+    # only digits, blanks and separators, and `fields` fields on every line
     if separators != (b"," * (fields - 1) + b"\n") * line_count:
         return None
     digit = np.frombuffer(raw, np.uint8) >= ord("0")  # only digits, of the bytes left
@@ -234,107 +229,51 @@ def _fast_decode(raw: bytes, fields: int, first_line: int):
 def _decode(raw: bytes, fields: int, path: Path, first_line: int):
     """Records, their line numbers, the first malformed line's error and the
     line count of `raw`, whole lines of a file starting at line `first_line`;
-    array operations with no loop over the lines. Temporaries the size of the
-    chunk are deleted once spent: most files are one chunk, and its decoding
-    sets the parser's peak memory."""
-    buf = np.frombuffer(raw, np.uint8)
-    cls = _BYTE_CLASS[buf]
-    cr = np.flatnonzero(buf == ord("\r"))
-    cls[cr[buf[np.minimum(cr + 1, len(buf) - 1)] != ord("\n")]] = _NEWLINE
-
-    # a field ends at each comma and line end; a last line may end at EOF
-    seps = np.flatnonzero((cls == _NEWLINE) | (cls == _COMMA))
-    at_end = cls[seps] == _NEWLINE
-    if len(buf) and cls[-1] != _NEWLINE:
-        seps = np.append(seps, len(buf))
-        at_end = np.append(at_end, True)
-    ends = seps[at_end]
-    last_field = np.flatnonzero(at_end)  # of each line
-    fields_per_line = np.diff(last_field, prepend=-1)
-
-    # tokens: maximal runs of bytes that are neither whitespace, comma nor line end
-    token = np.zeros(len(buf) + 2, bool)
-    np.greater_equal(cls, _DIGIT, out=token[1:-1])
-    starts = np.flatnonzero(token[1:] > token[:-1])
-    stops = np.flatnonzero(token[1:] < token[:-1])
-    del token
-    tokens_per_field = np.bincount(np.searchsorted(seps, starts), minlength=len(seps))
-    tokens_per_line = np.diff(np.cumsum(tokens_per_field)[last_field], prepend=0)
-    blank = (fields_per_line == 1) & (tokens_per_line == 0)  # nothing left after stripping
-    odd_field_lines = np.searchsorted(ends, seps[tokens_per_field != 1])
-    del seps, tokens_per_field
-
-    # bytes int() rejects: any other character, a sign that does not open a
-    # token or is not followed by a digit, an underscore not between digits
-    rare = np.flatnonzero(cls >= _SIGN)
-    kind = cls[rare]
-    before = np.where(rare > 0, cls[rare - 1], _SPACE)
-    after = np.where(rare + 1 < len(buf), cls[np.minimum(rare + 1, len(buf) - 1)], _SPACE)
-    del cls
-    allowed = ((kind == _SIGN) & (before < _DIGIT) & (after == _DIGIT)) | (
-        (kind == _UNDERSCORE) & (before == _DIGIT) & (after == _DIGIT)
-    )
-    not_ascii = np.zeros(len(ends), bool)
-    not_ascii[np.searchsorted(ends, rare[kind == _HIGH])] = True
-    not_int = np.zeros(len(ends), bool)
-    not_int[np.searchsorted(ends, rare[~allowed])] = True
-    not_int[odd_field_lines] = True
-    wrong_count = fields_per_line != fields
-    malformed = ~blank & (not_ascii | wrong_count | not_int)
-
-    bad_line = int(np.argmax(malformed)) if malformed.any() else len(ends)
-    record_lines = np.flatnonzero(~blank[:bad_line])
-    count = len(record_lines) * fields  # the first tokens, one per field of each record
-    values, outside = _token_values(buf, starts[:count], stops[:count])
-    values = values.reshape(-1, fields)
-    overflow = outside.any()
-    if overflow:
-        row = int(np.argmax(outside)) // fields
-        bad_line, values, record_lines = int(record_lines[row]), values[:row], record_lines[:row]
-    error = None
-    if bad_line < len(ends):  # per-line text only for the one message
-        start = int(ends[bad_line - 1]) + 1 if bad_line else 0
-        line = raw[start : int(ends[bad_line])].decode("ascii", "surrogateescape").strip()
-        if overflow:
-            message = f"integer outside the int64 range: {line!r}"
-        elif not_ascii[bad_line]:
+    the record grammar read one line at a time. A line's first failing check
+    names the error: not ASCII, the field count, a field not an integer, a
+    value outside int64."""
+    text = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n").decode("ascii", "surrogateescape")
+    lines = text.removesuffix("\n").split("\n") if text else []
+    values, numbers, error = array("q"), array("q"), None  # 8 bytes a value, not 36
+    for number, line in enumerate(lines, first_line):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if not line.isascii():  # a non-ASCII byte decodes to a lone surrogate
             message = f"not ASCII text: {line!r}"
-        elif wrong_count[bad_line]:
-            message = f"expected {fields} comma-separated fields, got {fields_per_line[bad_line]}"
+        elif len(parts) != fields:
+            message = f"expected {fields} comma-separated fields, got {len(parts)}"
         else:
-            message = f"not an integer record: {line!r}"
-        error = DatasetFormatError(path, first_line + bad_line, message)
-    return values, record_lines + first_line, error, len(ends)
+            try:
+                record = list(map(int, parts))
+            except ValueError:
+                record = _grammar_record(parts)
+            if record is None:
+                message = f"not an integer record: {line!r}"
+            elif -(2**63) <= min(record) and max(record) < 2**63:
+                values.extend(record)
+                numbers.append(number)
+                continue
+            else:
+                message = f"integer outside the int64 range: {line!r}"
+        error = DatasetFormatError(path, number, message)
+        break
+    values = np.array(values, np.int64).reshape(-1, fields)
+    return values, np.array(numbers, np.intp), error, len(lines)
 
 
-def _token_values(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray):
-    """Values of well-formed integer tokens, and a mask of those outside int64.
-
-    Horner's rule over one column of token bytes at a time, in place; signs
-    and underscores are skipped. Only from the 19th byte on can a magnitude
-    pass 2**63."""
-    width = int((stops - starts).max(initial=0))
-    negative = buf[starts] == ord("-")
-    magnitude = np.zeros(len(starts), np.uint64)
-    outside = np.zeros(len(starts), bool)
-    digit = np.empty(len(starts), np.uint8)
-    take = np.empty(len(starts), bool)
-    at = starts.copy()
-    for col in range(width):
-        np.take(buf, at, out=digit, mode="clip")  # past a token's end is masked below
-        digit -= ord("0")  # non-digits wrap above 9
-        np.less(digit, 10, out=take)
-        take &= at < stops
-        if col >= 18:
-            outside |= take & (magnitude > (_INT64_MAGNITUDE - digit) // np.uint64(10))
-            take &= ~outside
-        np.multiply(magnitude, 10, out=magnitude, where=take)
-        np.add(magnitude, digit, out=magnitude, where=take)
-        at += 1
-    outside |= (magnitude == _INT64_MAGNITUDE) & ~negative
-    values = magnitude.view(np.int64)  # 2**63 reads as -2**63, its own negation
-    np.negative(values, out=values, where=negative)
-    return values, outside
+def _grammar_record(parts: list[str]) -> list[int] | None:
+    """The values of a record that int() refused, or None when a field is not
+    an integer. int() strips less whitespace than str.strip (not \\x1c-\\x1f)
+    and refuses more than 4,300 digits, so each field is stripped and matched,
+    and its magnitude read without leading zeros; one of over 20 digits is
+    read as its first 20, which is outside int64 too."""
+    fields = [part.strip() for part in parts]
+    if not all(map(_INTEGER.fullmatch, fields)):
+        return None
+    magnitudes = [int(f.lstrip("+-0_").replace("_", "")[:20] or "0") for f in fields]
+    return [-m if f[0] == "-" else m for f, m in zip(fields, magnitudes)]
 
 
 def _check_edges(records: _Records, node_graph: np.ndarray) -> None:

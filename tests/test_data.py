@@ -159,7 +159,8 @@ def test_node_label_count_mismatch(tmp_path):
 
 
 def test_trailing_whitespace_tolerated(tmp_path):
-    files = dict(A="1, 2 \n2, 1\n\n", graph_indicator="1 \n1\n", graph_labels="1\n")
+    # int() alone would refuse \x1c-\x1f, which str.strip strips
+    files = dict(A="1,\x1c2 \n2\x1f, 1\n\n", graph_indicator="1 \n1\n", graph_labels="1\n")
     ds = gd.parse_tudataset(write_files(tmp_path, **files), "TINY")
     assert ds.graphs[0].edges.tolist() == [[0, 1]]
 
@@ -170,6 +171,10 @@ def test_int64_range_edges_accepted_and_beyond_rejected(tmp_path):
     files = dict(MINIMAL, node_labels="9223372036854775807\n+0009223372036854775807\n")
     ds = gd.parse_tudataset(write_files(tmp_path, **files), "TINY")
     assert ds.graphs[0].node_labels.tolist() == [2**63 - 1, 2**63 - 1]
+    # int() alone would refuse more than 4,300 digits, leading zeros included
+    files = dict(MINIMAL, node_labels="0" * 5000 + "7\n-" + "0_" * 30 + "9223372036854775808\n")
+    ds = gd.parse_tudataset(write_files(tmp_path, **files), "TINY")
+    assert ds.graphs[0].node_labels.tolist() == [7, -(2**63)]
 
 
 @pytest.mark.parametrize("text, line", [
@@ -178,6 +183,8 @@ def test_int64_range_edges_accepted_and_beyond_rejected(tmp_path):
     ("1\n18446744073709551617\n", 2),  # 2**64 + 1
     ("\n1\n-9223372036854775809\n", 3),
     ("1\n" + "9" * 5000 + "\n", 2),
+    ("1\n-" + "0" * 20 + "1" + "0" * 19 + "\n", 2),
+    ("1" + "_0" * 19 + "\n", 1),
 ])
 def test_integer_outside_int64_names_file_and_line(tmp_path, text, line):
     files = dict(MINIMAL, node_labels=text)
@@ -542,25 +549,37 @@ def test_any_chunk_size_decodes_like_the_default(chunk, graphs, seed, edits):
             assert decoded(path, fields, chunk) == decoded(path, fields)
 
 
+def traced_peak(function, *args):
+    """function(*args), and the peak of the memory tracemalloc traced meanwhile."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = function(*args)
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
 def test_decoding_memory_is_bounded_by_chunk_and_records(tmp_path):
     """A few MiB of A records decode within twice the records' arrays (the
     chunks' pieces and their concatenation) plus a few chunks' temporaries,
-    not in temporaries the size of the file."""
+    not in temporaries the size of the file, on either decoding path: plain
+    records, and records with a sign before every value. One chunk's
+    per-line decoding takes about 10 times the chunk."""
     pairs = np.random.default_rng(0).integers(1, 10**6, size=(250_000, 2))
     path = tmp_path / "M_A.txt"
-    path.write_text("".join(map("%d, %d\n".__mod__, map(tuple, pairs.tolist()))))
     chunk = 64 << 10
-    with mock.patch.object(gd, "CHUNK_BYTES", chunk):
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            records = gd._read_records(path, 2)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
-    assert records.error is None and np.array_equal(records.values, pairs)
-    assert path.stat().st_size > 3 << 20
-    assert peak <= 2 * (records.values.nbytes + records.lines.nbytes) + 16 * chunk, peak
+    for record, plain in (("%d, %d\n", True), ("+%d, +%d\n", False)):
+        path.write_text("".join(map(record.__mod__, map(tuple, pairs.tolist()))))
+        raw = path.read_bytes()
+        assert (gd._fast_decode(raw, 2, 1) is not None) == plain
+        with mock.patch.object(gd, "CHUNK_BYTES", chunk):
+            records, peak = traced_peak(gd._read_records, path, 2)
+        assert records.error is None and np.array_equal(records.values, pairs)
+        assert len(raw) > 3 << 20
+        assert peak <= 2 * (records.values.nbytes + records.lines.nbytes) + 16 * chunk, peak
+    piece = raw[: raw.rfind(b"\n", 0, chunk) + 1]
+    assert traced_peak(gd._decode, piece, 2, path, 1)[1] <= 16 * len(piece)
 
 
 # ------------------------------------------------------------ plain fast path
@@ -588,7 +607,13 @@ def exact(raw: bytes, fields: int, first_line: int = 1, path=Path("X_A.txt")):
         (b"1, 99999999999999999999999\n", 2, False),
         (b"0000000000000000000000007, 0000000000000000000000012\n", 2, True),
         (b"010, 2\n", 2, True),  # decimal, never octal
-        (b"1, 2\r\n3, 4\r\n", 2, False),
+        (b"1, 2\r\n3, 4\r\n", 2, True),  # \r\n is one line end either way
+        (b"1,\t2\n\t3\t,4\t\r\n", 2, True),  # tabs are blanks, as spaces are
+        (b"1,\t\n", 2, False),  # a field of tabs, which fromstring reads as 0
+        (b"1, 2\r3, 4\r", 2, False),  # lone \r line ends
+        (b"1, 2\r\n3, 4\r5, 6\r\n", 2, False),  # \r\n mixed with a lone \r
+        (b"1, 2\r\n\r\n3, 4\r\n", 2, False),  # a blank line
+        (b"1, " + b"9" * 5000 + b"\n", 2, False),  # past int()'s 4,300-digit limit
         (b" 1 ,2 \n3,  4", 2, True),
     ],
 )
@@ -604,11 +629,12 @@ def test_fast_path_decodes_like_the_exact_decoder(tmp_path, content, fields, tak
 
 
 # any string over the plain alphabet, or lines of fields that are mostly
-# integers padded with spaces, with empty, blank, two-token and int64-edge fields
-PLAIN_TEXT = st.binary(min_size=1, max_size=80).map(
-    lambda b: bytes(b"0123456789, \n"[x % 13] for x in b)
-)
-PADDING = st.sampled_from([b"", b"", b" ", b"  "])
+# integers padded with blanks, with empty, blank, two-token and int64-edge
+# fields, lines ending at \n or \r\n
+PLAIN_PIECES = [bytes([c]) for c in b"0123456789, \t\n"] + [b"\r\n"]
+PLAIN_TEXT = st.lists(st.sampled_from(PLAIN_PIECES), min_size=1, max_size=80).map(b"".join)
+PADDING = st.sampled_from([b"", b"", b" ", b"  ", b"\t", b" \t"])
+LINE_END = st.sampled_from([b"\n", b"\n", b"\r\n"])
 INTEGER_FIELD = st.tuples(PADDING, st.sampled_from([b"", b"0", b"00"]), st.integers(0, 10**12), PADDING)
 ODD_FIELD = st.sampled_from(
     [b"", b" ", b"1 2", b"9223372036854775806", b"9223372036854775807", b"9223372036854775808",
@@ -624,7 +650,9 @@ def plain_chunks(draw, fields):
     width = st.sampled_from([fields] * 8 + [1, 3])  # now and then a wrong field count
     lines = draw(st.lists(width.flatmap(lambda n: st.lists(FIELD, min_size=n, max_size=n)),
                           min_size=1, max_size=6))
-    return b"\n".join(b",".join(line) for line in lines) + draw(st.sampled_from([b"\n", b""]))
+    ends = draw(st.lists(LINE_END, min_size=len(lines), max_size=len(lines)))
+    text = b"".join(b",".join(line) + end for line, end in zip(lines, ends))
+    return text if draw(st.booleans()) else text.removesuffix(ends[-1])
 
 
 @given(
@@ -641,15 +669,20 @@ def test_fast_path_declines_or_equals_the_exact_decoder(fields_and_raw, first_li
 
 
 def test_written_files_never_reach_the_exact_decoder(tmp_path):
-    """Every file write_tudataset writes is plain, at any chunk size."""
+    """Every file write_tudataset writes is plain, at any chunk size, and so
+    are its copies with CRLF line ends or a tab after each comma."""
     src = gd.generate_synthetic(40, size_range=(5, 20), seed=3)
     directory = gd.write_tudataset(src, tmp_path / "W", "W")
-    for chunk in (gd.CHUNK_BYTES, 64, 7):
-        with mock.patch.object(gd, "CHUNK_BYTES", chunk):
-            with mock.patch.object(gd, "_decode", wraps=gd._decode) as exact_decoder:
-                parsed = gd.parse_tudataset(directory, "W")
-        assert exact_decoder.call_count == 0
-        assert gd.dataset_fingerprint(parsed) == gd.dataset_fingerprint(src)
+    written = {path: path.read_bytes() for path in directory.iterdir()}
+    for line_end, separator in ((b"\n", b", "), (b"\r\n", b", "), (b"\n", b",\t")):
+        for path, content in written.items():
+            path.write_bytes(content.replace(b"\n", line_end).replace(b", ", separator))
+        for chunk in (gd.CHUNK_BYTES, 64, 7):
+            with mock.patch.object(gd, "CHUNK_BYTES", chunk):
+                with mock.patch.object(gd, "_decode", wraps=gd._decode) as exact_decoder:
+                    parsed = gd.parse_tudataset(directory, "W")
+            assert exact_decoder.call_count == 0
+            assert gd.dataset_fingerprint(parsed) == gd.dataset_fingerprint(src)
 
 
 def test_two_tokens_in_a_field_emit_no_warning(tmp_path):
