@@ -1,14 +1,14 @@
 """Graph collections: TUDataset-format parsing, node features, splits.
 
-A graph holds arrays only. Its edges are an E x 2 intp array of canonical
-unordered pairs (u < v, sorted, no duplicates, no self-loops); the symmetric
-adjacency is reconstructed where needed. Its node labels, when the data set
-has them, are an int64 array of the raw values. Its node features are its
-rows of one N x dim matrix built for the whole data set. The parser's graphs
-are views into its bulk arrays. Raw class labels are remapped to contiguous
-0-based indices in sorted raw-label order so class ids are stable across
-runs. The fingerprint hashes edges and node labels in their tuple text, so
-it reads the same as when graphs stored tuples.
+A graph holds its structure only, as arrays. Its edges are an E x 2 intp array
+of canonical unordered pairs (u < v, sorted, no duplicates, no self-loops);
+the symmetric adjacency is reconstructed where needed. Its node labels, when
+the data set has them, are an int64 array of the raw values. Node features
+are the data set's: one N x dim matrix, graph i's rows after graph i-1's.
+The parser's graphs are views into its bulk arrays. Raw class labels are
+remapped to contiguous 0-based indices in sorted raw-label order, so class
+ids are stable across runs. The fingerprint hashes edges and node labels in
+their tuple text, so it reads the same as when graphs stored tuples.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import re
 import warnings
 from array import array
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import repeat
 from pathlib import Path
 
@@ -28,28 +29,16 @@ from .errors import DatasetFormatError, InputError
 from .seeding import seeded_rng
 
 log = logging.getLogger("glaug.data")
-_UNSET = np.zeros((0, 0))  # every graph's features until build_node_features fills them
-_INTP, _INT64 = np.dtype(np.intp), np.dtype(np.int64)
 
 
 @dataclass(frozen=True, eq=False)
 class GraphInstance:
-    """One graph. Edges and node labels passed in another form (tuples of
-    pairs, lists, other dtypes) are converted to the arrays below; arrays
-    already in that form are kept as given, uncopied."""
+    """One graph's structure."""
 
     node_count: int
     edges: np.ndarray  # E x 2 intp, canonical: u < v, sorted, unique
-    node_features: np.ndarray  # node_count x feature_dim
     label: int | None
     node_labels: np.ndarray | None = None  # int64 raw values from the file
-
-    def __post_init__(self):
-        e, nl = self.edges, self.node_labels
-        if not (type(e) is np.ndarray and e.dtype is _INTP and e.shape[1:] == (2,)):
-            object.__setattr__(self, "edges", np.asarray(e, np.intp).reshape(-1, 2))
-        if not (nl is None or type(nl) is np.ndarray and nl.dtype is _INT64):
-            object.__setattr__(self, "node_labels", np.asarray(nl, np.int64))
 
     def degrees(self) -> np.ndarray:
         """Edges incident to each node, as a length node_count integer array."""
@@ -61,10 +50,22 @@ class GraphDataset:
     name: str
     graphs: tuple[GraphInstance, ...]
     num_classes: int
-    feature_dim: int
+    node_features: np.ndarray  # N x dim; graph i's rows follow graph i-1's
 
     def __len__(self) -> int:
         return len(self.graphs)
+
+    @property
+    def feature_dim(self) -> int:
+        return self.node_features.shape[1]
+
+    @cached_property
+    def _row_starts(self) -> list[int]:
+        return np.cumsum([0, *(g.node_count for g in self.graphs)]).tolist()
+
+    def rows(self, i: int) -> np.ndarray:
+        """Graph i's node-feature rows, a view of `node_features`."""
+        return self.node_features[self._row_starts[i] : self._row_starts[i + 1]]
 
 
 @dataclass(frozen=True)
@@ -339,8 +340,8 @@ def parse_tudataset(directory, name: str, policy: FeaturePolicy | None = None) -
     `<name>_node_labels.txt` exists, degree one-hot otherwise). The files are
     read in the order graph_indicator, graph_labels, node_labels, A, and the
     error raised is the first problem in that order, line by line. Each
-    graph is built from slices of the decoded arrays, uncopied, and
-    build_node_features then gives it its rows.
+    graph is built once, from slices of the decoded arrays, uncopied, and
+    build_node_features then builds the data set's feature matrix.
     """
     directory = Path(directory)
     paths = {
@@ -400,9 +401,9 @@ def parse_tudataset(directory, name: str, policy: FeaturePolicy | None = None) -
     edge_arrays = _graph_edges(edges, node_graph, first_node)
     distinct, class_of = np.unique(labels.values[:, 0], return_inverse=True)
 
-    columns = counts.tolist(), edge_arrays, repeat(_UNSET), class_of.tolist()
+    columns = counts.tolist(), edge_arrays, class_of.tolist()
     graphs = tuple(map(GraphInstance, *columns, node_labels or repeat(None)))
-    ds = GraphDataset(name=name, graphs=graphs, num_classes=len(distinct), feature_dim=0)
+    ds = GraphDataset(name, graphs, len(distinct), np.zeros((total_nodes, 0)))
     return build_node_features(ds, policy or default_policy(node_labels is not None))
 
 
@@ -410,13 +411,10 @@ def parse_tudataset(directory, name: str, policy: FeaturePolicy | None = None) -
 
 
 def build_node_features(dataset: GraphDataset, policy: FeaturePolicy) -> GraphDataset:
-    """Rebuild every graph's feature matrix under `policy`.
-
-    Each node gets one hot column: its node label's rank among all distinct
-    labels, its degree capped at degree_cap, or column 0. One N x dim matrix
-    holds every node's row, and each graph's features are a view of its rows."""
+    """The data set, its graphs shared, with its feature matrix rebuilt under
+    `policy`. Each node gets one hot column: its node label's rank among all
+    distinct labels, its degree capped at degree_cap, or column 0."""
     graphs = dataset.graphs
-    counts = [g.node_count for g in graphs]
     if policy.kind == "one_hot_node_labels":
         if any(g.node_labels is None for g in graphs):
             raise InputError("one_hot_node_labels requires a node-label file")
@@ -429,15 +427,10 @@ def build_node_features(dataset: GraphDataset, policy: FeaturePolicy) -> GraphDa
         column = np.minimum(degrees, policy.degree_cap)
     else:  # constant_one
         dim = 1
-        column = np.zeros(sum(counts), np.intp)
+        column = np.zeros(sum(g.node_count for g in graphs), np.intp)
     x = np.zeros((len(column), dim))
     x[np.arange(len(column)), column] = 1.0
-    rows = _pieces(x, counts)
-    graphs = tuple(
-        GraphInstance(g.node_count, g.edges, r, g.label, g.node_labels)
-        for g, r in zip(graphs, rows)
-    )
-    return GraphDataset(dataset.name, graphs, dataset.num_classes, dim)
+    return replace(dataset, node_features=x)
 
 
 # ---------------------------------------------------------------- synthetic
@@ -475,9 +468,9 @@ def generate_synthetic(
         keep = rng.random(n * (n - 1) // 2) < edge_density_per_class[k]
         u, v = np.triu_indices(n, 1)
         edges = np.column_stack((u[keep], v[keep]))
-        graphs.append(GraphInstance(n, edges, _UNSET, k, rng.integers(1, 4, size=n)))
-    ds = GraphDataset(name=name, graphs=tuple(graphs), num_classes=classes, feature_dim=0)
-    return build_node_features(ds, default_policy(True))
+        graphs.append(GraphInstance(n, edges, k, rng.integers(1, 4, size=n)))
+    x = np.zeros((sum(g.node_count for g in graphs), 0))
+    return build_node_features(GraphDataset(name, tuple(graphs), classes, x), default_policy(True))
 
 
 def write_tudataset(dataset: GraphDataset, directory, name: str | None = None) -> Path:
@@ -574,12 +567,12 @@ def dataset_fingerprint(dataset: GraphDataset) -> str:
     as first hashed; one %-format over the graph's integers writes it."""
     h = hashlib.sha256()
     h.update(f"classes={dataset.num_classes};dim={dataset.feature_dim}".encode())
-    for g in dataset.graphs:
+    for i, g in enumerate(dataset.graphs):
         text = f"|n={g.node_count};y={g.label};e={_tuple_template(len(g.edges), '(%d, %d)')}"
         ints = g.edges.ravel().tolist()
         if g.node_labels is not None:
             text += f";nl={_tuple_template(len(g.node_labels), '%d')}"
             ints += g.node_labels.tolist()
         h.update((text % tuple(ints)).encode())
-        h.update(np.ascontiguousarray(g.node_features))
+        h.update(np.ascontiguousarray(dataset.rows(i)))
     return h.hexdigest()

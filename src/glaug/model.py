@@ -72,15 +72,19 @@ class ModelParams:
     assigning `arrays[name] = values` of the same shape, writes the vector.
     """
 
-    def __init__(self, arrays: dict[str, np.ndarray], depth: int) -> None:
+    def __init__(self, arrays: dict[str, np.ndarray]) -> None:
         for name, values in arrays.items():
             if np.ndim(values) != 2:
                 raise ad.ShapeError(f"{name}: expected a 2-D matrix, got ndim={np.ndim(values)}")
         self._layout = tuple((name, np.shape(values)) for name, values in arrays.items())
-        self.depth = depth
         self._place(np.empty(sum(math.prod(shape) for _, shape in self._layout)))
         for name, values in arrays.items():
             self.arrays[name] = values
+
+    @property
+    def depth(self) -> int:
+        """Encoder layers: the enc0, enc1, ... arrays."""
+        return sum(name.startswith("enc") for name, _ in self._layout)
 
     def views(self, vector: np.ndarray) -> _Views:
         """Name -> 2-D view of the part of `vector` (laid out like `flat`) that
@@ -121,7 +125,7 @@ class ModelParams:
             arrays[f"{head}_b1"] = np.zeros((1, hidden))
             arrays[f"{head}_w2"] = glorot(rng, hidden, out_dim)
             arrays[f"{head}_b2"] = np.zeros((1, out_dim))
-        return cls(arrays, depth)
+        return cls(arrays)
 
     def copy(self) -> "ModelParams":
         """An independent copy: one copy of the parameter vector."""
@@ -161,8 +165,9 @@ def _constant(tape: Tape | None, values) -> DiffValue | np.ndarray:
 class GraphBatch:
     """The disjoint union of B graphs, as one forward consumes it.
 
-    Graph b owns rows bounds[b]:bounds[b+1] of `node_features`, and `blocks[b]`
-    is its normalized adjacency. `node_count` is the total number of rows.
+    Graph b owns rows bounds[b]:bounds[b+1] of `node_features`, copied from
+    the data set's feature matrix, and `blocks[b]` is its normalized
+    adjacency. `node_count` is the total number of rows.
     """
 
     node_features: np.ndarray  # N x f
@@ -170,13 +175,12 @@ class GraphBatch:
     bounds: np.ndarray  # B + 1 row offsets, from 0 to N
 
     @classmethod
-    def of(cls, graphs, blocks) -> "GraphBatch":
-        """Stack `graphs` in order; `blocks[b]` is `normalize_adjacency(graphs[b])`."""
-        if any(g.node_count == 0 for g in graphs):
+    def of(cls, features, blocks) -> "GraphBatch":
+        """Stack B graphs: `features[b]` holds graph b's rows, `blocks[b]` its adjacency."""
+        if any(len(x) == 0 for x in features):
             raise InputError("cannot encode an empty graph")
-        bounds = np.concatenate([[0], np.cumsum([g.node_count for g in graphs])])
-        features = np.vstack([g.node_features for g in graphs])
-        return cls(features, tuple(blocks), bounds.astype(np.intp))
+        bounds = np.concatenate([[0], np.cumsum([len(x) for x in features])])
+        return cls(np.vstack(features), tuple(blocks), bounds.astype(np.intp))
 
     @property
     def node_count(self) -> int:

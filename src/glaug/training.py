@@ -255,8 +255,8 @@ def _adam_finite(params: ModelParams, grads: dict, state: AdamState, lr: float, 
 
 def _stack(dataset: GraphDataset, indices) -> GraphBatch:
     """The disjoint union of the given graphs, adjacency built for this forward."""
-    graphs = [dataset.graphs[i] for i in indices]
-    return GraphBatch.of(graphs, [normalize_adjacency(g) for g in graphs])
+    features = [dataset.rows(i) for i in indices]
+    return GraphBatch.of(features, [normalize_adjacency(dataset.graphs[i]) for i in indices])
 
 
 def _representations(dataset: GraphDataset, params: ModelParams, indices) -> np.ndarray:
@@ -442,8 +442,7 @@ def _train_surrogate(
             "cls_b1": np.zeros((1, hidden)),
             "cls_w2": glorot(rng, hidden, num_classes),
             "cls_b2": np.zeros((1, num_classes)),
-        },
-        depth=0,
+        }
     )
     onehot = np.eye(num_classes)[labels]
     state = AdamState()

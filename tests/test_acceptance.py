@@ -112,8 +112,7 @@ def test_criterion_02_normalization_oracle(announce):
             {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5}
         )
         g = GraphInstance(
-            node_count=n, edges=tuple(edges),
-            node_features=np.ones((n, 1)), label=0, node_labels=None,
+            node_count=n, edges=np.array(edges, np.intp).reshape(-1, 2), label=0, node_labels=None,
         )
         dense = normalize_adjacency(g)
         worst = max(worst, float(np.max(np.abs(dense - _dense_oracle(g)))))

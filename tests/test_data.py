@@ -5,6 +5,7 @@ import hashlib
 import io
 import logging
 import re
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -13,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import glaug.cli as cli_mod
@@ -236,6 +237,21 @@ def test_first_error_in_file_order_wins(tmp_path):
 # independent reference: text-mode lines, str.strip, int() per field.
 
 
+@contextlib.contextmanager
+def unlimited_int_digits():
+    """int() without the interpreter's limit on digits (4,300 from Python
+    3.11 on), so a long zero-padded field reads as its value."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _reference_int_lines(path: Path, fields: int):
     """Yield (lineno, tuple_of_ints); blank lines are skipped."""
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
@@ -251,9 +267,14 @@ def _reference_int_lines(path: Path, fields: int):
                     path, lineno, f"expected {fields} comma-separated fields, got {len(parts)}"
                 )
             try:
-                values = tuple(int(p) for p in parts)
+                with unlimited_int_digits():
+                    values = tuple(int(p) for p in parts)
             except ValueError:
                 raise DatasetFormatError(path, lineno, f"not an integer record: {line!r}") from None
+            if not all(-(2**63) <= value < 2**63 for value in values):
+                raise DatasetFormatError(
+                    path, lineno, f"integer outside the int64 range: {line!r}"
+                )
             yield lineno, values
 
 
@@ -346,15 +367,14 @@ def reference_parse(directory, name: str) -> gd.GraphDataset:
     for g in range(num_graphs):
         n = counts[g]
         base = int(first_node[g])
-        nl = tuple(node_labels[base : base + n]) if node_labels is not None else None
+        nl = np.array(node_labels[base : base + n], np.int64) if node_labels is not None else None
         graphs.append(gd.GraphInstance(
             node_count=n,
-            edges=tuple(sorted(edge_sets[g])),
-            node_features=np.zeros((n, 0)),
+            edges=np.array(sorted(edge_sets[g]), np.intp).reshape(-1, 2),
             label=class_of[raw_labels[g]],
             node_labels=nl,
         ))
-    ds = gd.GraphDataset(name=name, graphs=tuple(graphs), num_classes=len(class_of), feature_dim=0)
+    ds = gd.GraphDataset(name, tuple(graphs), len(class_of), np.zeros((total_nodes, 0)))
     return gd.build_node_features(ds, gd.default_policy(node_labels is not None))
 
 
@@ -465,6 +485,9 @@ def fuzzed_files(src: gd.GraphDataset, tmp: Path, edits) -> Path:
     edits=FUZZ_EDITS,
 )
 @settings(max_examples=600, deadline=None)
+# a valid field past int()'s 4,300-digit limit, and one past it outside int64
+@example(1, 0, [("node_labels", "replace_line", 0, b"0" * 5000 + b"7", 0)])
+@example(1, 0, [("node_labels", "replace_line", 0, b"9" * 5000, 0)])
 def test_bulk_reader_matches_per_line_reference(graphs, seed, edits):
     src = gd.generate_synthetic(graphs, size_range=(1, 5), seed=seed)
     with tempfile.TemporaryDirectory() as tmp:
@@ -702,26 +725,25 @@ def test_default_features_use_node_labels_when_present(tmp_path):
     files = dict(MINIMAL, node_labels="7\n9\n")
     ds = gd.parse_tudataset(write_files(tmp_path, **files), "TINY")
     assert ds.feature_dim == 2
-    np.testing.assert_array_equal(ds.graphs[0].node_features, [[1, 0], [0, 1]])
+    np.testing.assert_array_equal(ds.rows(0), [[1, 0], [0, 1]])
 
 
 def test_degree_one_hot_on_path_graph(tmp_path):
     ds = gd.parse_tudataset(write_files(tmp_path, **MINIMAL), "TINY")
     ds = gd.build_node_features(ds, gd.FeaturePolicy("degree_one_hot", 3))
     assert ds.feature_dim == 4
-    np.testing.assert_array_equal(ds.graphs[0].node_features, [[0, 1, 0, 0], [0, 1, 0, 0]])
+    np.testing.assert_array_equal(ds.rows(0), [[0, 1, 0, 0], [0, 1, 0, 0]])
 
 
 def test_degree_cap_maps_to_last_slot():
     star = gd.GraphInstance(
         node_count=5,
-        edges=tuple((0, v) for v in range(1, 5)),
-        node_features=np.zeros((5, 0)),
+        edges=np.array([(0, v) for v in range(1, 5)], np.intp),
         label=0,
     )
-    ds = gd.GraphDataset("S", (star,), 1, 0)
+    ds = gd.GraphDataset("S", (star,), 1, np.zeros((5, 0)))
     ds = gd.build_node_features(ds, gd.FeaturePolicy("degree_one_hot", 2))
-    hub = ds.graphs[0].node_features[0]
+    hub = ds.rows(0)[0]
     np.testing.assert_array_equal(hub, [0, 0, 1])  # degree 4 >= cap 2
 
 
@@ -733,8 +755,9 @@ def test_one_hot_features_match_row_loop(policy):
     # sizes from 1 node up, so isolated nodes and edgeless graphs occur
     ds = gd.generate_synthetic(30, size_range=(1, 9), seed=4)
     values = sorted({lab for g in ds.graphs for lab in g.node_labels.tolist()})
-    for g in gd.build_node_features(ds, policy).graphs:
-        want = np.zeros_like(g.node_features)
+    built = gd.build_node_features(ds, policy)
+    for i, g in enumerate(built.graphs):
+        want = np.zeros_like(built.rows(i))
         for row in range(g.node_count):
             if policy.kind == "one_hot_node_labels":
                 want[row, values.index(g.node_labels[row])] = 1.0
@@ -742,14 +765,14 @@ def test_one_hot_features_match_row_loop(policy):
                 want[row, min(sum(row in e for e in g.edges.tolist()), policy.degree_cap)] = 1.0
             else:
                 want[row, 0] = 1.0
-        assert np.array_equal(g.node_features, want)
+        assert np.array_equal(built.rows(i), want)
 
 
 def test_constant_one_features(tmp_path):
     ds = gd.parse_tudataset(write_files(tmp_path, **MINIMAL), "TINY")
     ds = gd.build_node_features(ds, gd.FeaturePolicy("constant_one"))
     assert ds.feature_dim == 1
-    np.testing.assert_array_equal(ds.graphs[0].node_features, [[1.0], [1.0]])
+    np.testing.assert_array_equal(ds.rows(0), [[1.0], [1.0]])
 
 
 def test_one_hot_without_node_labels_rejected(tmp_path):
@@ -760,9 +783,35 @@ def test_one_hot_without_node_labels_rejected(tmp_path):
 
 def test_feature_matrices_finite_and_sized():
     ds = gd.generate_synthetic(12, seed=3)
-    for g in ds.graphs:
-        assert g.node_features.shape == (g.node_count, ds.feature_dim)
-        assert np.all(np.isfinite(g.node_features))
+    for i, g in enumerate(ds.graphs):
+        assert ds.rows(i).shape == (g.node_count, ds.feature_dim)
+        assert np.all(np.isfinite(ds.rows(i)))
+
+
+@pytest.mark.parametrize("spelling", ["one_hot_node_labels", "degree_one_hot:3", "constant_one"])
+def test_feature_dim_is_the_matrix_width(spelling):
+    ds = gd.build_node_features(gd.generate_synthetic(8, seed=6), gd.FeaturePolicy.parse(spelling))
+    assert ds.feature_dim == ds.node_features.shape[1]
+    assert ds.node_features.shape[0] == sum(g.node_count for g in ds.graphs)
+
+
+def test_build_node_features_shares_the_graphs():
+    ds = gd.generate_synthetic(8, seed=6)
+    assert gd.build_node_features(ds, gd.FeaturePolicy("constant_one")).graphs is ds.graphs
+
+
+def test_parse_builds_each_graph_once(tmp_path, monkeypatch):
+    gd.write_tudataset(gd.generate_synthetic(9, seed=7), tmp_path, "ONCE")
+    built = []
+    real = gd.GraphInstance
+
+    def counting(*args):
+        built.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(gd, "GraphInstance", counting)
+    ds = gd.parse_tudataset(tmp_path, "ONCE", gd.FeaturePolicy("degree_one_hot", 3))
+    assert built == [g.node_count for g in ds.graphs]
 
 
 def test_policy_parse_spellings():
@@ -813,29 +862,19 @@ def test_fingerprint_matches_recorded_digest(source, spelling, tmp_path):
     assert gd.dataset_fingerprint(ds) == GOLDEN[source, spelling]
 
 
-def test_fingerprint_same_for_tuple_and_array_graphs():
-    def dataset(edges, node_labels):
-        g = gd.GraphInstance(4, edges, np.ones((4, 1)), 1, node_labels)
-        return gd.GraphDataset("T", (g,), 2, 1)
-
-    from_tuples = dataset(((0, 1), (1, 3)), (5, -2, 5, 0))
-    from_arrays = dataset(np.array([[0, 1], [1, 3]]), np.array([5, -2, 5, 0]))
-    assert gd.dataset_fingerprint(from_tuples) == gd.dataset_fingerprint(from_arrays)
-    assert gd.dataset_fingerprint(dataset((), None)) == gd.dataset_fingerprint(
-        dataset(np.empty((0, 2), np.intp), None)
-    )
-
-
 def tuple_text_fingerprint(dataset):
     """The fingerprint as first written: each graph's edges and node labels
     formatted as Python tuple text, one graph and one update at a time."""
     h = hashlib.sha256()
     h.update(f"classes={dataset.num_classes};dim={dataset.feature_dim}".encode())
+    start = 0
     for g in dataset.graphs:
         h.update(f"|n={g.node_count};y={g.label};e={tuple(map(tuple, g.edges.tolist()))}".encode())
         if g.node_labels is not None:
             h.update(f";nl={tuple(g.node_labels.tolist())}".encode())
-        h.update(np.ascontiguousarray(g.node_features).tobytes())
+        rows = dataset.node_features[start : start + g.node_count]
+        h.update(np.ascontiguousarray(rows).tobytes())
+        start += g.node_count
     return h.hexdigest()
 
 
@@ -845,22 +884,25 @@ PERCENT = float(np.frombuffer(b"%" * 8, np.float64)[0])
 
 
 @st.composite
-def fingerprint_graph(draw, dim):
+def fingerprint_graph(draw):
     nodes = draw(st.integers(0, 4))
     edges = draw(st.lists(st.tuples(INT64, INT64), max_size=4))  # 0, 1 and several pairs
     node_labels = draw(st.none() | st.lists(INT64, max_size=4))
-    values = st.floats(allow_nan=True, allow_infinity=True) | st.just(PERCENT) | st.just(-0.0)
-    features = np.array(draw(st.lists(values, min_size=nodes * dim, max_size=nodes * dim)))
-    features = features.reshape(dim, nodes).T if draw(st.booleans()) else features.reshape(nodes, dim)
     label = draw(st.none() | st.integers(-3, 10**20))
-    return gd.GraphInstance(nodes, edges, features, label, node_labels)
+    edges = np.array(edges, np.intp).reshape(-1, 2)
+    node_labels = None if node_labels is None else np.array(node_labels, np.int64)
+    return gd.GraphInstance(nodes, edges, label, node_labels)
 
 
 @st.composite
 def fingerprint_dataset(draw):
     dim = draw(st.integers(0, 3))
-    graphs = draw(st.lists(fingerprint_graph(dim), max_size=7))
-    return gd.GraphDataset("FP", tuple(graphs), draw(st.integers(1, 4)), dim)
+    graphs = draw(st.lists(fingerprint_graph(), max_size=7))
+    nodes = sum(g.node_count for g in graphs)
+    values = st.floats(allow_nan=True, allow_infinity=True) | st.just(PERCENT) | st.just(-0.0)
+    features = np.array(draw(st.lists(values, min_size=nodes * dim, max_size=nodes * dim)))
+    features = features.reshape(dim, nodes).T if draw(st.booleans()) else features.reshape(nodes, dim)
+    return gd.GraphDataset("FP", tuple(graphs), draw(st.integers(1, 4)), features)
 
 
 @given(fingerprint_dataset())
@@ -965,8 +1007,8 @@ def test_parse_with_policy_equals_rebuilt_features(tmp_path):
         rebuilt = gd.build_node_features(gd.parse_tudataset(tmp_path, "PF"), policy)
         assert once.feature_dim == rebuilt.feature_dim
         assert gd.dataset_fingerprint(once) == gd.dataset_fingerprint(rebuilt)
-        for a, b in zip(once.graphs, rebuilt.graphs):
-            assert np.array_equal(a.node_features, b.node_features)
+        for i in range(len(once)):
+            assert np.array_equal(once.rows(i), rebuilt.rows(i))
 
 
 def test_writer_is_byte_deterministic(tmp_path):

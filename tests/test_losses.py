@@ -287,7 +287,7 @@ def test_missing_classification_term_is_identity():
 
 
 def tiny_params():
-    return ModelParams({"w": np.array([[1.0, -2.0], [0.5, 3.0]])}, depth=0)
+    return ModelParams({"w": np.array([[1.0, -2.0], [0.5, 3.0]])})
 
 
 def test_zero_gradient_leaves_params_unchanged():
@@ -330,7 +330,7 @@ def test_adam_in_place_equals_formula_bitwise():
     # the expression form the in-place update must reproduce bit for bit
     rng = np.random.default_rng(5)
     shapes = {"w": (3, 4), "b": (1, 4), "s": (1, 1), "wide": (17, 33), "empty": (0, 2)}
-    params = ModelParams({k: rng.normal(size=shape) for k, shape in shapes.items()}, depth=0)
+    params = ModelParams({k: rng.normal(size=shape) for k, shape in shapes.items()})
     want = {k: arr.copy() for k, arr in params.arrays.items()}
     m = {k: np.zeros_like(arr) for k, arr in want.items()}
     v = {k: np.zeros_like(arr) for k, arr in want.items()}
@@ -433,7 +433,7 @@ def test_flat_adam_equals_per_array_adam_bitwise(which):
         shapes = {k: a.shape for k, a in full.arrays.items()}
     shapes["empty"] = (0, 5)
     start = {k: rng.normal(size=shape) for k, shape in shapes.items()}
-    params = ModelParams(start, depth=0)
+    params = ModelParams(start)
     want = {k: a.copy() for k, a in start.items()}
     m = {k: np.zeros_like(a) for k, a in want.items()}
     v = {k: np.zeros_like(a) for k, a in want.items()}
@@ -453,7 +453,7 @@ def test_flat_adam_equals_per_array_adam_bitwise(which):
 
 
 def test_adam_rejects_shape_mismatch_before_updating():
-    params = ModelParams({"a": np.ones((2, 2)), "b": np.ones((1, 3))}, depth=0)
+    params = ModelParams({"a": np.ones((2, 2)), "b": np.ones((1, 3))})
     before = params.flat.copy()
     state = tr.AdamState()
     with pytest.raises(InvariantViolation, match=r"\(b\)"):

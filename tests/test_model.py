@@ -1,5 +1,7 @@
 """Model tests: dense adjacency oracle, numpy forward oracle, FD gradients."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,9 +14,22 @@ from glaug.data import GraphInstance
 from glaug.errors import InputError
 
 
+@dataclass(frozen=True, eq=False)
+class FeaturedGraph(GraphInstance):
+    """A graph with its feature rows, as a data set's graphs[i] and rows(i)."""
+
+    node_features: np.ndarray | None = None
+
+
+def graph(n, edges, features):
+    """A label-0 graph of `n` nodes; `edges` are canonical (u, v) pairs."""
+    return FeaturedGraph(n, np.array(edges, np.intp).reshape(-1, 2), 0, node_features=features)
+
+
 def batch_of(*graphs):
     """The disjoint union the model consumes, each block from `normalize_adjacency`."""
-    return gm.GraphBatch.of(graphs, [gm.normalize_adjacency(g) for g in graphs])
+    features = [g.node_features for g in graphs]
+    return gm.GraphBatch.of(features, [gm.normalize_adjacency(g) for g in graphs])
 
 
 def random_graph(rng, max_nodes=8, feature_dim=4):
@@ -22,7 +37,7 @@ def random_graph(rng, max_nodes=8, feature_dim=4):
     edges = tuple(
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4
     )
-    return GraphInstance(n, edges, rng.normal(size=(n, feature_dim)), label=0)
+    return graph(n, edges, rng.normal(size=(n, feature_dim)))
 
 
 # -------------------------------------------------- adjacency normalization
@@ -63,8 +78,8 @@ def entry_loop(g: GraphInstance) -> np.ndarray:
 def test_degrees_match_edge_loop():
     rng = np.random.default_rng(3)
     graphs = [random_graph(rng, max_nodes=30) for _ in range(40)]
-    graphs.append(GraphInstance(4, ((0, 1), (1, 2)), np.ones((4, 1)), label=0))  # node 3 isolated
-    graphs.append(GraphInstance(5, (), np.ones((5, 1)), label=0))  # no edges
+    graphs.append(graph(4, ((0, 1), (1, 2)), np.ones((4, 1))))  # node 3 isolated
+    graphs.append(graph(5, (), np.ones((5, 1))))  # no edges
     for g in graphs:
         got = g.degrees()
         assert got.shape == (g.node_count,) and got.dtype.kind == "i"
@@ -72,12 +87,12 @@ def test_degrees_match_edge_loop():
 
 
 def test_single_isolated_node():
-    g = GraphInstance(1, (), np.ones((1, 2)), label=0)
+    g = graph(1, (), np.ones((1, 2)))
     assert np.array_equal(gm.normalize_adjacency(g), [[1.0]])
 
 
 def test_two_nodes_one_edge_all_half():
-    g = GraphInstance(2, ((0, 1),), np.ones((2, 2)), label=0)
+    g = graph(2, ((0, 1),), np.ones((2, 2)))
     assert np.array_equal(gm.normalize_adjacency(g), np.full((2, 2), 0.5))
 
 
@@ -92,8 +107,8 @@ def test_matches_dense_oracle_on_random_graphs():
 def test_normalize_adjacency_matches_entry_loop_bitwise():
     rng = np.random.default_rng(2)
     graphs = [random_graph(rng, max_nodes=30) for _ in range(60)]
-    graphs.append(GraphInstance(4, ((0, 1), (1, 2)), np.ones((4, 1)), label=0))  # node 3 isolated
-    graphs.append(GraphInstance(5, (), np.ones((5, 1)), label=0))  # no edges
+    graphs.append(graph(4, ((0, 1), (1, 2)), np.ones((4, 1))))  # node 3 isolated
+    graphs.append(graph(5, (), np.ones((5, 1))))  # no edges
     for g in graphs:
         got = gm.normalize_adjacency(g)
         assert got.dtype == np.float64 and got.flags.c_contiguous
@@ -220,7 +235,7 @@ def test_residual_skips_zeroed_upper_layer():
     only_first = {
         k: v for k, v in zeroed.arrays.items() if not k.startswith("enc") or k == "enc0"
     }
-    bound = gm.ModelParams(only_first, 1).bind()
+    bound = gm.ModelParams(only_first).bind()
     layer0 = gm.encode(None, batch_of(g), bound)
     full = gm.encode(None, batch_of(g), zeroed.bind())
     # relu(0) = 0 at layers >= 1, residual carries layer 0 through unchanged
@@ -230,7 +245,7 @@ def test_residual_skips_zeroed_upper_layer():
 
 def test_feature_dim_mismatch_rejected():
     g, params = clean_case(40, feature_dim=4)
-    bad = GraphInstance(g.node_count, g.edges, np.ones((g.node_count, 7)), label=0)
+    bad = graph(g.node_count, g.edges, np.ones((g.node_count, 7)))
     t = Tape()
     with pytest.raises(InputError, match="feature dim"):
         gm.encode(t, batch_of(bad), params.bind(t))
@@ -238,10 +253,10 @@ def test_feature_dim_mismatch_rejected():
 
 def test_empty_graph_rejected():
     _, params = clean_case(50)
-    g = GraphInstance(0, (), np.zeros((0, 4)), label=0)
+    g = graph(0, (), np.zeros((0, 4)))
     t = Tape()
     with pytest.raises(InputError, match="empty"):
-        gm.encode(t, gm.GraphBatch.of([g], [np.zeros((0, 0))]), params.bind(t))
+        gm.encode(t, gm.GraphBatch.of([g.node_features], [np.zeros((0, 0))]), params.bind(t))
 
 
 # --------------------------------------------------------------------- pool
@@ -494,12 +509,13 @@ def test_frozen_forward_equals_tape_bitwise(depth):
 
 def test_frozen_forward_keeps_input_errors():
     g, params = clean_case(40, feature_dim=4)
-    bad = GraphInstance(g.node_count, g.edges, np.ones((g.node_count, 7)), label=0)
+    bad = graph(g.node_count, g.edges, np.ones((g.node_count, 7)))
     with pytest.raises(InputError, match="feature dim"):
         gm.encode(None, batch_of(bad), params.bind())
-    empty = GraphInstance(0, (), np.zeros((0, 4)), label=0)
+    empty = graph(0, (), np.zeros((0, 4)))
     with pytest.raises(InputError, match="empty"):
-        gm.GraphBatch.of([g, empty], [gm.normalize_adjacency(g), np.zeros((0, 0))])
+        features = [g.node_features, empty.node_features]
+        gm.GraphBatch.of(features, [gm.normalize_adjacency(g), np.zeros((0, 0))])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -541,6 +557,12 @@ def test_arrays_are_views_of_one_vector():
         assert a.flags.c_contiguous and np.shares_memory(a, params.flat)
         assert a.ravel().tobytes() == params.flat[at : at + a.size].tobytes()
         at += a.size
+
+
+def test_depth_counts_the_encoder_arrays():
+    assert gm.ModelParams.init(4, 3, hidden=5, proj_dim=3, depth=3).depth == 3
+    assert gm.ModelParams({"enc0": np.ones((2, 2)), "enc1": np.ones((2, 2))}).depth == 2
+    assert gm.ModelParams({"cls_w1": np.ones((2, 2))}).depth == 0
 
 
 def test_copy_is_independent_of_the_original_bitwise():
@@ -593,7 +615,7 @@ def test_assigning_an_array_writes_the_vector():
     with pytest.raises(ad.ShapeError, match="cls_b1"):
         params.arrays["cls_b1"] = np.ones((5, 1))
     with pytest.raises(ad.ShapeError, match="ndim=1"):
-        gm.ModelParams({"w": np.ones(3)}, depth=0)
+        gm.ModelParams({"w": np.ones(3)})
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
