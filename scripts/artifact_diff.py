@@ -17,10 +17,12 @@ cannot show a difference between the two, and the ablation runs all three
 selection strategies at that width. Another `run` draws one candidate (K = 1)
 in a representation of width 1, so every direction is +1 or -1: the smallest
 block of directions.
-A last `run` and its `rerun` read a data set written by hand in the shape of
-a downloaded one: CRLF line ends, blank lines, a self-loop and a repeated
-ordered pair, so the parser's line-end handling and its warnings on stderr
-are compared too.
+Two last `run`s and their `rerun`s read data sets written by hand in the
+shape of a downloaded one: CRLF line ends, blank lines, a self-loop and a
+repeated ordered pair, so the parser's line-end handling and its warnings on
+stderr are compared too. The second has no node-label file, so its run takes
+the default `degree_one_hot:10` features; every other data set here has node
+labels.
 
 After each command the exit code, stdout, stderr and every file the command
 wrote are compared. The script stops at the first difference and exits 1;
@@ -38,6 +40,7 @@ from pathlib import Path
 
 DATA = "data/SYNTH"
 HAND = "data/HAND"
+BARE = "data/BARE"  # HAND's graphs without a node-label file
 TINY = [
     "--epochs", "2", "--k", "3", "--hidden", "8", "--proj-dim", "4", "--depth", "2",
     "--batch-size", "8", "--lr", "1e-2",
@@ -60,32 +63,37 @@ EXPERIMENTS = [
     ("k1-dim1", ["run", DATA, "--epochs", "1", "--k", "1", "--hidden", "1", "--proj-dim", "1",
                  "--depth", "1"]),
     ("hand-written", ["run", HAND, *TINY]),
+    ("hand-written-no-node-labels", ["run", BARE, *TINY]),
 ]
 
 
-def write_hand_dataset(directory: Path) -> None:
+def write_hand_dataset(directory: Path, node_labels: bool = True) -> None:
     """Twelve small graphs in TUDataset files with CRLF line ends and blank
-    lines; the edge file lists one self-loop and repeats one ordered pair."""
+    lines, named after `directory`; the edge file lists one self-loop and
+    repeats one ordered pair. `node_labels` says whether a node-label file is
+    written."""
     graphs = [3 + i % 3 for i in range(12)]  # node counts
-    edges, indicator, node_labels, base = [], [], [], 0
+    edges, indicator, labels, base = [], [], [], 0
     for gid, n in enumerate(graphs, start=1):
         pairs = [(j, j + 1) for j in range(n - 1)] + ([(0, n - 1)] if gid % 2 else [])
         for u, v in pairs:
             edges += [f"{base + u + 1}, {base + v + 1}", f"{base + v + 1}, {base + u + 1}"]
         indicator += [str(gid)] * n
-        node_labels += [str(j % 3 + 1) for j in range(n)]
+        labels += [str(j % 3 + 1) for j in range(n)]
         base += n
     edges[3:3] = ["2, 2", "", edges[0]]  # a self-loop, a blank line, a repeated pair
     files = {
         "A": edges,
         "graph_indicator": indicator[:5] + ["  "] + indicator[5:],
         "graph_labels": [str(i % 2) for i in range(len(graphs))],
-        "node_labels": node_labels,
+        "node_labels": labels,
     }
+    if not node_labels:
+        del files["node_labels"]
     directory.mkdir(parents=True)
     for suffix, lines in files.items():
         text = "\r\n".join(lines) + "\r\n\r\n"
-        (directory / f"HAND_{suffix}.txt").write_bytes(text.encode("ascii"))
+        (directory / f"{directory.name}_{suffix}.txt").write_bytes(text.encode("ascii"))
 
 
 def commands() -> list[tuple[str, list[str], str | None]]:
@@ -163,6 +171,7 @@ def main(argv: list[str] | None = None) -> int:
 
         for name in sides:
             write_hand_dataset(work[name] / HAND)
+            write_hand_dataset(work[name] / BARE, node_labels=False)
         cmds = commands()
         for label, args, out in cmds:
             got = {name: run(src, work[name], args) for name, src in sides.items()}

@@ -73,12 +73,6 @@ def unit_directions(count: int, dim: int, rng: np.random.Generator) -> np.ndarra
     return v / norms
 
 
-def target_class(label: int | None, original_probs: np.ndarray) -> int:
-    """Ground-truth label when known, else the classifier's own argmax (np.argmax
-    resolves exact ties to the lowest index, which is the tie rule)."""
-    return int(label) if label is not None else int(np.argmax(original_probs))
-
-
 def snapshot_probs(frozen: dict, h_value: np.ndarray) -> np.ndarray:
     """Class probabilities from the frozen binding `frozen` of the classifier:
     `classify` with the row-exact product, so each row of the finite float64

@@ -64,7 +64,7 @@ def _resolve_dataset(path_str: str, name: str | None, features: str | None):
     policy = FeaturePolicy.parse(features) if features else None
     ds = parse_tudataset(base, name, policy)
     if policy is None:
-        policy = default_policy(ds.graphs[0].node_labels is not None)
+        policy = default_policy(ds.node_labels is not None)
     return ds, policy.spelled()
 
 

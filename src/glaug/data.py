@@ -1,14 +1,16 @@
 """Graph collections: TUDataset-format parsing, node features, splits.
 
-A graph holds its structure only, as arrays. Its edges are an E x 2 intp array
-of canonical unordered pairs (u < v, sorted, no duplicates, no self-loops);
-the symmetric adjacency is reconstructed where needed. Its node labels, when
-the data set has them, are an int64 array of the raw values. Node features
-are the data set's: one N x dim matrix, graph i's rows after graph i-1's.
-The parser's graphs are views into its bulk arrays. Raw class labels are
+A graph holds its structure only: its node count, and its edges as an E x 2
+intp array of canonical unordered pairs (u < v, sorted, no duplicates, no
+self-loops); the symmetric adjacency is reconstructed where needed. Labels
+and features are data-set columns, one row per graph or per node: the class
+ids, the raw int64 node labels when the data set has them, and the N x dim
+node-feature matrix, graph i's node rows after graph i-1's. The parser's
+graphs and columns are views into its bulk arrays. Raw class labels are
 remapped to contiguous 0-based indices in sorted raw-label order, so class
-ids are stable across runs. The fingerprint hashes edges and node labels in
-their tuple text, so it reads the same as when graphs stored tuples.
+ids are stable across runs. The fingerprint hashes each graph's class id,
+edges and node labels in their tuple text, so it reads the same as when
+graphs stored tuples.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import warnings
 from array import array
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -37,8 +38,6 @@ class GraphInstance:
 
     node_count: int
     edges: np.ndarray  # E x 2 intp, canonical: u < v, sorted, unique
-    label: int | None
-    node_labels: np.ndarray | None = None  # int64 raw values from the file
 
     def degrees(self) -> np.ndarray:
         """Edges incident to each node, as a length node_count integer array."""
@@ -47,10 +46,15 @@ class GraphInstance:
 
 @dataclass(frozen=True, eq=False)
 class GraphDataset:
+    """Graphs and their columns: per graph a class id, per node a feature row
+    and, when the data set has a node-label file, a raw node label."""
+
     name: str
     graphs: tuple[GraphInstance, ...]
     num_classes: int
+    labels: np.ndarray  # one class id per graph
     node_features: np.ndarray  # N x dim; graph i's rows follow graph i-1's
+    node_labels: np.ndarray | None = None  # N raw int64 values, rows as node_features
 
     def __len__(self) -> int:
         return len(self.graphs)
@@ -323,13 +327,9 @@ def _graph_edges(records: _Records, node_graph: np.ndarray, first_node: np.ndarr
     base = first_node[graph]
     lo -= base
     hi -= base
-    return _pieces(np.stack([lo, hi], axis=1), np.bincount(graph, minlength=len(first_node)))
-
-
-def _pieces(array: np.ndarray, sizes: np.ndarray) -> list:
-    """Consecutive views of `array` (along axis 0) of the given sizes."""
-    stops = np.cumsum(sizes).tolist()
-    return list(map(array.__getitem__, map(slice, [0, *stops[:-1]], stops)))
+    pairs = np.stack([lo, hi], axis=1)
+    stops = np.cumsum(np.bincount(graph, minlength=len(first_node))).tolist()
+    return list(map(pairs.__getitem__, map(slice, [0, *stops[:-1]], stops)))  # one view per graph
 
 
 def parse_tudataset(directory, name: str, policy: FeaturePolicy | None = None) -> GraphDataset:
@@ -340,8 +340,9 @@ def parse_tudataset(directory, name: str, policy: FeaturePolicy | None = None) -
     `<name>_node_labels.txt` exists, degree one-hot otherwise). The files are
     read in the order graph_indicator, graph_labels, node_labels, A, and the
     error raised is the first problem in that order, line by line. Each
-    graph is built once, from slices of the decoded arrays, uncopied, and
-    build_node_features then builds the data set's feature matrix.
+    graph is built once, from slices of the decoded arrays, uncopied; the
+    node labels are the decoded column itself, and build_node_features then
+    builds the data set's feature matrix.
     """
     directory = Path(directory)
     paths = {
@@ -384,7 +385,7 @@ def parse_tudataset(directory, name: str, policy: FeaturePolicy | None = None) -
             f"expected {num_graphs} labels, found {len(labels.values)}",
         )
 
-    node_labels: list | None = None  # each graph's view of the node-label records
+    node_labels = None
     if paths["node_labels"].is_file():
         records = _read_records(paths["node_labels"], 1)
         records.raise_first()
@@ -394,16 +395,16 @@ def parse_tudataset(directory, name: str, policy: FeaturePolicy | None = None) -
                 len(records.values) + 1,
                 f"expected {total_nodes} node labels, found {len(records.values)}",
             )
-        node_labels = _pieces(records.values[:, 0], counts)
+        node_labels = records.values[:, 0]
 
     edges = _read_records(paths["A"], 2)
     _check_edges(edges, node_graph)
     edge_arrays = _graph_edges(edges, node_graph, first_node)
     distinct, class_of = np.unique(labels.values[:, 0], return_inverse=True)
 
-    columns = counts.tolist(), edge_arrays, class_of.tolist()
-    graphs = tuple(map(GraphInstance, *columns, node_labels or repeat(None)))
-    ds = GraphDataset(name, graphs, len(distinct), np.zeros((total_nodes, 0)))
+    graphs = tuple(map(GraphInstance, counts.tolist(), edge_arrays))
+    x = np.zeros((total_nodes, 0))
+    ds = GraphDataset(name, graphs, len(distinct), class_of, x, node_labels)
     return build_node_features(ds, policy or default_policy(node_labels is not None))
 
 
@@ -416,10 +417,9 @@ def build_node_features(dataset: GraphDataset, policy: FeaturePolicy) -> GraphDa
     distinct labels, its degree capped at degree_cap, or column 0."""
     graphs = dataset.graphs
     if policy.kind == "one_hot_node_labels":
-        if any(g.node_labels is None for g in graphs):
+        if dataset.node_labels is None:
             raise InputError("one_hot_node_labels requires a node-label file")
-        labels = np.concatenate([np.empty(0, np.int64), *(g.node_labels for g in graphs)])
-        values, column = np.unique(labels, return_inverse=True)
+        values, column = np.unique(dataset.node_labels, return_inverse=True)
         dim = len(values)
     elif policy.kind == "degree_one_hot":
         dim = policy.degree_cap + 1
@@ -459,51 +459,50 @@ def generate_synthetic(
     if lo < 1 or hi < lo:
         raise InputError(f"bad size_range {size_range}")
 
-    graphs = []
-    for j in range(num_graphs):
+    graphs, node_labels = [], [np.empty(0, np.int64)]
+    labels = np.arange(num_graphs) % classes
+    for j, k in enumerate(labels.tolist()):
         rng = seeded_rng(seed, "synth", j)
-        k = j % classes
         n = int(rng.integers(lo, hi + 1))
         # one uniform draw per candidate edge, in (u, v) order with u < v
         keep = rng.random(n * (n - 1) // 2) < edge_density_per_class[k]
         u, v = np.triu_indices(n, 1)
-        edges = np.column_stack((u[keep], v[keep]))
-        graphs.append(GraphInstance(n, edges, k, rng.integers(1, 4, size=n)))
-    x = np.zeros((sum(g.node_count for g in graphs), 0))
-    return build_node_features(GraphDataset(name, tuple(graphs), classes, x), default_policy(True))
+        graphs.append(GraphInstance(n, np.column_stack((u[keep], v[keep]))))
+        node_labels.append(rng.integers(1, 4, size=n))
+    node_labels = np.concatenate(node_labels)
+    x = np.zeros((len(node_labels), 0))
+    ds = GraphDataset(name, tuple(graphs), classes, labels, x, node_labels)
+    return build_node_features(ds, default_policy(True))
 
 
 def write_tudataset(dataset: GraphDataset, directory, name: str | None = None) -> Path:
     """Emit the four-file TUDataset layout parse_tudataset reads.
 
     Each undirected edge is written in both directions, global 1-based ids.
+    The node-label file is written when the data set has node labels.
     Output is byte-deterministic for a given dataset.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     name = name or dataset.name
 
-    a_lines, ind_lines, lab_lines, nl_lines = [], [], [], []
+    def dump(suffix: str, lines) -> None:
+        (directory / f"{name}_{suffix}.txt").write_text("\n".join(lines) + "\n", encoding="ascii")
+
+    dump("graph_labels", map(str, dataset.labels.tolist()))
+    if dataset.node_labels is not None:
+        dump("node_labels", map(str, dataset.node_labels.tolist()))
+    a_lines, ind_lines = [], []
     base = 0
     for gid, g in enumerate(dataset.graphs, start=1):
         ind_lines.extend([str(gid)] * g.node_count)
-        lab_lines.append(str(g.label))
-        if g.node_labels is not None:
-            nl_lines.extend(map(str, g.node_labels.tolist()))
         for u, v in g.edges.tolist():
             gu, gv = base + u + 1, base + v + 1
             a_lines.append(f"{gu}, {gv}")
             a_lines.append(f"{gv}, {gu}")
         base += g.node_count
-
-    def dump(suffix: str, lines: list[str]) -> None:
-        (directory / f"{name}_{suffix}.txt").write_text("\n".join(lines) + "\n", encoding="ascii")
-
     dump("A", a_lines)
     dump("graph_indicator", ind_lines)
-    dump("graph_labels", lab_lines)
-    if len(nl_lines) == sum(g.node_count for g in dataset.graphs):
-        dump("node_labels", nl_lines)
     return directory
 
 
@@ -567,12 +566,13 @@ def dataset_fingerprint(dataset: GraphDataset) -> str:
     as first hashed; one %-format over the graph's integers writes it."""
     h = hashlib.sha256()
     h.update(f"classes={dataset.num_classes};dim={dataset.feature_dim}".encode())
-    for i, g in enumerate(dataset.graphs):
-        text = f"|n={g.node_count};y={g.label};e={_tuple_template(len(g.edges), '(%d, %d)')}"
+    starts, node_labels = dataset._row_starts, dataset.node_labels
+    for i, (g, label) in enumerate(zip(dataset.graphs, dataset.labels.tolist())):
+        text = f"|n={g.node_count};y={label};e={_tuple_template(len(g.edges), '(%d, %d)')}"
         ints = g.edges.ravel().tolist()
-        if g.node_labels is not None:
-            text += f";nl={_tuple_template(len(g.node_labels), '%d')}"
-            ints += g.node_labels.tolist()
+        if node_labels is not None:
+            text += f";nl={_tuple_template(g.node_count, '%d')}"
+            ints += node_labels[starts[i] : starts[i + 1]].tolist()
         h.update((text % tuple(ints)).encode())
         h.update(np.ascontiguousarray(dataset.rows(i)))
     return h.hexdigest()

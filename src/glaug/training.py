@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .augment import DIST_SCOPES, STRATEGIES, Selection, augment, centroid_distance, target_class
+from .augment import DIST_SCOPES, STRATEGIES, Selection, augment, centroid_distance
 from .autodiff import DiffValue, Tape
 from .data import FoldPlan, GraphDataset, assign_labels, generate_synthetic, make_folds
 from .errors import InputError, InvariantViolation, TrainingDiverged
@@ -76,6 +76,9 @@ class TrainConfig:
         for name in ("alpha", "learning_rate", "temperature"):
             if not math.isfinite(getattr(self, name)):
                 raise InputError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("hidden", "proj_dim", "depth"):
+            if getattr(self, name) < 1:
+                raise InputError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 < self.label_ratio <= 1.0:
             raise InputError(f"label ratio must lie in (0, 1], got {self.label_ratio}")
         if self.alpha < 0:
@@ -272,8 +275,7 @@ def evaluate(dataset: GraphDataset, params: ModelParams, indices) -> float:
     if len(indices) == 0:
         return 0.0
     probs = classify(_representations(dataset, params, indices), params.bind(prefix="cls"))
-    labels = np.array([dataset.graphs[i].label for i in indices])
-    return int((np.argmax(probs, axis=1) == labels).sum()) / len(indices)
+    return int((np.argmax(probs, axis=1) == dataset.labels[list(indices)]).sum()) / len(indices)
 
 
 def _batches(order: list[int], batch_size: int) -> list[list[int]]:
@@ -286,22 +288,22 @@ def _batches(order: list[int], batch_size: int) -> list[list[int]]:
 
 
 def _select(
-    h: np.ndarray, labels: list, params: ModelParams, cfg: TrainConfig, d: float, rngs: list,
-    where: str,
+    h: np.ndarray, labels: np.ndarray, known: np.ndarray, params: ModelParams, cfg: TrainConfig,
+    d: float, rngs: list, where: str,
 ) -> Selection:
     """The label-invariant selection of every row of the frozen B x h matrix `h`:
     one `augment` call, row b drawing from `rngs[b]`. Row b's target is
-    `labels[b]`, or where that is None the argmax of one frozen `classify` of
-    all B rows. An offset length eta * d that is not finite is a
-    TrainingDiverged naming `where`, raised before any offset is drawn."""
+    `labels[b]` where `known[b]`, else the argmax of one frozen `classify` of
+    all B rows (np.argmax resolves exact ties to the lowest class). An offset
+    length eta * d that is not finite is a TrainingDiverged naming `where`,
+    raised before any offset is drawn."""
     if not math.isfinite(cfg.eta * d):
         raise TrainingDiverged(
             f"{where}: training diverged, the offset length eta * d = {cfg.eta:g} * {d:g} "
             "is not finite"
         )
     frozen = params.bind(prefix="cls")
-    probs = classify(h, frozen)
-    targets = [target_class(label, row) for label, row in zip(labels, probs)]
+    targets = np.where(known, labels, np.argmax(classify(h, frozen), axis=1))
     return augment(h, targets, frozen, cfg, d, rngs)
 
 
@@ -341,7 +343,7 @@ def train_fold(dataset: GraphDataset, fold: FoldPlan, cfg: TrainConfig) -> FoldR
     epoch (or the rate pass); numpy's overflow warnings on the way are muted.
     """
     train = list(fold.train_indices)
-    labeled = set(fold.labeled_mask)
+    labeled = np.isin(np.arange(len(dataset)), fold.labeled_mask)  # per graph of the data set
     if cfg.negative_pairs and len(train) < 2:
         raise InputError("negative-pair training needs at least 2 training graphs")
 
@@ -377,15 +379,13 @@ def train_fold(dataset: GraphDataset, fold: FoldPlan, cfg: TrainConfig) -> FoldR
             h_o = represent(tape, _stack(dataset, batch), bound)
             h = h_o.value
             d = epoch_d if epoch_d is not None else centroid_distance(h)
-            labels = [dataset.graphs[i].label if i in labeled else None for i in batch]
+            labels, known = dataset.labels[batch], labeled[batch]
             rngs = [seeded_rng(cfg.seed, "aug", fold.fold_index, epoch, i) for i in batch]
             # selection is gated by the parameters entering this step
-            selection = _select(h, labels, params, cfg, d, rngs, where)
+            selection = _select(h, labels, known, params, cfg, d, rngs, where)
             selections.append((selection.counts, selection.chosen))
             onehot = np.zeros((len(batch), dataset.num_classes))
-            for pos, label in enumerate(labels):
-                if label is not None:
-                    onehot[pos, label] = 1.0
+            onehot[known, labels[known]] = 1.0
 
             loss, l_p, l_c = _batch_objective(bound, h_o, selection.offsets, onehot, cfg)
             ad.backward(loss)
@@ -474,15 +474,14 @@ def label_invariant_rate(
     h = _representations(dataset, params, train)
     if not np.isfinite(h).all():
         raise TrainingDiverged(f"{where}: training diverged, a representation is not finite")
-    labels = np.array([dataset.graphs[i].label for i in train])
+    labels = dataset.labels[train]
     surrogate = _train_surrogate(
         h, labels, dataset.num_classes, seeded_rng(cfg.seed, "surrogate", fold.fold_index), where
     )
 
-    labeled = set(fold.labeled_mask)
-    known = [dataset.graphs[i].label if i in labeled else None for i in train]
+    known = np.isin(train, fold.labeled_mask)
     rngs = [seeded_rng(cfg.seed, "rate", fold.fold_index, i) for i in train]
-    offsets = _select(h, known, params, cfg, centroid_distance(h), rngs, where).offsets
+    offsets = _select(h, labels, known, params, cfg, centroid_distance(h), rngs, where).offsets
     probe = surrogate.bind()
     before = np.argmax(classify(h, probe), axis=1)
     after = np.argmax(classify(h + offsets, probe), axis=1)
@@ -504,12 +503,12 @@ def _toy_batch_objective_check(rng_seed: int, num_nodes: int = 5) -> float | Non
     batch = _stack(ds, range(len(ds)))
     frozen = params.bind()
     h = represent(None, batch, frozen)
-    label = ds.graphs[0].label  # the second graph is unlabeled: a zero row
+    known = np.array([True, False])  # the second graph is unlabeled: a zero row
     rngs = [seeded_rng(rng_seed, "fd", idx) for idx in range(len(ds))]
-    selection = _select(h, [label, None], params, TrainConfig(), 1.0, rngs, "objective check")
+    selection = _select(h, ds.labels, known, params, TrainConfig(), 1.0, rngs, "objective check")
     offsets = selection.offsets
     onehot = np.zeros((len(ds), 2))
-    onehot[0, label] = 1.0
+    onehot[0, ds.labels[0]] = 1.0
     # relu inputs: each encoder layer's (on the layers before it), each head's on both branches
     layers = [f"enc{layer}" for layer in range(params.depth)]
     relu_inputs = [

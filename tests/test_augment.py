@@ -9,7 +9,7 @@ from glaug import augment as ga
 from glaug.errors import InputError, InvariantViolation
 from glaug.model import ModelParams, classify
 from glaug.seeding import seeded_rng
-from glaug.training import TrainConfig
+from glaug.training import TrainConfig, _select
 
 
 def brute_centroid_distance(rows):
@@ -22,14 +22,19 @@ def brute_centroid_distance(rows):
     return total / n
 
 
-def plain_classifier(hidden=2, classes=2):
-    """Identity-ish head, bound frozen: logits equal relu(h), boundary at h0 = h1."""
+def plain_params(hidden=2, classes=2):
+    """Parameters whose head is identity-ish: logits equal relu(h), boundary at h0 = h1."""
     params = ModelParams.init(4, classes, hidden=hidden, proj_dim=3)
     params.arrays["cls_w1"] = np.eye(hidden)
     params.arrays["cls_b1"] = np.zeros((1, hidden))
     params.arrays["cls_w2"] = np.eye(hidden)[:, :classes]
     params.arrays["cls_b2"] = np.zeros((1, classes))
-    return params.bind(prefix="cls")
+    return params
+
+
+def plain_classifier(hidden=2, classes=2):
+    """The `plain_params` head, bound frozen."""
+    return plain_params(hidden, classes).bind(prefix="cls")
 
 
 CFG = TrainConfig  # short alias for test bodies
@@ -158,16 +163,30 @@ def test_displacement_norm_is_eta_times_d():
 # ------------------------------------------------------------- target class
 
 
+# Training's `_select` sets each row's target. At d = 0 every candidate is the
+# row itself, so all K = 3 qualify when the target is the row's argmax under
+# the plain head, and none do otherwise.
+
+
+def select_at_zero(h, label, known):
+    rngs = [seeded_rng(0, "target", 0)]
+    cfg = CFG(num_candidates=3)
+    return _select(np.array([h]), np.array([label]), np.array([known]), plain_params(), cfg,
+                   0.0, rngs, "target test")
+
+
 def test_label_wins_over_prediction():
-    assert ga.target_class(1, np.array([[0.9, 0.1]])) == 1
+    assert select_at_zero([0.9, 0.1], 1, True).counts.tolist() == [0]  # the argmax is 0
+    assert select_at_zero([0.9, 0.1], 0, True).counts.tolist() == [3]
 
 
 def test_unlabeled_uses_argmax():
-    assert ga.target_class(None, np.array([[0.3, 0.7]])) == 1
+    assert select_at_zero([0.3, 0.7], 0, False).counts.tolist() == [3]  # the label is unread
 
 
 def test_exact_tie_breaks_low():
-    assert ga.target_class(None, np.array([[0.5, 0.5]])) == 0
+    got = select_at_zero([0.5, 0.5], 1, False)
+    assert got.counts.tolist() == [3] and got.chosen.tolist() == [0.5]  # the target is class 0
 
 
 # ------------------------------------------------------------------ augment

@@ -251,6 +251,21 @@ def test_rerun_rejects_malformed_manifest(run_dir, tmp_path, capsys, edit):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("field", ["hidden", "proj_dim", "depth"])
+def test_model_size_below_one_exits_before_the_dataset_is_read(run_dir, tmp_path, capsys, field):
+    absent = str(tmp_path / "absent")
+    flag = "--" + field.replace("_", "-")
+    err = assert_input_error(capsys, main(["run", absent, flag, "0", "--out", str(tmp_path / "r")]))
+    assert f"{field} must be >= 1" in err
+    doc = json.loads((run_dir / "manifest.json").read_text())
+    doc["config"][field] = 0
+    doc["dataset"]["path"] = absent
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(doc))
+    err = assert_input_error(capsys, main(["rerun", str(path), "--out", str(tmp_path / "x")]))
+    assert f"{field} must be >= 1" in err
+
+
 @pytest.mark.parametrize(
     "values", [None, [], ["a"], [True], [0.5, NAN], [0.5, 2.0]],
     ids=["missing", "empty", "string", "bool", "nan", "out_of_range"],

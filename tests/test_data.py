@@ -9,6 +9,7 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -46,7 +47,8 @@ def test_parse_minimal_single_graph(tmp_path):
     g = ds.graphs[0]
     assert g.node_count == 2
     assert g.edges.tolist() == [[0, 1]]
-    assert g.label == 0
+    assert ds.labels.tolist() == [0]
+    assert ds.node_labels is None
 
 
 def test_parse_two_graphs_local_ids(tmp_path):
@@ -59,7 +61,7 @@ def test_parse_two_graphs_local_ids(tmp_path):
     assert [g.node_count for g in ds.graphs] == [2, 3]
     assert ds.graphs[1].edges.tolist() == [[0, 2], [1, 2]]
     # raw labels 3, 7 remapped in sorted order
-    assert [g.label for g in ds.graphs] == [0, 1]
+    assert ds.labels.tolist() == [0, 1]
 
 
 def test_parse_is_deterministic(tmp_path):
@@ -171,11 +173,11 @@ def test_int64_range_edges_accepted_and_beyond_rejected(tmp_path):
     assert gd.parse_tudataset(write_files(tmp_path, **files), "TINY").num_classes == 1
     files = dict(MINIMAL, node_labels="9223372036854775807\n+0009223372036854775807\n")
     ds = gd.parse_tudataset(write_files(tmp_path, **files), "TINY")
-    assert ds.graphs[0].node_labels.tolist() == [2**63 - 1, 2**63 - 1]
+    assert ds.node_labels.tolist() == [2**63 - 1, 2**63 - 1]
     # int() alone would refuse more than 4,300 digits, leading zeros included
     files = dict(MINIMAL, node_labels="0" * 5000 + "7\n-" + "0_" * 30 + "9223372036854775808\n")
     ds = gd.parse_tudataset(write_files(tmp_path, **files), "TINY")
-    assert ds.graphs[0].node_labels.tolist() == [7, -(2**63)]
+    assert ds.node_labels.tolist() == [7, -(2**63)]
 
 
 @pytest.mark.parametrize("text, line", [
@@ -363,18 +365,13 @@ def reference_parse(directory, name: str) -> gd.GraphDataset:
         gd.log.warning("%s: dropped %d duplicate edge(s)", paths["A"].name, dup_count)
 
     class_of = {raw: i for i, raw in enumerate(sorted(set(raw_labels)))}
-    graphs = []
-    for g in range(num_graphs):
-        n = counts[g]
-        base = int(first_node[g])
-        nl = np.array(node_labels[base : base + n], np.int64) if node_labels is not None else None
-        graphs.append(gd.GraphInstance(
-            node_count=n,
-            edges=np.array(sorted(edge_sets[g]), np.intp).reshape(-1, 2),
-            label=class_of[raw_labels[g]],
-            node_labels=nl,
-        ))
-    ds = gd.GraphDataset(name, tuple(graphs), len(class_of), np.zeros((total_nodes, 0)))
+    graphs = tuple(
+        gd.GraphInstance(counts[g], np.array(sorted(edge_sets[g]), np.intp).reshape(-1, 2))
+        for g in range(num_graphs)
+    )
+    labels = np.array([class_of[raw] for raw in raw_labels])
+    nl = None if node_labels is None else np.array(node_labels, np.int64)
+    ds = gd.GraphDataset(name, graphs, len(class_of), labels, np.zeros((total_nodes, 0)), nl)
     return gd.build_node_features(ds, gd.default_policy(node_labels is not None))
 
 
@@ -721,6 +718,14 @@ def test_two_tokens_in_a_field_emit_no_warning(tmp_path):
 # ----------------------------------------------------------------- features
 
 
+def graph_node_labels(dataset):
+    """Each graph's node labels, as a list, cut from the data set's column."""
+    column, start = dataset.node_labels.tolist(), 0
+    for g in dataset.graphs:
+        yield column[start : start + g.node_count]
+        start += g.node_count
+
+
 def test_default_features_use_node_labels_when_present(tmp_path):
     files = dict(MINIMAL, node_labels="7\n9\n")
     ds = gd.parse_tudataset(write_files(tmp_path, **files), "TINY")
@@ -736,12 +741,8 @@ def test_degree_one_hot_on_path_graph(tmp_path):
 
 
 def test_degree_cap_maps_to_last_slot():
-    star = gd.GraphInstance(
-        node_count=5,
-        edges=np.array([(0, v) for v in range(1, 5)], np.intp),
-        label=0,
-    )
-    ds = gd.GraphDataset("S", (star,), 1, np.zeros((5, 0)))
+    star = gd.GraphInstance(node_count=5, edges=np.array([(0, v) for v in range(1, 5)], np.intp))
+    ds = gd.GraphDataset("S", (star,), 1, np.zeros(1, np.intp), np.zeros((5, 0)))
     ds = gd.build_node_features(ds, gd.FeaturePolicy("degree_one_hot", 2))
     hub = ds.rows(0)[0]
     np.testing.assert_array_equal(hub, [0, 0, 1])  # degree 4 >= cap 2
@@ -754,13 +755,13 @@ def test_degree_cap_maps_to_last_slot():
 def test_one_hot_features_match_row_loop(policy):
     # sizes from 1 node up, so isolated nodes and edgeless graphs occur
     ds = gd.generate_synthetic(30, size_range=(1, 9), seed=4)
-    values = sorted({lab for g in ds.graphs for lab in g.node_labels.tolist()})
+    values = sorted(set(ds.node_labels.tolist()))
     built = gd.build_node_features(ds, policy)
-    for i, g in enumerate(built.graphs):
+    for i, (g, node_labels) in enumerate(zip(built.graphs, graph_node_labels(ds))):
         want = np.zeros_like(built.rows(i))
         for row in range(g.node_count):
             if policy.kind == "one_hot_node_labels":
-                want[row, values.index(g.node_labels[row])] = 1.0
+                want[row, values.index(node_labels[row])] = 1.0
             elif policy.kind == "degree_one_hot":
                 want[row, min(sum(row in e for e in g.edges.tolist()), policy.degree_cap)] = 1.0
             else:
@@ -863,15 +864,17 @@ def test_fingerprint_matches_recorded_digest(source, spelling, tmp_path):
 
 
 def tuple_text_fingerprint(dataset):
-    """The fingerprint as first written: each graph's edges and node labels
-    formatted as Python tuple text, one graph and one update at a time."""
+    """The fingerprint as first written: each graph's class id, then its edges
+    and node labels formatted as Python tuple text, one graph and one update
+    at a time; the class ids and node labels are read from their columns."""
     h = hashlib.sha256()
     h.update(f"classes={dataset.num_classes};dim={dataset.feature_dim}".encode())
     start = 0
-    for g in dataset.graphs:
-        h.update(f"|n={g.node_count};y={g.label};e={tuple(map(tuple, g.edges.tolist()))}".encode())
-        if g.node_labels is not None:
-            h.update(f";nl={tuple(g.node_labels.tolist())}".encode())
+    for g, label in zip(dataset.graphs, dataset.labels.tolist()):
+        h.update(f"|n={g.node_count};y={label};e={tuple(map(tuple, g.edges.tolist()))}".encode())
+        if dataset.node_labels is not None:
+            nl = dataset.node_labels[start : start + g.node_count]
+            h.update(f";nl={tuple(nl.tolist())}".encode())
         rows = dataset.node_features[start : start + g.node_count]
         h.update(np.ascontiguousarray(rows).tobytes())
         start += g.node_count
@@ -887,11 +890,11 @@ PERCENT = float(np.frombuffer(b"%" * 8, np.float64)[0])
 def fingerprint_graph(draw):
     nodes = draw(st.integers(0, 4))
     edges = draw(st.lists(st.tuples(INT64, INT64), max_size=4))  # 0, 1 and several pairs
-    node_labels = draw(st.none() | st.lists(INT64, max_size=4))
-    label = draw(st.none() | st.integers(-3, 10**20))
-    edges = np.array(edges, np.intp).reshape(-1, 2)
-    node_labels = None if node_labels is None else np.array(node_labels, np.int64)
-    return gd.GraphInstance(nodes, edges, label, node_labels)
+    return gd.GraphInstance(nodes, np.array(edges, np.intp).reshape(-1, 2))
+
+
+def int64_column(draw, size: int) -> np.ndarray:
+    return np.array(draw(st.lists(INT64, min_size=size, max_size=size)), np.int64)
 
 
 @st.composite
@@ -902,7 +905,11 @@ def fingerprint_dataset(draw):
     values = st.floats(allow_nan=True, allow_infinity=True) | st.just(PERCENT) | st.just(-0.0)
     features = np.array(draw(st.lists(values, min_size=nodes * dim, max_size=nodes * dim)))
     features = features.reshape(dim, nodes).T if draw(st.booleans()) else features.reshape(nodes, dim)
-    return gd.GraphDataset("FP", tuple(graphs), draw(st.integers(1, 4)), features)
+    labels = int64_column(draw, len(graphs))
+    node_labels = int64_column(draw, nodes) if draw(st.booleans()) else None  # all graphs or none
+    return gd.GraphDataset(
+        "FP", tuple(graphs), draw(st.integers(1, 4)), labels, features, node_labels
+    )
 
 
 @given(fingerprint_dataset())
@@ -944,9 +951,9 @@ def test_block_edge_draw_equals_scalar_draws(n, density):
     want = scalar_synthetic(6, n, density, seed=17)
     ds = gd.generate_synthetic(6, size_range=(n, n), edge_density_per_class=(density, density),
                                seed=17)
-    for g, (edges, node_labels, _) in zip(ds.graphs, want):
+    for g, drawn, (edges, node_labels, _) in zip(ds.graphs, graph_node_labels(ds), want):
         assert g.edges.tolist() == [list(e) for e in edges]
-        assert g.node_labels.tolist() == node_labels  # the integers draw after the edges
+        assert drawn == node_labels  # the integers draw after the edges
     # the block leaves the generator where the scalar draws leave it
     for j, (_, node_labels, after) in enumerate(want):
         rng = seeded_rng(17, "synth", j)
@@ -959,8 +966,8 @@ def test_block_edge_draw_equals_scalar_draws(n, density):
 def test_density_separates_classes():
     ds = gd.generate_synthetic(40, edge_density_per_class=(0.1, 0.9), seed=0)
     mean_deg = [[], []]
-    for g in ds.graphs:
-        mean_deg[g.label].append(g.degrees().mean())
+    for g, label in zip(ds.graphs, ds.labels.tolist()):
+        mean_deg[label].append(g.degrees().mean())
     assert np.mean(mean_deg[1]) > np.mean(mean_deg[0])
 
 
@@ -976,16 +983,24 @@ def test_generate_validates_inputs():
 
 
 def test_write_parse_round_trip(tmp_path):
-    src = gd.generate_synthetic(15, seed=11)
-    gd.write_tudataset(src, tmp_path, "RT")
-    back = gd.parse_tudataset(tmp_path, "RT")
-    assert len(back) == len(src)
-    for a, b in zip(src.graphs, back.graphs):
-        assert a.node_count == b.node_count
-        assert a.edges.tolist() == b.edges.tolist()
-        assert a.label == b.label
-        assert a.node_labels.tolist() == b.node_labels.tolist()
-    assert gd.dataset_fingerprint(src) == gd.dataset_fingerprint(back)
+    labeled = gd.generate_synthetic(15, seed=11)
+    # without node labels, with the features a parse of such files builds by default
+    bare = gd.build_node_features(replace(labeled, node_labels=None), gd.default_policy(False))
+    for src in (labeled, bare):
+        out = tmp_path / str(src.node_labels is None)
+        gd.write_tudataset(src, out, "RT")
+        assert (out / "RT_node_labels.txt").is_file() == (src is labeled)
+        back = gd.parse_tudataset(out, "RT")
+        assert len(back) == len(src)
+        for a, b in zip(src.graphs, back.graphs):
+            assert a.node_count == b.node_count
+            assert a.edges.tolist() == b.edges.tolist()
+        assert back.labels.tolist() == src.labels.tolist()
+        if src is labeled:
+            assert back.node_labels.tolist() == src.node_labels.tolist()
+        else:
+            assert back.node_labels is None
+        assert gd.dataset_fingerprint(src) == gd.dataset_fingerprint(back)
 
 
 def test_parsed_node_counts_match_indicator_loop(tmp_path):

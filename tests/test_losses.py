@@ -396,6 +396,9 @@ def test_train_config_validation():
     for ratio in (0.0, 1.5, float("nan")):
         with pytest.raises(InputError, match="label ratio"):
             tr.TrainConfig(label_ratio=ratio)
+    for name in ("hidden", "proj_dim", "depth"):
+        with pytest.raises(InputError, match=f"{name} must be >= 1, got 0"):
+            tr.TrainConfig(**{name: 0})
     cfg = tr.TrainConfig()
     assert cfg.eta == 1.0 and cfg.alpha == 1.0  # defaults under test
 

@@ -22,8 +22,8 @@ class FeaturedGraph(GraphInstance):
 
 
 def graph(n, edges, features):
-    """A label-0 graph of `n` nodes; `edges` are canonical (u, v) pairs."""
-    return FeaturedGraph(n, np.array(edges, np.intp).reshape(-1, 2), 0, node_features=features)
+    """A graph of `n` nodes; `edges` are canonical (u, v) pairs."""
+    return FeaturedGraph(n, np.array(edges, np.intp).reshape(-1, 2), node_features=features)
 
 
 def batch_of(*graphs):

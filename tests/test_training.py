@@ -7,7 +7,7 @@ import pytest
 
 from glaug import autodiff as ad
 from glaug import training as tr
-from glaug.augment import augment, snapshot_probs, target_class
+from glaug.augment import augment, snapshot_probs
 from glaug.data import (
     FeaturePolicy,
     FoldPlan,
@@ -197,15 +197,18 @@ def test_select_equals_per_row_augment(strategy):
     rng = np.random.default_rng(7)
     params = ModelParams.init(4, 3, hidden=6, proj_dim=3, depth=1, rng=rng)
     h = rng.normal(size=(6, 6))
-    labels = [2, None, 0, None, None, 1]
+    labels = np.array([2, 1, 0, 2, 0, 1])
+    known = np.array([True, False, True, False, False, True])
     cfg = tr.TrainConfig(strategy=strategy, num_candidates=5)
     got = tr._select(
-        h, labels, params, cfg, 0.9, [seeded_rng(3, "sel", b) for b in range(6)], "selection"
+        h, labels, known, params, cfg, 0.9, [seeded_rng(3, "sel", b) for b in range(6)],
+        "selection",
     )
     frozen = params.bind(prefix="cls")
     assert got.offsets.shape == h.shape and len(got.counts) == 6
-    for b, label in enumerate(labels):
-        target = target_class(label, snapshot_probs(frozen, h[b : b + 1]))
+    for b in range(6):
+        # a known row's target is its label, an unknown row's its single-row argmax
+        target = labels[b] if known[b] else np.argmax(snapshot_probs(frozen, h[b : b + 1]))
         want = augment(h[b : b + 1], [target], frozen, cfg, 0.9, [seeded_rng(3, "sel", b)])
         assert np.array_equal(got.offsets[b : b + 1], want.offsets)
         assert (got.counts[b], got.chosen[b : b + 1].tobytes(), got.counts[b] == 0) == (
