@@ -9,10 +9,11 @@ recording in reverse. `backward` drops each record once it is used and the
 tape's leaf list at the end, so no reference cycle outlives it: a step's
 activations are freed by refcount, not by a later cyclic collection.
 
-Every op has one shape: compute the value; return it as a plain ndarray when
-no operand is a `DiffValue`; otherwise hand it to `_record` with one
-(operand, vjp) pair per operand. Frozen forwards therefore need no tape, and a
-model forward is written once and serves both modes with identical bits.
+Every op has one shape: unwrap its operands with `_value`, check their
+shapes, compute the value and return `_record(value, (operand, vjp), ...)`.
+`_record` alone picks the mode: with no `DiffValue` operand it returns the
+plain ndarray, so frozen forwards need no tape; otherwise it records. A model
+forward is therefore written once and serves both modes with identical bits.
 Mixing a `DiffValue` with a plain array is a `TapeError`.
 
 The model runs a whole batch of graphs as one computation: `propagate`
@@ -120,25 +121,33 @@ def _same_shape(av: np.ndarray, bv: np.ndarray, op: str) -> None:
         raise ShapeError(f"{op}: shapes {av.shape} and {bv.shape} differ")
 
 
-def _record(out_val: np.ndarray, *pairs: tuple) -> DiffValue:
-    """Wrap `out_val` as the result of an op over the operands in `pairs`.
+def _value(x) -> np.ndarray:
+    """An operand's matrix: a DiffValue's value, or the plain array itself."""
+    return x.value if type(x) is DiffValue else x
 
-    Each pair is (operand, vjp), where vjp maps the output's gradient to that
-    operand's contribution. Every operand must be a DiffValue on one tape.
-    Only the pairs whose operand requires a gradient are recorded, by the
-    operand's node id: a record keeps alive only what its vjp reads. The output
-    requires a gradient when any operand does.
+
+def _record(out_val: np.ndarray, first: tuple, second: tuple | None = None):
+    """`out_val` as the result of an op over one or two (operand, vjp) pairs.
+
+    With no DiffValue operand (a frozen call) it is `out_val` itself, and
+    nothing is recorded. Otherwise every operand must be a DiffValue on one
+    live tape. A vjp maps the output's gradient to its operand's contribution;
+    only the pairs whose operand requires a gradient are recorded, by node id,
+    so a record keeps alive only what its vjp reads. The output requires a
+    gradient when any operand does.
     """
-    tape = None
-    for x, _ in pairs:
-        if type(x) is not DiffValue:
-            raise TapeError("expected DiffValue operands on one tape, got a plain array")
-        if tape is None:
-            tape = x.tape
-        elif x.tape is not tape:
-            raise TapeError("operands live on different tapes")
+    a = first[0]
+    tracked = type(a) is DiffValue  # the frozen exit: at most two type tests
+    if second is not None and tracked != (type(second[0]) is DiffValue):
+        raise TapeError("expected DiffValue operands on one tape, got a plain array")
+    if not tracked:
+        return out_val
+    if second is not None and second[0].tape is not a.tape:
+        raise TapeError("operands live on different tapes")
+    tape = a.tape
     if tape._consumed:
         raise TapeError("tape already consumed by backward; build a new one")
+    pairs = (first,) if second is None else (first, second)
     live = [(x.node_id, vjp) for x, vjp in pairs if x.requires_grad]
     out = DiffValue(out_val, tape, bool(live))
     if live:
@@ -146,22 +155,16 @@ def _record(out_val: np.ndarray, *pairs: tuple) -> DiffValue:
     return out
 
 
-# Every op first tests each operand once with `type(x) is DiffValue` and reads
-# its matrix from that answer; when no operand is tracked it returns the plain
-# result before touching the tape machinery.
+# The ops below follow that one protocol. A frozen call builds its vjp
+# closures too, and `_record` drops them unused.
 
 
 def matmul(a: DiffValue, b: DiffValue) -> DiffValue:
     """Matrix product a @ b."""
-    ta, tb = type(a) is DiffValue, type(b) is DiffValue
-    av = a.value if ta else a
-    bv = b.value if tb else b
+    av, bv = _value(a), _value(b)
     if av.shape[1] != bv.shape[0]:
         raise ShapeError(f"matmul: shapes {av.shape} and {bv.shape} do not chain")
-    out_val = av @ bv
-    if not (ta or tb):
-        return out_val
-    return _record(out_val, (a, lambda g: g @ bv.T), (b, lambda g: av.T @ g))
+    return _record(av @ bv, (a, lambda g: g @ bv.T), (b, lambda g: av.T @ g))
 
 
 def matmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -175,135 +178,85 @@ def matmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def add(a: DiffValue, b: DiffValue) -> DiffValue:
     """Elementwise sum of two same-shape matrices."""
-    ta, tb = type(a) is DiffValue, type(b) is DiffValue
-    av = a.value if ta else a
-    bv = b.value if tb else b
+    av, bv = _value(a), _value(b)
     _same_shape(av, bv, "add")
-    out_val = av + bv
-    if not (ta or tb):
-        return out_val
-    return _record(out_val, (a, lambda g: g), (b, lambda g: g))
+    return _record(av + bv, (a, lambda g: g), (b, lambda g: g))
 
 
 def sub(a: DiffValue, b: DiffValue) -> DiffValue:
-    ta, tb = type(a) is DiffValue, type(b) is DiffValue
-    av = a.value if ta else a
-    bv = b.value if tb else b
+    av, bv = _value(a), _value(b)
     _same_shape(av, bv, "sub")
-    out_val = av - bv
-    if not (ta or tb):
-        return out_val
-    return _record(out_val, (a, lambda g: g), (b, lambda g: -g))
+    return _record(av - bv, (a, lambda g: g), (b, lambda g: -g))
 
 
 def mul(a: DiffValue, b: DiffValue) -> DiffValue:
     """Elementwise (Hadamard) product."""
-    ta, tb = type(a) is DiffValue, type(b) is DiffValue
-    av = a.value if ta else a
-    bv = b.value if tb else b
+    av, bv = _value(a), _value(b)
     _same_shape(av, bv, "mul")
-    out_val = av * bv
-    if not (ta or tb):
-        return out_val
-    return _record(out_val, (a, lambda g: g * bv), (b, lambda g: g * av))
+    return _record(av * bv, (a, lambda g: g * bv), (b, lambda g: g * av))
 
 
 def div(a: DiffValue, b: DiffValue) -> DiffValue:
     """Elementwise quotient a / b."""
-    ta, tb = type(a) is DiffValue, type(b) is DiffValue
-    av = a.value if ta else a
-    bv = b.value if tb else b
+    av, bv = _value(a), _value(b)
     _same_shape(av, bv, "div")
-    out_val = av / bv
-    if not (ta or tb):
-        return out_val
-    return _record(out_val, (a, lambda g: g / bv), (b, lambda g: -g * av / (bv * bv)))
+    return _record(av / bv, (a, lambda g: g / bv), (b, lambda g: -g * av / (bv * bv)))
 
 
 def scale(a: DiffValue, s: float) -> DiffValue:
     """Multiply by a python scalar (constant, no gradient of its own)."""
-    ta = type(a) is DiffValue
     s = float(s)
-    out_val = s * (a.value if ta else a)
-    if not ta:
-        return out_val
-    return _record(out_val, (a, lambda g: s * g))
+    return _record(s * _value(a), (a, lambda g: s * g))
 
 
 def add_rowvec(a: DiffValue, b: DiffValue) -> DiffValue:
     """Add a 1 x d row vector to every row of an n x d matrix."""
-    ta, tb = type(a) is DiffValue, type(b) is DiffValue
-    av = a.value if ta else a
-    bv = b.value if tb else b
+    av, bv = _value(a), _value(b)
     if bv.shape[0] != 1 or bv.shape[1] != av.shape[1]:
         raise ShapeError(f"add_rowvec: {av.shape} plus row {bv.shape}")
-    out_val = av + bv
-    if not (ta or tb):
-        return out_val
-    return _record(out_val, (a, lambda g: g), (b, lambda g: g.sum(axis=0, keepdims=True)))
+    return _record(av + bv, (a, lambda g: g), (b, lambda g: g.sum(axis=0, keepdims=True)))
 
 
 def relu(a: DiffValue) -> DiffValue:
     """Elementwise max(0, x); subgradient at 0 is 0."""
-    ta = type(a) is DiffValue
-    av = a.value if ta else a
-    out_val = np.maximum(0.0, av)
-    if not ta:
-        return out_val
-    mask = av > 0.0  # kept in place of the input, an eighth of its size
-    return _record(out_val, (a, lambda g: g * mask))
+    av = _value(a)
+    # kept in place of the input, an eighth of its size, so built only to record
+    mask = av > 0.0 if type(a) is DiffValue else None
+    return _record(np.maximum(0.0, av), (a, lambda g: g * mask))
 
 
 def softmax_rows(a: DiffValue) -> DiffValue:
     """Row-wise softmax with max subtraction for overflow safety."""
-    ta = type(a) is DiffValue
-    av = a.value if ta else a
+    av = _value(a)
     shifted = av - av.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=1, keepdims=True)
-    if not ta:
-        return y
     return _record(y, (a, lambda g: y * (g - (g * y).sum(axis=1, keepdims=True))))
 
 
 def log(a: DiffValue) -> DiffValue:
     """Elementwise natural log. Callers clamp away from 0 first."""
-    ta = type(a) is DiffValue
-    av = a.value if ta else a
+    av = _value(a)
     if np.any(av <= 0.0):
         raise ValueError("log: non-positive entry; clamp inputs first")
-    out_val = np.log(av)
-    if not ta:
-        return out_val
-    return _record(out_val, (a, lambda g: g / av))
+    return _record(np.log(av), (a, lambda g: g / av))
 
 
 def exp(a: DiffValue) -> DiffValue:
-    ta = type(a) is DiffValue
-    out_val = np.exp(a.value if ta else a)
-    if not ta:
-        return out_val
+    out_val = np.exp(_value(a))
     return _record(out_val, (a, lambda g: g * out_val))
 
 
 def clamp(a: DiffValue, lo: float, hi: float) -> DiffValue:
     """Clip entries to [lo, hi]; gradient passes only where unclipped."""
-    ta = type(a) is DiffValue
-    av = a.value if ta else a
-    out_val = np.clip(av, lo, hi)
-    if not ta:
-        return out_val
-    return _record(out_val, (a, lambda g: g * ((av >= lo) & (av <= hi))))
+    av = _value(a)
+    return _record(np.clip(av, lo, hi), (a, lambda g: g * ((av >= lo) & (av <= hi))))
 
 
 def sum_all(a: DiffValue) -> DiffValue:
     """Sum of all entries, as a 1 x 1 matrix."""
-    ta = type(a) is DiffValue
-    av = a.value if ta else a
-    out_val = np.array([[av.sum()]])
-    if not ta:
-        return out_val
-    return _record(out_val, (a, lambda g: np.full(av.shape, g[0, 0])))
+    av = _value(a)
+    return _record(np.array([[av.sum()]]), (a, lambda g: np.full(av.shape, g[0, 0])))
 
 
 def column_sum(a: DiffValue, bounds=None) -> DiffValue:
@@ -316,8 +269,7 @@ def column_sum(a: DiffValue, bounds=None) -> DiffValue:
     permutations. Sum gradients don't care about order, so the VJP repeats
     each output row over its segment.
     """
-    ta = type(a) is DiffValue
-    av = a.value if ta else a
+    av = _value(a)
     rows = av.shape[0]
     b = np.asarray((0, rows) if bounds is None else bounds, dtype=np.intp).reshape(-1)
     if b.size < 2 or b[0] != 0 or b[-1] != rows or np.any(np.diff(b) < 0):
@@ -325,28 +277,18 @@ def column_sum(a: DiffValue, bounds=None) -> DiffValue:
     out_val = np.vstack(
         [np.sort(av[s:e], axis=0).sum(axis=0, keepdims=True) for s, e in zip(b[:-1], b[1:])]
     )
-    if not ta:
-        return out_val
-    counts = np.diff(b)
-    return _record(out_val, (a, lambda g: np.repeat(g, counts, axis=0)))
+    return _record(out_val, (a, lambda g: np.repeat(g, np.diff(b), axis=0)))
 
 
 def row_sum(a: DiffValue) -> DiffValue:
     """Row sums: n x d -> n x 1."""
-    ta = type(a) is DiffValue
-    av = a.value if ta else a
-    out_val = av.sum(axis=1, keepdims=True)
-    if not ta:
-        return out_val
-    return _record(out_val, (a, lambda g: np.repeat(g, av.shape[1], axis=1)))
+    av = _value(a)
+    return _record(av.sum(axis=1, keepdims=True), (a, lambda g: np.repeat(g, av.shape[1], axis=1)))
 
 
 def transpose(a: DiffValue) -> DiffValue:
     """a.T as a C-order matrix."""
-    ta = type(a) is DiffValue
-    out_val = np.ascontiguousarray((a.value if ta else a).T)
-    if not ta:
-        return out_val
+    out_val = np.ascontiguousarray(_value(a).T)
     return _record(out_val, (a, lambda g: np.ascontiguousarray(g.T)))
 
 
@@ -369,8 +311,7 @@ def propagate(blocks, x: DiffValue) -> DiffValue:
     matmul, and its VJP is blocks[b].T @ g[s:e]. No n x n matrix of the whole
     stack is formed.
     """
-    tx = type(x) is DiffValue
-    xv = x.value if tx else x
+    xv = _value(x)
     rows = 0
     for block in blocks:
         if type(block) is DiffValue:
@@ -381,8 +322,6 @@ def propagate(blocks, x: DiffValue) -> DiffValue:
     if rows != xv.shape[0]:
         raise ShapeError(f"propagate: blocks cover {rows} rows, operand {xv.shape}")
     out_val = _block_products(blocks, xv)
-    if not tx:
-        return out_val
     return _record(out_val, (x, lambda g: _block_products([blk.T for blk in blocks], g)))
 
 
@@ -391,24 +330,17 @@ def l2_norm_rows(a: DiffValue, floor: float = 1e-12) -> DiffValue:
 
     Rows at the floor get zero gradient: the output is constant there.
     """
-    ta = type(a) is DiffValue
-    av = a.value if ta else a
+    av = _value(a)
     norms = np.sqrt((av * av).sum(axis=1, keepdims=True))
     clamped = np.maximum(norms, floor)
-    if not ta:
-        return clamped
     return _record(clamped, (a, lambda g: (g * (norms > floor) / clamped) * av))
 
 
 def dot(a: DiffValue, b: DiffValue) -> DiffValue:
     """Sum of the elementwise product of two same-shape matrices (1 x 1)."""
-    ta, tb = type(a) is DiffValue, type(b) is DiffValue
-    av = a.value if ta else a
-    bv = b.value if tb else b
+    av, bv = _value(a), _value(b)
     _same_shape(av, bv, "dot")
     out_val = np.array([[float((av * bv).sum())]])
-    if not (ta or tb):
-        return out_val
     return _record(out_val, (a, lambda g: g[0, 0] * bv), (b, lambda g: g[0, 0] * av))
 
 

@@ -293,6 +293,21 @@ def _json_field(doc, dotted: str, kind, where):
     return value
 
 
+def _recorded_config(doc, where) -> tuple[TrainConfig, str]:
+    """The config and feature policy recorded in a metrics or manifest
+    document read from `where`, with every field present and none unknown."""
+    conf = _json_field(doc, "config", dict, where)
+    unknown = sorted(conf.keys() - CFG_FIELD_NAMES - {"feature_policy"})
+    if unknown:
+        raise InputError(f"{where}: unknown config keys {', '.join(map(repr, unknown))}")
+    # every field must be present, or a rerun would silently use its default
+    cfg = TrainConfig(**{
+        name: _json_field(conf, name, type(getattr(TrainConfig, name)), where)
+        for name in sorted(CFG_FIELD_NAMES)
+    })
+    return cfg, _json_field(conf, "feature_policy", str, where)
+
+
 # ------------------------------------------------------------------- group
 
 
@@ -415,9 +430,9 @@ def cmd_invariant_rate(dataset_path, ratios, from_run, **kw):
         if not isinstance(folds, list) or not folds:
             raise InputError(f"{from_run}: not a single-run metrics document with folds")
         rates = [_json_field(f, "label_invariant_rate", (int, float), from_run) for f in folds]
-        ratio = _json_field(doc, "config.label_ratio", (int, float), from_run)
+        cfg, _ = _recorded_config(doc, from_run)
         click.echo(render_table(
-            ["label_ratio", "mean_invariant_rate"], [[ratio, sum(rates) / len(rates)]]
+            ["label_ratio", "mean_invariant_rate"], [[cfg.label_ratio, sum(rates) / len(rates)]]
         ).rstrip("\n"))
         return
     if dataset_path is None:
@@ -483,16 +498,7 @@ def cmd_rerun(manifest_path, out, workers):
     command = _json_field(doc, "command", str, manifest_path)
     if command != "run" and command not in STUDIES:
         raise InputError(f"manifest records unknown command {command!r}")
-    conf = _json_field(doc, "config", dict, manifest_path)
-    unknown = sorted(conf.keys() - CFG_FIELD_NAMES - {"feature_policy"})
-    if unknown:
-        raise InputError(f"{manifest_path}: unknown config keys {', '.join(unknown)}")
-    # every field must be present, or the rerun would silently use its default
-    cfg = TrainConfig(**{
-        name: _json_field(conf, name, type(getattr(TrainConfig, name)), manifest_path)
-        for name in sorted(CFG_FIELD_NAMES)
-    })
-    policy = _json_field(conf, "feature_policy", str, manifest_path)
+    cfg, policy = _recorded_config(doc, manifest_path)
     values = None
     study = STUDIES.get(command)
     if study is not None and study.extra_key is not None:

@@ -47,6 +47,17 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-s, s, size=(fan_in, fan_out))
 
 
+def head_arrays(rng: np.random.Generator, head: str, hidden: int, out_dim: int) -> dict:
+    """The arrays of a fresh "cls" or "proj" head to `out_dim` columns: glorot
+    w1, then glorot w2, drawn from `rng` in that order, and zero biases."""
+    return {
+        f"{head}_w1": glorot(rng, hidden, hidden),
+        f"{head}_b1": np.zeros((1, hidden)),
+        f"{head}_w2": glorot(rng, hidden, out_dim),
+        f"{head}_b2": np.zeros((1, out_dim)),
+    }
+
+
 class _Views(dict):
     """Name -> view of a parameter vector. Assigning to a name writes the
     values into its view, so the vector stays the only store."""
@@ -121,10 +132,7 @@ class ModelParams:
         for layer in range(1, depth):
             arrays[f"enc{layer}"] = glorot(rng, hidden, hidden)
         for head, out_dim in (("cls", num_classes), ("proj", proj_dim)):
-            arrays[f"{head}_w1"] = glorot(rng, hidden, hidden)
-            arrays[f"{head}_b1"] = np.zeros((1, hidden))
-            arrays[f"{head}_w2"] = glorot(rng, hidden, out_dim)
-            arrays[f"{head}_b2"] = np.zeros((1, out_dim))
+            arrays.update(head_arrays(rng, head, hidden, out_dim))
         return cls(arrays)
 
     def copy(self) -> "ModelParams":

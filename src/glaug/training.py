@@ -37,7 +37,7 @@ from .model import (
     ModelParams,
     classify,
     encode,
-    glorot,
+    head_arrays,
     hidden_input,
     layer_input,
     normalize_adjacency,
@@ -194,6 +194,11 @@ def total_loss(l_p: DiffValue, l_c: DiffValue | None, alpha: float) -> DiffValue
 # --------------------------------------------------------------------- adam
 
 
+ADAM_BETA1 = 0.9  # Kingma & Ba's defaults, the same for every optimizer here
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """Adam's moments and step count. The moments m and v are two vectors
@@ -201,9 +206,6 @@ class AdamState:
     made at the first step."""
 
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     # the m and v vectors, then two scratch vectors: the gradient, the step
     vectors: tuple[np.ndarray, ...] = field(default=(), repr=False)
 
@@ -231,15 +233,15 @@ def adam_step(
     np.concatenate([grads[name].ravel() for name in params.arrays], out=g)
     state.step += 1
     t = state.step
-    m *= state.beta1
-    m += np.multiply(1 - state.beta1, g, out=step)
-    v *= state.beta2
+    m *= ADAM_BETA1
+    m += np.multiply(1 - ADAM_BETA1, g, out=step)
+    v *= ADAM_BETA2
     np.multiply(g, g, out=g)  # the gradient is not read again: g holds g g, then the denominator
-    v += np.multiply(1 - state.beta2, g, out=g)
-    denom = np.divide(v, 1 - state.beta2**t, out=g)
+    v += np.multiply(1 - ADAM_BETA2, g, out=g)
+    denom = np.divide(v, 1 - ADAM_BETA2**t, out=g)
     np.sqrt(denom, out=denom)
-    denom += state.eps
-    np.divide(m, 1 - state.beta1**t, out=step)
+    denom += ADAM_EPS
+    np.divide(m, 1 - ADAM_BETA1**t, out=step)
     np.multiply(lr, step, out=step)
     step /= denom
     params.flat -= step
@@ -435,15 +437,7 @@ def _train_surrogate(
     """Fresh classifier head fit on frozen representations with full labels,
     by full-batch Adam on `classification_loss` of its single prediction.
     Every step's tape holds `h` and the one-hot mask as constants, not copies."""
-    hidden = h.shape[1]
-    head = ModelParams(
-        {
-            "cls_w1": glorot(rng, hidden, hidden),
-            "cls_b1": np.zeros((1, hidden)),
-            "cls_w2": glorot(rng, hidden, num_classes),
-            "cls_b2": np.zeros((1, num_classes)),
-        }
-    )
+    head = ModelParams(head_arrays(rng, "cls", h.shape[1], num_classes))
     onehot = np.eye(num_classes)[labels]
     state = AdamState()
     for _ in range(SURROGATE_STEPS):

@@ -6,6 +6,8 @@ import shutil
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import glaug.cli as cli_mod
 import glaug.data as data_mod
@@ -453,6 +455,98 @@ def test_non_utf8_document_exits_one(run_dir, tmp_path, capsys, monkeypatch, com
     path.write_bytes((run_dir / document).read_bytes().replace(b'"schema"', b'"sch\xffema"'))
     err = assert_input_error(capsys, main([*command, str(path)]))
     assert err.startswith("error: cannot read") and "utf-8" in err
+
+
+# ------------------------------------------------------ read-back fuzz
+
+CONFIG_READS = [("config",), ("config", "feature_policy"),
+                *(("config", name) for name in sorted(cli_mod.CFG_FIELD_NAMES))]
+MANIFEST_READS = [("schema",), ("command",), *CONFIG_READS, ("dataset",), ("dataset", "path"),
+                  ("dataset", "stats"), ("dataset", "stats", "name"), ("dataset", "fingerprint")]
+# (command, document, how the test derives it from a run's file, the paths its reader needs)
+READERS = {
+    "rerun": (["rerun"], "manifest.json", lambda doc: doc, MANIFEST_READS),
+    "rerun_study": (
+        ["rerun"], "manifest.json",
+        lambda doc: dict(doc, command="sweep-eta", extra={"values": [0.0, 1.0]}),
+        [*MANIFEST_READS, ("extra",), ("extra", "values")],
+    ),
+    "from_run": (
+        ["invariant-rate", "--from-run"], "metrics.json", lambda doc: doc,
+        [("schema",), *CONFIG_READS, ("folds",), ("folds", 0), ("folds", 0, "label_invariant_rate"),
+         ("folds", 9, "label_invariant_rate")],
+    ),
+}
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=4,
+)
+
+# config keys a reader cannot know, with the characters that could break its one-line message
+CONFIG_KEYS = st.text(st.characters() | st.sampled_from("\n\r\t'\"\\"))
+
+
+def _json_kind(value):
+    return "number" if type(value) in (int, float) else type(value)
+
+
+def _base_document(run_dir, reader):
+    command, name, derive, reads = READERS[reader]
+    return command, derive(json.loads((run_dir / name).read_text())), reads
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_read_back_documents_are_accepted_unmutated(run_dir, tmp_path, monkeypatch, reader):
+    # the fuzz below starts from documents its readers take whole
+    reached = []
+    monkeypatch.setattr(cli_mod, "_execute", lambda *args: reached.append(args))
+    command, doc, _ = _base_document(run_dir, reader)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc, indent=2))
+    assert main([*command, str(path)]) == 0
+    assert len(reached) == (reader != "from_run")
+
+
+@pytest.mark.parametrize("reader", READERS)
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_read_back_document_exits_one(run_dir, tmp_path, capsys, monkeypatch, reader, data):
+    """A truncated document, or one with a field the reader needs re-typed or
+    dropped, or with an unknown config key, exits 1 with one `error:` line
+    before any training: never a traceback or exit 2."""
+    monkeypatch.setattr(cli_mod, "run_experiment", _no_training)
+    command, doc, reads = _base_document(run_dir, reader)
+    text = json.dumps(doc, indent=2)
+    mutation = data.draw(st.sampled_from(["truncate", "retype", "drop", "add"]), label="mutation")
+    if mutation == "truncate":
+        text = text[: data.draw(st.integers(0, len(text) - 1), label="length")]
+    elif mutation == "add":
+        key = data.draw(CONFIG_KEYS.filter(lambda k: k not in doc["config"]), label="key")
+        doc["config"][key] = data.draw(JSON_VALUES, label="value")
+    else:
+        keys = data.draw(st.sampled_from(
+            reads if mutation == "retype" else [p for p in reads if isinstance(p[-1], str)]
+        ), label="path")
+        parent = doc
+        for key in keys[:-1]:
+            parent = parent[key]
+        if mutation == "drop":
+            del parent[keys[-1]]
+        else:
+            old = _json_kind(parent[keys[-1]])
+            parent[keys[-1]] = data.draw(
+                JSON_VALUES.filter(lambda v: _json_kind(v) != old), label="value"
+            )
+    if mutation != "truncate":
+        text = json.dumps(doc, indent=2)
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    out = [] if reader == "from_run" else ["--out", str(tmp_path / "x")]
+    capsys.readouterr()
+    assert_input_error(capsys, main([*command, *out, str(path)]))
+    assert not (tmp_path / "x").exists()
 
 
 # -------------------------------------------------------------- generation

@@ -340,13 +340,13 @@ def test_adam_in_place_equals_formula_bitwise():
         lr = float(rng.uniform(1e-4, 1e-1))
         tr.adam_step(params, grads, state, lr)
         for k, g in grads.items():
-            m[k] *= state.beta1
-            m[k] += (1 - state.beta1) * g
-            v[k] *= state.beta2
-            v[k] += (1 - state.beta2) * (g * g)
-            m_hat = m[k] / (1 - state.beta1**t)
-            v_hat = v[k] / (1 - state.beta2**t)
-            want[k] -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+            m[k] *= tr.ADAM_BETA1
+            m[k] += (1 - tr.ADAM_BETA1) * g
+            v[k] *= tr.ADAM_BETA2
+            v[k] += (1 - tr.ADAM_BETA2) * (g * g)
+            m_hat = m[k] / (1 - tr.ADAM_BETA1**t)
+            v_hat = v[k] / (1 - tr.ADAM_BETA2**t)
+            want[k] -= lr * m_hat / (np.sqrt(v_hat) + tr.ADAM_EPS)
     state_m, state_v = params.views(state.vectors[0]), params.views(state.vectors[1])
     for k in shapes:
         assert np.array_equal(params.arrays[k], want[k])
@@ -403,9 +403,10 @@ def test_train_config_validation():
     assert cfg.eta == 1.0 and cfg.alpha == 1.0  # defaults under test
 
 
-def per_array_adam(arrays, grads, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+def per_array_adam(arrays, grads, m, v, t, lr):
     """The per-array in-place update, one array at a time, kept as the reference
     for the one pass over the flat vector."""
+    b1, b2, eps = tr.ADAM_BETA1, tr.ADAM_BETA2, tr.ADAM_EPS
     for name, arr in arrays.items():
         g = grads[name]
         step, denom = np.empty_like(arr), np.empty_like(arr)
