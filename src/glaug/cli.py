@@ -88,15 +88,6 @@ def _fmt_summary(label: str, result: ExperimentResult) -> str:
     )
 
 
-def _mean_rate(result: ExperimentResult) -> float:
-    return sum(f.label_invariant_rate for f in result.folds) / len(result.folds)
-
-
-def _mean_chosen(result: ExperimentResult) -> float:
-    vals = [f.mean_chosen_prob for f in result.folds if f.mean_chosen_prob is not None]
-    return sum(vals) / len(vals) if vals else float("nan")  # every selection fell back
-
-
 # ----------------------------------------------------------------- studies
 
 
@@ -111,7 +102,7 @@ def _strategy_trends(runs: list) -> list[dict]:
             f"{by['easiest'].mean_accuracy:.4f}",
         )
     ]
-    chosen = [_mean_chosen(by[s]) for s in strategies]
+    chosen = [by[s].mean_chosen_prob for s in strategies]
     if not any(math.isnan(c) for c in chosen):
         trends.append(
             trend_report(
@@ -146,7 +137,7 @@ def _rate_trends(runs: list) -> list[dict]:
     if len(runs) < 2:
         return []
     ratios = [ratio for ratio, _ in runs]
-    rates = [_mean_rate(r) for _, r in runs]
+    rates = [r.mean_invariant_rate for _, r in runs]
     return [
         trend_report(
             "invariant_rate_nondecreasing_in_label_ratio",
@@ -179,7 +170,7 @@ STUDIES = {
         field="eta",
         table="sweep_eta.tsv",
         columns=("eta", "mean_accuracy", "std_accuracy", "mean_invariant_rate"),
-        row=lambda eta, r: [eta, r.mean_accuracy, r.std_accuracy, _mean_rate(r)],
+        row=lambda eta, r: [eta, r.mean_accuracy, r.std_accuracy, r.mean_invariant_rate],
         echo=lambda runs: [_fmt_summary(f"eta={eta:g}", r) for eta, r in runs],
         extra_key="values",
     ),
@@ -188,7 +179,8 @@ STUDIES = {
         table="ablate_strategy.tsv",
         columns=("strategy", "mean_accuracy", "std_accuracy", "mean_chosen_prob",
                  "mean_invariant_rate"),
-        row=lambda s, r: [s, r.mean_accuracy, r.std_accuracy, _mean_chosen(r), _mean_rate(r)],
+        row=lambda s, r: [s, r.mean_accuracy, r.std_accuracy, r.mean_chosen_prob,
+                          r.mean_invariant_rate],
         echo=lambda runs: [_fmt_summary(s, r) for s, r in runs],
         trends=_strategy_trends,
         fixed=STRATEGIES,
@@ -212,9 +204,10 @@ STUDIES = {
         field="label_ratio",
         table="invariant_rate.tsv",
         columns=("label_ratio", "mean_invariant_rate", "mean_accuracy"),
-        row=lambda ratio, r: [ratio, _mean_rate(r), r.mean_accuracy],
+        row=lambda ratio, r: [ratio, r.mean_invariant_rate, r.mean_accuracy],
         echo=lambda runs: [
-            f"label ratio {ratio:g}: mean invariant rate {_mean_rate(r):.4f}" for ratio, r in runs
+            f"label ratio {ratio:g}: mean invariant rate {r.mean_invariant_rate:.4f}"
+            for ratio, r in runs
         ],
         trends=_rate_trends,
         extra_key="ratios",
@@ -477,6 +470,8 @@ def cmd_gen_synth(graphs, classes, seed, sizes, densities, name, out):
         raise InputError("--sizes needs exactly lo,hi")
     if not all(v.is_integer() for v in lo_hi):
         raise InputError(f"--sizes: node counts must be integers, got {sizes!r}")
+    if max(lo_hi) >= 2**63:  # a node count is drawn as an int64, inclusive of hi
+        raise InputError(f"--sizes: node counts must be below 2**63, got {sizes!r}")
     dens = tuple(_parse_floats(densities, "--densities"))
     _check_out(out)
     ds = generate_synthetic(
@@ -533,7 +528,7 @@ def main(argv=None) -> int:
     except click.ClickException as exc:
         exc.show()
         return 1
-    except InputError as exc:
+    except (InputError, MemoryError) as exc:  # numpy's names the block it could not allocate
         click.echo(f"error: {exc}", err=True)
         return 1
     except InvariantViolation as exc:

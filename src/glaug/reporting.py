@@ -73,16 +73,13 @@ def _document_head(
 
 
 def experiment_dict(result: ExperimentResult) -> dict:
-    folds = [dataclasses.asdict(f) for f in result.folds]
-    rates = [f.label_invariant_rate for f in result.folds]
-    fallbacks = [f.fallback_rate for f in result.folds]
     return {
-        "folds": folds,
+        "folds": [dataclasses.asdict(f) for f in result.folds],
         "summary": {
             "mean_accuracy": result.mean_accuracy,
             "std_accuracy": result.std_accuracy,
-            "mean_invariant_rate": sum(rates) / len(rates),
-            "mean_fallback_rate": sum(fallbacks) / len(fallbacks),
+            "mean_invariant_rate": result.mean_invariant_rate,
+            "mean_fallback_rate": result.mean_fallback_rate,
         },
     }
 

@@ -24,6 +24,7 @@ import multiprocessing
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -121,9 +122,28 @@ class FoldResult:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    folds: tuple[FoldResult, ...]
-    mean_accuracy: float
-    std_accuracy: float  # sample std, n-1 denominator
+    folds: tuple[FoldResult, ...]  # in fold order; every reported summary is a property
+
+    @property
+    def mean_accuracy(self) -> float:
+        return float(np.mean([f.test_accuracy for f in self.folds]))
+
+    @property
+    def std_accuracy(self) -> float:  # sample std, n-1 denominator
+        return float(np.std([f.test_accuracy for f in self.folds], ddof=1))
+
+    @property
+    def mean_invariant_rate(self) -> float:
+        return sum(f.label_invariant_rate for f in self.folds) / len(self.folds)
+
+    @property
+    def mean_fallback_rate(self) -> float:
+        return sum(f.fallback_rate for f in self.folds) / len(self.folds)
+
+    @property
+    def mean_chosen_prob(self) -> float:
+        probs = [f.mean_chosen_prob for f in self.folds if f.mean_chosen_prob is not None]
+        return sum(probs) / len(probs) if probs else float("nan")  # every selection fell back
 
 
 # ------------------------------------------------------------------- losses
@@ -346,6 +366,7 @@ def train_fold(dataset: GraphDataset, fold: FoldPlan, cfg: TrainConfig) -> FoldR
     """
     train = list(fold.train_indices)
     labeled = np.isin(np.arange(len(dataset)), fold.labeled_mask)  # per graph of the data set
+    labeled_train = int(labeled[train].sum())  # the labeled rows of an epoch's batches
     if cfg.negative_pairs and len(train) < 2:
         raise InputError("negative-pair training needs at least 2 training graphs")
 
@@ -372,8 +393,7 @@ def train_fold(dataset: GraphDataset, fold: FoldPlan, cfg: TrainConfig) -> FoldR
         if cfg.dist_scope == "dataset":
             epoch_d = centroid_distance(_representations(dataset, params, train))
 
-        pair_sum, pair_n = 0.0, 0
-        cls_sum, cls_n = 0.0, 0
+        pair_sum = cls_sum = 0.0
         where = f"fold {fold.fold_index}, epoch {epoch}"
         for batch in _batches(order, cfg.batch_size):
             tape = Tape()
@@ -395,14 +415,11 @@ def train_fold(dataset: GraphDataset, fold: FoldPlan, cfg: TrainConfig) -> FoldR
             _adam_finite(params, grads, state, cfg.learning_rate, where)
 
             pair_sum += float(l_p.value[0, 0]) * len(batch)
-            pair_n += len(batch)
             if l_c is not None:
-                labeled_rows = int(onehot.sum())
-                cls_sum += float(l_c.value[0, 0]) * labeled_rows
-                cls_n += labeled_rows
+                cls_sum += float(l_c.value[0, 0]) * int(onehot.sum())
 
-        pair_curve.append(pair_sum / pair_n)
-        cls_curve.append(cls_sum / cls_n if cls_n else 0.0)
+        pair_curve.append(pair_sum / len(train))
+        cls_curve.append(cls_sum / labeled_train if labeled_train else 0.0)
 
         val_acc = evaluate(dataset, params, fold.valid_indices)
         val_curve.append(val_acc)
@@ -632,11 +649,6 @@ def gradient_suite(size: str = "small") -> list[tuple[str, float]]:
 # --------------------------------------------------------------- experiment
 
 
-def _run_fold_task(args) -> FoldResult:
-    dataset, fold, cfg = args
-    return train_fold(dataset, fold, cfg)
-
-
 SET_BLAS_THREADS = "scipy_openblas_set_num_threads64_"
 
 
@@ -657,26 +669,20 @@ def _blas_function():
     return pin
 
 
-def _pin_blas() -> None:
-    """Pool initializer: this fold worker runs BLAS on one thread."""
-    pin = _blas_function()
-    if pin is not None:
-        pin(1)
-
-
 def _fold_pool(workers: int) -> ProcessPoolExecutor:
     """A fork pool of `workers` fold processes, each running BLAS on one
     thread, so N workers use N cores. Forked workers inherit the parent's
     state (the benchmark's tracer relies on it). Where numpy's BLAS exports no
     thread setter, the workers keep its thread count and one warning says so.
     """
-    if _blas_function() is None:
+    pin = _blas_function()
+    if pin is None:
         print(
             f"warning: numpy's BLAS has no {SET_BLAS_THREADS}; fold workers keep its thread count",
             file=sys.stderr,
         )
     return ProcessPoolExecutor(
-        max_workers=workers, mp_context=multiprocessing.get_context("fork"), initializer=_pin_blas
+        workers, mp_context=multiprocessing.get_context("fork"), initializer=pin, initargs=(1,)
     )
 
 
@@ -690,13 +696,6 @@ def run_experiment(dataset: GraphDataset, cfg: TrainConfig, workers: int = 1) ->
     if workers > 1:
         # a fork pool starts every worker at the first submit, so open no more than there are folds
         with _fold_pool(min(workers, len(plans))) as pool:
-            results = list(pool.map(_run_fold_task, [(dataset, p, cfg) for p in plans]))
-    else:
-        results = [train_fold(dataset, p, cfg) for p in plans]
-    results.sort(key=lambda r: r.fold_index)
-    accs = np.array([r.test_accuracy for r in results])
-    return ExperimentResult(
-        folds=tuple(results),
-        mean_accuracy=float(accs.mean()),
-        std_accuracy=float(accs.std(ddof=1)),
-    )
+            folds = pool.map(train_fold, repeat(dataset), plans, repeat(cfg))
+            return ExperimentResult(tuple(folds))
+    return ExperimentResult(tuple(train_fold(dataset, p, cfg) for p in plans))

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, artifacts, manifest reruns."""
 
+import dataclasses
 import json
 import re
 import shutil
@@ -372,6 +373,31 @@ def test_invariant_rate_table_and_trend(toy_dir, tmp_path):
     assert doc["trends"][0]["name"] == "invariant_rate_nondecreasing_in_label_ratio"
 
 
+def test_invariant_rate_single_ratio_has_no_trend(toy_dir, tmp_path, capsys):
+    out = tmp_path / "ir"
+    rc = main(["invariant-rate", str(toy_dir), "--ratios", "0.5", *COMMON, "--out", str(out)])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert "trend" not in captured.out + captured.err
+    assert "trends" not in json.loads((out / "metrics.json").read_text())
+
+
+def test_failed_trend_warns_and_exits_zero(toy_dir, tmp_path, capsys, monkeypatch):
+    study = dataclasses.replace(
+        cli_mod.STUDIES["invariant-rate"],
+        trends=lambda runs: [cli_mod.trend_report("forced", False, "made to fail")],
+    )
+    monkeypatch.setitem(cli_mod.STUDIES, "invariant-rate", study)
+    out = tmp_path / "ir"
+    rc = main(["invariant-rate", str(toy_dir), "--ratios", "0.5", *COMMON, "--out", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().err == "warning: trend failed: forced (made to fail)\n"
+    text = (out / "metrics.json").read_text()
+    assert '"holds": false' in text
+    trend = {"name": "forced", "holds": False, "detail": "made to fail"}
+    assert json.loads(text)["trends"] == [trend]
+
+
 def test_invariant_rate_from_run(toy_dir, tmp_path, capsys):
     assert main(["run", str(toy_dir), *COMMON, "--out", str(tmp_path / "r")]) == 0
     capsys.readouterr()
@@ -572,7 +598,10 @@ def test_gen_synth_bad_sizes(tmp_path):
     ["--graphs", "9"],
     ["--sizes", "1.5,3"],
     ["--sizes", "8,12.5"],
-], ids=["graphs_0", "graphs_neg", "graphs_3", "graphs_9", "sizes_lo_fraction", "sizes_hi_fraction"])
+    ["--graphs", "12", "--sizes", "3,9223372036854775807"],
+    ["--graphs", "12", "--sizes", "1e20,1e20"],
+], ids=["graphs_0", "graphs_neg", "graphs_3", "graphs_9", "sizes_lo_fraction", "sizes_hi_fraction",
+        "sizes_hi_past_int64", "sizes_past_int64"])
 def test_gen_synth_rejects_unusable_dataset(tmp_path, capsys, args):
     # fewer graphs than folds, or fractional node counts, would give a dataset
     # every experiment command rejects (or one silently truncated)
@@ -646,6 +675,19 @@ def test_non_finite_flag_exits_one(toy_dir, tmp_path, capsys, monkeypatch, comma
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("values, message", [
+    ("abc", "--values: expected comma-separated numbers, got 'abc'"),
+    (",", "--values: empty value list"),
+], ids=["not_a_number", "empty"])
+def test_sweep_eta_unreadable_values_exit_one(toy_dir, tmp_path, capsys, monkeypatch, values,
+                                             message):
+    monkeypatch.setattr(cli_mod, "run_experiment", _no_training)
+    rc = main(["sweep-eta", str(toy_dir), *COMMON, "--values", values,
+               "--out", str(tmp_path / "r")])
+    assert assert_input_error(capsys, rc) == f"error: {message}\n"
+    assert not (tmp_path / "r").exists()
+
+
 @pytest.mark.parametrize(
     "command", ["run", "sweep-eta", "ablate-strategy", "ablate-negatives", "invariant-rate"]
 )
@@ -694,6 +736,26 @@ def test_feature_kind_without_argument_rejects_one(toy_dir, tmp_path, capsys, fe
     rc = main(["run", str(toy_dir), *COMMON, "--features", features,
                "--out", str(tmp_path / "r")])
     assert_input_error(capsys, rc)
+    assert not (tmp_path / "r").exists()
+
+
+def test_zero_degree_cap_exits_one(toy_dir, tmp_path, capsys):
+    rc = main(["run", str(toy_dir), *COMMON, "--features", "degree_one_hot:0",
+               "--out", str(tmp_path / "r")])
+    assert "degree_cap" in assert_input_error(capsys, rc)
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"], ids=["sequential", "parallel"])
+def test_candidate_block_past_memory_exits_one(tmp_path, capsys, workers):
+    data = tmp_path / "SYNTH"
+    assert main(["gen-synth", "--graphs", "12", "--out", str(data)]) == 0
+    capsys.readouterr()
+    # K x B x h float64 candidates: 728 PiB, past any 64-bit host's address space (at most 2**57
+    # bytes), so the allocation is refused at once and touches no memory
+    rc = main(["run", str(data), "--k", str(10**14), "--parallel-folds", workers,
+               "--out", str(tmp_path / "r")])
+    assert "Unable to allocate" in assert_input_error(capsys, rc)
     assert not (tmp_path / "r").exists()
 
 

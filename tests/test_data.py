@@ -105,6 +105,12 @@ def test_edge_to_unknown_node_reports_file_and_line(tmp_path):
         gd.parse_tudataset(write_files(tmp_path, **files), "TINY")
 
 
+def test_edge_from_unknown_node_names_the_first_endpoint(tmp_path):
+    files = dict(MINIMAL, A="1, 2\n2, 1\n9, 7\n")
+    with pytest.raises(DatasetFormatError, match=r"TINY_A\.txt:3: edge references unknown node 9$"):
+        gd.parse_tudataset(write_files(tmp_path, **files), "TINY")
+
+
 def test_edge_across_graphs_rejected(tmp_path):
     files = dict(
         A="1, 3\n",

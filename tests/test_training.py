@@ -258,8 +258,8 @@ def test_fold_pool_opens_at_most_one_worker_per_fold(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     ds = small_dataset(20, seed=4)
     cfg = quick_cfg(epochs=1)
@@ -267,7 +267,9 @@ def test_fold_pool_opens_at_most_one_worker_per_fold(monkeypatch):
     pooled = tr.run_experiment(ds, cfg, workers=5000)
     assert opened == [10]
     assert options[0]["mp_context"].get_start_method() == "fork"
-    assert options[0]["initializer"] is tr._pin_blas
+    setter = tr._blas_function()
+    assert getattr(options[0]["initializer"], "__name__", None) == getattr(setter, "__name__", None)
+    assert options[0]["initargs"] == (1,)
     assert pooled == tr.run_experiment(ds, cfg, workers=1)
 
 
