@@ -17,12 +17,14 @@ cannot show a difference between the two, and the ablation runs all three
 selection strategies at that width. Another `run` draws one candidate (K = 1)
 in a representation of width 1, so every direction is +1 or -1: the smallest
 block of directions.
-Two last `run`s and their `rerun`s read data sets written by hand in the
+Two more `run`s and their `rerun`s read data sets written by hand in the
 shape of a downloaded one: CRLF line ends, blank lines, a self-loop and a
 repeated ordered pair, so the parser's line-end handling and its warnings on
 stderr are compared too. The second has no node-label file, so its run takes
 the default `degree_one_hot:10` features; every other data set here has node
-labels.
+labels. A last `run` and its `rerun` read a second `gen-synth` data set, drawn
+at density 0 in every class, so no graph has an edge and its edge file is one
+blank line.
 
 After each command the exit code, stdout, stderr and every file the command
 wrote are compared. The script stops at the first difference and exits 1;
@@ -39,6 +41,7 @@ import tempfile
 from pathlib import Path
 
 DATA = "data/SYNTH"
+EDGELESS = "data/EDGELESS"
 HAND = "data/HAND"
 BARE = "data/BARE"  # HAND's graphs without a node-label file
 TINY = [
@@ -64,6 +67,7 @@ EXPERIMENTS = [
                  "--depth", "1"]),
     ("hand-written", ["run", HAND, *TINY]),
     ("hand-written-no-node-labels", ["run", BARE, *TINY]),
+    ("edgeless", ["run", EDGELESS, *TINY]),
 ]
 
 
@@ -98,11 +102,12 @@ def write_hand_dataset(directory: Path, node_labels: bool = True) -> None:
 
 def commands() -> list[tuple[str, list[str], str | None]]:
     """(label, arguments, directory the command writes or None), in run order."""
-    cmds = [(
-        "gen-synth",
-        ["gen-synth", "--graphs", "30", "--seed", "3", "--name", "SYNTH", "--out", DATA],
-        DATA,
-    )]
+    synth = ["gen-synth", "--graphs", "30", "--seed", "3"]
+    cmds = [
+        ("gen-synth", [*synth, "--name", "SYNTH", "--out", DATA], DATA),
+        ("gen-synth edgeless",
+         [*synth, "--densities", "0,0", "--name", "EDGELESS", "--out", EDGELESS], EDGELESS),
+    ]
     for label, args in EXPERIMENTS:
         cmds.append((label, [*args, "--out", f"runs/{label}"], f"runs/{label}"))
     for label, _ in EXPERIMENTS:

@@ -1,7 +1,7 @@
 """End-to-end library walkthrough on a synthetic dataset.
 
 Shows the Python API directly; the `glaug` CLI wraps the same calls. Runs in
-about a minute on one core.
+a few seconds on one core.
 """
 
 import numpy as np

@@ -91,13 +91,15 @@ def augment(h: np.ndarray, targets, frozen: dict, cfg: TrainConfig, d: float, rn
     `easiest` pick the first minimal or maximal target probability in draw
     order, `random` the `rngs[b].integers(count)`-th qualified one. A pick
     that a single-row `classify` (the 2-D product) does not give the target
-    is an InvariantViolation.
+    is an InvariantViolation; a candidate block past numpy's array size, an InputError.
     """
     if d < 0:
         raise InputError(f"d must be >= 0, got {d}")
     h = np.asarray(h, dtype=np.float64)
     width, count = h.shape[1], cfg.num_candidates
     rows = np.arange(h.shape[0])
+    if 8 * count * len(rows) * width > np.iinfo(np.intp).max:  # its bytes overflow intp
+        raise InputError(f"num_candidates {count}: a K x {len(rows)} x {width} block is too big")
     targets = np.asarray(targets, dtype=np.intp)
     offsets = np.empty((count, len(rows), width))  # K x B x h
     for b, rng in enumerate(rngs):

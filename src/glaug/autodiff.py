@@ -112,9 +112,6 @@ class DiffValue:
     def shape(self) -> tuple[int, int]:
         return self.value.shape  # type: ignore[return-value]
 
-    def __repr__(self) -> str:
-        return f"DiffValue(shape={self.shape}, requires_grad={self.requires_grad})"
-
 
 def _same_shape(av: np.ndarray, bv: np.ndarray, op: str) -> None:
     if av.shape != bv.shape:
@@ -344,15 +341,14 @@ def dot(a: DiffValue, b: DiffValue) -> DiffValue:
     return _record(out_val, (a, lambda g: g[0, 0] * bv), (b, lambda g: g[0, 0] * av))
 
 
-def backward(loss: DiffValue) -> dict[DiffValue, np.ndarray]:
+def backward(loss: DiffValue) -> None:
     """Fill `.grad` on every requires_grad leaf of the loss's tape.
 
-    Returns the leaf -> gradient map. Intermediate gradients are dropped as
-    soon as their producing record has been processed, and each record as
-    soon as it is used, so its closure and the activations it holds are
-    freed by refcount during the walk. The tape also lets go of its leaves;
-    the caller's references to them keep their `.grad`. A tape supports one
-    backward; further calls raise.
+    Intermediate gradients are dropped as soon as their producing record has
+    been processed, and each record as soon as it is used, so its closure and
+    the activations it holds are freed by refcount during the walk. The tape
+    also lets go of its leaves; the caller's references to them keep their
+    `.grad`. A tape supports one backward; further calls raise.
     """
     tape = loss.tape
     if tape._consumed:
@@ -373,15 +369,12 @@ def backward(loss: DiffValue) -> dict[DiffValue, np.ndarray]:
             prev = grads.get(inp_id)
             grads[inp_id] = contrib if prev is None else prev + contrib
 
-    result: dict[DiffValue, np.ndarray] = {}
     leaves, tape._leaves = tape._leaves, []
     for leaf in leaves:
         g = grads.get(leaf.node_id)
         if g is None:
             g = np.zeros_like(leaf.value)
         leaf.grad = g
-        result[leaf] = g
-    return result
 
 
 def grad_check(

@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Callable
 
 import click
+import numpy as np
 from click.core import ParameterSource
 
 from . import __version__
@@ -152,13 +153,15 @@ class Study:
     """An experiment command that runs one fold-matched experiment per value
     of the TrainConfig `field`. The values are `fixed`, or given by the user
     and recorded in the manifest's `extra` under `extra_key`, which is also the
-    command's flag name. `echo` and `trends` see the (value, result) runs."""
+    command's flag name. `echo` and `trends` see the (value, result) runs. A
+    table row is `cell(value)`, then the ExperimentResult property named by
+    each further column."""
 
     field: str
     table: str
     columns: tuple[str, ...]
-    row: Callable[[object, ExperimentResult], list]
     echo: Callable[[list], list[str]]
+    cell: Callable[[object], object] = lambda value: value
     trends: Callable[[list], list[dict]] = lambda runs: []
     fixed: tuple = ()
     extra_key: str | None = None
@@ -170,7 +173,6 @@ STUDIES = {
         field="eta",
         table="sweep_eta.tsv",
         columns=("eta", "mean_accuracy", "std_accuracy", "mean_invariant_rate"),
-        row=lambda eta, r: [eta, r.mean_accuracy, r.std_accuracy, r.mean_invariant_rate],
         echo=lambda runs: [_fmt_summary(f"eta={eta:g}", r) for eta, r in runs],
         extra_key="values",
     ),
@@ -179,8 +181,6 @@ STUDIES = {
         table="ablate_strategy.tsv",
         columns=("strategy", "mean_accuracy", "std_accuracy", "mean_chosen_prob",
                  "mean_invariant_rate"),
-        row=lambda s, r: [s, r.mean_accuracy, r.std_accuracy, r.mean_chosen_prob,
-                          r.mean_invariant_rate],
         echo=lambda runs: [_fmt_summary(s, r) for s, r in runs],
         trends=_strategy_trends,
         fixed=STRATEGIES,
@@ -189,9 +189,7 @@ STUDIES = {
         field="negative_pairs",
         table="ablate_negatives.tsv",
         columns=("mode", "mean_accuracy", "std_accuracy"),
-        row=lambda neg, r: [
-            "with_negatives" if neg else "without_negatives", r.mean_accuracy, r.std_accuracy
-        ],
+        cell=lambda neg: "with_negatives" if neg else "without_negatives",
         echo=lambda runs: [
             *(_fmt_summary("with negatives" if neg else "without negatives", r) for neg, r in runs),
             f"paired delta (with - without): {_paired_delta(runs) * 100:+.2f} accuracy points",
@@ -204,7 +202,6 @@ STUDIES = {
         field="label_ratio",
         table="invariant_rate.tsv",
         columns=("label_ratio", "mean_invariant_rate", "mean_accuracy"),
-        row=lambda ratio, r: [ratio, r.mean_invariant_rate, r.mean_accuracy],
         echo=lambda runs: [
             f"label ratio {ratio:g}: mean invariant rate {r.mean_invariant_rate:.4f}"
             for ratio, r in runs
@@ -245,7 +242,7 @@ def _execute(command, ds, path_str, policy, cfg, out: Path, workers, values=None
         variants = [dataclasses.replace(cfg, **{study.field: v}) for v in values]
         runs = [(v, run_experiment(ds, sub, workers=workers)) for v, sub in zip(values, variants)]
         trends = study.trends(runs)
-        rows = [study.row(v, r) for v, r in runs]
+        rows = [[study.cell(v), *(getattr(r, c) for c in study.columns[1:])] for v, r in runs]
         table = render_table(list(study.columns), rows)
         artifacts.append(study.table)
         results = [({study.field: v}, r) for v, r in runs]
@@ -470,8 +467,9 @@ def cmd_gen_synth(graphs, classes, seed, sizes, densities, name, out):
         raise InputError("--sizes needs exactly lo,hi")
     if not all(v.is_integer() for v in lo_hi):
         raise InputError(f"--sizes: node counts must be integers, got {sizes!r}")
-    if max(lo_hi) >= 2**63:  # a node count is drawn as an int64, inclusive of hi
-        raise InputError(f"--sizes: node counts must be below 2**63, got {sizes!r}")
+    hi = int(max(lo_hi))  # the largest graph draws one float64 per candidate edge
+    if 8 * hi * (hi - 1) // 2 > np.iinfo(np.intp).max:
+        raise InputError(f"--sizes: too many candidate edges to draw for {hi} nodes, got {sizes!r}")
     dens = tuple(_parse_floats(densities, "--densities"))
     _check_out(out)
     ds = generate_synthetic(

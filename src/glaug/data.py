@@ -142,6 +142,7 @@ def default_policy(has_node_labels: bool) -> FeaturePolicy:
 # grammar written out one line at a time.
 
 CHUNK_BYTES = 1 << 18  # bytes per decoded chunk; temporaries of 4 (plain) to 10 times that
+WRITE_ROWS = 1 << 16  # records formatted per write by write_tudataset
 _INTEGER = re.compile(r"[+-]?[0-9]+(?:_[0-9]+)*")
 _NOT_SEPARATORS = b"0123456789 \t"
 _LF_TO_COMMA = bytes.maketrans(b"\n", b",")
@@ -332,6 +333,18 @@ def _graph_edges(records: _Records, node_graph: np.ndarray, first_node: np.ndarr
     return list(map(pairs.__getitem__, map(slice, [0, *stops[:-1]], stops)))  # one view per graph
 
 
+def _counted_column(path: Path, count: int, what: str) -> np.ndarray:
+    """The one-integer records of `path`, which must number `count`: the
+    first malformed line, else a count mismatch, is a DatasetFormatError."""
+    records = _read_records(path, 1)
+    records.raise_first()
+    if len(records.values) != count:
+        raise DatasetFormatError(
+            path, len(records.values) + 1, f"expected {count} {what}, found {len(records.values)}"
+        )
+    return records.values[:, 0]
+
+
 def parse_tudataset(directory, name: str, policy: FeaturePolicy | None = None) -> GraphDataset:
     """Load `<name>_*.txt` files from `directory` into a GraphDataset.
 
@@ -376,31 +389,15 @@ def parse_tudataset(directory, name: str, policy: FeaturePolicy | None = None) -
     counts = np.bincount(node_graph)[1:]
     first_node = np.concatenate([[0], np.cumsum(counts)[:-1]])  # global base per graph
 
-    labels = _read_records(paths["graph_labels"], 1)
-    labels.raise_first()
-    if len(labels.values) != num_graphs:
-        raise DatasetFormatError(
-            paths["graph_labels"],
-            len(labels.values) + 1,
-            f"expected {num_graphs} labels, found {len(labels.values)}",
-        )
-
+    labels = _counted_column(paths["graph_labels"], num_graphs, "labels")
     node_labels = None
     if paths["node_labels"].is_file():
-        records = _read_records(paths["node_labels"], 1)
-        records.raise_first()
-        if len(records.values) != total_nodes:
-            raise DatasetFormatError(
-                paths["node_labels"],
-                len(records.values) + 1,
-                f"expected {total_nodes} node labels, found {len(records.values)}",
-            )
-        node_labels = records.values[:, 0]
+        node_labels = _counted_column(paths["node_labels"], total_nodes, "node labels")
 
     edges = _read_records(paths["A"], 2)
     _check_edges(edges, node_graph)
     edge_arrays = _graph_edges(edges, node_graph, first_node)
-    distinct, class_of = np.unique(labels.values[:, 0], return_inverse=True)
+    distinct, class_of = np.unique(labels, return_inverse=True)
 
     graphs = tuple(map(GraphInstance, counts.tolist(), edge_arrays))
     x = np.zeros((total_nodes, 0))
@@ -479,30 +476,28 @@ def write_tudataset(dataset: GraphDataset, directory, name: str | None = None) -
     """Emit the four-file TUDataset layout parse_tudataset reads.
 
     Each undirected edge is written in both directions, global 1-based ids.
-    The node-label file is written when the data set has node labels.
-    Output is byte-deterministic for a given dataset.
+    The node-label file is written when the data set has node labels. Each
+    file is one integer array, formatted WRITE_ROWS records per write; a file
+    of no records is one blank line. Output is byte-deterministic for a given
+    dataset.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     name = name or dataset.name
 
-    def dump(suffix: str, lines) -> None:
-        (directory / f"{name}_{suffix}.txt").write_text("\n".join(lines) + "\n", encoding="ascii")
+    def dump(suffix: str, values: np.ndarray, line: str = "%d\n") -> None:
+        with open(directory / f"{name}_{suffix}.txt", "w", encoding="ascii") as f:
+            for rows in np.split(values, range(WRITE_ROWS, len(values), WRITE_ROWS)):
+                f.write((line * len(rows)) % tuple(rows.ravel().tolist()) or "\n")
 
-    dump("graph_labels", map(str, dataset.labels.tolist()))
+    dump("graph_labels", dataset.labels)
     if dataset.node_labels is not None:
-        dump("node_labels", map(str, dataset.node_labels.tolist()))
-    a_lines, ind_lines = [], []
-    base = 0
-    for gid, g in enumerate(dataset.graphs, start=1):
-        ind_lines.extend([str(gid)] * g.node_count)
-        for u, v in g.edges.tolist():
-            gu, gv = base + u + 1, base + v + 1
-            a_lines.append(f"{gu}, {gv}")
-            a_lines.append(f"{gv}, {gu}")
-        base += g.node_count
-    dump("A", a_lines)
-    dump("graph_indicator", ind_lines)
+        dump("node_labels", dataset.node_labels)
+    graphs, starts = dataset.graphs, np.array(dataset._row_starts)
+    edges = np.concatenate([np.empty((0, 2), np.intp), *(g.edges for g in graphs)])
+    edges += np.repeat(starts[:-1], [len(g.edges) for g in graphs])[:, None] + 1  # global ids
+    dump("A", np.stack([edges, edges[:, ::-1]], axis=1).reshape(-1, 2), "%d, %d\n")
+    dump("graph_indicator", np.repeat(np.arange(1, len(graphs) + 1), np.diff(starts)))
     return directory
 
 

@@ -267,10 +267,14 @@ def adam_step(
     params.flat -= step
 
 
-def _adam_finite(params: ModelParams, grads: dict, state: AdamState, lr: float, where: str) -> None:
-    """`adam_step`, then a TrainingDiverged naming `where` if it left a
-    parameter NaN or infinite."""
-    adam_step(params, grads, state, lr)
+def _descend(
+    loss: DiffValue, bound: dict, params: ModelParams, state: AdamState, lr: float, where: str
+) -> None:
+    """One descent step: backward over `loss`'s tape, `adam_step` on the gradients
+    of the leaves `bound` binds (both looked up at call time, so wrappers see
+    them), then a TrainingDiverged naming `where` if a parameter is not finite."""
+    ad.backward(loss)
+    adam_step(params, {name: leaf.grad for name, leaf in bound.items()}, state, lr)
     if not np.isfinite(params.flat).all():
         raise TrainingDiverged(f"{where}: training diverged, a parameter is not finite")
 
@@ -410,9 +414,7 @@ def train_fold(dataset: GraphDataset, fold: FoldPlan, cfg: TrainConfig) -> FoldR
             onehot[known, labels[known]] = 1.0
 
             loss, l_p, l_c = _batch_objective(bound, h_o, selection.offsets, onehot, cfg)
-            ad.backward(loss)
-            grads = {name: leaf.grad for name, leaf in bound.items()}
-            _adam_finite(params, grads, state, cfg.learning_rate, where)
+            _descend(loss, bound, params, state, cfg.learning_rate, where)
 
             pair_sum += float(l_p.value[0, 0]) * len(batch)
             if l_c is not None:
@@ -461,9 +463,7 @@ def _train_surrogate(
         tape = Tape()
         bound = head.bind(tape)
         loss = classification_loss(classify(tape.constant(h), bound), None, tape.constant(onehot))
-        ad.backward(loss)
-        grads = {k: leaf.grad for k, leaf in bound.items()}
-        _adam_finite(head, grads, state, SURROGATE_LR, where)
+        _descend(loss, bound, head, state, SURROGATE_LR, where)
     return head
 
 

@@ -600,8 +600,11 @@ def test_gen_synth_bad_sizes(tmp_path):
     ["--sizes", "8,12.5"],
     ["--graphs", "12", "--sizes", "3,9223372036854775807"],
     ["--graphs", "12", "--sizes", "1e20,1e20"],
+    ["--graphs", "12", "--sizes", "3,9223372036854774784"],
+    ["--graphs", "12", "--sizes", "3000000000,3000000000"],
 ], ids=["graphs_0", "graphs_neg", "graphs_3", "graphs_9", "sizes_lo_fraction", "sizes_hi_fraction",
-        "sizes_hi_past_int64", "sizes_past_int64"])
+        "sizes_hi_past_int64", "sizes_past_int64", "sizes_edges_past_intp",
+        "sizes_edge_bytes_past_intp"])
 def test_gen_synth_rejects_unusable_dataset(tmp_path, capsys, args):
     # fewer graphs than folds, or fractional node counts, would give a dataset
     # every experiment command rejects (or one silently truncated)
@@ -756,6 +759,18 @@ def test_candidate_block_past_memory_exits_one(tmp_path, capsys, workers):
     rc = main(["run", str(data), "--k", str(10**14), "--parallel-folds", workers,
                "--out", str(tmp_path / "r")])
     assert "Unable to allocate" in assert_input_error(capsys, rc)
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"], ids=["sequential", "parallel"])
+def test_candidate_block_past_intp_exits_one(tmp_path, capsys, workers):
+    data = tmp_path / "SYNTH"
+    assert main(["gen-synth", "--graphs", "12", "--out", str(data)]) == 0
+    capsys.readouterr()
+    # K x B x h float64 candidates whose byte count overflows intp: numpy cannot even ask for them
+    rc = main(["run", str(data), "--k", str(10**18), "--parallel-folds", workers,
+               "--out", str(tmp_path / "r")])
+    assert "num_candidates 1000000000000000000" in assert_input_error(capsys, rc)
     assert not (tmp_path / "r").exists()
 
 

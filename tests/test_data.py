@@ -1042,6 +1042,49 @@ def test_writer_is_byte_deterministic(tmp_path):
         assert fx == fy
 
 
+def per_record_write(dataset, directory, name):
+    """The writer as first written, one Python string per record: the reference."""
+    directory.mkdir(parents=True)
+
+    def dump(suffix, lines):
+        (directory / f"{name}_{suffix}.txt").write_text("\n".join(lines) + "\n", encoding="ascii")
+
+    dump("graph_labels", map(str, dataset.labels.tolist()))
+    if dataset.node_labels is not None:
+        dump("node_labels", map(str, dataset.node_labels.tolist()))
+    a_lines, ind_lines, base = [], [], 0
+    for gid, g in enumerate(dataset.graphs, start=1):
+        ind_lines.extend([str(gid)] * g.node_count)
+        for u, v in g.edges.tolist():
+            a_lines += [f"{base + u + 1}, {base + v + 1}", f"{base + v + 1}, {base + u + 1}"]
+        base += g.node_count
+    dump("A", a_lines)
+    dump("graph_indicator", ind_lines)
+
+
+@pytest.mark.parametrize("write_rows", [gd.WRITE_ROWS, 7, 1])
+def test_writer_equals_per_record_reference(tmp_path, monkeypatch, write_rows):
+    monkeypatch.setattr(gd, "WRITE_ROWS", write_rows)  # one chunk, several with a tail, one a row
+    labeled = gd.generate_synthetic(30, 3, edge_density_per_class=(0.0, 0.4, 1.0), seed=4)
+    parsed_dir = gd.write_tudataset(gd.generate_synthetic(12, seed=9), tmp_path / "P", "P")
+    sets = {
+        "zero_density_class": labeled,
+        "no_node_labels": replace(labeled, node_labels=None),
+        "edgeless": gd.generate_synthetic(12, edge_density_per_class=(0.0, 0.0), seed=2),
+        "parsed": gd.parse_tudataset(parsed_dir, "P"),
+        "empty": gd.generate_synthetic(0),
+    }
+    assert all(len(g.edges) == 0 for g in labeled.graphs[::3])  # class 0, drawn at density 0
+    for label, ds in sets.items():
+        gd.write_tudataset(ds, tmp_path / "new" / label, "W")
+        per_record_write(ds, tmp_path / "ref" / label, "W")
+        new, ref = (sorted((tmp_path / side / label).iterdir()) for side in ("new", "ref"))
+        assert [f.name for f in new] == [f.name for f in ref], label
+        for a, b in zip(new, ref):
+            assert a.read_bytes() == b.read_bytes(), (label, a.name)
+    assert (tmp_path / "new" / "edgeless" / "W_A.txt").read_bytes() == b"\n"
+
+
 # -------------------------------------------------------------------- folds
 
 
