@@ -22,9 +22,12 @@ shape of a downloaded one: CRLF line ends, blank lines, a self-loop and a
 repeated ordered pair, so the parser's line-end handling and its warnings on
 stderr are compared too. The second has no node-label file, so its run takes
 the default `degree_one_hot:10` features; every other data set here has node
-labels. A last `run` and its `rerun` read a second `gen-synth` data set, drawn
+labels. A `run` and its `rerun` read a second `gen-synth` data set, drawn
 at density 0 in every class, so no graph has an edge and its edge file is one
-blank line.
+blank line. Three last `run`s read HAND's files with an edited edge file: one
+with an edge to an unknown node and one with an edge across two graphs, which
+must both exit 1 with the same `error:` line, and one with a `+` before every
+value, which the parser's per-line decoder reads.
 
 After each command the exit code, stdout, stderr and every file the command
 wrote are compared. The script stops at the first difference and exits 1;
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -44,6 +48,12 @@ DATA = "data/SYNTH"
 EDGELESS = "data/EDGELESS"
 HAND = "data/HAND"
 BARE = "data/BARE"  # HAND's graphs without a node-label file
+# data sets of HAND's files with an edited A file: data set -> the edit
+EDITED = {
+    "data/UNKNOWN": lambda a: a.replace(b"2, 2\r\n", b"2, 99\r\n"),  # node 99 of 48
+    "data/CROSS": lambda a: a.replace(b"2, 2\r\n", b"2, 5\r\n"),  # graphs 1 and 2
+    "data/SIGNED": lambda a: re.sub(rb"\d+", rb"+\g<0>", a),
+}
 TINY = [
     "--epochs", "2", "--k", "3", "--hidden", "8", "--proj-dim", "4", "--depth", "2",
     "--batch-size", "8", "--lr", "1e-2",
@@ -119,6 +129,9 @@ def commands() -> list[tuple[str, list[str], str | None]]:
         None,
     ))
     cmds.append(("gradcheck", ["gradcheck"], None))
+    for data in EDITED:
+        label = f"edited-{Path(data).name}"
+        cmds.append((label, ["run", data, *TINY, "--out", f"runs/{label}"], f"runs/{label}"))
     return cmds
 
 
@@ -177,6 +190,10 @@ def main(argv: list[str] | None = None) -> int:
         for name in sides:
             write_hand_dataset(work[name] / HAND)
             write_hand_dataset(work[name] / BARE, node_labels=False)
+            for data, edit in EDITED.items():
+                write_hand_dataset(work[name] / data)
+                a = work[name] / data / f"{Path(data).name}_A.txt"
+                a.write_bytes(edit(a.read_bytes()))
         cmds = commands()
         for label, args, out in cmds:
             got = {name: run(src, work[name], args) for name, src in sides.items()}

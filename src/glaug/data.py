@@ -141,7 +141,7 @@ def default_policy(has_node_labels: bool) -> FeaturePolicy:
 # every other chunk, and so every error, goes to _decode, which is this
 # grammar written out one line at a time.
 
-CHUNK_BYTES = 1 << 18  # bytes per decoded chunk; temporaries of 4 (plain) to 10 times that
+CHUNK_BYTES = 1 << 18  # bytes per read and chunk; temporaries of 4 (plain) to 10 times that
 WRITE_ROWS = 1 << 16  # records formatted per write by write_tudataset
 _INTEGER = re.compile(r"[+-]?[0-9]+(?:_[0-9]+)*")
 _NOT_SEPARATORS = b"0123456789 \t"
@@ -155,8 +155,15 @@ class _Records:
 
     path: Path
     values: np.ndarray  # records x fields, int64
-    lines: np.ndarray  # 1-based line number of each record
+    lines: list  # per chunk, its records' line numbers: a range if plain, else an array
     error: DatasetFormatError | None  # the first malformed line, if any
+
+    def line(self, row: int) -> int:
+        """The 1-based line number of record `row`."""
+        for numbers in self.lines:
+            if row < len(numbers):
+                return int(numbers[row])
+            row -= len(numbers)
 
     def raise_first(self, bad: np.ndarray | None = None, message=None) -> None:
         """Raise for the first record flagged in `bad`, with text message(row);
@@ -164,7 +171,7 @@ class _Records:
         either way the error raised is the first in file order."""
         if bad is not None and bad.any():
             row = int(np.argmax(bad))
-            raise DatasetFormatError(self.path, int(self.lines[row]), message(row))
+            raise DatasetFormatError(self.path, self.line(row), message(row))
         if self.error is not None:
             raise self.error
 
@@ -172,17 +179,25 @@ class _Records:
 def _read_records(path: Path, fields: int) -> _Records:
     """Decode one file of `fields`-integer records, about CHUNK_BYTES at a time.
 
+    A first pass counts the line ends, which size one array for the records.
     A chunk ends after the last line feed read so far and the partial line
     after it is carried into the next, so every chunk holds whole lines,
     numbered on from the chunks before it; a file with no line feed (lone
     carriage-return line ends) is one chunk. Decoding stops at the first
-    chunk with a malformed line. Memory is the decoded records plus a few
-    chunks' temporaries, never the whole file. Each chunk is first tried by
-    _fast_decode, and _decode takes every chunk that is not plain, so the
-    records, line numbers and errors do not depend on which path ran."""
-    values, lines = [np.empty((0, fields), np.int64)], [np.empty(0, np.intp)]
-    error, first_line, pending = None, 1, bytearray()
+    chunk with a malformed line. Memory is the records once, the line numbers
+    of the chunks that are not plain and a few chunks' temporaries. Each
+    chunk is first tried by _fast_decode, and _decode takes every chunk that
+    is not plain, so the records, line numbers and errors do not depend on
+    which path ran."""
+    lines, row, error, first_line, pending = [], 0, None, 1, bytearray()
     with open(path, "rb") as f:
+        ends = 0  # \n, \r\n or a lone \r; a \r\n split between two reads counts twice
+        while block := f.read(CHUNK_BYTES):
+            ends += np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n"))
+            if b"\r" in block:  # one memchr; counting b"\r\n" scans more slowly
+                ends += block.count(b"\r") - block.count(b"\r\n")
+        values = np.empty((ends + 1, fields), np.int64)  # a last line may have no end
+        f.seek(0)
         while error is None:
             block = f.read(CHUNK_BYTES)
             pending += block
@@ -193,12 +208,14 @@ def _read_records(path: Path, fields: int) -> _Records:
                 chunk_values, chunk_lines, error, line_count = _fast_decode(
                     chunk, fields, first_line
                 ) or _decode(chunk, fields, path, first_line)
-                values.append(chunk_values)
+                values[row : row + len(chunk_values)] = chunk_values
+                row += len(chunk_values)
                 lines.append(chunk_lines)
                 first_line += line_count
             elif not block:
                 break
-    return _Records(path, np.concatenate(values), np.concatenate(lines), error)
+    values.resize((row, fields), refcheck=False)  # no view of `values` exists
+    return _Records(path, values, lines, error)
 
 
 def _fast_decode(raw: bytes, fields: int, first_line: int):
@@ -206,8 +223,8 @@ def _fast_decode(raw: bytes, fields: int, first_line: int):
     None when `raw` is not plain. np.fromstring raises where a field holds
     two tokens, but reads a field of spaces as 0 and clamps an overflow to
     INT64_MAX, so the chunk's tokens are counted first and INT64_MAX is
-    refused. A plain chunk has no blank line, so its lines are its records;
-    a CRLF line end is one line end either way."""
+    refused. A plain chunk has no blank line, so its lines are its records,
+    numbered by a range; a CRLF line end is one line end either way."""
     if b"\r" in raw:  # one memchr; a search for b"\r\n" scans far more slowly
         raw = raw.replace(b"\r\n", b"\n")
     separators = raw.translate(None, _NOT_SEPARATORS)
@@ -228,8 +245,7 @@ def _fast_decode(raw: bytes, fields: int, first_line: int):
     # one value per token and one token per field; INT64_MAX may be a clamp
     if not tokens == len(values) == line_count * fields or values.max() == _INT64_MAX:
         return None
-    lines = np.arange(first_line, first_line + line_count, dtype=np.intp)
-    return values.reshape(-1, fields), lines, None, line_count
+    return values.reshape(-1, fields), range(first_line, first_line + line_count), None, line_count
 
 
 def _decode(raw: bytes, fields: int, path: Path, first_line: int):
@@ -282,54 +298,46 @@ def _grammar_record(parts: list[str]) -> list[int] | None:
     return [-m if f[0] == "-" else m for f, m in zip(fields, magnitudes)]
 
 
-def _check_edges(records: _Records, node_graph: np.ndarray) -> None:
-    """Every endpoint is a known node, and both lie in one graph."""
-    total_nodes = len(node_graph)
+def _graph_edges(records: _Records, node_graph: np.ndarray, counts: np.ndarray) -> list:
+    """Each graph's canonical edges from the A records, checked in the same
+    pass: an E x 2 view of local (u, v) pairs, u < v, sorted and unique. The
+    first record with an unknown first node, else second node, else nodes in
+    two graphs, is an error. Self-loops and repeated ordered pairs are
+    dropped with a warning; a pair listed in both directions is one edge.
+    The caller passes the only reference to `records`, freed once keyed."""
+    total_nodes, path = len(node_graph), records.path
     u, v = records.values.T
-    u_unknown = (u < 1) | (u > total_nodes)
-    v_unknown = (v < 1) | (v > total_nodes)
-    gu = node_graph[np.clip(u, 1, total_nodes) - 1]
-    gv = node_graph[np.clip(v, 1, total_nodes) - 1]
+    # each endpoint's graph id by node id; an unknown id clips to a 0 at either end
+    graph = np.concatenate([[0], node_graph, [0]], dtype=np.int32).take(records.values, mode="clip")
 
     def message(row: int) -> str:
-        if u_unknown[row]:
-            return f"edge references unknown node {u[row]}"
-        if v_unknown[row]:
-            return f"edge references unknown node {v[row]}"
-        return f"edge ({u[row]}, {v[row]}) spans graphs {gu[row]} and {gv[row]}"
+        for node, graph_id in zip(records.values[row], graph[row]):  # first node first
+            if not graph_id:
+                return f"edge references unknown node {node}"
+        return f"edge ({u[row]}, {v[row]}) spans graphs {graph[row, 0]} and {graph[row, 1]}"
 
-    records.raise_first(u_unknown | v_unknown | (gu != gv), message)
-
-
-def _graph_edges(records: _Records, node_graph: np.ndarray, first_node: np.ndarray) -> list:
-    """Each graph's canonical edges from checked A records: an E x 2 view of
-    local (u, v) pairs, u < v, sorted and unique. Self-loops and repeated
-    ordered pairs are dropped with a warning; a pair listed in both
-    directions is one edge."""
-    total_nodes = len(node_graph)
-    u, v = records.values.T
-    loop = u == v
-    u, v = u[~loop] - 1, v[~loop] - 1
-    # 0-based ids below total_nodes pack a pair and its direction into one
-    # int64 key, (lo * N + hi) * 2 + (u > v), for up to 2**31 nodes (a node
-    # file of 2.1 billion lines is far beyond what one process parses). Sorted
-    # keys order edges by graph, then local (lo, hi): each graph is one run.
-    key = np.sort((np.minimum(u, v) * total_nodes + np.maximum(u, v)) * 2 + (u > v))
+    records.raise_first((graph[:, 0] != graph[:, 1]) | (graph[:, 0] == 0), message)
+    del graph
+    # One int64 key per record, (lo * (N + 1) + hi) * 2 + (u > v) in 1-based
+    # ids, for fewer than 2**31 nodes; written lo * N + u + v, numpy reuses one
+    # temporary. Sorted keys run graph by graph, in local (lo, hi) order.
+    key = (np.minimum(u, v) * total_nodes + u + v) * 2 + (u > v)
+    key[u == v] = _INT64_MAX  # self-loops sort last, and are cut
+    del records, u, v
+    key.sort()
+    kept = np.searchsorted(key, _INT64_MAX)
+    loops, key = len(key) - kept, key[:kept]
     duplicates = np.count_nonzero(key[1:] == key[:-1])  # repeated ordered pairs
-    if loop.any():
-        log.warning("%s: dropped %d self-loop edge(s)", records.path.name, loop.sum())
-    if duplicates:
-        log.warning("%s: dropped %d duplicate edge(s)", records.path.name, duplicates)
+    for dropped, what in ((loops, "self-loop"), (duplicates, "duplicate")):
+        if dropped:
+            log.warning("%s: dropped %d %s edge(s)", path.name, dropped, what)
 
-    del u, v  # spent; what follows sets the parse's peak memory
     key >>= 1
-    lo, hi = np.divmod(key[np.diff(key, prepend=-1) != 0], total_nodes)
-    graph = node_graph[lo] - 1
-    base = first_node[graph]
-    lo -= base
-    hi -= base
-    pairs = np.stack([lo, hi], axis=1)
-    stops = np.cumsum(np.bincount(graph, minlength=len(first_node))).tolist()
+    key = np.concatenate([key[:1], key[1:][key[1:] != key[:-1]]])  # each run's first key
+    ends = np.cumsum(counts)  # each graph's last node
+    stops = np.searchsorted(key, (ends + 1) * (total_nodes + 1)).tolist()
+    pairs = np.stack(np.divmod(key, total_nodes + 1), axis=1)
+    pairs -= np.repeat(ends - counts + 1, np.diff(stops, prepend=0))[:, None]  # local ids
     return list(map(pairs.__getitem__, map(slice, [0, *stops[:-1]], stops)))  # one view per graph
 
 
@@ -338,10 +346,9 @@ def _counted_column(path: Path, count: int, what: str) -> np.ndarray:
     first malformed line, else a count mismatch, is a DatasetFormatError."""
     records = _read_records(path, 1)
     records.raise_first()
-    if len(records.values) != count:
-        raise DatasetFormatError(
-            path, len(records.values) + 1, f"expected {count} {what}, found {len(records.values)}"
-        )
+    found = len(records.values)
+    if found != count:
+        raise DatasetFormatError(path, found + 1, f"expected {count} {what}, found {found}")
     return records.values[:, 0]
 
 
@@ -384,19 +391,15 @@ def parse_tudataset(directory, name: str, policy: FeaturePolicy | None = None) -
     if not len(node_graph):
         raise DatasetFormatError(paths["graph_indicator"], 1, "no nodes declared")
 
-    num_graphs = int(node_graph[-1])
     total_nodes = len(node_graph)
     counts = np.bincount(node_graph)[1:]
-    first_node = np.concatenate([[0], np.cumsum(counts)[:-1]])  # global base per graph
 
-    labels = _counted_column(paths["graph_labels"], num_graphs, "labels")
+    labels = _counted_column(paths["graph_labels"], int(node_graph[-1]), "labels")
     node_labels = None
     if paths["node_labels"].is_file():
         node_labels = _counted_column(paths["node_labels"], total_nodes, "node labels")
 
-    edges = _read_records(paths["A"], 2)
-    _check_edges(edges, node_graph)
-    edge_arrays = _graph_edges(edges, node_graph, first_node)
+    edge_arrays = _graph_edges(_read_records(paths["A"], 2), node_graph, counts)
     distinct, class_of = np.unique(labels, return_inverse=True)
 
     graphs = tuple(map(GraphInstance, counts.tolist(), edge_arrays))
@@ -513,12 +516,9 @@ def make_folds(dataset: GraphDataset, k: int = 10, seed: int = 0) -> list[FoldPl
     parts = [tuple(int(i) for i in p) for p in np.array_split(perm, k)]
     plans = []
     for fold in range(k):
-        test = parts[fold]
-        valid = parts[(fold + 1) % k]
-        train = tuple(
-            i for j, part in enumerate(parts) if j not in (fold, (fold + 1) % k) for i in part
-        )
-        plans.append(FoldPlan(fold, test, valid, train))
+        held_out = (fold, (fold + 1) % k)  # test, valid
+        train = tuple(i for j, part in enumerate(parts) if j not in held_out for i in part)
+        plans.append(FoldPlan(fold, *(parts[j] for j in held_out), train))
     return plans
 
 

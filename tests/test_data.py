@@ -121,6 +121,42 @@ def test_edge_across_graphs_rejected(tmp_path):
         gd.parse_tudataset(write_files(tmp_path, **files), "TINY")
 
 
+# graphs {1, 2} and {3, 4}; every A file below has a bad record, and some a
+# malformed line after it
+TWO_PAIRS = dict(graph_indicator="1\n1\n2\n2\n", graph_labels="1\n2\n")
+
+
+@pytest.mark.parametrize(
+    "edges, chunk, line, message",
+    [
+        ("1, 2\n1, 3\n9, 1\n", None, 2, "edge (1, 3) spans graphs 1 and 2"),
+        ("1, 2\n2, 9\n1, 3\n", None, 2, "edge references unknown node 9"),
+        ("1, 2\n7, -1\n", None, 2, "edge references unknown node 7"),
+        ("3, 9\n", None, 1, "edge references unknown node 9"),
+        ("0, 2\n", None, 1, "edge references unknown node 0"),
+        ("1, 2\n" * 5 + "3, 1\n" + "1, 2\n" * 5 + "1, x\n", 8, 6, "edge (3, 1) spans graphs 2 and 1"),
+        ("\n1, +2\n\n2, 1\n1, 2\n4, 1\n1, x\n", 6, 6, "edge (4, 1) spans graphs 2 and 1"),
+        ("1, 2\n1, x\n3, 1\n", 5, 2, "not an integer record: '1, x'"),
+    ],
+    ids=[
+        "cross_then_unknown", "unknown_then_cross", "both_unknown", "second_unknown", "node_zero",
+        "bad_edge_then_malformed_chunk", "after_blank_and_signed_lines", "malformed_first",
+    ],
+)
+def test_first_bad_edge_in_file_order_names_the_error(tmp_path, edges, chunk, line, message):
+    """The first bad A record in file order is the error: an unknown first
+    endpoint, else an unknown second endpoint, else endpoints in two graphs;
+    a malformed line after it, in a later chunk, is not reached, and one
+    before it is the error. Line numbers count blank lines and chunks that
+    are not plain."""
+    directory = write_files(tmp_path, A=edges, **TWO_PAIRS)
+    with mock.patch.object(gd, "CHUNK_BYTES", chunk or gd.CHUNK_BYTES):
+        with pytest.raises(DatasetFormatError) as caught:
+            gd.parse_tudataset(directory, "TINY")
+    assert str(caught.value) == f"{directory / 'TINY_A.txt'}:{line}: {message}"
+    assert caught.value.lineno == line
+
+
 def test_indicator_must_start_at_one(tmp_path):
     files = dict(MINIMAL, graph_indicator="2\n2\n")
     with pytest.raises(DatasetFormatError, match="start at 1"):
@@ -525,18 +561,20 @@ def test_small_chunks_match_per_line_reference(chunk, graphs, seed, edits):
 # ------------------------------------------------------------ chunk boundaries
 
 
-def summary(values: np.ndarray, lines: np.ndarray, error):
+def summary(values: np.ndarray, lines, error):
+    """Records, each record's line number (from an array or a range) and the error."""
     return (
-        values.shape, values.dtype, values.tolist(), lines.dtype, lines.tolist(),
+        values.shape, values.dtype, values.tolist(), [int(n) for n in lines],
         error and (type(error).__name__, str(error), error.lineno),
     )
 
 
 def decoded(path: Path, fields: int, chunk: int | None = None):
-    """Everything _read_records returns, read `chunk` bytes at a time."""
+    """Everything _read_records returns, read `chunk` bytes at a time, with
+    every record's line number read through `_Records.line`."""
     with mock.patch.object(gd, "CHUNK_BYTES", chunk or gd.CHUNK_BYTES):
         records = gd._read_records(path, fields)
-    return summary(records.values, records.lines, records.error)
+    return summary(records.values, map(records.line, range(len(records.values))), records.error)
 
 
 @pytest.mark.parametrize(
@@ -587,25 +625,44 @@ def traced_peak(function, *args):
 
 
 def test_decoding_memory_is_bounded_by_chunk_and_records(tmp_path):
-    """A few MiB of A records decode within twice the records' arrays (the
-    chunks' pieces and their concatenation) plus a few chunks' temporaries,
+    """A few MiB of A records decode within the records' array, the line
+    numbers of the chunks that were not plain and a few chunks' temporaries,
     not in temporaries the size of the file, on either decoding path: plain
-    records, and records with a sign before every value. One chunk's
-    per-line decoding takes about 10 times the chunk."""
+    records with LF or CRLF line ends, and records with a sign before every
+    value. A plain chunk keeps no line numbers, and a CRLF line end counts
+    once when the records' array is sized. One chunk's per-line decoding
+    takes about 10 times the chunk."""
     pairs = np.random.default_rng(0).integers(1, 10**6, size=(250_000, 2))
     path = tmp_path / "M_A.txt"
     chunk = 64 << 10
-    for record, plain in (("%d, %d\n", True), ("+%d, +%d\n", False)):
-        path.write_text("".join(map(record.__mod__, map(tuple, pairs.tolist()))))
+    for record, plain in (("%d, %d\n", True), ("%d, %d\r\n", True), ("+%d, +%d\n", False)):
+        path.write_bytes("".join(map(record.__mod__, map(tuple, pairs.tolist()))).encode())
         raw = path.read_bytes()
         assert (gd._fast_decode(raw, 2, 1) is not None) == plain
         with mock.patch.object(gd, "CHUNK_BYTES", chunk):
             records, peak = traced_peak(gd._read_records, path, 2)
         assert records.error is None and np.array_equal(records.values, pairs)
         assert len(raw) > 3 << 20
-        assert peak <= 2 * (records.values.nbytes + records.lines.nbytes) + 16 * chunk, peak
+        numbers = sum(getattr(n, "nbytes", 0) for n in records.lines)  # a range has none
+        assert (numbers == 0) == plain
+        assert peak <= records.values.nbytes + numbers + 16 * chunk, peak
     piece = raw[: raw.rfind(b"\n", 0, chunk) + 1]
     assert traced_peak(gd._decode, piece, 2, path, 1)[1] <= 16 * len(piece)
+
+
+def test_load_memory_is_bounded_by_edge_records(tmp_path):
+    """A whole load of 3,000 graphs shaped like the parse_12k bench workload
+    (10-28 nodes, densities 0.1 and 0.3, about 3.5 MiB of A records) peaks
+    within 2.5 times its A records' bytes: the records once, the edge pass's
+    graph ids and sort keys, and the node columns. Measured: 2.10 times, and
+    4.26 times when the records were held twice and the edge check and the
+    edge build each made their own per-record copies."""
+    src = gd.generate_synthetic(3000, 2, (10, 28), (0.1, 0.3), seed=5, name="L")
+    directory = gd.write_tudataset(src, tmp_path / "L", "L")
+    records = gd._read_records(directory / "L_A.txt", 2).values.nbytes
+    parsed, peak = traced_peak(gd.parse_tudataset, directory, "L")
+    assert gd.dataset_fingerprint(parsed) == gd.dataset_fingerprint(src)
+    assert peak <= 2.5 * records, peak / records
 
 
 # ------------------------------------------------------------ plain fast path
