@@ -89,9 +89,9 @@ def augment(h: np.ndarray, targets, frozen: dict, cfg: TrainConfig, d: float, rn
     them. One `snapshot_probs` call scores candidate k of every row (K calls).
     A candidate qualifies when its argmax is `targets[b]`. `hardest` and
     `easiest` pick the first minimal or maximal target probability in draw
-    order, `random` the `rngs[b].integers(count)`-th qualified one. A pick
-    that a single-row `classify` (the 2-D product) does not give the target
-    is an InvariantViolation; a candidate block past numpy's array size, an InputError.
+    order, `random` the `rngs[b].integers(count)`-th qualified one. One row-exact
+    `classify` call rechecks every pick at its single-row bits: a pick that loses
+    the target is an InvariantViolation; a candidate block past numpy's array size, an InputError.
     """
     if d < 0:
         raise InputError(f"d must be >= 0, got {d}")
@@ -119,11 +119,9 @@ def augment(h: np.ndarray, targets, frozen: dict, cfg: TrainConfig, d: float, rn
         picks = np.where(qualified, target_probs, -np.inf).argmax(axis=0)  # first maximal
 
     kept = counts > 0
-    for b in np.flatnonzero(kept).tolist():
-        if classify(h[b : b + 1] + offsets[picks[b], b : b + 1], frozen).argmax() != targets[b]:
-            raise InvariantViolation(
-                "selected augmentation lost the target class under the same snapshot"
-            )
+    recheck = classify(h[kept] + offsets[picks[kept], rows[kept]], frozen, ad.matmul_rows)
+    if (recheck.argmax(axis=1) != targets[kept]).any():
+        raise InvariantViolation("selected augmentation lost the target class under the same snapshot")
     return Selection(
         offsets=np.where(kept[:, None], offsets[picks, rows], 0.0),
         counts=counts,

@@ -462,6 +462,8 @@ def cmd_gen_synth(graphs, classes, seed, sizes, densities, name, out):
             f"--graphs must be at least {NUM_FOLDS}, the folds every experiment splits into; "
             f"got {graphs}"
         )
+    if 8 * graphs > np.iinfo(np.intp).max:  # one int64 label per graph; its bytes overflow intp
+        raise InputError(f"--graphs: too many graphs to lay out, got {graphs}")
     lo_hi = _parse_floats(sizes, "--sizes")
     if len(lo_hi) != 2:
         raise InputError("--sizes needs exactly lo,hi")

@@ -22,6 +22,7 @@ import warnings
 from array import array
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -138,8 +139,9 @@ def default_policy(has_node_labels: bool) -> FeaturePolicy:
 # chunk (digits, commas, spaces, tabs and \n or \r\n line ends only, one
 # integer in every field, the right field count on every line, no blank
 # line, no value at or past INT64_MAX) is parsed by one np.fromstring call;
-# every other chunk, and so every error, goes to _decode, which is this
-# grammar written out one line at a time.
+# every other chunk, and so every malformed line, goes to _decode, which is
+# this grammar written out one line at a time. No record carries its line
+# number: an error looks it up in the file (_line_of).
 
 CHUNK_BYTES = 1 << 18  # bytes per read and chunk; temporaries of 4 (plain) to 10 times that
 WRITE_ROWS = 1 << 16  # records formatted per write by write_tudataset
@@ -155,15 +157,7 @@ class _Records:
 
     path: Path
     values: np.ndarray  # records x fields, int64
-    lines: list  # per chunk, its records' line numbers: a range if plain, else an array
-    error: DatasetFormatError | None  # the first malformed line, if any
-
-    def line(self, row: int) -> int:
-        """The 1-based line number of record `row`."""
-        for numbers in self.lines:
-            if row < len(numbers):
-                return int(numbers[row])
-            row -= len(numbers)
+    error: str | None  # the first malformed line's message, if any
 
     def raise_first(self, bad: np.ndarray | None = None, message=None) -> None:
         """Raise for the first record flagged in `bad`, with text message(row);
@@ -171,9 +165,19 @@ class _Records:
         either way the error raised is the first in file order."""
         if bad is not None and bad.any():
             row = int(np.argmax(bad))
-            raise DatasetFormatError(self.path, self.line(row), message(row))
+            raise DatasetFormatError(self.path, _line_of(self.path, row), message(row))
         if self.error is not None:
-            raise self.error
+            raise DatasetFormatError(self.path, _line_of(self.path, len(self.values)), self.error)
+
+
+def _line_of(path: Path, row: int) -> int:
+    """The 1-based line number of record `row` of `path`, or of its first
+    malformed line when `row` is the record count: the row-th line, from 0,
+    with anything left after strip(). Python's text-mode reader splits the
+    lines, as the record grammar defines them."""
+    with open(path, encoding="ascii", errors="surrogateescape") as f:
+        filled = (number for number, line in enumerate(f, 1) if line.strip())
+        return next(islice(filled, row, None))
 
 
 def _read_records(path: Path, fields: int) -> _Records:
@@ -181,15 +185,14 @@ def _read_records(path: Path, fields: int) -> _Records:
 
     A first pass counts the line ends, which size one array for the records.
     A chunk ends after the last line feed read so far and the partial line
-    after it is carried into the next, so every chunk holds whole lines,
-    numbered on from the chunks before it; a file with no line feed (lone
-    carriage-return line ends) is one chunk. Decoding stops at the first
-    chunk with a malformed line. Memory is the records once, the line numbers
-    of the chunks that are not plain and a few chunks' temporaries. Each
-    chunk is first tried by _fast_decode, and _decode takes every chunk that
-    is not plain, so the records, line numbers and errors do not depend on
-    which path ran."""
-    lines, row, error, first_line, pending = [], 0, None, 1, bytearray()
+    after it is carried into the next, so every chunk holds whole lines; a
+    file with no line feed (lone carriage-return line ends) is one chunk.
+    Decoding stops at the first chunk with a malformed line. Memory is the
+    records once and a few chunks' temporaries: no line numbers are kept,
+    since only an error needs one (_line_of). Each chunk is first tried by
+    _fast_decode, and _decode takes every chunk that is not plain, so the
+    records and errors do not depend on which path ran."""
+    row, error, pending = 0, None, bytearray()
     with open(path, "rb") as f:
         ends = 0  # \n, \r\n or a lone \r; a \r\n split between two reads counts twice
         while block := f.read(CHUNK_BYTES):
@@ -205,26 +208,21 @@ def _read_records(path: Path, fields: int) -> _Records:
             if cut:
                 chunk = bytes(pending[:cut])
                 del pending[:cut]
-                chunk_values, chunk_lines, error, line_count = _fast_decode(
-                    chunk, fields, first_line
-                ) or _decode(chunk, fields, path, first_line)
+                chunk_values, error = _fast_decode(chunk, fields) or _decode(chunk, fields)
                 values[row : row + len(chunk_values)] = chunk_values
                 row += len(chunk_values)
-                lines.append(chunk_lines)
-                first_line += line_count
             elif not block:
                 break
     values.resize((row, fields), refcheck=False)  # no view of `values` exists
-    return _Records(path, values, lines, error)
+    return _Records(path, values, error)
 
 
-def _fast_decode(raw: bytes, fields: int, first_line: int):
+def _fast_decode(raw: bytes, fields: int):
     """What _decode returns for a plain chunk, by one C-level integer parse;
     None when `raw` is not plain. np.fromstring raises where a field holds
     two tokens, but reads a field of spaces as 0 and clamps an overflow to
     INT64_MAX, so the chunk's tokens are counted first and INT64_MAX is
-    refused. A plain chunk has no blank line, so its lines are its records,
-    numbered by a range; a CRLF line end is one line end either way."""
+    refused. A CRLF line end is one line end either way."""
     if b"\r" in raw:  # one memchr; a search for b"\r\n" scans far more slowly
         raw = raw.replace(b"\r\n", b"\n")
     separators = raw.translate(None, _NOT_SEPARATORS)
@@ -245,44 +243,39 @@ def _fast_decode(raw: bytes, fields: int, first_line: int):
     # one value per token and one token per field; INT64_MAX may be a clamp
     if not tokens == len(values) == line_count * fields or values.max() == _INT64_MAX:
         return None
-    return values.reshape(-1, fields), range(first_line, first_line + line_count), None, line_count
+    return values.reshape(-1, fields), None
 
 
-def _decode(raw: bytes, fields: int, path: Path, first_line: int):
-    """Records, their line numbers, the first malformed line's error and the
-    line count of `raw`, whole lines of a file starting at line `first_line`;
-    the record grammar read one line at a time. A line's first failing check
-    names the error: not ASCII, the field count, a field not an integer, a
-    value outside int64."""
+def _decode(raw: bytes, fields: int):
+    """The records of `raw`, whole lines of a file, and the message of its
+    first malformed line, or None; the record grammar read one line at a
+    time. A line's first failing check names the error: not ASCII, the field
+    count, a field not an integer, a value outside int64."""
     text = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n").decode("ascii", "surrogateescape")
-    lines = text.removesuffix("\n").split("\n") if text else []
-    values, numbers, error = array("q"), array("q"), None  # 8 bytes a value, not 36
-    for number, line in enumerate(lines, first_line):
+    values, error = array("q"), None  # 8 bytes a value, not 36
+    for line in text.split("\n"):
         line = line.strip()
         if not line:
             continue
         parts = line.split(",")
         if not line.isascii():  # a non-ASCII byte decodes to a lone surrogate
-            message = f"not ASCII text: {line!r}"
+            error = f"not ASCII text: {line!r}"
         elif len(parts) != fields:
-            message = f"expected {fields} comma-separated fields, got {len(parts)}"
+            error = f"expected {fields} comma-separated fields, got {len(parts)}"
         else:
             try:
                 record = list(map(int, parts))
             except ValueError:
                 record = _grammar_record(parts)
             if record is None:
-                message = f"not an integer record: {line!r}"
+                error = f"not an integer record: {line!r}"
             elif -(2**63) <= min(record) and max(record) < 2**63:
                 values.extend(record)
-                numbers.append(number)
                 continue
             else:
-                message = f"integer outside the int64 range: {line!r}"
-        error = DatasetFormatError(path, number, message)
+                error = f"integer outside the int64 range: {line!r}"
         break
-    values = np.array(values, np.int64).reshape(-1, fields)
-    return values, np.array(numbers, np.intp), error, len(lines)
+    return np.array(values, np.int64).reshape(-1, fields), error
 
 
 def _grammar_record(parts: list[str]) -> list[int] | None:
@@ -423,6 +416,8 @@ def build_node_features(dataset: GraphDataset, policy: FeaturePolicy) -> GraphDa
         dim = len(values)
     elif policy.kind == "degree_one_hot":
         dim = policy.degree_cap + 1
+        if 8 * len(dataset.node_features) * dim > np.iinfo(np.intp).max:  # its bytes overflow intp
+            raise InputError(f"{policy.spelled()}: a feature matrix of {dim} columns is too big")
         degrees = np.concatenate([np.empty(0, np.intp), *(g.degrees() for g in graphs)])
         column = np.minimum(degrees, policy.degree_cap)
     else:  # constant_one

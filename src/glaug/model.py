@@ -47,15 +47,10 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-s, s, size=(fan_in, fan_out))
 
 
-def head_arrays(rng: np.random.Generator, head: str, hidden: int, out_dim: int) -> dict:
-    """The arrays of a fresh "cls" or "proj" head to `out_dim` columns: glorot
-    w1, then glorot w2, drawn from `rng` in that order, and zero biases."""
-    return {
-        f"{head}_w1": glorot(rng, hidden, hidden),
-        f"{head}_b1": np.zeros((1, hidden)),
-        f"{head}_w2": glorot(rng, hidden, out_dim),
-        f"{head}_b2": np.zeros((1, out_dim)),
-    }
+def head_layout(head: str, hidden: int, out_dim: int) -> list:
+    """The (name, shape) parts of a "cls" or "proj" head to `out_dim` columns."""
+    return [(f"{head}_w1", (hidden, hidden)), (f"{head}_b1", (1, hidden)),
+            (f"{head}_w2", (hidden, out_dim)), (f"{head}_b2", (1, out_dim))]
 
 
 class _Views(dict):
@@ -112,6 +107,20 @@ class ModelParams:
         self.arrays = self.views(flat)
 
     @classmethod
+    def drawn(cls, layout, rng, flat: np.ndarray | None = None) -> "ModelParams":
+        """Parameters of `layout`, (name, shape) pairs, in `flat` or a new
+        vector: each weight drawn glorot from `rng` in layout order, each bias
+        (a `_b` part) zero."""
+        params = cls.__new__(cls)
+        params._layout = tuple(layout)
+        if flat is None:
+            flat = np.empty(sum(math.prod(shape) for _, shape in params._layout))
+        params._place(flat)
+        for name, view in params.arrays.items():
+            view[...] = 0.0 if "_b" in name else glorot(rng, *view.shape)
+        return params
+
+    @classmethod
     def init(
         cls,
         feature_dim: int,
@@ -121,19 +130,23 @@ class ModelParams:
         depth: int = 3,
         rng: np.random.Generator | None = None,
     ) -> "ModelParams":
-        """Glorot-uniform weights, zero biases."""
+        """Glorot-uniform weights, zero biases. The vector is sized and
+        allocated first, so a model no array can hold fails before any draw."""
         if depth < 1:
             raise InputError("encoder depth must be >= 1")
         if min(feature_dim, num_classes, hidden, proj_dim) < 1:
             raise InputError("all model dimensions must be >= 1")
-        rng = rng or np.random.default_rng(0)
-        arrays: dict[str, np.ndarray] = {}
-        arrays["enc0"] = glorot(rng, feature_dim, hidden)
-        for layer in range(1, depth):
-            arrays[f"enc{layer}"] = glorot(rng, hidden, hidden)
-        for head, out_dim in (("cls", num_classes), ("proj", proj_dim)):
-            arrays.update(head_arrays(rng, head, hidden, out_dim))
-        return cls(arrays)
+        heads = (("cls", num_classes), ("proj", proj_dim))
+        # a head is hidden x (hidden + out) weights and hidden + out biases
+        size = hidden * (feature_dim + (depth - 1) * hidden)
+        size += sum((hidden + 1) * (hidden + out) for _, out in heads)
+        if 8 * size > np.iinfo(np.intp).max:  # its bytes overflow intp
+            raise InputError(f"a model of {size} float64 parameters is too big")
+        flat = np.empty(size)
+        layout = [("enc0", (feature_dim, hidden))]
+        layout += [(f"enc{layer}", (hidden, hidden)) for layer in range(1, depth)]
+        layout += [part for head, out in heads for part in head_layout(head, hidden, out)]
+        return cls.drawn(layout, rng or np.random.default_rng(0), flat)
 
     def copy(self) -> "ModelParams":
         """An independent copy: one copy of the parameter vector."""

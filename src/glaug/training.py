@@ -38,7 +38,7 @@ from .model import (
     ModelParams,
     classify,
     encode,
-    head_arrays,
+    head_layout,
     hidden_input,
     layer_input,
     normalize_adjacency,
@@ -90,8 +90,8 @@ class TrainConfig:
             raise InputError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise InputError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.negative_pairs and self.temperature <= 0:
-            raise InputError(f"temperature must be > 0, got {self.temperature}")
+        if self.negative_pairs and not (self.temperature > 0 and math.isfinite(1 / self.temperature)):
+            raise InputError(f"temperature must be > 0 with a finite inverse, got {self.temperature}")
         if self.negative_pairs and self.batch_size < 2:
             raise InputError(f"negative pairs need batch_size >= 2, got {self.batch_size}")
         if not math.isfinite(self.eta):
@@ -456,7 +456,7 @@ def _train_surrogate(
     """Fresh classifier head fit on frozen representations with full labels,
     by full-batch Adam on `classification_loss` of its single prediction.
     Every step's tape holds `h` and the one-hot mask as constants, not copies."""
-    head = ModelParams(head_arrays(rng, "cls", h.shape[1], num_classes))
+    head = ModelParams.drawn(head_layout("cls", h.shape[1], num_classes), rng)
     onehot = np.eye(num_classes)[labels]
     state = AdamState()
     for _ in range(SURROGATE_STEPS):

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, artifacts, manifest reruns."""
 
 import dataclasses
+import itertools
 import json
 import re
 import shutil
@@ -602,9 +603,10 @@ def test_gen_synth_bad_sizes(tmp_path):
     ["--graphs", "12", "--sizes", "1e20,1e20"],
     ["--graphs", "12", "--sizes", "3,9223372036854774784"],
     ["--graphs", "12", "--sizes", "3000000000,3000000000"],
+    ["--graphs", str(10**19)],
 ], ids=["graphs_0", "graphs_neg", "graphs_3", "graphs_9", "sizes_lo_fraction", "sizes_hi_fraction",
         "sizes_hi_past_int64", "sizes_past_int64", "sizes_edges_past_intp",
-        "sizes_edge_bytes_past_intp"])
+        "sizes_edge_bytes_past_intp", "graphs_past_intp"])
 def test_gen_synth_rejects_unusable_dataset(tmp_path, capsys, args):
     # fewer graphs than folds, or fractional node counts, would give a dataset
     # every experiment command rejects (or one silently truncated)
@@ -667,9 +669,16 @@ def test_parallel_folds_match_sequential(toy_dir, tmp_path):
     ("run", ["--lr", "inf"]),
     ("run", ["--alpha", "inf"]),
     ("run", ["--temperature", "nan"]),
+    # 1 / T overflows to inf
+    ("run", ["--negative-pairs", "--temperature", "1e-310"]),
+    ("run", ["--negative-pairs", "--temperature", "1e-310", "--parallel-folds", "2"]),
+    ("run", ["--negative-pairs", "--temperature", "1e-320"]),
+    ("run", ["--negative-pairs", "--temperature", "1e-320", "--parallel-folds", "2"]),
     ("sweep-eta", ["--values", "0.5,nan"]),
     ("invariant-rate", ["--ratios", "0.5,inf"]),
 ], ids=["eta_nan", "eta_inf", "lr_nan", "lr_inf", "alpha_inf", "temperature_nan",
+        "temperature_1e-310", "temperature_1e-310_parallel", "temperature_1e-320",
+        "temperature_1e-320_parallel",
         "sweep_values_nan", "rate_ratios_inf"])
 def test_non_finite_flag_exits_one(toy_dir, tmp_path, capsys, monkeypatch, command, flags):
     monkeypatch.setattr(cli_mod, "run_experiment", _no_training)
@@ -747,6 +756,12 @@ def test_zero_degree_cap_exits_one(toy_dir, tmp_path, capsys):
                "--out", str(tmp_path / "r")])
     assert "degree_cap" in assert_input_error(capsys, rc)
     assert not (tmp_path / "r").exists()
+    # caps whose N x (cap + 1) float64 matrix has more bytes than intp can count
+    for cap, workers in itertools.product([10**20, 2**63 - 2], ["1", "2"]):
+        rc = main(["run", str(toy_dir), *COMMON, "--features", f"degree_one_hot:{cap}",
+                   "--parallel-folds", workers, "--out", str(tmp_path / "r")])
+        assert f"feature matrix of {cap + 1} columns" in assert_input_error(capsys, rc)
+        assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("workers", ["1", "2"], ids=["sequential", "parallel"])
@@ -767,11 +782,20 @@ def test_candidate_block_past_intp_exits_one(tmp_path, capsys, workers):
     data = tmp_path / "SYNTH"
     assert main(["gen-synth", "--graphs", "12", "--out", str(data)]) == 0
     capsys.readouterr()
-    # K x B x h float64 candidates whose byte count overflows intp: numpy cannot even ask for them
-    rc = main(["run", str(data), "--k", str(10**18), "--parallel-folds", workers,
-               "--out", str(tmp_path / "r")])
-    assert "num_candidates 1000000000000000000" in assert_input_error(capsys, rc)
-    assert not (tmp_path / "r").exists()
+    # K x B x h float64 candidates or model parameters whose byte count overflows intp: numpy
+    # cannot even ask for them; or, for the deep encoder, 1.14 EiB, past any 64-bit host's
+    # address space (at most 2**57 bytes), refused before any layer is drawn
+    for flags, message in [
+        (["--k", str(10**18)], "num_candidates 1000000000000000000"),
+        (["--hidden", str(2**63 - 1)], "float64 parameters is too big"),
+        (["--hidden", str(10**19)], "float64 parameters is too big"),
+        (["--proj-dim", str(2**62)], "float64 parameters is too big"),
+        (["--depth", str(10**13)], "Unable to allocate 1.14 EiB"),
+    ]:
+        rc = main(["run", str(data), *flags, "--parallel-folds", workers,
+                   "--out", str(tmp_path / "r")])
+        assert message in assert_input_error(capsys, rc)
+        assert not (tmp_path / "r").exists()
 
 
 @pytest.fixture(scope="module")

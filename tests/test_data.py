@@ -561,20 +561,21 @@ def test_small_chunks_match_per_line_reference(chunk, graphs, seed, edits):
 # ------------------------------------------------------------ chunk boundaries
 
 
-def summary(values: np.ndarray, lines, error):
-    """Records, each record's line number (from an array or a range) and the error."""
-    return (
-        values.shape, values.dtype, values.tolist(), [int(n) for n in lines],
-        error and (type(error).__name__, str(error), error.lineno),
-    )
+def summary(records: gd._Records):
+    """The records, and the error they raise (type, text and line) or None."""
+    try:
+        records.raise_first()
+        error = None
+    except DatasetFormatError as exc:
+        error = (type(exc).__name__, str(exc), exc.lineno)
+    values = records.values
+    return values.shape, values.dtype, values.tolist(), error
 
 
 def decoded(path: Path, fields: int, chunk: int | None = None):
-    """Everything _read_records returns, read `chunk` bytes at a time, with
-    every record's line number read through `_Records.line`."""
+    """What _read_records makes of `path`, read `chunk` bytes at a time."""
     with mock.patch.object(gd, "CHUNK_BYTES", chunk or gd.CHUNK_BYTES):
-        records = gd._read_records(path, fields)
-    return summary(records.values, map(records.line, range(len(records.values))), records.error)
+        return summary(gd._read_records(path, fields))
 
 
 @pytest.mark.parametrize(
@@ -605,12 +606,22 @@ def test_chunk_boundaries_decode_as_one_chunk(tmp_path, content, chunk):
 @given(chunk=st.integers(1, 64), graphs=st.integers(1, 4), seed=st.integers(0, 50), edits=FUZZ_EDITS)
 @settings(max_examples=300, deadline=None)
 def test_any_chunk_size_decodes_like_the_default(chunk, graphs, seed, edits):
+    """Records and errors do not depend on the chunk size, and _line_of finds
+    each record, and the malformed line after them, at the line the per-line
+    reference reads it from."""
     src = gd.generate_synthetic(graphs, size_range=(1, 5), seed=seed)
     with tempfile.TemporaryDirectory() as tmp:
         directory = fuzzed_files(src, Path(tmp), edits)
         for path in sorted(directory.iterdir()):
-            fields = 2 if path.name == "FZ_A.txt" else 1
+            fields, want = (2 if path.name == "FZ_A.txt" else 1), []
             assert decoded(path, fields, chunk) == decoded(path, fields)
+            try:
+                want.extend(lineno for lineno, _ in _reference_int_lines(path, fields))
+            except DatasetFormatError as exc:
+                want.append(exc.lineno)
+            records = gd._read_records(path, fields)
+            rows = len(records.values) + (records.error is not None)
+            assert [gd._line_of(path, row) for row in range(rows)] == want
 
 
 def traced_peak(function, *args):
@@ -625,29 +636,26 @@ def traced_peak(function, *args):
 
 
 def test_decoding_memory_is_bounded_by_chunk_and_records(tmp_path):
-    """A few MiB of A records decode within the records' array, the line
-    numbers of the chunks that were not plain and a few chunks' temporaries,
-    not in temporaries the size of the file, on either decoding path: plain
-    records with LF or CRLF line ends, and records with a sign before every
-    value. A plain chunk keeps no line numbers, and a CRLF line end counts
-    once when the records' array is sized. One chunk's per-line decoding
-    takes about 10 times the chunk."""
+    """A few MiB of A records decode within the records' array and a few
+    chunks' temporaries, not in temporaries the size of the file, on either
+    decoding path: plain records with LF or CRLF line ends, and records with
+    a sign before every value. No chunk keeps line numbers, and a CRLF line
+    end counts once when the records' array is sized. One chunk's per-line
+    decoding takes about 10 times the chunk."""
     pairs = np.random.default_rng(0).integers(1, 10**6, size=(250_000, 2))
     path = tmp_path / "M_A.txt"
     chunk = 64 << 10
     for record, plain in (("%d, %d\n", True), ("%d, %d\r\n", True), ("+%d, +%d\n", False)):
         path.write_bytes("".join(map(record.__mod__, map(tuple, pairs.tolist()))).encode())
         raw = path.read_bytes()
-        assert (gd._fast_decode(raw, 2, 1) is not None) == plain
+        assert (gd._fast_decode(raw, 2) is not None) == plain
         with mock.patch.object(gd, "CHUNK_BYTES", chunk):
             records, peak = traced_peak(gd._read_records, path, 2)
         assert records.error is None and np.array_equal(records.values, pairs)
         assert len(raw) > 3 << 20
-        numbers = sum(getattr(n, "nbytes", 0) for n in records.lines)  # a range has none
-        assert (numbers == 0) == plain
-        assert peak <= records.values.nbytes + numbers + 16 * chunk, peak
+        assert peak <= records.values.nbytes + 16 * chunk, peak
     piece = raw[: raw.rfind(b"\n", 0, chunk) + 1]
-    assert traced_peak(gd._decode, piece, 2, path, 1)[1] <= 16 * len(piece)
+    assert traced_peak(gd._decode, piece, 2)[1] <= 16 * len(piece)
 
 
 def test_load_memory_is_bounded_by_edge_records(tmp_path):
@@ -668,10 +676,9 @@ def test_load_memory_is_bounded_by_edge_records(tmp_path):
 # ------------------------------------------------------------ plain fast path
 
 
-def exact(raw: bytes, fields: int, first_line: int = 1, path=Path("X_A.txt")):
-    """What _decode alone makes of `raw`, and its line count."""
-    values, lines, error, line_count = gd._decode(raw, fields, path, first_line)
-    return summary(values, lines, error), line_count
+def exact(path: Path, fields: int):
+    """What _decode alone makes of `path`, read as one chunk."""
+    return summary(gd._Records(path, *gd._decode(path.read_bytes(), fields)))
 
 
 @pytest.mark.parametrize(
@@ -703,12 +710,12 @@ def exact(raw: bytes, fields: int, first_line: int = 1, path=Path("X_A.txt")):
 def test_fast_path_decodes_like_the_exact_decoder(tmp_path, content, fields, taken):
     path = tmp_path / "X_A.txt"
     path.write_bytes(content)
-    want, line_count = exact(content, fields, path=path)
+    want = exact(path, fields)
     assert decoded(path, fields) == want
-    fast = gd._fast_decode(content, fields, 1)
+    fast = gd._fast_decode(content, fields)
     assert (fast is not None) == taken
     if taken:
-        assert fast[3] == line_count and fast[2] is None
+        assert summary(gd._Records(path, *fast)) == want
 
 
 # any string over the plain alphabet, or lines of fields that are mostly
@@ -740,15 +747,15 @@ def plain_chunks(draw, fields):
 
 @given(
     fields_and_raw=st.sampled_from([1, 2]).flatmap(lambda f: st.tuples(st.just(f), plain_chunks(f))),
-    first_line=st.integers(1, 10**6),
 )
 @settings(max_examples=1000, deadline=None)
-def test_fast_path_declines_or_equals_the_exact_decoder(fields_and_raw, first_line):
+def test_fast_path_declines_or_equals_the_exact_decoder(fields_and_raw):
     fields, raw = fields_and_raw
-    fast = gd._fast_decode(raw, fields, first_line)
+    fast = gd._fast_decode(raw, fields)
     if fast is not None:
-        values, lines, error, line_count = fast
-        assert (summary(values, lines, error), line_count) == exact(raw, fields, first_line)
+        (values, error), (want, want_error) = fast, gd._decode(raw, fields)
+        assert error is want_error is None
+        assert (values.shape, values.dtype, values.tolist()) == (want.shape, want.dtype, want.tolist())
 
 
 def test_written_files_never_reach_the_exact_decoder(tmp_path):
@@ -773,9 +780,9 @@ def test_two_tokens_in_a_field_emit_no_warning(tmp_path):
     path.write_bytes(b"1 2, 3\n")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        records = gd._read_records(path, 2)
+        error = summary(gd._read_records(path, 2))[3]
     assert caught == []
-    assert str(records.error) == f"{path}:1: not an integer record: '1 2, 3'"
+    assert error == ("DatasetFormatError", f"{path}:1: not an integer record: '1 2, 3'", 1)
 
 
 # ----------------------------------------------------------------- features
