@@ -11,9 +11,26 @@ so a drift of the machine's speed over the series favours neither side.
 
 The file written holds every run's result line, each side's median and
 quartiles of every end-to-end metric, the pairs the change won on each (by
-the metric's `better` direction in CHANGE_ROOT/BENCHMARK.json) and the failed
-operations of each side. A run that exits non-zero or prints no result line
-is kept with its exit code and counts as a failed run of its side.
+the metric's `better` direction in CHANGE_ROOT/BENCHMARK.json), each
+metric's verdict and the failed operations of each side. A run that exits
+non-zero or prints no result line is kept with its exit code and counts as a
+failed run of its side.
+
+A verdict compares the two sides of one metric, with `bound` the metric's
+relative bound in BENCHMARK.json and IQR the parent's interquartile range:
+
+  regression  the change has more failed runs than the parent, or a larger
+              share of its operations failed, or its median is worse than
+              the parent's by more than `bound` times the parent's median;
+  gain        the change is better in at least 9 of 10 of all pairs run (a
+              tie, or a pair with a failed run, counts for neither side) and
+              its median is better than the parent's by more than the IQR;
+  unresolved  the IQR exceeds `bound` times the parent's median, and not
+              every change run is better than every parent run;
+  no change   anything else.
+
+The first that holds is the verdict. A metric with no completed run on a
+side has none.
 """
 
 from __future__ import annotations
@@ -80,11 +97,41 @@ def _summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def fails_more(parent: dict, change: dict) -> bool:
+    """Whether the change side has more failed runs than the parent side, or
+    a larger share of failed operations; each side as in `sides` of the file."""
+    return change["failed_runs"] > parent["failed_runs"] or (
+        change["failed_operations"] * parent["attempted_operations"]
+        > parent["failed_operations"] * change["attempted_operations"]
+    )
+
+
+def verdict(parent: list[float], change: list[float], won: int, pairs: int,
+            better: str, bound: float, *, failing: bool) -> str | None:
+    """One metric's verdict from each side's completed runs, the pairs the
+    change won of all `pairs` run, and `failing`, whether the change fails
+    more (`fails_more`); see the module docstring."""
+    if not parent or not change:
+        return None
+    sign = 1.0 if better == "higher" else -1.0
+    p, c = _summary(parent), _summary(change)
+    iqr, scale = p["q3"] - p["q1"], bound * abs(p["median"])
+    gained = sign * (c["median"] - p["median"])  # positive when the change is better
+    if failing or -gained > scale:
+        return "regression"
+    if 10 * won >= 9 * pairs and gained > iqr:
+        return "gain"
+    if iqr > scale and min(sign * v for v in change) <= max(sign * v for v in parent):
+        return "unresolved"
+    return "no change"
+
+
 def main(argv=None) -> int:
     args = _parse_args(argv)
     roots = {"parent": args.parent_root.resolve(), "change": args.change_root.resolve()}
     spec = json.loads((roots["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bound = {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
     runs = []
     for pair in range(args.pairs):
@@ -96,21 +143,18 @@ def main(argv=None) -> int:
             shown = {k: round(v, 4) for k, v in run.get("metrics", {}).items()}
             print(f"pair {pair} seed {seed} {side}: {shown or run}", file=sys.stderr)
 
-    def completed(side):
-        return [r for r in runs if r["side"] == side and "metrics" in r]
-
-    sides = {}
+    sides, values = {}, {}
     for side in SIDES:
-        done = completed(side)
+        done = [r for r in runs if r["side"] == side and "metrics" in r]
+        values[side] = {
+            name: [r["metrics"][name] for r in done if name in r["metrics"]] for name in better
+        }
         sides[side] = {
             "runs": sum(r["side"] == side for r in runs),
             "failed_runs": sum(r["side"] == side and "metrics" not in r for r in runs),
             "attempted_operations": sum(r["attempted"] for r in done),
             "failed_operations": sum(r["failed"] for r in done),
-            "metrics": {
-                name: _summary([r["metrics"][name] for r in done if name in r["metrics"]])
-                for name in better
-            },
+            "metrics": {name: _summary(v) for name, v in values[side].items()},
         }
 
     wins = {}
@@ -126,6 +170,13 @@ def main(argv=None) -> int:
             won += diff > 0 if direction == "higher" else diff < 0
         wins[name] = {"won": won, "pairs": pairs}
 
+    failing = fails_more(sides["parent"], sides["change"])
+    verdicts = {
+        name: verdict(values["parent"][name], values["change"][name], wins[name]["won"],
+                      args.pairs, direction, bound[name], failing=failing)
+        for name, direction in better.items()
+    }
+
     doc = {
         "label": args.label,
         "workload": args.workload,
@@ -135,6 +186,7 @@ def main(argv=None) -> int:
         "runs": runs,
         "sides": sides,
         "wins": wins,
+        "verdicts": verdicts,
     }
     args.out_dir.mkdir(parents=True, exist_ok=True)
     out = args.out_dir / f"BENCH_{args.label}.json"
@@ -148,7 +200,7 @@ def main(argv=None) -> int:
         print(
             f"{name}: parent {p['median']:.4g} [{p['q1']:.4g}-{p['q3']:.4g}] -> change "
             f"{c['median']:.4g} [{c['q1']:.4g}-{c['q3']:.4g}], change better in "
-            f"{wins[name]['won']}/{wins[name]['pairs']} pairs"
+            f"{wins[name]['won']}/{args.pairs} pairs: {verdicts[name]}"
         )
     for side in SIDES:
         s = sides[side]

@@ -3,11 +3,12 @@
 The engine is deliberately small: exactly the operations the model needs, each
 with a hand-written vector-Jacobian product. Values live in numpy arrays
 (float64, C order); a `Tape` records one forward computation and is consumed
-by a single `backward` call, which fills the gradient slot of every leaf that
-requires a gradient and releases intermediate gradients as it walks the
-recording in reverse. `backward` drops each record once it is used and the
-tape's leaf list at the end, so no reference cycle outlives it: a step's
-activations are freed by refcount, not by a later cyclic collection.
+by a single `backward` call, which fills the gradient slot of every leaf and
+releases intermediate gradients as it walks the recording in reverse. A leaf
+always takes a gradient; a matrix that takes none is a tape constant.
+`backward` drops each record once it is used and the tape's leaf list at the
+end, so no reference cycle outlives it: a step's activations are freed by
+refcount, not by a later cyclic collection.
 
 Every op has one shape: unwrap its operands with `_value`, check their
 shapes, compute the value and return `_record(value, (operand, vjp), ...)`.
@@ -73,15 +74,15 @@ class Tape:
         self._next_id += 1
         return node_id
 
-    def leaf(self, values, requires_grad: bool = False) -> "DiffValue":
-        """Register an input matrix. Only leaves can receive gradients.
+    def leaf(self, values) -> "DiffValue":
+        """Register a differentiable input matrix; `backward` fills its
+        `.grad`. A matrix that takes no gradient is a `constant`.
 
         The leaf holds a checked copy of `values`, so later changes to the
         caller's array (a parameter update, say) do not reach the tape.
         """
-        dv = DiffValue(as_matrix(values), self, requires_grad)
-        if requires_grad:
-            self._leaves.append(dv)
+        dv = DiffValue(as_matrix(values), self, True)
+        self._leaves.append(dv)
         return dv
 
     def constant(self, values) -> "DiffValue":
@@ -342,7 +343,7 @@ def dot(a: DiffValue, b: DiffValue) -> DiffValue:
 
 
 def backward(loss: DiffValue) -> None:
-    """Fill `.grad` on every requires_grad leaf of the loss's tape.
+    """Fill `.grad` on every leaf of the loss's tape.
 
     Intermediate gradients are dropped as soon as their producing record has
     been processed, and each record as soon as it is used, so its closure and
@@ -384,8 +385,9 @@ def grad_check(
 ) -> float:
     """Max relative error between backward's gradient of f and central differences.
 
-    `f` receives a leaf DiffValue and must return a 1 x 1 DiffValue built with
-    engine ops on that leaf's tape. The relative error per entry is
+    `f` receives a DiffValue and must return a 1 x 1 DiffValue built with
+    engine ops on that value's tape: a leaf for the gradient, a constant for
+    each finite-difference evaluation. The relative error per entry is
     |a - n| / max(1e-8, |a| + |n|).
     """
     if step <= 0:
@@ -393,7 +395,7 @@ def grad_check(
     x = as_matrix(x)
 
     tape = Tape()
-    leaf = tape.leaf(x, requires_grad=True)
+    leaf = tape.leaf(x)
     out = f(leaf)
     if out.shape != (1, 1):
         raise ShapeError(f"grad_check needs a scalar-valued f, got {out.shape}")
@@ -403,7 +405,7 @@ def grad_check(
 
     def value_at(xv: np.ndarray) -> float:
         t = Tape()
-        return float(f(t.leaf(xv, requires_grad=False)).value[0, 0])
+        return float(f(t.constant(xv)).value[0, 0])
 
     numeric = np.zeros_like(x)
     flat = x.reshape(-1)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -53,18 +54,6 @@ def head_layout(head: str, hidden: int, out_dim: int) -> list:
             (f"{head}_w2", (hidden, out_dim)), (f"{head}_b2", (1, out_dim))]
 
 
-class _Views(dict):
-    """Name -> view of a parameter vector. Assigning to a name writes the
-    values into its view, so the vector stays the only store."""
-
-    def __setitem__(self, name: str, values) -> None:
-        view = self[name]
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != view.shape:
-            raise ad.ShapeError(f"{name}: shape {values.shape} does not fit {view.shape}")
-        view[...] = values
-
-
 class ModelParams:
     """All trainable arrays, keyed by name, plus the shape chain they satisfy.
 
@@ -72,49 +61,45 @@ class ModelParams:
     no biases. Heads: w1/b1 (hidden x hidden), w2/b2 to num_classes (cls_*)
     or proj_dim (proj_*).
 
-    Every array lives in one contiguous float64 vector, `flat`, in key order;
-    `arrays[name]` is a 2-D view of its part. `copy` is one copy of the
-    vector and `adam_step` one pass over it. Updating a view in place, or
-    assigning `arrays[name] = values` of the same shape, writes the vector.
+    Every array lives in one contiguous float64 vector, `flat`, in layout
+    order; `arrays` is a read-only mapping of each name to a 2-D view of its
+    part. `copy` is one copy of the vector and `adam_step` one pass over it.
+    Writing into a view (`arrays[name][...] = values`) writes the vector;
+    assigning `arrays[name] = values` raises.
     """
-
-    def __init__(self, arrays: dict[str, np.ndarray]) -> None:
-        for name, values in arrays.items():
-            if np.ndim(values) != 2:
-                raise ad.ShapeError(f"{name}: expected a 2-D matrix, got ndim={np.ndim(values)}")
-        self._layout = tuple((name, np.shape(values)) for name, values in arrays.items())
-        self._place(np.empty(sum(math.prod(shape) for _, shape in self._layout)))
-        for name, values in arrays.items():
-            self.arrays[name] = values
 
     @property
     def depth(self) -> int:
         """Encoder layers: the enc0, enc1, ... arrays."""
         return sum(name.startswith("enc") for name, _ in self._layout)
 
-    def views(self, vector: np.ndarray) -> _Views:
-        """Name -> 2-D view of the part of `vector` (laid out like `flat`) that
-        holds that array."""
+    def views(self, vector: np.ndarray) -> MappingProxyType:
+        """Read-only name -> 2-D view of the part of `vector` (laid out like
+        `flat`) that holds that array."""
         views, at = {}, 0
         for name, shape in self._layout:
             size = math.prod(shape)
             views[name] = vector[at : at + size].reshape(shape)
             at += size
-        return _Views(views)
+        return MappingProxyType(views)
 
     def _place(self, flat: np.ndarray) -> None:
         self.flat = flat
         self.arrays = self.views(flat)
 
     @classmethod
-    def drawn(cls, layout, rng, flat: np.ndarray | None = None) -> "ModelParams":
-        """Parameters of `layout`, (name, shape) pairs, in `flat` or a new
-        vector: each weight drawn glorot from `rng` in layout order, each bias
-        (a `_b` part) zero."""
+    def drawn(cls, layout, rng) -> "ModelParams":
+        """Parameters of `layout`, (name, shape) pairs, in a new vector: each
+        weight drawn glorot from `rng` in layout order, each bias (a `_b`
+        part) zero."""
+        layout = tuple(layout)
+        return cls._drawn_into(np.empty(sum(math.prod(shape) for _, shape in layout)), layout, rng)
+
+    @classmethod
+    def _drawn_into(cls, flat: np.ndarray, layout, rng) -> "ModelParams":
+        """`drawn`, into `flat`, a vector already of the layout's size."""
         params = cls.__new__(cls)
         params._layout = tuple(layout)
-        if flat is None:
-            flat = np.empty(sum(math.prod(shape) for _, shape in params._layout))
         params._place(flat)
         for name, view in params.arrays.items():
             view[...] = 0.0 if "_b" in name else glorot(rng, *view.shape)
@@ -131,7 +116,8 @@ class ModelParams:
         rng: np.random.Generator | None = None,
     ) -> "ModelParams":
         """Glorot-uniform weights, zero biases. The vector is sized and
-        allocated first, so a model no array can hold fails before any draw."""
+        allocated before the layout lists the encoder's layers, so a model no
+        array can hold fails before that list or any draw."""
         if depth < 1:
             raise InputError("encoder depth must be >= 1")
         if min(feature_dim, num_classes, hidden, proj_dim) < 1:
@@ -142,11 +128,11 @@ class ModelParams:
         size += sum((hidden + 1) * (hidden + out) for _, out in heads)
         if 8 * size > np.iinfo(np.intp).max:  # its bytes overflow intp
             raise InputError(f"a model of {size} float64 parameters is too big")
-        flat = np.empty(size)
+        flat = np.empty(size)  # past the address space numpy fails here
         layout = [("enc0", (feature_dim, hidden))]
         layout += [(f"enc{layer}", (hidden, hidden)) for layer in range(1, depth)]
         layout += [part for head, out in heads for part in head_layout(head, hidden, out)]
-        return cls.drawn(layout, rng or np.random.default_rng(0), flat)
+        return cls._drawn_into(flat, layout, rng or np.random.default_rng(0))
 
     def copy(self) -> "ModelParams":
         """An independent copy: one copy of the parameter vector."""
@@ -157,7 +143,7 @@ class ModelParams:
     def bind(self, tape: Tape | None = None, prefix: str = "") -> dict:
         """Name -> operand for the forward functions, for names starting with `prefix`.
 
-        With a tape, every array becomes a leaf that requires a gradient and
+        With a tape, every array becomes a leaf, which takes a gradient and
         holds a checked copy of the array, so later updates to the parameters
         do not reach the tape. Without one the binding is frozen: the arrays
         themselves, each checked 2-D and finite here, once, and none copied.
@@ -168,9 +154,7 @@ class ModelParams:
             return {
                 k: ad.as_matrix(v, copy=False) for k, v in self.arrays.items() if k.startswith(prefix)
             }
-        return {
-            k: tape.leaf(v, requires_grad=True) for k, v in self.arrays.items() if k.startswith(prefix)
-        }
+        return {k: tape.leaf(v) for k, v in self.arrays.items() if k.startswith(prefix)}
 
 
 # ------------------------------------------------------------------ forward

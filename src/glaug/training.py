@@ -538,10 +538,8 @@ def _toy_batch_objective_check(rng_seed: int, num_nodes: int = 5) -> float | Non
 
             def f(x, _name=name, _cfg=cfg):
                 tape = x.tape
-                bound = {
-                    k: (x if k == _name else tape.leaf(v, requires_grad=False))
-                    for k, v in params.arrays.items()
-                }
+                bound = {k: tape.constant(v) for k, v in params.arrays.items()}
+                bound[_name] = x
                 h_o = represent(tape, batch, bound)
                 return _batch_objective(bound, h_o, offsets, onehot, _cfg)[0]
 

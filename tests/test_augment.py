@@ -25,10 +25,10 @@ def brute_centroid_distance(rows):
 def plain_params(hidden=2, classes=2):
     """Parameters whose head is identity-ish: logits equal relu(h), boundary at h0 = h1."""
     params = ModelParams.init(4, classes, hidden=hidden, proj_dim=3)
-    params.arrays["cls_w1"] = np.eye(hidden)
-    params.arrays["cls_b1"] = np.zeros((1, hidden))
-    params.arrays["cls_w2"] = np.eye(hidden)[:, :classes]
-    params.arrays["cls_b2"] = np.zeros((1, classes))
+    params.arrays["cls_w1"][...] = np.eye(hidden)
+    params.arrays["cls_b1"][...] = 0.0
+    params.arrays["cls_w2"][...] = np.eye(hidden)[:, :classes]
+    params.arrays["cls_b2"][...] = 0.0
     return params
 
 

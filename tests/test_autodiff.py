@@ -205,7 +205,7 @@ def test_l2_norm_rows_hand_value_and_floor():
 
 def test_l2_norm_zero_row_gets_zero_grad():
     t = Tape()
-    x = t.leaf([[3.0, 4.0], [0.0, 0.0]], requires_grad=True)
+    x = t.leaf([[3.0, 4.0], [0.0, 0.0]])
     backward(ad.sum_all(ad.l2_norm_rows(x)))
     np.testing.assert_allclose(x.grad[1], [0.0, 0.0])
     np.testing.assert_allclose(x.grad[0], [0.6, 0.8])
@@ -213,7 +213,7 @@ def test_l2_norm_zero_row_gets_zero_grad():
 
 def test_relu_subgradient_zero_at_zero():
     t = Tape()
-    x = t.leaf([[0.0, -1.0, 2.0]], requires_grad=True)
+    x = t.leaf([[0.0, -1.0, 2.0]])
     backward(ad.sum_all(ad.relu(x)))
     np.testing.assert_array_equal(x.grad, [[0.0, 0.0, 1.0]])
 
@@ -237,14 +237,14 @@ def test_softmax_extreme_logits_stay_finite():
 
 def test_backward_requires_scalar():
     t = Tape()
-    x = t.leaf(np.ones((2, 2)), requires_grad=True)
+    x = t.leaf(np.ones((2, 2)))
     with pytest.raises(ShapeError):
         backward(ad.relu(x))
 
 
 def test_tape_single_use():
     t = Tape()
-    x = t.leaf(np.ones((2, 2)), requires_grad=True)
+    x = t.leaf(np.ones((2, 2)))
     loss = ad.sum_all(x)
     backward(loss)
     with pytest.raises(TapeError):
@@ -253,7 +253,7 @@ def test_tape_single_use():
 
 def test_consumed_tape_rejects_new_ops():
     t = Tape()
-    x = t.leaf(np.ones((2, 2)), requires_grad=True)
+    x = t.leaf(np.ones((2, 2)))
     backward(ad.sum_all(x))
     with pytest.raises(TapeError):
         ad.relu(x)
@@ -268,8 +268,8 @@ def test_cross_tape_operands_rejected():
 
 def test_unreached_leaf_gets_zero_grad():
     t = Tape()
-    x = t.leaf(np.ones((2, 3)), requires_grad=True)
-    y = t.leaf(np.ones((2, 3)), requires_grad=True)
+    x = t.leaf(np.ones((2, 3)))
+    y = t.leaf(np.ones((2, 3)))
     backward(ad.sum_all(x))
     np.testing.assert_array_equal(y.grad, np.zeros((2, 3)))
     assert np.all(x.grad == 1.0)
@@ -277,8 +277,8 @@ def test_unreached_leaf_gets_zero_grad():
 
 def test_no_grad_leaf_stays_none():
     t = Tape()
-    x = t.leaf(np.ones((2, 2)), requires_grad=True)
-    c = t.leaf(np.ones((2, 2)), requires_grad=False)
+    x = t.leaf(np.ones((2, 2)))
+    c = t.constant(np.ones((2, 2)))
     backward(ad.sum_all(ad.mul(x, c)))
     assert c.grad is None
     assert x.grad is not None
@@ -325,8 +325,8 @@ def test_backward_frees_the_tape_without_gc():
     gc.disable()
     try:
         t = Tape()
-        x = t.leaf(rng(8).normal(size=(3, 4)), requires_grad=True)
-        w = t.leaf(rng(9).normal(size=(4, 2)), requires_grad=True)
+        x = t.leaf(rng(8).normal(size=(3, 4)))
+        w = t.leaf(rng(9).normal(size=(4, 2)))
         hidden = ad.relu(ad.matmul(x, w))
         hidden_ref = weakref.ref(hidden)
         loss = ad.sum_all(ad.softmax_rows(hidden))
@@ -394,7 +394,7 @@ def test_no_record_path_matches_recording_ops_bitwise():
         x, w = r.normal(size=(n, k)), r.normal(size=(k, d))
         row, other = r.normal(size=(1, d)), r.normal(size=(n, d))
         t = Tape()
-        taped = _chain(*(t.leaf(v, requires_grad=True) for v in (x, w, row, other)))
+        taped = _chain(*(t.leaf(v) for v in (x, w, row, other)))
         plain = _chain(x, w, row, other)
         assert type(plain) is np.ndarray
         assert np.array_equal(plain, taped.value)
@@ -403,7 +403,7 @@ def test_no_record_path_matches_recording_ops_bitwise():
         assert set(cases) == ENGINE_OPS
         for name, (op, operands) in cases.items():
             t = Tape()
-            taped = op(*(t.leaf(v, requires_grad=True) for v in operands))
+            taped = op(*(t.leaf(v) for v in operands))
             plain = op(*operands)
             assert type(plain) is np.ndarray, name
             assert np.array_equal(plain, taped.value), name
@@ -424,13 +424,13 @@ def test_mixing_diffvalue_and_plain_array_raises():
     for op, (a, b) in binary.values():
         t = Tape()
         with pytest.raises(TapeError, match="plain array"):
-            op(t.leaf(a, requires_grad=True), b)
+            op(t.leaf(a), b)
         with pytest.raises(TapeError, match="plain array"):
-            op(a, t.leaf(b, requires_grad=True))
+            op(a, t.leaf(b))
     # propagate's blocks are constants: a DiffValue there is refused too
     t = Tape()
     with pytest.raises(TapeError, match="plain array"):
-        ad.propagate([t.leaf(np.eye(2), requires_grad=True)], t.leaf(np.ones((2, 3))))
+        ad.propagate([t.leaf(np.eye(2))], t.leaf(np.ones((2, 3))))
 
 
 # --------------------------------------------------------------- properties
@@ -461,7 +461,7 @@ def test_softmax_rows_are_distributions(x):
 @settings(max_examples=50, deadline=None)
 def test_ops_preserve_finiteness(x):
     t = Tape()
-    v = t.leaf(x, requires_grad=True)
+    v = t.leaf(x)
     out = ad.sum_all(ad.relu(ad.softmax_rows(v)))
     assert np.isfinite(out.value[0, 0])
     backward(out)
@@ -474,7 +474,7 @@ def test_replay_is_bit_identical(seed):
     def run():
         g = np.random.default_rng(seed)
         t = Tape()
-        x = t.leaf(g.normal(size=(3, 4)), requires_grad=True)
+        x = t.leaf(g.normal(size=(3, 4)))
         w = t.constant(g.normal(size=(4, 2)))
         loss = ad.sum_all(ad.softmax_rows(ad.matmul(ad.relu(x), w)))
         backward(loss)

@@ -2,7 +2,10 @@
 
 import importlib.util
 import json
+from functools import partial
 from pathlib import Path
+
+import pytest
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
 
@@ -45,7 +48,8 @@ def test_summary_wins_and_failed_runs(tmp_path, monkeypatch, capsys):
         (roots[side] / "bench").mkdir(parents=True)
         (roots[side] / "bench" / "run.py").write_text("")
     spec = {"end_to_end": [
-        {"name": "graphs_per_s", "better": "higher"}, {"name": "peak_rss_mb", "better": "lower"},
+        {"name": "graphs_per_s", "better": "higher", "bound": 0.25},
+        {"name": "peak_rss_mb", "better": "lower", "bound": 0.15},
     ]}
     (roots["change"] / "BENCHMARK.json").write_text(json.dumps(spec))
 
@@ -83,6 +87,69 @@ def test_summary_wins_and_failed_runs(tmp_path, monkeypatch, capsys):
     assert (change["runs"], change["failed_runs"]) == (4, 1)
     assert (parent["attempted_operations"], parent["failed_operations"]) == (40, 2)
     assert (change["attempted_operations"], change["failed_operations"]) == (30, 0)
+    # the change has a failed run and the parent none: every metric regresses
+    assert doc["verdicts"] == {"graphs_per_s": "regression", "peak_rss_mb": "regression"}
     out = capsys.readouterr().out
-    assert "change better in 1/3 pairs" in out
+    assert out.count("change better in 1/4 pairs: regression") == 2
     assert "change: 1 failed runs, 0/30 failed operations" in out
+
+
+PARENT = [100.0, 101.0, 102.0, 103.0, 104.0, 105.0, 106.0, 107.0, 108.0, 109.0]  # IQR 4.5
+
+
+@pytest.mark.parametrize("change, won, better, bound, failing, want", [
+    # better in every pair, median 10 past the parent's: a gain
+    ([v + 10.0 for v in PARENT], 10, "higher", 0.25, False, "gain"),
+    ([v - 10.0 for v in PARENT], 10, "lower", 0.15, False, "gain"),
+    # 9 of 10 pairs is enough, 8 is not
+    ([v + 10.0 for v in PARENT], 9, "higher", 0.25, False, "gain"),
+    ([v + 10.0 for v in PARENT], 8, "higher", 0.25, False, "no change"),
+    # every completed pair won, but the change's run failed in half of the 10
+    ([v + 10.0 for v in PARENT[:5]], 5, "higher", 0.25, False, "no change"),
+    # every pair won, but the change has more failed runs or failed operations
+    ([v + 10.0 for v in PARENT], 10, "higher", 0.25, True, "regression"),
+    # every pair won, but the medians differ by no more than the parent's IQR
+    ([v + 4.5 for v in PARENT], 10, "higher", 0.25, False, "no change"),
+    # the median worse by more than the bound
+    ([v * 0.7 for v in PARENT], 0, "higher", 0.25, False, "regression"),
+    ([v * 1.2 for v in PARENT], 0, "lower", 0.15, False, "regression"),
+    # worse, but within the bound
+    ([v * 0.8 for v in PARENT], 0, "higher", 0.25, False, "no change"),
+    ([v * 1.1 for v in PARENT], 0, "lower", 0.15, False, "no change"),
+    # a side with no completed run has no verdict
+    ([], 0, "higher", 0.25, False, None),
+])
+def test_verdicts_on_a_narrow_parent(change, won, better, bound, failing, want):
+    verdict = load_script().verdict
+    assert verdict(PARENT, change, won, len(PARENT), better, bound, failing=failing) == want
+
+
+@pytest.mark.parametrize("parent, change, want", [
+    ((0, 2, 40), (0, 2, 40), False),
+    ((0, 2, 40), (1, 0, 30), True),  # one more failed run
+    ((0, 2, 40), (0, 2, 30), True),  # 2/30 operations failed against 2/40
+    ((1, 2, 40), (0, 1, 30), False),
+    ((0, 0, 0), (0, 0, 10), False),
+])
+def test_fails_more_compares_failed_runs_and_operation_shares(parent, change, want):
+    fails_more = load_script().fails_more
+
+    def side(runs, ops, attempted):
+        return {"failed_runs": runs, "failed_operations": ops, "attempted_operations": attempted}
+
+    assert fails_more(side(*parent), side(*change)) is want
+
+
+def test_wide_parent_is_unresolved_unless_the_sides_separate():
+    verdict = partial(load_script().verdict, failing=False)
+    # inclusive quartiles 62.5 and 100 about a median of 100: the IQR is past 0.25 of it
+    wide = [50.0, 50.0, 50.0, 100.0, 100.0, 100.0, 100.0, 100.0, 100.0, 101.0]
+    assert verdict(wide, [v + 1.0 for v in wide], 10, 10, "higher", 0.25) == "unresolved"
+    assert verdict(wide, wide, 0, 10, "higher", 0.25) == "unresolved"
+    # every change run better than every parent run resolves it
+    assert verdict(wide, [102.0] * 10, 10, 10, "higher", 0.25) == "no change"
+    assert verdict(wide, [140.0] * 10, 10, 10, "higher", 0.25) == "gain"
+    # a regression is one whatever the spread
+    assert verdict(wide, [70.0] * 10, 0, 10, "higher", 0.25) == "regression"
+    # within the bound of a narrower metric the same spread is not unresolved
+    assert verdict(wide, wide, 0, 10, "higher", 0.5) == "no change"

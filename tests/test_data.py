@@ -1131,9 +1131,13 @@ def test_writer_equals_per_record_reference(tmp_path, monkeypatch, write_rows):
     monkeypatch.setattr(gd, "WRITE_ROWS", write_rows)  # one chunk, several with a tail, one a row
     labeled = gd.generate_synthetic(30, 3, edge_density_per_class=(0.0, 0.4, 1.0), seed=4)
     parsed_dir = gd.write_tudataset(gd.generate_synthetic(12, seed=9), tmp_path / "P", "P")
+    # more A records than one write formats at the default WRITE_ROWS
+    large = gd.generate_synthetic(300, 2, (20, 28), (0.3, 0.6), seed=8)
+    assert sum(2 * len(g.edges) for g in large.graphs) > gd.WRITE_ROWS
     sets = {
         "zero_density_class": labeled,
         "no_node_labels": replace(labeled, node_labels=None),
+        "large": large,
         "edgeless": gd.generate_synthetic(12, edge_density_per_class=(0.0, 0.0), seed=2),
         "parsed": gd.parse_tudataset(parsed_dir, "P"),
         "empty": gd.generate_synthetic(0),

@@ -178,13 +178,13 @@ def test_ntxent_matrix_matches_anchor_loop():
         tau = float(rng.uniform(0.1, 2.0))
 
         t = Tape()
-        p_o, p_a = t.leaf(rows_o, requires_grad=True), t.leaf(rows_a, requires_grad=True)
+        p_o, p_a = t.leaf(rows_o), t.leaf(rows_a)
         got = tr.ntxent_with_negatives(p_o, p_a, tau)
         ad.backward(got)
 
         t2 = Tape()
-        p_os = [t2.leaf(r[None, :], requires_grad=True) for r in rows_o]
-        p_as = [t2.leaf(r[None, :], requires_grad=True) for r in rows_a]
+        p_os = [t2.leaf(r[None, :]) for r in rows_o]
+        p_as = [t2.leaf(r[None, :]) for r in rows_a]
         want = anchor_loop_ntxent(p_os, p_as, tau)
         ad.backward(want)
 
@@ -230,7 +230,7 @@ def test_classification_zero_rows_for_unlabeled_graphs():
     want = -sum(math.log(c_o[r, k]) + math.log(c_a[r, k]) for r, k in labels.items()) / 2
 
     t = Tape()
-    leaf_o = t.leaf(c_o, requires_grad=True)
+    leaf_o = t.leaf(c_o)
     loss = tr.classification_loss(leaf_o, t.constant(c_a), t.constant(y))
     assert loss.value[0, 0] == pytest.approx(want, abs=1e-12)
     ad.backward(loss)
@@ -286,8 +286,17 @@ def test_missing_classification_term_is_identity():
 # --------------------------------------------------------------------- adam
 
 
+def params_of(arrays):
+    """ModelParams laid out like `arrays`, name -> 2-D array, holding their values."""
+    layout = [(name, values.shape) for name, values in arrays.items()]
+    params = ModelParams.drawn(layout, np.random.default_rng(0))
+    for name, values in arrays.items():
+        params.arrays[name][...] = values
+    return params
+
+
 def tiny_params():
-    return ModelParams({"w": np.array([[1.0, -2.0], [0.5, 3.0]])})
+    return params_of({"w": np.array([[1.0, -2.0], [0.5, 3.0]])})
 
 
 def test_zero_gradient_leaves_params_unchanged():
@@ -330,7 +339,7 @@ def test_adam_in_place_equals_formula_bitwise():
     # the expression form the in-place update must reproduce bit for bit
     rng = np.random.default_rng(5)
     shapes = {"w": (3, 4), "b": (1, 4), "s": (1, 1), "wide": (17, 33), "empty": (0, 2)}
-    params = ModelParams({k: rng.normal(size=shape) for k, shape in shapes.items()})
+    params = params_of({k: rng.normal(size=shape) for k, shape in shapes.items()})
     want = {k: arr.copy() for k, arr in params.arrays.items()}
     m = {k: np.zeros_like(arr) for k, arr in want.items()}
     v = {k: np.zeros_like(arr) for k, arr in want.items()}
@@ -437,7 +446,7 @@ def test_flat_adam_equals_per_array_adam_bitwise(which):
         shapes = {k: a.shape for k, a in full.arrays.items()}
     shapes["empty"] = (0, 5)
     start = {k: rng.normal(size=shape) for k, shape in shapes.items()}
-    params = ModelParams(start)
+    params = params_of(start)
     want = {k: a.copy() for k, a in start.items()}
     m = {k: np.zeros_like(a) for k, a in want.items()}
     v = {k: np.zeros_like(a) for k, a in want.items()}
@@ -457,7 +466,7 @@ def test_flat_adam_equals_per_array_adam_bitwise(which):
 
 
 def test_adam_rejects_shape_mismatch_before_updating():
-    params = ModelParams({"a": np.ones((2, 2)), "b": np.ones((1, 3))})
+    params = params_of({"a": np.ones((2, 2)), "b": np.ones((1, 3))})
     before = params.flat.copy()
     state = tr.AdamState()
     with pytest.raises(InvariantViolation, match=r"\(b\)"):
