@@ -10,7 +10,9 @@ read the same on both sides. The commands cover a `gen-synth` data set, every
 experiment command, the `rerun` of each, `invariant-rate --from-run`,
 `gradcheck`, and `run` with `--negative-pairs`, `--dist-scope dataset`,
 `--parallel-folds 2`, and each feature builder by name (`--features
-degree_one_hot:4`, `constant_one` and `one_hot_node_labels`). One more `run` and
+degree_one_hot:4`, `constant_one` and `one_hot_node_labels`). An
+`ablate-strategy --parallel-folds 2` runs a whole study, three variants of
+ten folds, in forked fold workers. One more `run` and
 one `ablate-strategy` keep the default width (hidden 128), where stacked
 products take BLAS's gemm path and single rows its gemv path; the narrow runs
 cannot show a difference between the two, and the ablation runs all three
@@ -68,6 +70,7 @@ EXPERIMENTS = [
     ("negative-pairs", ["run", DATA, *TINY, "--negative-pairs", "--strategy", "random"]),
     ("dist-scope", ["run", DATA, *TINY, "--dist-scope", "dataset", "--strategy", "easiest"]),
     ("parallel-folds", ["run", DATA, *TINY, "--parallel-folds", "2", "--label-ratio", "0.3"]),
+    ("parallel-folds-strategies", ["ablate-strategy", DATA, *TINY, "--parallel-folds", "2"]),
     ("features", ["run", DATA, *TINY, "--features", "degree_one_hot:4"]),
     ("features-constant", ["run", DATA, *TINY, "--features", "constant_one"]),
     ("features-labels", ["run", DATA, *TINY, "--features", "one_hot_node_labels"]),

@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 config or input error, 2 internal invariant
-violation. Every experiment command writes a metrics document plus a manifest
-that suffices to re-execute the run byte-for-byte (see `rerun`).
+Exit codes: 0 success, 1 config or input error or a dead fold worker, 2
+internal invariant violation. Every experiment command writes a metrics
+document plus a manifest that suffices to re-execute the run byte-for-byte
+(see `rerun`).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import math
 import os
 import sys
 import traceback
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Callable
 
@@ -528,7 +530,9 @@ def main(argv=None) -> int:
     except click.ClickException as exc:
         exc.show()
         return 1
-    except (InputError, MemoryError) as exc:  # numpy's names the block it could not allocate
+    # numpy's MemoryError names the block it could not allocate; a pool breaks
+    # when a fold worker dies, for example killed by the kernel's OOM killer
+    except (InputError, MemoryError, BrokenProcessPool) as exc:
         click.echo(f"error: {exc}", err=True)
         return 1
     except InvariantViolation as exc:

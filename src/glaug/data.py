@@ -1,16 +1,15 @@
 """Graph collections: TUDataset-format parsing, node features, splits.
 
-A graph holds its structure only: its node count, and its edges as an E x 2
-intp array of canonical unordered pairs (u < v, sorted, no duplicates, no
-self-loops); the symmetric adjacency is reconstructed where needed. Labels
-and features are data-set columns, one row per graph or per node: the class
-ids, the raw int64 node labels when the data set has them, and the N x dim
-node-feature matrix, graph i's node rows after graph i-1's. The parser's
-graphs and columns are views into its bulk arrays. Raw class labels are
-remapped to contiguous 0-based indices in sorted raw-label order, so class
-ids are stable across runs. The fingerprint hashes each graph's class id,
-edges and node labels in their tuple text, so it reads the same as when
-graphs stored tuples.
+A data set is columns, one row per graph, node or edge. Its structure is an
+E x 2 intp array of global 0-based node ids, each graph's canonical pairs
+(u < v, sorted, unique, no self-loops) after the previous graph's, and B + 1
+node and edge offsets: graph i owns nodes node_ptr[i]:node_ptr[i+1] and
+edges edge_ptr[i]:edge_ptr[i+1]. Per graph there is a class id, per node a
+feature row and, when the data set has them, a raw int64 node label. Raw
+class labels are remapped to contiguous 0-based indices in sorted raw-label
+order, so class ids are stable across runs. The fingerprint hashes each
+graph's class id, local edges and node labels in their tuple text, so it
+reads the same as when graphs stored tuples.
 """
 
 from __future__ import annotations
@@ -20,8 +19,8 @@ import logging
 import re
 import warnings
 from array import array
+from collections import namedtuple
 from dataclasses import dataclass, replace
-from functools import cached_property
 from itertools import islice
 from pathlib import Path
 
@@ -33,44 +32,44 @@ from .seeding import seeded_rng
 log = logging.getLogger("glaug.data")
 
 
-@dataclass(frozen=True, eq=False)
-class GraphInstance:
-    """One graph's structure."""
-
-    node_count: int
-    edges: np.ndarray  # E x 2 intp, canonical: u < v, sorted, unique
-
-    def degrees(self) -> np.ndarray:
-        """Edges incident to each node, as a length node_count integer array."""
-        return np.bincount(self.edges.ravel(), minlength=self.node_count)
+Graph = namedtuple("Graph", "node_count edges")  # as GraphDataset.graph returns it
 
 
 @dataclass(frozen=True, eq=False)
 class GraphDataset:
-    """Graphs and their columns: per graph a class id, per node a feature row
-    and, when the data set has a node-label file, a raw node label."""
+    """Graphs as columns, laid out as the module docstring says."""
 
     name: str
-    graphs: tuple[GraphInstance, ...]
+    node_ptr: np.ndarray  # B + 1 node offsets, from 0 to N
+    edges: np.ndarray  # E x 2 intp global ids, graph by graph, each graph's canonical
+    edge_ptr: np.ndarray  # B + 1 edge offsets, from 0 to E
     num_classes: int
     labels: np.ndarray  # one class id per graph
     node_features: np.ndarray  # N x dim; graph i's rows follow graph i-1's
     node_labels: np.ndarray | None = None  # N raw int64 values, rows as node_features
 
     def __len__(self) -> int:
-        return len(self.graphs)
+        return len(self.labels)
 
     @property
     def feature_dim(self) -> int:
         return self.node_features.shape[1]
 
-    @cached_property
-    def _row_starts(self) -> list[int]:
-        return np.cumsum([0, *(g.node_count for g in self.graphs)]).tolist()
+    @property
+    def graphs(self) -> tuple[Graph, ...]:
+        """Every graph's structure, built on each read; the parse probe of
+        bench/spans.py counts nodes through it."""
+        return tuple(map(self.graph, range(len(self))))
+
+    def graph(self, i: int) -> Graph:
+        """Graph i's node count and its edges in local ids, a new array."""
+        start, stop = self.node_ptr.item(i), self.node_ptr.item(i + 1)
+        edges = self.edges[self.edge_ptr.item(i) : self.edge_ptr.item(i + 1)]
+        return Graph(stop - start, edges - start)
 
     def rows(self, i: int) -> np.ndarray:
         """Graph i's node-feature rows, a view of `node_features`."""
-        return self.node_features[self._row_starts[i] : self._row_starts[i + 1]]
+        return self.node_features[self.node_ptr.item(i) : self.node_ptr.item(i + 1)]
 
 
 @dataclass(frozen=True)
@@ -291,9 +290,9 @@ def _grammar_record(parts: list[str]) -> list[int] | None:
     return [-m if f[0] == "-" else m for f, m in zip(fields, magnitudes)]
 
 
-def _graph_edges(records: _Records, node_graph: np.ndarray, counts: np.ndarray) -> list:
-    """Each graph's canonical edges from the A records, checked in the same
-    pass: an E x 2 view of local (u, v) pairs, u < v, sorted and unique. The
+def _graph_edges(records: _Records, node_graph: np.ndarray, node_ptr: np.ndarray):
+    """The edges column and edge offsets from the A records, checked in the
+    same pass: global 0-based (u, v) pairs, u < v, sorted and unique. The
     first record with an unknown first node, else second node, else nodes in
     two graphs, is an error. Self-loops and repeated ordered pairs are
     dropped with a warning; a pair listed in both directions is one edge.
@@ -327,11 +326,10 @@ def _graph_edges(records: _Records, node_graph: np.ndarray, counts: np.ndarray) 
 
     key >>= 1
     key = np.concatenate([key[:1], key[1:][key[1:] != key[:-1]]])  # each run's first key
-    ends = np.cumsum(counts)  # each graph's last node
-    stops = np.searchsorted(key, (ends + 1) * (total_nodes + 1)).tolist()
+    edge_ptr = np.searchsorted(key, (node_ptr + 1) * (total_nodes + 1))  # each graph's first key
     pairs = np.stack(np.divmod(key, total_nodes + 1), axis=1)
-    pairs -= np.repeat(ends - counts + 1, np.diff(stops, prepend=0))[:, None]  # local ids
-    return list(map(pairs.__getitem__, map(slice, [0, *stops[:-1]], stops)))  # one view per graph
+    pairs -= 1  # 0-based ids
+    return pairs, edge_ptr
 
 
 def _counted_column(path: Path, count: int, what: str) -> np.ndarray:
@@ -352,10 +350,10 @@ def parse_tudataset(directory, name: str, policy: FeaturePolicy | None = None) -
     the default policy (one-hot over node labels when
     `<name>_node_labels.txt` exists, degree one-hot otherwise). The files are
     read in the order graph_indicator, graph_labels, node_labels, A, and the
-    error raised is the first problem in that order, line by line. Each
-    graph is built once, from slices of the decoded arrays, uncopied; the
-    node labels are the decoded column itself, and build_node_features then
-    builds the data set's feature matrix.
+    error raised is the first problem in that order, line by line. The
+    edges column is built once from the decoded A records, the node labels
+    are the decoded column itself, and build_node_features then builds the
+    data set's feature matrix.
     """
     directory = Path(directory)
     paths = {
@@ -385,19 +383,18 @@ def parse_tudataset(directory, name: str, policy: FeaturePolicy | None = None) -
         raise DatasetFormatError(paths["graph_indicator"], 1, "no nodes declared")
 
     total_nodes = len(node_graph)
-    counts = np.bincount(node_graph)[1:]
+    node_ptr = np.concatenate([[0], np.cumsum(np.bincount(node_graph)[1:])])
 
     labels = _counted_column(paths["graph_labels"], int(node_graph[-1]), "labels")
     node_labels = None
     if paths["node_labels"].is_file():
         node_labels = _counted_column(paths["node_labels"], total_nodes, "node labels")
 
-    edge_arrays = _graph_edges(_read_records(paths["A"], 2), node_graph, counts)
+    edges, edge_ptr = _graph_edges(_read_records(paths["A"], 2), node_graph, node_ptr)
     distinct, class_of = np.unique(labels, return_inverse=True)
 
-    graphs = tuple(map(GraphInstance, counts.tolist(), edge_arrays))
     x = np.zeros((total_nodes, 0))
-    ds = GraphDataset(name, graphs, len(distinct), class_of, x, node_labels)
+    ds = GraphDataset(name, node_ptr, edges, edge_ptr, len(distinct), class_of, x, node_labels)
     return build_node_features(ds, policy or default_policy(node_labels is not None))
 
 
@@ -405,10 +402,10 @@ def parse_tudataset(directory, name: str, policy: FeaturePolicy | None = None) -
 
 
 def build_node_features(dataset: GraphDataset, policy: FeaturePolicy) -> GraphDataset:
-    """The data set, its graphs shared, with its feature matrix rebuilt under
-    `policy`. Each node gets one hot column: its node label's rank among all
-    distinct labels, its degree capped at degree_cap, or column 0."""
-    graphs = dataset.graphs
+    """The data set, its other columns shared, with its feature matrix rebuilt
+    under `policy`. Each node gets one hot column: its node label's rank among
+    all distinct labels, its degree capped at degree_cap, or column 0."""
+    total_nodes = int(dataset.node_ptr[-1])
     if policy.kind == "one_hot_node_labels":
         if dataset.node_labels is None:
             raise InputError("one_hot_node_labels requires a node-label file")
@@ -416,13 +413,13 @@ def build_node_features(dataset: GraphDataset, policy: FeaturePolicy) -> GraphDa
         dim = len(values)
     elif policy.kind == "degree_one_hot":
         dim = policy.degree_cap + 1
-        if 8 * len(dataset.node_features) * dim > np.iinfo(np.intp).max:  # its bytes overflow intp
+        if 8 * total_nodes * dim > np.iinfo(np.intp).max:  # its bytes overflow intp
             raise InputError(f"{policy.spelled()}: a feature matrix of {dim} columns is too big")
-        degrees = np.concatenate([np.empty(0, np.intp), *(g.degrees() for g in graphs)])
+        degrees = np.bincount(dataset.edges.ravel(), minlength=total_nodes)
         column = np.minimum(degrees, policy.degree_cap)
     else:  # constant_one
         dim = 1
-        column = np.zeros(sum(g.node_count for g in graphs), np.intp)
+        column = np.zeros(total_nodes, np.intp)
     x = np.zeros((len(column), dim))
     x[np.arange(len(column)), column] = 1.0
     return replace(dataset, node_features=x)
@@ -454,7 +451,7 @@ def generate_synthetic(
     if lo < 1 or hi < lo:
         raise InputError(f"bad size_range {size_range}")
 
-    graphs, node_labels = [], [np.empty(0, np.int64)]
+    edges, node_labels, node_ptr, edge_ptr = array("q"), array("q"), [0], [0]
     labels = np.arange(num_graphs) % classes
     for j, k in enumerate(labels.tolist()):
         rng = seeded_rng(seed, "synth", j)
@@ -462,11 +459,14 @@ def generate_synthetic(
         # one uniform draw per candidate edge, in (u, v) order with u < v
         keep = rng.random(n * (n - 1) // 2) < edge_density_per_class[k]
         u, v = np.triu_indices(n, 1)
-        graphs.append(GraphInstance(n, np.column_stack((u[keep], v[keep]))))
-        node_labels.append(rng.integers(1, 4, size=n))
-    node_labels = np.concatenate(node_labels)
-    x = np.zeros((len(node_labels), 0))
-    ds = GraphDataset(name, tuple(graphs), classes, labels, x, node_labels)
+        edges.frombytes((np.column_stack((u[keep], v[keep])) + node_ptr[-1]).tobytes())  # global
+        node_labels.frombytes(rng.integers(1, 4, size=n).tobytes())
+        node_ptr.append(node_ptr[-1] + n)
+        edge_ptr.append(len(edges) // 2)
+    # edges and node labels grow in place, with no array per graph kept, and are viewed as they are
+    columns = np.array(node_ptr), np.frombuffer(edges, np.intp).reshape(-1, 2), np.array(edge_ptr)
+    x = np.zeros((node_ptr[-1], 0))
+    ds = GraphDataset(name, *columns, classes, labels, x, np.frombuffer(node_labels, np.int64))
     return build_node_features(ds, default_policy(True))
 
 
@@ -491,11 +491,9 @@ def write_tudataset(dataset: GraphDataset, directory, name: str | None = None) -
     dump("graph_labels", dataset.labels)
     if dataset.node_labels is not None:
         dump("node_labels", dataset.node_labels)
-    graphs, starts = dataset.graphs, np.array(dataset._row_starts)
-    edges = np.concatenate([np.empty((0, 2), np.intp), *(g.edges for g in graphs)])
-    edges += np.repeat(starts[:-1], [len(g.edges) for g in graphs])[:, None] + 1  # global ids
+    edges = dataset.edges + 1  # 1-based ids
     dump("A", np.stack([edges, edges[:, ::-1]], axis=1).reshape(-1, 2), "%d, %d\n")
-    dump("graph_indicator", np.repeat(np.arange(1, len(graphs) + 1), np.diff(starts)))
+    dump("graph_indicator", np.repeat(np.arange(1, len(dataset) + 1), np.diff(dataset.node_ptr)))
     return directory
 
 
@@ -532,15 +530,14 @@ def assign_labels(plan: FoldPlan, ratio: float, seed: int) -> FoldPlan:
 
 
 def dataset_stats(dataset: GraphDataset) -> dict:
-    nodes = [g.node_count for g in dataset.graphs]
-    edges = [len(g.edges) for g in dataset.graphs]
+    graphs = max(len(dataset), 1)  # no graphs: means of 0
     return {
         "name": dataset.name,
         "num_graphs": len(dataset),
         "num_classes": dataset.num_classes,
         "feature_dim": dataset.feature_dim,
-        "mean_nodes": float(np.mean(nodes)) if nodes else 0.0,
-        "mean_edges": float(np.mean(edges)) if edges else 0.0,
+        "mean_nodes": float(dataset.node_ptr[-1] / graphs),
+        "mean_edges": float(dataset.edge_ptr[-1] / graphs),
     }
 
 
@@ -556,13 +553,14 @@ def dataset_fingerprint(dataset: GraphDataset) -> str:
     as first hashed; one %-format over the graph's integers writes it."""
     h = hashlib.sha256()
     h.update(f"classes={dataset.num_classes};dim={dataset.feature_dim}".encode())
-    starts, node_labels = dataset._row_starts, dataset.node_labels
-    for i, (g, label) in enumerate(zip(dataset.graphs, dataset.labels.tolist())):
-        text = f"|n={g.node_count};y={label};e={_tuple_template(len(g.edges), '(%d, %d)')}"
-        ints = g.edges.ravel().tolist()
+    node_ptr, node_labels = dataset.node_ptr, dataset.node_labels
+    for i, label in enumerate(dataset.labels.tolist()):
+        n, edges = dataset.graph(i)
+        text = f"|n={n};y={label};e={_tuple_template(len(edges), '(%d, %d)')}"
+        ints = edges.ravel().tolist()
         if node_labels is not None:
-            text += f";nl={_tuple_template(g.node_count, '%d')}"
-            ints += node_labels[starts[i] : starts[i + 1]].tolist()
+            text += f";nl={_tuple_template(n, '%d')}"
+            ints += node_labels[node_ptr[i] : node_ptr[i + 1]].tolist()
         h.update((text % tuple(ints)).encode())
         h.update(np.ascontiguousarray(dataset.rows(i)))
     return h.hexdigest()

@@ -25,16 +25,16 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DiffValue, Tape
-from .data import GraphInstance
 from .errors import InputError
 
 
-def normalize_adjacency(g: GraphInstance) -> np.ndarray:
-    """Dense D^(-1/2) (A+I) D^(-1/2): weight(i, j) = 1 / sqrt(deg_i * deg_j),
-    degrees counting the self-connection, so the diagonal is 1 / deg_i."""
-    deg = (g.degrees() + 1).astype(np.float64)
+def normalize_adjacency(node_count: int, edges: np.ndarray) -> np.ndarray:
+    """Dense D^(-1/2) (A+I) D^(-1/2) of a graph's canonical local edges:
+    weight(i, j) = 1 / sqrt(deg_i * deg_j), degrees counting the
+    self-connection, so the diagonal is 1 / deg_i."""
+    deg = (np.bincount(edges.ravel(), minlength=node_count) + 1).astype(np.float64)
     a_hat = np.diag(1.0 / deg)
-    u, v = g.edges.T
+    u, v = edges.T
     a_hat[u, v] = a_hat[v, u] = 1.0 / np.sqrt(deg[u] * deg[v])
     return a_hat
 

@@ -13,6 +13,8 @@ import zlib
 
 import numpy as np
 
+from .errors import InputError
+
 
 def _tag_to_int(tag: str | int) -> int:
     if isinstance(tag, bool):
@@ -25,6 +27,9 @@ def _tag_to_int(tag: str | int) -> int:
 
 
 def seeded_rng(seed: int, *tags: str | int) -> np.random.Generator:
-    """Generator for the sub-stream named by `tags` under `seed`."""
-    entropy = [seed & 0xFFFFFFFFFFFFFFFF] + [_tag_to_int(t) for t in tags]
+    """Generator for the sub-stream named by `tags` under `seed`, which must
+    lie in [0, 2**64): a seed outside would alias one inside."""
+    if not 0 <= seed < 2**64:
+        raise InputError(f"seed must lie in [0, 2**64), got {seed}")
+    entropy = [seed, *map(_tag_to_int, tags)]
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))

@@ -23,6 +23,7 @@ import math
 import multiprocessing
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -285,7 +286,7 @@ def _descend(
 def _stack(dataset: GraphDataset, indices) -> GraphBatch:
     """The disjoint union of the given graphs, adjacency built for this forward."""
     features = [dataset.rows(i) for i in indices]
-    return GraphBatch.of(features, [normalize_adjacency(dataset.graphs[i]) for i in indices])
+    return GraphBatch.of(features, [normalize_adjacency(*dataset.graph(i)) for i in indices])
 
 
 def _representations(dataset: GraphDataset, params: ModelParams, indices) -> np.ndarray:
@@ -648,11 +649,12 @@ def gradient_suite(size: str = "small") -> list[tuple[str, float]]:
 
 
 SET_BLAS_THREADS = "scipy_openblas_set_num_threads64_"
+GET_BLAS_THREADS = "scipy_openblas_get_num_threads64_"
 
 
-def _blas_function():
-    """SET_BLAS_THREADS as exported by the BLAS library numpy loaded, typed
-    for ctypes, or None.
+def _blas_function(name: str = SET_BLAS_THREADS):
+    """The thread-count setter, or the getter by GET_BLAS_THREADS, as
+    exported by the BLAS library numpy loaded, typed for ctypes, or None.
 
     numpy's core extension links that library, and a symbol lookup through
     the extension's handle also searches the libraries it links.
@@ -660,11 +662,32 @@ def _blas_function():
     try:
         from numpy._core import _multiarray_umath
 
-        pin = getattr(ctypes.CDLL(_multiarray_umath.__file__), SET_BLAS_THREADS)
+        function = getattr(ctypes.CDLL(_multiarray_umath.__file__), name)
     except (ImportError, OSError, AttributeError):
         return None
-    pin.argtypes, pin.restype = [ctypes.c_int], None
-    return pin
+    setter = name == SET_BLAS_THREADS
+    function.argtypes, function.restype = ([ctypes.c_int], None) if setter else ([], ctypes.c_int)
+    return function
+
+
+@contextmanager
+def _one_blas_thread():
+    """BLAS on one thread while the block runs, as in every fold worker, so
+    sequential folds get the bits of pooled ones whatever the caller's
+    thread count; that count is restored after. Where numpy's BLAS has no
+    setter and getter, the count stays as it is and one warning says so."""
+    pin, count = _blas_function(), _blas_function(GET_BLAS_THREADS)
+    if pin is None or count is None:
+        print(f"warning: numpy's BLAS has no {SET_BLAS_THREADS}; folds keep its thread count",
+              file=sys.stderr)
+        yield
+        return
+    before = count()
+    pin(1)
+    try:
+        yield
+    finally:
+        pin(before)
 
 
 def _fold_pool(workers: int) -> ProcessPoolExecutor:
@@ -696,4 +719,5 @@ def run_experiment(dataset: GraphDataset, cfg: TrainConfig, workers: int = 1) ->
         with _fold_pool(min(workers, len(plans))) as pool:
             folds = pool.map(train_fold, repeat(dataset), plans, repeat(cfg))
             return ExperimentResult(tuple(folds))
-    return ExperimentResult(tuple(train_fold(dataset, p, cfg) for p in plans))
+    with _one_blas_thread():
+        return ExperimentResult(tuple(train_fold(dataset, p, cfg) for p in plans))

@@ -1,10 +1,16 @@
 """Command-line behavior: exit codes, artifacts, manifest reruns."""
 
 import dataclasses
+import functools
 import itertools
 import json
+import multiprocessing
+import os
 import re
 import shutil
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +19,7 @@ from hypothesis import strategies as st
 
 import glaug.cli as cli_mod
 import glaug.data as data_mod
+import glaug.training as training_mod
 from glaug.cli import main
 from glaug.errors import InvariantViolation
 
@@ -660,6 +667,63 @@ def test_parallel_folds_match_sequential(toy_dir, tmp_path):
     assert main(["run", str(toy_dir), *COMMON, "--parallel-folds", "2",
                  "--out", str(tmp_path / "p")]) == 0
     assert read(tmp_path / "s" / "metrics.json") == read(tmp_path / "p" / "metrics.json")
+
+
+@pytest.fixture(scope="module")
+def mutag_shaped_dir(tmp_path_factory):
+    """188 graphs of 10-28 nodes at densities 0.08 and 0.16, MUTAG's shape."""
+    d = tmp_path_factory.mktemp("data188") / "SYNTH"
+    assert main(["gen-synth", "--graphs", "188", "--sizes", "10,28", "--densities", "0.08,0.16",
+                 "--seed", "1", "--out", str(d)]) == 0
+    return d
+
+
+def test_sequential_run_on_two_blas_threads_equals_parallel_folds(mutag_shaped_dir, tmp_path):
+    # a process whose BLAS runs two threads: the default width takes the threaded gemm path
+    src = str(Path(cli_mod.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=src)
+    for label, flags in (("s", []), ("p", ["--parallel-folds", "2"])):
+        args = ["run", str(mutag_shaped_dir), "--epochs", "1", "--k", "3", *flags,
+                "--out", str(tmp_path / label)]
+        proc = subprocess.run([sys.executable, "-m", "glaug.cli", *args], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+    assert read(tmp_path / "s" / "metrics.json") == read(tmp_path / "p" / "metrics.json")
+
+
+@functools.wraps(training_mod.train_fold)
+def train_fold_killed_on_fold_3(dataset, fold, cfg):
+    """train_fold, except that the process running fold 3 is killed, as by the OOM killer."""
+    if fold.fold_index == 3:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return train_fold_killed_on_fold_3.__wrapped__(dataset, fold, cfg)
+
+
+def test_killed_fold_worker_exits_one(toy_dir, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(training_mod, "train_fold", train_fold_killed_on_fold_3)
+    rc = main(["run", str(toy_dir), *COMMON, "--parallel-folds", "2",
+               "--out", str(tmp_path / "r")])
+    assert "terminated abruptly" in assert_input_error(capsys, rc)
+    assert not (tmp_path / "r").exists()
+    assert multiprocessing.active_children() == []  # the other worker is stopped and reaped
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 + 5)])
+def test_seed_outside_64_bits_exits_one(toy_dir, tmp_path, capsys, seed):
+    for args in (["run", str(toy_dir), *COMMON], ["gen-synth", "--graphs", "10"]):
+        rc = main([*args, "--seed", seed, "--out", str(tmp_path / "r")])
+        assert f"seed must lie in [0, 2**64), got {seed}" in assert_input_error(capsys, rc)
+        assert not (tmp_path / "r").exists()
+
+
+def test_rerun_of_a_negative_seed_exits_one(run_dir, tmp_path, capsys):
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    manifest["config"]["seed"] = -1
+    edited = tmp_path / "manifest.json"
+    edited.write_text(json.dumps(manifest))
+    rc = main(["rerun", str(edited), "--out", str(tmp_path / "r")])
+    assert "seed must lie in [0, 2**64), got -1" in assert_input_error(capsys, rc)
+    assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("command, flags", [

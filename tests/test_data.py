@@ -25,6 +25,21 @@ from glaug.errors import DatasetFormatError, InputError
 from glaug.seeding import seeded_rng
 
 
+def graphs_of(dataset):
+    """Each graph's (node_count, local edges), read through `graph(i)`."""
+    return [dataset.graph(i) for i in range(len(dataset))]
+
+
+def columns(graphs) -> tuple:
+    """The node offsets, global edges and edge offsets of (node_count, local
+    E x 2 edges) pairs, laid out graph by graph as a GraphDataset holds them.
+    The ids are shifted with int64 wraparound, which `graph(i)` undoes."""
+    node_ptr = np.cumsum([0, *(n for n, _ in graphs)])
+    edge_ptr = np.cumsum([0, *(len(e) for _, e in graphs)])
+    shifted = [np.asarray(e, np.intp).reshape(-1, 2) + s for (_, e), s in zip(graphs, node_ptr)]
+    return node_ptr, np.concatenate([np.empty((0, 2), np.intp), *shifted]), edge_ptr
+
+
 def write_files(tmp_path, name="TINY", **contents):
     for suffix, text in contents.items():
         (tmp_path / f"{name}_{suffix}.txt").write_text(text)
@@ -44,7 +59,7 @@ MINIMAL = dict(
 def test_parse_minimal_single_graph(tmp_path):
     ds = gd.parse_tudataset(write_files(tmp_path, **MINIMAL), "TINY")
     assert len(ds) == 1 and ds.num_classes == 1
-    g = ds.graphs[0]
+    g = ds.graph(0)
     assert g.node_count == 2
     assert g.edges.tolist() == [[0, 1]]
     assert ds.labels.tolist() == [0]
@@ -58,8 +73,8 @@ def test_parse_two_graphs_local_ids(tmp_path):
         graph_labels="3\n7\n",
     )
     ds = gd.parse_tudataset(write_files(tmp_path, **files), "TINY")
-    assert [g.node_count for g in ds.graphs] == [2, 3]
-    assert ds.graphs[1].edges.tolist() == [[0, 2], [1, 2]]
+    assert [g.node_count for g in graphs_of(ds)] == [2, 3]
+    assert ds.graph(1).edges.tolist() == [[0, 2], [1, 2]]
     # raw labels 3, 7 remapped in sorted order
     assert ds.labels.tolist() == [0, 1]
 
@@ -75,7 +90,7 @@ def test_parse_drops_self_loops_with_warning(tmp_path, caplog):
     files = dict(MINIMAL, A="1, 2\n2, 1\n1, 1\n")
     with caplog.at_level(logging.WARNING, logger="glaug.data"):
         ds = gd.parse_tudataset(write_files(tmp_path, **files), "TINY")
-    assert ds.graphs[0].edges.tolist() == [[0, 1]]
+    assert ds.graph(0).edges.tolist() == [[0, 1]]
     assert any("self-loop" in r.message for r in caplog.records)
 
 
@@ -83,7 +98,7 @@ def test_parse_drops_repeated_directed_edges_with_warning(tmp_path, caplog):
     files = dict(MINIMAL, A="1, 2\n2, 1\n1, 2\n")
     with caplog.at_level(logging.WARNING, logger="glaug.data"):
         ds = gd.parse_tudataset(write_files(tmp_path, **files), "TINY")
-    assert ds.graphs[0].edges.tolist() == [[0, 1]]
+    assert ds.graph(0).edges.tolist() == [[0, 1]]
     assert any("duplicate" in r.message for r in caplog.records)
 
 
@@ -207,7 +222,7 @@ def test_trailing_whitespace_tolerated(tmp_path):
     # int() alone would refuse \x1c-\x1f, which str.strip strips
     files = dict(A="1,\x1c2 \n2\x1f, 1\n\n", graph_indicator="1 \n1\n", graph_labels="1\n")
     ds = gd.parse_tudataset(write_files(tmp_path, **files), "TINY")
-    assert ds.graphs[0].edges.tolist() == [[0, 1]]
+    assert ds.graph(0).edges.tolist() == [[0, 1]]
 
 
 def test_int64_range_edges_accepted_and_beyond_rejected(tmp_path):
@@ -407,13 +422,11 @@ def reference_parse(directory, name: str) -> gd.GraphDataset:
         gd.log.warning("%s: dropped %d duplicate edge(s)", paths["A"].name, dup_count)
 
     class_of = {raw: i for i, raw in enumerate(sorted(set(raw_labels)))}
-    graphs = tuple(
-        gd.GraphInstance(counts[g], np.array(sorted(edge_sets[g]), np.intp).reshape(-1, 2))
-        for g in range(num_graphs)
-    )
+    graphs = [(counts[g], sorted(edge_sets[g])) for g in range(num_graphs)]
     labels = np.array([class_of[raw] for raw in raw_labels])
     nl = None if node_labels is None else np.array(node_labels, np.int64)
-    ds = gd.GraphDataset(name, graphs, len(class_of), labels, np.zeros((total_nodes, 0)), nl)
+    x = np.zeros((total_nodes, 0))
+    ds = gd.GraphDataset(name, *columns(graphs), len(class_of), labels, x, nl)
     return gd.build_node_features(ds, gd.default_policy(node_labels is not None))
 
 
@@ -790,10 +803,9 @@ def test_two_tokens_in_a_field_emit_no_warning(tmp_path):
 
 def graph_node_labels(dataset):
     """Each graph's node labels, as a list, cut from the data set's column."""
-    column, start = dataset.node_labels.tolist(), 0
-    for g in dataset.graphs:
-        yield column[start : start + g.node_count]
-        start += g.node_count
+    column, ptr = dataset.node_labels.tolist(), dataset.node_ptr.tolist()
+    for start, stop in zip(ptr[:-1], ptr[1:]):
+        yield column[start:stop]
 
 
 def test_default_features_use_node_labels_when_present(tmp_path):
@@ -811,8 +823,8 @@ def test_degree_one_hot_on_path_graph(tmp_path):
 
 
 def test_degree_cap_maps_to_last_slot():
-    star = gd.GraphInstance(node_count=5, edges=np.array([(0, v) for v in range(1, 5)], np.intp))
-    ds = gd.GraphDataset("S", (star,), 1, np.zeros(1, np.intp), np.zeros((5, 0)))
+    star = (5, [(0, v) for v in range(1, 5)])
+    ds = gd.GraphDataset("S", *columns([star]), 1, np.zeros(1, np.intp), np.zeros((5, 0)))
     ds = gd.build_node_features(ds, gd.FeaturePolicy("degree_one_hot", 2))
     hub = ds.rows(0)[0]
     np.testing.assert_array_equal(hub, [0, 0, 1])  # degree 4 >= cap 2
@@ -827,7 +839,7 @@ def test_one_hot_features_match_row_loop(policy):
     ds = gd.generate_synthetic(30, size_range=(1, 9), seed=4)
     values = sorted(set(ds.node_labels.tolist()))
     built = gd.build_node_features(ds, policy)
-    for i, (g, node_labels) in enumerate(zip(built.graphs, graph_node_labels(ds))):
+    for i, (g, node_labels) in enumerate(zip(graphs_of(built), graph_node_labels(ds))):
         want = np.zeros_like(built.rows(i))
         for row in range(g.node_count):
             if policy.kind == "one_hot_node_labels":
@@ -854,7 +866,7 @@ def test_one_hot_without_node_labels_rejected(tmp_path):
 
 def test_feature_matrices_finite_and_sized():
     ds = gd.generate_synthetic(12, seed=3)
-    for i, g in enumerate(ds.graphs):
+    for i, g in enumerate(graphs_of(ds)):
         assert ds.rows(i).shape == (g.node_count, ds.feature_dim)
         assert np.all(np.isfinite(ds.rows(i)))
 
@@ -863,26 +875,13 @@ def test_feature_matrices_finite_and_sized():
 def test_feature_dim_is_the_matrix_width(spelling):
     ds = gd.build_node_features(gd.generate_synthetic(8, seed=6), gd.FeaturePolicy.parse(spelling))
     assert ds.feature_dim == ds.node_features.shape[1]
-    assert ds.node_features.shape[0] == sum(g.node_count for g in ds.graphs)
+    assert ds.node_features.shape[0] == sum(g.node_count for g in graphs_of(ds))
 
 
 def test_build_node_features_shares_the_graphs():
     ds = gd.generate_synthetic(8, seed=6)
-    assert gd.build_node_features(ds, gd.FeaturePolicy("constant_one")).graphs is ds.graphs
-
-
-def test_parse_builds_each_graph_once(tmp_path, monkeypatch):
-    gd.write_tudataset(gd.generate_synthetic(9, seed=7), tmp_path, "ONCE")
-    built = []
-    real = gd.GraphInstance
-
-    def counting(*args):
-        built.append(args[0])
-        return real(*args)
-
-    monkeypatch.setattr(gd, "GraphInstance", counting)
-    ds = gd.parse_tudataset(tmp_path, "ONCE", gd.FeaturePolicy("degree_one_hot", 3))
-    assert built == [g.node_count for g in ds.graphs]
+    built = gd.build_node_features(ds, gd.FeaturePolicy("constant_one"))
+    assert all(getattr(built, c) is getattr(ds, c) for c in ("node_ptr", "edges", "edge_ptr"))
 
 
 def test_policy_parse_spellings():
@@ -940,7 +939,7 @@ def tuple_text_fingerprint(dataset):
     h = hashlib.sha256()
     h.update(f"classes={dataset.num_classes};dim={dataset.feature_dim}".encode())
     start = 0
-    for g, label in zip(dataset.graphs, dataset.labels.tolist()):
+    for g, label in zip(graphs_of(dataset), dataset.labels.tolist()):
         h.update(f"|n={g.node_count};y={label};e={tuple(map(tuple, g.edges.tolist()))}".encode())
         if dataset.node_labels is not None:
             nl = dataset.node_labels[start : start + g.node_count]
@@ -960,7 +959,7 @@ PERCENT = float(np.frombuffer(b"%" * 8, np.float64)[0])
 def fingerprint_graph(draw):
     nodes = draw(st.integers(0, 4))
     edges = draw(st.lists(st.tuples(INT64, INT64), max_size=4))  # 0, 1 and several pairs
-    return gd.GraphInstance(nodes, np.array(edges, np.intp).reshape(-1, 2))
+    return nodes, edges
 
 
 def int64_column(draw, size: int) -> np.ndarray:
@@ -971,14 +970,14 @@ def int64_column(draw, size: int) -> np.ndarray:
 def fingerprint_dataset(draw):
     dim = draw(st.integers(0, 3))
     graphs = draw(st.lists(fingerprint_graph(), max_size=7))
-    nodes = sum(g.node_count for g in graphs)
+    nodes = sum(n for n, _ in graphs)
     values = st.floats(allow_nan=True, allow_infinity=True) | st.just(PERCENT) | st.just(-0.0)
     features = np.array(draw(st.lists(values, min_size=nodes * dim, max_size=nodes * dim)))
     features = features.reshape(dim, nodes).T if draw(st.booleans()) else features.reshape(nodes, dim)
     labels = int64_column(draw, len(graphs))
     node_labels = int64_column(draw, nodes) if draw(st.booleans()) else None  # all graphs or none
     return gd.GraphDataset(
-        "FP", tuple(graphs), draw(st.integers(1, 4)), labels, features, node_labels
+        "FP", *columns(graphs), draw(st.integers(1, 4)), labels, features, node_labels
     )
 
 
@@ -1021,7 +1020,7 @@ def test_block_edge_draw_equals_scalar_draws(n, density):
     want = scalar_synthetic(6, n, density, seed=17)
     ds = gd.generate_synthetic(6, size_range=(n, n), edge_density_per_class=(density, density),
                                seed=17)
-    for g, drawn, (edges, node_labels, _) in zip(ds.graphs, graph_node_labels(ds), want):
+    for g, drawn, (edges, node_labels, _) in zip(graphs_of(ds), graph_node_labels(ds), want):
         assert g.edges.tolist() == [list(e) for e in edges]
         assert drawn == node_labels  # the integers draw after the edges
     # the block leaves the generator where the scalar draws leave it
@@ -1036,8 +1035,8 @@ def test_block_edge_draw_equals_scalar_draws(n, density):
 def test_density_separates_classes():
     ds = gd.generate_synthetic(40, edge_density_per_class=(0.1, 0.9), seed=0)
     mean_deg = [[], []]
-    for g, label in zip(ds.graphs, ds.labels.tolist()):
-        mean_deg[label].append(g.degrees().mean())
+    for g, label in zip(graphs_of(ds), ds.labels.tolist()):
+        mean_deg[label].append(np.bincount(g.edges.ravel(), minlength=g.node_count).mean())
     assert np.mean(mean_deg[1]) > np.mean(mean_deg[0])
 
 
@@ -1062,7 +1061,7 @@ def test_write_parse_round_trip(tmp_path):
         assert (out / "RT_node_labels.txt").is_file() == (src is labeled)
         back = gd.parse_tudataset(out, "RT")
         assert len(back) == len(src)
-        for a, b in zip(src.graphs, back.graphs):
+        for a, b in zip(graphs_of(src), graphs_of(back)):
             assert a.node_count == b.node_count
             assert a.edges.tolist() == b.edges.tolist()
         assert back.labels.tolist() == src.labels.tolist()
@@ -1073,14 +1072,49 @@ def test_write_parse_round_trip(tmp_path):
         assert gd.dataset_fingerprint(src) == gd.dataset_fingerprint(back)
 
 
+def assert_canonical_columns(ds):
+    """The offsets run from 0 to N and to E, and each graph's edges lie in its
+    own node range, each pair u < v, sorted and unique."""
+    node_ptr, edges, edge_ptr = ds.node_ptr, ds.edges, ds.edge_ptr
+    assert len(node_ptr) == len(edge_ptr) == len(ds) + 1
+    assert node_ptr[0] == 0 and node_ptr[-1] == len(ds.node_features)
+    assert edge_ptr[0] == 0 and edge_ptr[-1] == len(edges)
+    assert edges.dtype == np.intp and edges.shape == (len(edges), 2)
+    assert (np.diff(node_ptr) >= 0).all() and (np.diff(edge_ptr) >= 0).all()
+    for i in range(len(ds)):
+        pairs = edges[edge_ptr[i] : edge_ptr[i + 1]].tolist()
+        assert all(node_ptr[i] <= u < v < node_ptr[i + 1] for u, v in pairs)
+        assert [list(p) for p in sorted(set(map(tuple, pairs)))] == pairs
+
+
+UNIT = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+@given(num_graphs=st.integers(0, 12), lo=st.integers(1, 4), span=st.integers(0, 5),
+       densities=st.tuples(UNIT, UNIT), seed=st.integers(0, 2**64 - 1))
+@example(num_graphs=4, lo=1, span=0, densities=(0.0, 1.0), seed=0)  # 1-node graphs
+@example(num_graphs=4, lo=1, span=4, densities=(0.0, 0.0), seed=3)  # no graph has an edge
+@settings(max_examples=60, deadline=None)
+def test_columns_survive_a_write_parse_round_trip(num_graphs, lo, span, densities, seed):
+    ds = gd.generate_synthetic(num_graphs, 2, (lo, lo + span), densities, seed)
+    assert_canonical_columns(ds)
+    if not num_graphs:  # files of no node do not parse
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        back = gd.parse_tudataset(gd.write_tudataset(ds, tmp, "RT"), "RT")
+    assert_canonical_columns(back)
+    for column in ("node_ptr", "edges", "edge_ptr"):
+        assert np.array_equal(getattr(back, column), getattr(ds, column)), column
+
+
 def test_parsed_node_counts_match_indicator_loop(tmp_path):
     src = gd.generate_synthetic(40, size_range=(1, 9), seed=12)
     gd.write_tudataset(src, tmp_path, "NC")
     back = gd.parse_tudataset(tmp_path, "NC")
     indicator = np.loadtxt(tmp_path / "NC_graph_indicator.txt", dtype=np.int64)
     reference = [int((indicator == g).sum()) for g in range(1, len(src) + 1)]
-    assert [g.node_count for g in back.graphs] == reference
-    assert reference == [g.node_count for g in src.graphs]
+    assert [g.node_count for g in graphs_of(back)] == reference
+    assert reference == [g.node_count for g in graphs_of(src)]
 
 
 def test_parse_with_policy_equals_rebuilt_features(tmp_path):
@@ -1117,7 +1151,7 @@ def per_record_write(dataset, directory, name):
     if dataset.node_labels is not None:
         dump("node_labels", map(str, dataset.node_labels.tolist()))
     a_lines, ind_lines, base = [], [], 0
-    for gid, g in enumerate(dataset.graphs, start=1):
+    for gid, g in enumerate(graphs_of(dataset), start=1):
         ind_lines.extend([str(gid)] * g.node_count)
         for u, v in g.edges.tolist():
             a_lines += [f"{base + u + 1}, {base + v + 1}", f"{base + v + 1}, {base + u + 1}"]
@@ -1133,7 +1167,7 @@ def test_writer_equals_per_record_reference(tmp_path, monkeypatch, write_rows):
     parsed_dir = gd.write_tudataset(gd.generate_synthetic(12, seed=9), tmp_path / "P", "P")
     # more A records than one write formats at the default WRITE_ROWS
     large = gd.generate_synthetic(300, 2, (20, 28), (0.3, 0.6), seed=8)
-    assert sum(2 * len(g.edges) for g in large.graphs) > gd.WRITE_ROWS
+    assert 2 * len(large.edges) > gd.WRITE_ROWS
     sets = {
         "zero_density_class": labeled,
         "no_node_labels": replace(labeled, node_labels=None),
@@ -1142,7 +1176,7 @@ def test_writer_equals_per_record_reference(tmp_path, monkeypatch, write_rows):
         "parsed": gd.parse_tudataset(parsed_dir, "P"),
         "empty": gd.generate_synthetic(0),
     }
-    assert all(len(g.edges) == 0 for g in labeled.graphs[::3])  # class 0, drawn at density 0
+    assert all(len(g.edges) == 0 for g in graphs_of(labeled)[::3])  # class 0, drawn at density 0
     for label, ds in sets.items():
         gd.write_tudataset(ds, tmp_path / "new" / label, "W")
         per_record_write(ds, tmp_path / "ref" / label, "W")

@@ -10,26 +10,41 @@ from hypothesis import strategies as st
 from glaug import autodiff as ad
 from glaug import model as gm
 from glaug.autodiff import Tape, grad_check
-from glaug.data import GraphInstance
+from glaug.data import FeaturePolicy, GraphDataset, build_node_features
 from glaug.errors import InputError
 
 
 @dataclass(frozen=True, eq=False)
-class FeaturedGraph(GraphInstance):
-    """A graph with its feature rows, as a data set's graphs[i] and rows(i)."""
+class FeaturedGraph:
+    """A graph with its feature rows, as a data set's graph(i) and rows(i)."""
 
-    node_features: np.ndarray | None = None
+    node_count: int
+    edges: np.ndarray  # E x 2 intp local ids, canonical
+    node_features: np.ndarray
 
 
 def graph(n, edges, features):
     """A graph of `n` nodes; `edges` are canonical (u, v) pairs."""
-    return FeaturedGraph(n, np.array(edges, np.intp).reshape(-1, 2), node_features=features)
+    return FeaturedGraph(n, np.array(edges, np.intp).reshape(-1, 2), features)
+
+
+def adjacency(g: FeaturedGraph) -> np.ndarray:
+    return gm.normalize_adjacency(g.node_count, g.edges)
 
 
 def batch_of(*graphs):
     """The disjoint union the model consumes, each block from `normalize_adjacency`."""
     features = [g.node_features for g in graphs]
-    return gm.GraphBatch.of(features, [gm.normalize_adjacency(g) for g in graphs])
+    return gm.GraphBatch.of(features, [adjacency(g) for g in graphs])
+
+
+def dataset_of(graphs) -> GraphDataset:
+    """The graphs as data-set columns: global edge ids and node and edge offsets."""
+    node_ptr = np.cumsum([0, *(g.node_count for g in graphs)])
+    edge_ptr = np.cumsum([0, *(len(g.edges) for g in graphs)])
+    edges = np.concatenate([g.edges + s for g, s in zip(graphs, node_ptr)]).reshape(-1, 2)
+    x = np.zeros((node_ptr[-1], 0))
+    return GraphDataset("G", node_ptr, edges, edge_ptr, 1, np.zeros(len(graphs), np.intp), x)
 
 
 def random_graph(rng, max_nodes=8, feature_dim=4):
@@ -43,7 +58,7 @@ def random_graph(rng, max_nodes=8, feature_dim=4):
 # -------------------------------------------------- adjacency normalization
 
 
-def dense_oracle(g: GraphInstance) -> np.ndarray:
+def dense_oracle(g: FeaturedGraph) -> np.ndarray:
     """Brute force D^(-1/2) (A + I) D^(-1/2), the independent route."""
     a = np.eye(g.node_count)
     for u, v in g.edges:
@@ -52,7 +67,7 @@ def dense_oracle(g: GraphInstance) -> np.ndarray:
     return d_inv_sqrt @ a @ d_inv_sqrt
 
 
-def loop_degrees(g: GraphInstance) -> np.ndarray:
+def loop_degrees(g: FeaturedGraph) -> np.ndarray:
     """Edge endpoints counted one edge at a time, the independent route."""
     deg = np.zeros(g.node_count, dtype=np.int64)
     for u, v in g.edges:
@@ -61,7 +76,7 @@ def loop_degrees(g: GraphInstance) -> np.ndarray:
     return deg
 
 
-def entry_loop(g: GraphInstance) -> np.ndarray:
+def entry_loop(g: FeaturedGraph) -> np.ndarray:
     """The sparse (row, col, weight) construction, filled into a dense array."""
     deg = (loop_degrees(g) + 1).astype(np.float64)
     entries = [(i, i, float(1.0 / deg[i])) for i in range(g.node_count)]
@@ -76,31 +91,33 @@ def entry_loop(g: GraphInstance) -> np.ndarray:
 
 
 def test_degrees_match_edge_loop():
+    """The degree features count each node's edges in the data set's edge column."""
     rng = np.random.default_rng(3)
     graphs = [random_graph(rng, max_nodes=30) for _ in range(40)]
     graphs.append(graph(4, ((0, 1), (1, 2)), np.ones((4, 1))))  # node 3 isolated
     graphs.append(graph(5, (), np.ones((5, 1))))  # no edges
-    for g in graphs:
-        got = g.degrees()
+    ds = build_node_features(dataset_of(graphs), FeaturePolicy("degree_one_hot", 30))
+    for i, g in enumerate(graphs):  # a cap of 30 caps no degree of 30 or fewer nodes
+        got = ds.rows(i).argmax(axis=1)
         assert got.shape == (g.node_count,) and got.dtype.kind == "i"
         assert np.array_equal(got, loop_degrees(g))
 
 
 def test_single_isolated_node():
     g = graph(1, (), np.ones((1, 2)))
-    assert np.array_equal(gm.normalize_adjacency(g), [[1.0]])
+    assert np.array_equal(adjacency(g), [[1.0]])
 
 
 def test_two_nodes_one_edge_all_half():
     g = graph(2, ((0, 1),), np.ones((2, 2)))
-    assert np.array_equal(gm.normalize_adjacency(g), np.full((2, 2), 0.5))
+    assert np.array_equal(adjacency(g), np.full((2, 2), 0.5))
 
 
 def test_matches_dense_oracle_on_random_graphs():
     rng = np.random.default_rng(0)
     for _ in range(60):
         g = random_graph(rng)
-        got = gm.normalize_adjacency(g)
+        got = adjacency(g)
         np.testing.assert_allclose(got, dense_oracle(g), atol=1e-12)
 
 
@@ -110,7 +127,7 @@ def test_normalize_adjacency_matches_entry_loop_bitwise():
     graphs.append(graph(4, ((0, 1), (1, 2)), np.ones((4, 1))))  # node 3 isolated
     graphs.append(graph(5, (), np.ones((5, 1))))  # no edges
     for g in graphs:
-        got = gm.normalize_adjacency(g)
+        got = adjacency(g)
         assert got.dtype == np.float64 and got.flags.c_contiguous
         assert np.array_equal(got, entry_loop(g))
 
@@ -119,7 +136,7 @@ def test_adjacency_invariants():
     rng = np.random.default_rng(1)
     for _ in range(20):
         g = random_graph(rng)
-        adj = gm.normalize_adjacency(g)
+        adj = adjacency(g)
         assert np.array_equal(adj, adj.T)
         assert np.all(np.diag(adj) > 0.0)
         nonzero = {(int(i), int(j)) for i, j in zip(*np.nonzero(adj))}
@@ -339,7 +356,7 @@ def test_propagate_equals_per_graph_products_bitwise():
         x = rng.normal(size=(batch.node_count, int(rng.integers(1, 40))))
         out = ad.propagate(batch.blocks, x)
         for g, s, e in zip(graphs, batch.bounds[:-1], batch.bounds[1:]):
-            assert np.array_equal(out[s:e], gm.normalize_adjacency(g) @ x[s:e])
+            assert np.array_equal(out[s:e], adjacency(g) @ x[s:e])
 
 
 def test_batched_forward_matches_numpy_route_per_graph():
@@ -510,7 +527,7 @@ def test_frozen_forward_keeps_input_errors():
     empty = graph(0, (), np.zeros((0, 4)))
     with pytest.raises(InputError, match="empty"):
         features = [g.node_features, empty.node_features]
-        gm.GraphBatch.of(features, [gm.normalize_adjacency(g), np.zeros((0, 0))])
+        gm.GraphBatch.of(features, [adjacency(g), np.zeros((0, 0))])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

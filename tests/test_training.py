@@ -298,6 +298,38 @@ def test_fold_pool_workers_run_blas_on_one_thread():
         put(before)
 
 
+def test_sequential_folds_run_blas_on_one_thread_and_restore_the_count(monkeypatch):
+    put = tr._blas_function()
+    try:
+        before = _blas_threads()
+    except (ImportError, OSError, AttributeError):
+        put = None
+    if put is None:
+        pytest.skip("numpy's BLAS exports no scipy_openblas thread functions")
+    seen, real = [], tr.train_fold
+
+    def recording(*args):
+        seen.append(_blas_threads())
+        return real(*args)
+
+    monkeypatch.setattr(tr, "train_fold", recording)
+    put(2)
+    try:
+        callers = _blas_threads()  # 2, or fewer where the host has fewer cores
+        tr.run_experiment(small_dataset(20, seed=4), quick_cfg(epochs=1))
+        assert _blas_threads() == callers
+    finally:
+        put(before)
+    assert seen == [1] * tr.NUM_FOLDS
+
+
+def test_sequential_folds_without_blas_setter_warn_once(monkeypatch, capsys):
+    monkeypatch.setattr(tr, "_blas_function", lambda name=tr.SET_BLAS_THREADS: None)
+    tr.run_experiment(small_dataset(20, seed=4), quick_cfg(epochs=1))
+    err = capsys.readouterr().err
+    assert err.startswith("warning: ") and err.count("\n") == 1, err
+
+
 def test_fold_pool_without_blas_setter_warns_once(monkeypatch, capsys):
     monkeypatch.setattr(tr, "_blas_function", lambda: None)
     with tr._fold_pool(2) as pool:
