@@ -46,6 +46,10 @@ from .reporting import (
 from .training import NUM_FOLDS, ExperimentResult, TrainConfig, gradient_suite, run_experiment
 
 DATA_DIR_VAR = "GLAUG_DATA_DIR"
+PARALLEL_FOLDS = click.option(
+    "--parallel-folds", "workers", type=click.IntRange(min=1), default=1, show_default=True,
+    help=f"Fold worker processes, forked from this one; at most {NUM_FOLDS}, one per fold, are used.",
+)
 
 
 # ------------------------------------------------------------- resolution
@@ -342,8 +346,7 @@ def train_options(swept: str | None = None):
         ),
         click.option("--out", type=click.Path(path_type=Path), default=Path("runs"),
                       show_default=True),
-        click.option("--parallel-folds", "workers", type=click.IntRange(min=1), default=1,
-                      show_default=True),
+        PARALLEL_FOLDS,
     ]
 
     def decorate(fn):
@@ -487,8 +490,7 @@ def cmd_gen_synth(graphs, classes, seed, sizes, densities, name, out):
 @click.argument("manifest_path", type=click.Path(path_type=Path))
 @click.option("--out", type=click.Path(path_type=Path), default=None,
               help="Destination directory (default: alongside the manifest).")
-@click.option("--parallel-folds", "workers", type=click.IntRange(min=1), default=1,
-              show_default=True)
+@PARALLEL_FOLDS
 def cmd_rerun(manifest_path, out, workers):
     """Re-execute a recorded run; artifacts reproduce byte-for-byte."""
     doc = load_document(manifest_path, MANIFEST_SCHEMA, "run manifest")

@@ -21,6 +21,8 @@ from __future__ import annotations
 import ctypes
 import math
 import multiprocessing
+import os
+import signal
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -648,13 +650,9 @@ def gradient_suite(size: str = "small") -> list[tuple[str, float]]:
 # --------------------------------------------------------------- experiment
 
 
-SET_BLAS_THREADS = "scipy_openblas_set_num_threads64_"
-GET_BLAS_THREADS = "scipy_openblas_get_num_threads64_"
-
-
-def _blas_function(name: str = SET_BLAS_THREADS):
-    """The thread-count setter, or the getter by GET_BLAS_THREADS, as
-    exported by the BLAS library numpy loaded, typed for ctypes, or None.
+def _blas_threads():
+    """The (get, put) thread-count functions exported by the BLAS library
+    numpy loaded, typed for ctypes, or None where it exports neither.
 
     numpy's core extension links that library, and a symbol lookup through
     the extension's handle also searches the libraries it links.
@@ -662,49 +660,44 @@ def _blas_function(name: str = SET_BLAS_THREADS):
     try:
         from numpy._core import _multiarray_umath
 
-        function = getattr(ctypes.CDLL(_multiarray_umath.__file__), name)
+        blas = ctypes.CDLL(_multiarray_umath.__file__)
+        get, put = blas.scipy_openblas_get_num_threads64_, blas.scipy_openblas_set_num_threads64_
     except (ImportError, OSError, AttributeError):
         return None
-    setter = name == SET_BLAS_THREADS
-    function.argtypes, function.restype = ([ctypes.c_int], None) if setter else ([], ctypes.c_int)
-    return function
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
 
 
 @contextmanager
 def _one_blas_thread():
-    """BLAS on one thread while the block runs, as in every fold worker, so
-    sequential folds get the bits of pooled ones whatever the caller's
-    thread count; that count is restored after. Where numpy's BLAS has no
-    setter and getter, the count stays as it is and one warning says so."""
-    pin, count = _blas_function(), _blas_function(GET_BLAS_THREADS)
-    if pin is None or count is None:
-        print(f"warning: numpy's BLAS has no {SET_BLAS_THREADS}; folds keep its thread count",
-              file=sys.stderr)
+    """BLAS on one thread while the block runs, and the caller's count
+    restored after. Fold workers forked inside the block inherit the count,
+    so N workers use N cores and every fold gets the same bits whatever the
+    caller's count. Where numpy's BLAS has no thread functions, the count
+    stays as it is and one warning says so."""
+    functions = _blas_threads()
+    if functions is None:
+        print("warning: numpy's BLAS exports no scipy_openblas thread functions; "
+              "folds keep its thread count", file=sys.stderr)
         yield
         return
-    before = count()
-    pin(1)
+    get, put = functions
+    before = get()
+    put(1)
     try:
         yield
     finally:
-        pin(before)
+        put(before)
 
 
-def _fold_pool(workers: int) -> ProcessPoolExecutor:
-    """A fork pool of `workers` fold processes, each running BLAS on one
-    thread, so N workers use N cores. Forked workers inherit the parent's
-    state (the benchmark's tracer relies on it). Where numpy's BLAS exports no
-    thread setter, the workers keep its thread count and one warning says so.
-    """
-    pin = _blas_function()
-    if pin is None:
-        print(
-            f"warning: numpy's BLAS has no {SET_BLAS_THREADS}; fold workers keep its thread count",
-            file=sys.stderr,
-        )
-    return ProcessPoolExecutor(
-        workers, mp_context=multiprocessing.get_context("fork"), initializer=pin, initargs=(1,)
-    )
+def _end_with_parent(parent: int) -> None:
+    """Fold pool initializer: on Linux the kernel kills this worker when its
+    parent ends, and a parent gone before this call is caught by its pid."""
+    if sys.platform == "linux":
+        ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # 1 is PR_SET_PDEATHSIG, prctl(2)
+        if os.getppid() != parent:
+            os._exit(1)
 
 
 def run_experiment(dataset: GraphDataset, cfg: TrainConfig, workers: int = 1) -> ExperimentResult:
@@ -714,10 +707,12 @@ def run_experiment(dataset: GraphDataset, cfg: TrainConfig, workers: int = 1) ->
         assign_labels(p, cfg.label_ratio, cfg.seed)
         for p in make_folds(dataset, NUM_FOLDS, cfg.seed)
     ]
-    if workers > 1:
-        # a fork pool starts every worker at the first submit, so open no more than there are folds
-        with _fold_pool(min(workers, len(plans))) as pool:
-            folds = pool.map(train_fold, repeat(dataset), plans, repeat(cfg))
-            return ExperimentResult(tuple(folds))
     with _one_blas_thread():
+        if workers > 1:
+            # a fork pool starts every worker at the first submit, so open no more than there are folds
+            fork = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(min(workers, len(plans)), mp_context=fork,
+                                     initializer=_end_with_parent, initargs=(os.getpid(),)) as pool:
+                folds = pool.map(train_fold, repeat(dataset), plans, repeat(cfg))
+                return ExperimentResult(tuple(folds))
         return ExperimentResult(tuple(train_fold(dataset, p, cfg) for p in plans))

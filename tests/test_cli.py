@@ -11,6 +11,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -706,6 +707,54 @@ def test_killed_fold_worker_exits_one(toy_dir, tmp_path, capsys, monkeypatch):
     assert "terminated abruptly" in assert_input_error(capsys, rc)
     assert not (tmp_path / "r").exists()
     assert multiprocessing.active_children() == []  # the other worker is stopped and reaped
+
+
+def _stat(path) -> list[str]:
+    """The fields after the command name in a /proc stat file (state, ppid, ...), or [] once
+    the process is gone."""
+    try:
+        return Path(path).read_text().rsplit(")", 1)[1].split()
+    except OSError:
+        return []
+
+
+def _alive(pid: int) -> bool:
+    return _stat(f"/proc/{pid}/stat")[:1] not in ([], ["Z"])  # a zombie has ended
+
+
+def _children(pid: int) -> list[int]:
+    """The live processes whose parent is `pid`."""
+    return [int(stat.parent.name) for stat in Path("/proc").glob("[0-9]*/stat")
+            if _stat(stat)[1:2] == [str(pid)] and _alive(int(stat.parent.name))]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc; the parent-death signal is Linux's")
+def test_terminated_run_leaves_no_fold_worker(mutag_shaped_dir, tmp_path):
+    src = str(Path(cli_mod.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    args = ["run", str(mutag_shaped_dir), "--parallel-folds", "2", "--out", str(tmp_path / "r")]
+    # no pipes: a worker left behind would hold them open, and reading them would hang
+    proc = subprocess.Popen([sys.executable, "-m", "glaug.cli", *args], env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    workers = []
+    try:
+        deadline = time.monotonic() + 60
+        while len(workers) < 2 and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+            workers = _children(proc.pid)
+        assert len(workers) == 2, workers
+        proc.terminate()
+        assert proc.wait(timeout=30) == -signal.SIGTERM
+        deadline = time.monotonic() + 5
+        while any(map(_alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert [pid for pid in workers if _alive(pid)] == []
+    finally:
+        for pid in filter(_alive, workers):
+            os.kill(pid, signal.SIGKILL)
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 + 5)])

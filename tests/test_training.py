@@ -1,6 +1,7 @@
 """Training-loop tests: degenerate runs, separability, determinism, FD."""
 
 import ctypes
+import functools
 
 import numpy as np
 import pytest
@@ -242,15 +243,14 @@ def test_training_step_records_do_not_grow_with_batch(monkeypatch, negative_pair
     assert per_step[4] == per_step[16]
 
 
-def test_fold_pool_opens_at_most_one_worker_per_fold(monkeypatch):
-    opened, options = [], []
+def test_run_experiment_opens_at_most_one_fork_worker_per_fold(monkeypatch):
+    opened = []
 
     class InProcessPool:
         """Stands in for ProcessPoolExecutor: records its size, starts no process."""
 
-        def __init__(self, max_workers, **kw):
-            opened.append(max_workers)
-            options.append(kw)
+        def __init__(self, max_workers, mp_context, **kw):
+            opened.append((max_workers, mp_context.get_start_method()))
 
         def __enter__(self):
             return self
@@ -265,74 +265,48 @@ def test_fold_pool_opens_at_most_one_worker_per_fold(monkeypatch):
     cfg = quick_cfg(epochs=1)
     monkeypatch.setattr(tr, "ProcessPoolExecutor", InProcessPool)
     pooled = tr.run_experiment(ds, cfg, workers=5000)
-    assert opened == [10]
-    assert options[0]["mp_context"].get_start_method() == "fork"
-    setter = tr._blas_function()
-    assert getattr(options[0]["initializer"], "__name__", None) == getattr(setter, "__name__", None)
-    assert options[0]["initargs"] == (1,)
+    assert opened == [(10, "fork")]
     assert pooled == tr.run_experiment(ds, cfg, workers=1)
 
 
-def _blas_threads() -> int:
-    """The thread count of numpy's BLAS, read through its own getter."""
+def blas_functions():
+    """numpy's BLAS thread-count getter and setter, looked up here, not through glaug."""
     from numpy._core import _multiarray_umath
 
-    get = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_num_threads64_
-    get.argtypes, get.restype = [], ctypes.c_int
-    return get()
+    blas = ctypes.CDLL(_multiarray_umath.__file__)
+    return blas.scipy_openblas_get_num_threads64_, blas.scipy_openblas_set_num_threads64_
 
 
-def test_fold_pool_workers_run_blas_on_one_thread():
-    put = tr._blas_function()
+@functools.wraps(tr.train_fold)
+def train_fold_on_one_blas_thread(dataset, fold, cfg):
+    """train_fold, except that it raises unless its process runs BLAS on one thread."""
+    threads = blas_functions()[0]()
+    if threads != 1:
+        raise AssertionError(f"fold {fold.fold_index} ran BLAS on {threads} threads")
+    return train_fold_on_one_blas_thread.__wrapped__(dataset, fold, cfg)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_folds_run_blas_on_one_thread_and_the_callers_count_is_restored(monkeypatch, workers):
     try:
-        before = _blas_threads()
+        get, put = blas_functions()
     except (ImportError, OSError, AttributeError):
-        put = None
-    if put is None:
         pytest.skip("numpy's BLAS exports no scipy_openblas thread functions")
-    put(2)  # a worker that kept the count it inherited would read 2 where there are 2 cores
+    # pooled by name: the pickled reference resolves to the wrapper in the forked workers too
+    monkeypatch.setattr(tr, "train_fold", train_fold_on_one_blas_thread)
+    before = get()
+    put(2)  # a fold that kept the caller's count would read 2 where there are 2 cores
     try:
-        with tr._fold_pool(1) as pool:
-            assert pool.submit(_blas_threads).result() == 1
+        callers = get()  # 2, or fewer where the host has fewer cores
+        tr.run_experiment(small_dataset(20, seed=4), quick_cfg(epochs=1), workers=workers)
+        assert get() == callers
     finally:
         put(before)
 
 
-def test_sequential_folds_run_blas_on_one_thread_and_restore_the_count(monkeypatch):
-    put = tr._blas_function()
-    try:
-        before = _blas_threads()
-    except (ImportError, OSError, AttributeError):
-        put = None
-    if put is None:
-        pytest.skip("numpy's BLAS exports no scipy_openblas thread functions")
-    seen, real = [], tr.train_fold
-
-    def recording(*args):
-        seen.append(_blas_threads())
-        return real(*args)
-
-    monkeypatch.setattr(tr, "train_fold", recording)
-    put(2)
-    try:
-        callers = _blas_threads()  # 2, or fewer where the host has fewer cores
-        tr.run_experiment(small_dataset(20, seed=4), quick_cfg(epochs=1))
-        assert _blas_threads() == callers
-    finally:
-        put(before)
-    assert seen == [1] * tr.NUM_FOLDS
-
-
-def test_sequential_folds_without_blas_setter_warn_once(monkeypatch, capsys):
-    monkeypatch.setattr(tr, "_blas_function", lambda name=tr.SET_BLAS_THREADS: None)
-    tr.run_experiment(small_dataset(20, seed=4), quick_cfg(epochs=1))
-    err = capsys.readouterr().err
-    assert err.startswith("warning: ") and err.count("\n") == 1, err
-
-
-def test_fold_pool_without_blas_setter_warns_once(monkeypatch, capsys):
-    monkeypatch.setattr(tr, "_blas_function", lambda: None)
-    with tr._fold_pool(2) as pool:
-        assert list(pool.map(abs, [-1, -2, -3])) == [1, 2, 3]
-    err = capsys.readouterr().err
+@pytest.mark.parametrize("workers", [1, 2])
+def test_folds_without_blas_thread_functions_warn_once(monkeypatch, capfd, workers):
+    monkeypatch.setattr(tr, "_blas_threads", lambda: None)
+    tr.run_experiment(small_dataset(20, seed=4), quick_cfg(epochs=1), workers=workers)
+    err = capfd.readouterr().err  # file descriptor 2, which forked workers share
     assert err.startswith("warning: ") and err.count("\n") == 1, err
