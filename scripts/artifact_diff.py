@@ -12,7 +12,9 @@ experiment command, the `rerun` of each, `invariant-rate --from-run`,
 `--parallel-folds 2`, and each feature builder by name (`--features
 degree_one_hot:4`, `constant_one` and `one_hot_node_labels`). An
 `ablate-strategy --parallel-folds 2` runs a whole study, three variants of
-ten folds, in forked fold workers. One more `run` and
+ten folds, in one pool of forked fold workers, and a `sweep-eta --values
+0.5,1.0 --parallel-folds 3` runs two variants whose folds share its three
+workers, so one pool holds folds of both at once. One more `run` and
 one `ablate-strategy` keep the default width (hidden 128), where stacked
 products take BLAS's gemm path and single rows its gemv path; the narrow runs
 cannot show a difference between the two, and the ablation runs all three
@@ -71,6 +73,8 @@ EXPERIMENTS = [
     ("dist-scope", ["run", DATA, *TINY, "--dist-scope", "dataset", "--strategy", "easiest"]),
     ("parallel-folds", ["run", DATA, *TINY, "--parallel-folds", "2", "--label-ratio", "0.3"]),
     ("parallel-folds-strategies", ["ablate-strategy", DATA, *TINY, "--parallel-folds", "2"]),
+    ("parallel-folds-sweep",
+     ["sweep-eta", DATA, *TINY, "--values", "0.5,1.0", "--parallel-folds", "3"]),
     ("features", ["run", DATA, *TINY, "--features", "degree_one_hot:4"]),
     ("features-constant", ["run", DATA, *TINY, "--features", "constant_one"]),
     ("features-labels", ["run", DATA, *TINY, "--features", "one_hot_node_labels"]),

@@ -26,7 +26,7 @@ def main() -> None:
           f"fallback rate {result.fallback_rate:.3f}")
     print("qualified-candidate histogram (0..K):", result.qualified_histogram)
 
-    full = run_experiment(ds, cfg)
+    [full] = run_experiment(ds, [cfg])
     accs = [f.test_accuracy for f in full.folds]
     print(f"10-fold: mean {full.mean_accuracy:.3f} +/- {full.std_accuracy:.3f} "
           f"(min {min(accs):.3f}, max {max(accs):.3f})")

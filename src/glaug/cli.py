@@ -48,7 +48,7 @@ from .training import NUM_FOLDS, ExperimentResult, TrainConfig, gradient_suite, 
 DATA_DIR_VAR = "GLAUG_DATA_DIR"
 PARALLEL_FOLDS = click.option(
     "--parallel-folds", "workers", type=click.IntRange(min=1), default=1, show_default=True,
-    help=f"Fold worker processes, forked from this one; at most {NUM_FOLDS}, one per fold, are used.",
+    help="Fold worker processes, forked from this one; at most one per fold of the command is used.",
 )
 
 
@@ -232,21 +232,23 @@ def _check_out(out: Path) -> None:
 def _execute(command, ds, path_str, policy, cfg, out: Path, workers, values=None) -> None:
     """Run an experiment command, write its artifacts and echo its summary.
 
-    `values` are the user values of a study with an `extra_key`. Library
-    functions are looked up as module globals at call time, so anything that
-    replaces them on this module (tests, the benchmark's tracer) takes effect.
+    `run` trains `cfg`, a study one variant per value (`values` for a study
+    with an `extra_key`), all in one `run_experiment` call. Library functions
+    are looked up as module globals at call time, so anything that replaces
+    them on this module (tests, the benchmark's tracer) takes effect.
     """
     _check_out(out)
     artifacts, extra, trends = ["metrics.json"], {}, []
-    if command == "run":
-        results = run_experiment(ds, cfg, workers=workers)
+    study = STUDIES.get(command)
+    values = (study.fixed or values) if study else None
+    # every variant's config is built, and so validated, before any of them trains
+    cfgs = [cfg] if study is None else [dataclasses.replace(cfg, **{study.field: v}) for v in values]
+    experiments = run_experiment(ds, cfgs, workers=workers)
+    if study is None:
+        results = experiments[0]
         lines = [_fmt_summary(f"{ds.name} @ {cfg.label_ratio:g} labels", results)]
     else:
-        study = STUDIES[command]
-        values = study.fixed if study.extra_key is None else values
-        # every variant's config is built, and so validated, before any of them trains
-        variants = [dataclasses.replace(cfg, **{study.field: v}) for v in values]
-        runs = [(v, run_experiment(ds, sub, workers=workers)) for v, sub in zip(values, variants)]
+        runs = list(zip(values, experiments))
         trends = study.trends(runs)
         rows = [[study.cell(v), *(getattr(r, c) for c in study.columns[1:])] for v, r in runs]
         table = render_table(list(study.columns), rows)
@@ -260,7 +262,7 @@ def _execute(command, ds, path_str, policy, cfg, out: Path, workers, values=None
     # file lands, and the new manifest lands last
     for name in ["manifest.json", *artifacts]:
         (out / name).unlink(missing_ok=True)
-    if command != "run":
+    if study is not None:
         write_artifact(out / study.table, table)
     write_artifact(
         out / "metrics.json", metrics_document(cfg, policy, ds, path_str, results, trends)
@@ -502,8 +504,8 @@ def cmd_rerun(manifest_path, out, workers):
     study = STUDIES.get(command)
     if study is not None and study.extra_key is not None:
         values = _json_field(doc, f"extra.{study.extra_key}", list, manifest_path)
-        if not values or any(type(v) not in (int, float) for v in values):
-            raise InputError(f"{manifest_path}: extra {study.extra_key!r} must list numbers")
+        if not values or any(type(v) is not float for v in values):  # as _parse_floats gives them
+            raise InputError(f"{manifest_path}: extra {study.extra_key!r} must list floats")
     path_str = _json_field(doc, "dataset.path", str, manifest_path)
     name = _json_field(doc, "dataset.stats.name", str, manifest_path)
     want = _json_field(doc, "dataset.fingerprint", str, manifest_path)

@@ -128,7 +128,7 @@ def load_document(path, schema: str, what: str) -> dict:
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # nested too deep
         raise InputError(f"cannot read {what} {path}: {exc}") from None
     found = doc.get("schema") if isinstance(doc, dict) else None
     if found != schema:

@@ -25,7 +25,7 @@ import os
 import signal
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -700,19 +700,17 @@ def _end_with_parent(parent: int) -> None:
             os._exit(1)
 
 
-def run_experiment(dataset: GraphDataset, cfg: TrainConfig, workers: int = 1) -> ExperimentResult:
-    """Full 10-fold protocol; folds are independent, so workers > 1 shards
-    them across processes without changing any result."""
-    plans = [
-        assign_labels(p, cfg.label_ratio, cfg.seed)
-        for p in make_folds(dataset, NUM_FOLDS, cfg.seed)
-    ]
-    with _one_blas_thread():
+def run_experiment(dataset: GraphDataset, cfgs, workers: int = 1) -> list[ExperimentResult]:
+    """The 10-fold protocol of each config, in config and fold order: all the
+    folds run on one BLAS thread, in-process or through one fork pool."""
+    tasks = [(assign_labels(p, cfg.label_ratio, cfg.seed), cfg)
+             for cfg in cfgs for p in make_folds(dataset, NUM_FOLDS, cfg.seed)]
+    with _one_blas_thread(), ExitStack() as stack:
+        run = map
         if workers > 1:
             # a fork pool starts every worker at the first submit, so open no more than there are folds
-            fork = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(min(workers, len(plans)), mp_context=fork,
-                                     initializer=_end_with_parent, initargs=(os.getpid(),)) as pool:
-                folds = pool.map(train_fold, repeat(dataset), plans, repeat(cfg))
-                return ExperimentResult(tuple(folds))
-        return ExperimentResult(tuple(train_fold(dataset, p, cfg) for p in plans))
+            run = stack.enter_context(ProcessPoolExecutor(
+                min(workers, len(tasks)), mp_context=multiprocessing.get_context("fork"),
+                initializer=_end_with_parent, initargs=(os.getpid(),))).map
+        folds = list(run(train_fold, repeat(dataset), *zip(*tasks)))  # map keeps submission order
+    return [ExperimentResult(tuple(folds[i:i + NUM_FOLDS])) for i in range(0, len(folds), NUM_FOLDS)]

@@ -224,7 +224,7 @@ def test_criterion_06_mutag_accuracy(announce):
 
     ds = parse_tudataset(MUTAG_DIR, "MUTAG")
     start = time.perf_counter()
-    result = run_experiment(ds, TrainConfig())  # all defaults, 50% labels
+    [result] = run_experiment(ds, [TrainConfig()])  # all defaults, 50% labels
     elapsed = time.perf_counter() - start
     ok = result.mean_accuracy >= 0.80 and elapsed < 1800
     announce(6, "PASS" if ok else "FAIL",

@@ -278,15 +278,16 @@ def test_model_size_below_one_exits_before_the_dataset_is_read(run_dir, tmp_path
     assert f"{field} must be >= 1" in err
 
 
-@pytest.mark.parametrize(
-    "values", [None, [], ["a"], [True], [0.5, NAN], [0.5, 2.0]],
-    ids=["missing", "empty", "string", "bool", "nan", "out_of_range"],
-)
-def test_rerun_rejects_bad_study_values(run_dir, tmp_path, capsys, monkeypatch, values):
+@pytest.mark.parametrize("command, values", [
+    ("invariant-rate", None), ("invariant-rate", []), ("invariant-rate", ["a"]),
+    ("invariant-rate", [True]), ("invariant-rate", [0.5, NAN]), ("invariant-rate", [0.5, 2.0]),
+    ("sweep-eta", [10**400]),  # an int past float range, which TrainConfig cannot check
+], ids=["missing", "empty", "string", "bool", "nan", "out_of_range", "past_float_range"])
+def test_rerun_rejects_bad_study_values(run_dir, tmp_path, capsys, monkeypatch, command, values):
     monkeypatch.setattr(cli_mod, "run_experiment", _no_training)  # rejected before any variant
     doc = json.loads((run_dir / "manifest.json").read_text())
-    doc["command"] = "invariant-rate"
-    doc["extra"] = {"ratios": values}
+    doc["command"] = command
+    doc["extra"] = {cli_mod.STUDIES[command].extra_key: values}
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(doc))
     assert_input_error(capsys, main(["rerun", str(path), "--out", str(tmp_path / "x")]))
@@ -296,6 +297,16 @@ def test_rerun_rejects_json_list(tmp_path, capsys):
     path = tmp_path / "manifest.json"
     path.write_text("[]")
     assert_input_error(capsys, main(["rerun", str(path)]))
+
+
+@pytest.mark.parametrize("command", [["rerun"], ["invariant-rate", "--from-run"]],
+                         ids=["rerun", "from_run"])
+def test_document_nested_too_deep_exits_one(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(cli_mod, "run_experiment", _no_training)
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)  # deeper than the JSON decoder's recursion limit
+    err = assert_input_error(capsys, main([*command, str(path)]))
+    assert err.startswith("error: cannot read ") and "recursion" in err
 
 
 def test_rerun_rejects_changed_dataset(toy_dir, tmp_path):
@@ -663,11 +674,42 @@ def test_bad_feature_policy(toy_dir, tmp_path):
     assert rc == 1
 
 
-def test_parallel_folds_match_sequential(toy_dir, tmp_path):
-    assert main(["run", str(toy_dir), *COMMON, "--out", str(tmp_path / "s")]) == 0
-    assert main(["run", str(toy_dir), *COMMON, "--parallel-folds", "2",
-                 "--out", str(tmp_path / "p")]) == 0
-    assert read(tmp_path / "s" / "metrics.json") == read(tmp_path / "p" / "metrics.json")
+@pytest.mark.parametrize("workers", ["2", "3"])
+@pytest.mark.parametrize("command, table", [
+    (["run"], None),
+    (["ablate-strategy"], "ablate_strategy.tsv"),
+    (["sweep-eta", "--values", "0.5,1.0"], "sweep_eta.tsv"),
+], ids=["run", "ablate-strategy", "sweep-eta"])
+def test_parallel_folds_match_sequential(toy_dir, tmp_path, command, table, workers):
+    # with 3 workers, one pool holds folds of two of a study's variants at once
+    args = [command[0], str(toy_dir), *command[1:], *COMMON]
+    assert main([*args, "--out", str(tmp_path / "s")]) == 0
+    assert main([*args, "--parallel-folds", workers, "--out", str(tmp_path / "p")]) == 0
+    for name in ("metrics.json", "manifest.json", *([table] if table else [])):
+        assert read(tmp_path / "s" / name) == read(tmp_path / "p" / name), name
+
+
+@pytest.mark.parametrize(
+    "command", ["run", "sweep-eta", "ablate-strategy", "ablate-negatives", "invariant-rate"]
+)
+def test_command_pins_blas_once_and_opens_one_pool(toy_dir, tmp_path, monkeypatch, command):
+    pins, pools = [], []
+    pin = training_mod._one_blas_thread
+
+    def counted_pin():
+        pins.append(1)
+        return pin()
+
+    class CountedPool(training_mod.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kw):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kw)
+
+    monkeypatch.setattr(training_mod, "_one_blas_thread", counted_pin)
+    monkeypatch.setattr(training_mod, "ProcessPoolExecutor", CountedPool)
+    assert main([command, str(toy_dir), *COMMON, "--parallel-folds", "2",
+                 "--out", str(tmp_path / "r")]) == 0
+    assert (pins, pools) == ([1], [2])
 
 
 @pytest.fixture(scope="module")

@@ -111,8 +111,8 @@ def test_seed_changes_results():
 def test_run_experiment_deterministic_and_std():
     ds = small_dataset(20)
     cfg = quick_cfg(epochs=1)
-    r1 = tr.run_experiment(ds, cfg)
-    r2 = tr.run_experiment(ds, cfg)
+    [r1] = tr.run_experiment(ds, [cfg])
+    [r2] = tr.run_experiment(ds, [cfg])
     assert r1 == r2
     accs = [f.test_accuracy for f in r1.folds]
     mean = sum(accs) / 10
@@ -124,8 +124,8 @@ def test_run_experiment_deterministic_and_std():
 def test_parallel_folds_match_sequential():
     ds = small_dataset(20)
     cfg = quick_cfg(epochs=1)
-    seq = tr.run_experiment(ds, cfg, workers=1)
-    par = tr.run_experiment(ds, cfg, workers=2)
+    seq = tr.run_experiment(ds, [cfg], workers=1)
+    par = tr.run_experiment(ds, [cfg], workers=2)
     assert seq == par
 
 
@@ -264,9 +264,17 @@ def test_run_experiment_opens_at_most_one_fork_worker_per_fold(monkeypatch):
     ds = small_dataset(20, seed=4)
     cfg = quick_cfg(epochs=1)
     monkeypatch.setattr(tr, "ProcessPoolExecutor", InProcessPool)
-    pooled = tr.run_experiment(ds, cfg, workers=5000)
+    pooled = tr.run_experiment(ds, [cfg], workers=5000)
     assert opened == [(10, "fork")]
-    assert pooled == tr.run_experiment(ds, cfg, workers=1)
+    assert pooled == tr.run_experiment(ds, [cfg], workers=1)
+
+    # a study's configs share one pool: one worker per fold of all of them, here 30
+    opened.clear()
+    cfgs = [quick_cfg(epochs=1, strategy=s) for s in ("hardest", "random", "easiest")]
+    pooled = tr.run_experiment(ds, cfgs, workers=5000)
+    assert opened == [(30, "fork")]
+    assert pooled == tr.run_experiment(ds, cfgs, workers=1)
+    assert [r.folds for r in pooled] == [tr.run_experiment(ds, [c])[0].folds for c in cfgs]
 
 
 def blas_functions():
@@ -298,7 +306,7 @@ def test_folds_run_blas_on_one_thread_and_the_callers_count_is_restored(monkeypa
     put(2)  # a fold that kept the caller's count would read 2 where there are 2 cores
     try:
         callers = get()  # 2, or fewer where the host has fewer cores
-        tr.run_experiment(small_dataset(20, seed=4), quick_cfg(epochs=1), workers=workers)
+        tr.run_experiment(small_dataset(20, seed=4), [quick_cfg(epochs=1)], workers=workers)
         assert get() == callers
     finally:
         put(before)
@@ -307,6 +315,6 @@ def test_folds_run_blas_on_one_thread_and_the_callers_count_is_restored(monkeypa
 @pytest.mark.parametrize("workers", [1, 2])
 def test_folds_without_blas_thread_functions_warn_once(monkeypatch, capfd, workers):
     monkeypatch.setattr(tr, "_blas_threads", lambda: None)
-    tr.run_experiment(small_dataset(20, seed=4), quick_cfg(epochs=1), workers=workers)
+    tr.run_experiment(small_dataset(20, seed=4), [quick_cfg(epochs=1)], workers=workers)
     err = capfd.readouterr().err  # file descriptor 2, which forked workers share
     assert err.startswith("warning: ") and err.count("\n") == 1, err
