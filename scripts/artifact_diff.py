@@ -34,8 +34,11 @@ must both exit 1 with the same `error:` line, and one with a `+` before every
 value, which the parser's per-line decoder reads.
 
 After each command the exit code, stdout, stderr and every file the command
-wrote are compared. The script stops at the first difference and exits 1;
-it exits 0 when all commands agree, and 2 when a tree holds no `glaug`.
+wrote are compared. A command on the new tree that exits 2 (an internal
+error) or prints `Traceback (most recent call last)` fails the check even
+when both trees agree, since no command here should crash. The script stops
+at the first failure or difference and exits 1; it exits 0 when all commands
+agree, and 2 when a tree holds no `glaug`.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ EDITED = {
     "data/CROSS": lambda a: a.replace(b"2, 2\r\n", b"2, 5\r\n"),  # graphs 1 and 2
     "data/SIGNED": lambda a: re.sub(rb"\d+", rb"+\g<0>", a),
 }
+TRACEBACK = b"Traceback (most recent call last)"
 TINY = [
     "--epochs", "2", "--k", "3", "--hidden", "8", "--proj-dim", "4", "--depth", "2",
     "--batch-size", "8", "--lr", "1e-2",
@@ -205,6 +209,10 @@ def main(argv: list[str] | None = None) -> int:
         for label, args, out in cmds:
             got = {name: run(src, work[name], args) for name, src in sides.items()}
             old, new = got["old"], got["new"]
+            if new.returncode == 2 or TRACEBACK in new.stdout + new.stderr:
+                print(f"CRASH {label}: the new tree exits {new.returncode}", file=sys.stderr)
+                print(f"--- new stderr:\n{new.stderr!r}", file=sys.stderr)
+                return 1
             for what in ("returncode", "stdout", "stderr"):
                 if getattr(old, what) != getattr(new, what):
                     print(f"DIFF {label}: {what} differs", file=sys.stderr)

@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 config or input error or a dead fold worker, 2
-internal invariant violation. Every experiment command writes a metrics
-document plus a manifest that suffices to re-execute the run byte-for-byte
-(see `rerun`).
+Exit codes: 0 success, 1 config or input error, an OS error on a path or a
+dead fold worker, 2 internal invariant violation. `gen-synth --name` must be
+a file-name stem. Every experiment command writes a metrics document plus a
+manifest that suffices to re-execute the run byte-for-byte (see `rerun`).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .data import (  # build_node_features stays a name here: bench/spans.py wra
     FeaturePolicy,
     build_node_features,
     dataset_fingerprint,
-    default_policy,
     generate_synthetic,
     parse_tudataset,
     write_tudataset,
@@ -56,7 +55,9 @@ PARALLEL_FOLDS = click.option(
 
 
 def _resolve_dataset(path_str: str, name: str | None, features: str | None):
-    """Locate and parse a TUDataset directory; returns (dataset, policy string).
+    """Locate and parse a TUDataset directory, its features built under the
+    policy spelled `features`, or under parse_tudataset's default when that
+    is None; the data set records the policy it was built under.
 
     The path is tried as given, then under $GLAUG_DATA_DIR. The manifest
     stores `path_str` exactly as typed so reruns resolve the same way.
@@ -68,11 +69,7 @@ def _resolve_dataset(path_str: str, name: str | None, features: str | None):
     base = next((b for b in bases if (b / f"{name}_A.txt").is_file()), None)
     if base is None:
         raise InputError(f"no dataset named {name!r} at " + " or ".join(str(b) for b in bases))
-    policy = FeaturePolicy.parse(features) if features else None
-    ds = parse_tudataset(base, name, policy)
-    if policy is None:
-        policy = default_policy(ds.node_labels is not None)
-    return ds, policy.spelled()
+    return parse_tudataset(base, name, FeaturePolicy.parse(features) if features else None)
 
 
 def _parse_floats(text: str, flag: str) -> list[float]:
@@ -229,7 +226,7 @@ def _check_out(out: Path) -> None:
             return
 
 
-def _execute(command, ds, path_str, policy, cfg, out: Path, workers, values=None) -> None:
+def _execute(command, ds, path_str, cfg, out: Path, workers, values=None) -> None:
     """Run an experiment command, write its artifacts and echo its summary.
 
     `run` trains `cfg`, a study one variant per value (`values` for a study
@@ -264,12 +261,9 @@ def _execute(command, ds, path_str, policy, cfg, out: Path, workers, values=None
         (out / name).unlink(missing_ok=True)
     if study is not None:
         write_artifact(out / study.table, table)
+    write_artifact(out / "metrics.json", metrics_document(cfg, ds, path_str, results, trends))
     write_artifact(
-        out / "metrics.json", metrics_document(cfg, policy, ds, path_str, results, trends)
-    )
-    write_artifact(
-        out / "manifest.json",
-        manifest_document(command, cfg, policy, ds, path_str, artifacts, extra=extra),
+        out / "manifest.json", manifest_document(command, cfg, ds, path_str, artifacts, extra=extra)
     )
     for line in lines:
         click.echo(line)
@@ -368,8 +362,8 @@ def _command(command: str, dataset_path: str, kw: dict, values_text: str | None 
     values = None
     if values_text is not None:
         values = _parse_floats(values_text, f"--{STUDIES[command].extra_key}")
-    ds, policy = _resolve_dataset(dataset_path, kw["name"], kw["features"])
-    _execute(command, ds, dataset_path, policy, cfg, kw["out"], kw["workers"], values)
+    ds = _resolve_dataset(dataset_path, kw["name"], kw["features"])
+    _execute(command, ds, dataset_path, cfg, kw["out"], kw["workers"], values)
 
 
 @cli.command("run")
@@ -509,7 +503,7 @@ def cmd_rerun(manifest_path, out, workers):
     path_str = _json_field(doc, "dataset.path", str, manifest_path)
     name = _json_field(doc, "dataset.stats.name", str, manifest_path)
     want = _json_field(doc, "dataset.fingerprint", str, manifest_path)
-    ds, _ = _resolve_dataset(path_str, name, policy)
+    ds = _resolve_dataset(path_str, name, policy)
     got = dataset_fingerprint(ds)
     if got != want:
         raise InputError(
@@ -517,7 +511,7 @@ def cmd_rerun(manifest_path, out, workers):
             f"({got[:12]} != {want[:12]})"
         )
     out = out if out is not None else Path(manifest_path).parent
-    _execute(command, ds, path_str, policy, cfg, out, workers, values)
+    _execute(command, ds, path_str, cfg, out, workers, values)
 
 
 # -------------------------------------------------------------- entry point
@@ -535,8 +529,9 @@ def main(argv=None) -> int:
         exc.show()
         return 1
     # numpy's MemoryError names the block it could not allocate; a pool breaks
-    # when a fold worker dies, for example killed by the kernel's OOM killer
-    except (InputError, MemoryError, BrokenProcessPool) as exc:
+    # when a fold worker dies, for example killed by the kernel's OOM killer; an
+    # OSError names the path the system refused (too long, no permission, ...)
+    except (InputError, MemoryError, BrokenProcessPool, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 1
     except InvariantViolation as exc:

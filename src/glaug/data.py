@@ -37,7 +37,8 @@ Graph = namedtuple("Graph", "node_count edges")  # as GraphDataset.graph returns
 
 @dataclass(frozen=True, eq=False)
 class GraphDataset:
-    """Graphs as columns, laid out as the module docstring says."""
+    """Graphs as columns, laid out as the module docstring says, and the
+    policy its features were built under (None for a matrix made by hand)."""
 
     name: str
     node_ptr: np.ndarray  # B + 1 node offsets, from 0 to N
@@ -47,6 +48,7 @@ class GraphDataset:
     labels: np.ndarray  # one class id per graph
     node_features: np.ndarray  # N x dim; graph i's rows follow graph i-1's
     node_labels: np.ndarray | None = None  # N raw int64 values, rows as node_features
+    feature_policy: FeaturePolicy | None = None  # set by build_node_features
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -353,7 +355,7 @@ def parse_tudataset(directory, name: str, policy: FeaturePolicy | None = None) -
     error raised is the first problem in that order, line by line. The
     edges column is built once from the decoded A records, the node labels
     are the decoded column itself, and build_node_features then builds the
-    data set's feature matrix.
+    data set's feature matrix and records its policy.
     """
     directory = Path(directory)
     paths = {
@@ -403,8 +405,9 @@ def parse_tudataset(directory, name: str, policy: FeaturePolicy | None = None) -
 
 def build_node_features(dataset: GraphDataset, policy: FeaturePolicy) -> GraphDataset:
     """The data set, its other columns shared, with its feature matrix rebuilt
-    under `policy`. Each node gets one hot column: its node label's rank among
-    all distinct labels, its degree capped at degree_cap, or column 0."""
+    under `policy`, which it records as its `feature_policy`. Each node gets
+    one hot column: its node label's rank among all distinct labels, its
+    degree capped at degree_cap, or column 0."""
     total_nodes = int(dataset.node_ptr[-1])
     if policy.kind == "one_hot_node_labels":
         if dataset.node_labels is None:
@@ -422,7 +425,7 @@ def build_node_features(dataset: GraphDataset, policy: FeaturePolicy) -> GraphDa
         column = np.zeros(total_nodes, np.intp)
     x = np.zeros((len(column), dim))
     x[np.arange(len(column)), column] = 1.0
-    return replace(dataset, node_features=x)
+    return replace(dataset, node_features=x, feature_policy=policy)
 
 
 # ---------------------------------------------------------------- synthetic
@@ -471,7 +474,9 @@ def generate_synthetic(
 
 
 def write_tudataset(dataset: GraphDataset, directory, name: str | None = None) -> Path:
-    """Emit the four-file TUDataset layout parse_tudataset reads.
+    """Emit the four-file TUDataset layout parse_tudataset reads, as
+    `<name>_<kind>.txt` files in `directory`; `name` (by default the data
+    set's) must be a file-name stem, or nothing is created.
 
     Each undirected edge is written in both directions, global 1-based ids.
     The node-label file is written when the data set has node labels. Each
@@ -479,9 +484,11 @@ def write_tudataset(dataset: GraphDataset, directory, name: str | None = None) -
     of no records is one blank line. Output is byte-deterministic for a given
     dataset.
     """
+    name = dataset.name if name is None else name
+    if not name or "/" in name:  # empty, or with a directory part
+        raise InputError(f"data set name {name!r} is not a file-name stem")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    name = name or dataset.name
 
     def dump(suffix: str, values: np.ndarray, line: str = "%d\n") -> None:
         with open(directory / f"{name}_{suffix}.txt", "w", encoding="ascii") as f:

@@ -54,16 +54,14 @@ def render_table(headers: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _document_head(
-    schema: str, cfg: TrainConfig, feature_policy: str, dataset: GraphDataset, dataset_path: str
-) -> dict:
+def _document_head(schema: str, cfg: TrainConfig, dataset: GraphDataset, dataset_path: str) -> dict:
     """What metrics and manifest share: the config with all defaults
-    materialized plus the resolved feature policy, and the dataset by the path
-    as the user typed it."""
+    materialized plus the feature policy the data set's features were built
+    under, and the dataset by the path as the user typed it."""
     return {
         "schema": schema,
         "tool_version": __version__,
-        "config": dict(dataclasses.asdict(cfg), feature_policy=feature_policy),
+        "config": dict(dataclasses.asdict(cfg), feature_policy=dataset.feature_policy.spelled()),
         "dataset": {
             "path": dataset_path,
             "fingerprint": dataset_fingerprint(dataset),
@@ -86,7 +84,6 @@ def experiment_dict(result: ExperimentResult) -> dict:
 
 def metrics_document(
     cfg: TrainConfig,
-    feature_policy: str,
     dataset: GraphDataset,
     dataset_path: str,
     results,
@@ -97,7 +94,7 @@ def metrics_document(
     `results` is either one ExperimentResult or a list of (key dict, result)
     pairs for sweep commands; each entry echoes the varied parameters.
     """
-    doc = _document_head(METRICS_SCHEMA, cfg, feature_policy, dataset, dataset_path)
+    doc = _document_head(METRICS_SCHEMA, cfg, dataset, dataset_path)
     if isinstance(results, ExperimentResult):
         doc.update(experiment_dict(results))
     else:
@@ -110,13 +107,12 @@ def metrics_document(
 def manifest_document(
     command: str,
     cfg: TrainConfig,
-    feature_policy: str,
     dataset: GraphDataset,
     dataset_path: str,
     artifact_names: list[str],
     extra: dict | None = None,
 ) -> str:
-    doc = _document_head(MANIFEST_SCHEMA, cfg, feature_policy, dataset, dataset_path)
+    doc = _document_head(MANIFEST_SCHEMA, cfg, dataset, dataset_path)
     doc.update(command=command, artifacts=sorted(artifact_names))
     if extra:
         doc["extra"] = extra

@@ -145,9 +145,9 @@ def test_features_flag_builds_node_features_once(toy_dir, monkeypatch):
 
     monkeypatch.setattr(data_mod, "build_node_features", counting)
     monkeypatch.setattr(cli_mod, "build_node_features", counting)
-    ds, spelled = cli_mod._resolve_dataset(str(toy_dir), "TOY", "degree_one_hot:4")
+    ds = cli_mod._resolve_dataset(str(toy_dir), "TOY", "degree_one_hot:4")
     assert built == [policy]
-    assert spelled == "degree_one_hot:4"
+    assert ds.feature_policy.spelled() == "degree_one_hot:4"
     assert data_mod.dataset_fingerprint(ds) == data_mod.dataset_fingerprint(two_pass)
 
 
@@ -634,6 +634,29 @@ def test_gen_synth_rejects_unusable_dataset(tmp_path, capsys, args):
     assert not (tmp_path / "S").exists()
 
 
+@pytest.mark.parametrize("name", ["", "a/b", "/SYNTH", "SYNTH/"],
+                         ids=["empty", "dir_part", "absolute", "trailing_slash"])
+def test_gen_synth_rejects_a_name_that_is_not_a_file_stem(tmp_path, capsys, name):
+    # the name is the <name>_<kind>.txt stem; "" would write _A.txt, which no command reads back
+    rc = main(["gen-synth", "--graphs", "10", "--name", name, "--out", str(tmp_path / "S")])
+    assert "not a file-name stem" in assert_input_error(capsys, rc)
+    assert not (tmp_path / "S").exists()
+
+
+LONG = "x" * 300  # longer than a file name may be
+
+
+@pytest.mark.parametrize("args", [
+    lambda toy, tmp: ["gen-synth", "--graphs", "20", "--out", str(tmp / "o" / LONG)],
+    lambda toy, tmp: ["run", str(toy), "--name", LONG, "--out", str(tmp / "r")],
+    lambda toy, tmp: ["run", str(toy), *COMMON, "--out", str(tmp / "r" / LONG)],
+], ids=["gen_synth_out", "run_name", "run_out"])
+def test_os_error_exits_one(toy_dir, tmp_path, capsys, args):
+    # the system refuses the path; the run_out case fails only after training
+    err = assert_input_error(capsys, main(args(toy_dir, tmp_path)))
+    assert "File name too long" in err
+
+
 # --------------------------------------------------------------- gradcheck
 
 
@@ -667,6 +690,58 @@ def test_explicit_feature_policy_recorded(toy_dir, tmp_path):
     assert rc == 0
     doc = json.loads((tmp_path / "r" / "manifest.json").read_text())
     assert doc["config"]["feature_policy"] == "degree_one_hot:4"
+
+
+@pytest.fixture(scope="module")
+def bare_dir(toy_dir, tmp_path_factory):
+    """TOY's files without its node-label file."""
+    d = tmp_path_factory.mktemp("bare") / "TOY"
+    shutil.copytree(toy_dir, d)
+    (d / "TOY_node_labels.txt").unlink()
+    return d
+
+
+@pytest.mark.parametrize("bare, features, recorded", [
+    (False, None, "one_hot_node_labels"),
+    (True, None, "degree_one_hot:10"),
+    (False, "one_hot_node_labels", "one_hot_node_labels"),
+    (False, "degree_one_hot:4", "degree_one_hot:4"),
+    (False, "degree_one_hot:010", "degree_one_hot:10"),
+    (False, "constant_one", "constant_one"),
+], ids=["default", "default_bare", "labels", "degree", "degree_unpadded", "constant"])
+def test_documents_record_the_data_sets_policy(
+    toy_dir, bare_dir, tmp_path, monkeypatch, bare, features, recorded
+):
+    trained = []
+    real = cli_mod.run_experiment
+
+    def recording(ds, cfgs, **kw):
+        trained.append(ds)
+        return real(ds, cfgs, **kw)
+
+    monkeypatch.setattr(cli_mod, "run_experiment", recording)
+    flags = ["--features", features] if features else []
+    args = ["run", str(bare_dir if bare else toy_dir), *flags, *COMMON]
+    assert main([*args, "--out", str(tmp_path / "r")]) == 0
+    assert main(["rerun", str(tmp_path / "r" / "manifest.json"), "--out", str(tmp_path / "a")]) == 0
+    assert [ds.feature_policy.spelled() for ds in trained] == [recorded] * 2
+    for out, name in itertools.product(("r", "a"), ("metrics.json", "manifest.json")):
+        assert json.loads(read(tmp_path / out / name))["config"]["feature_policy"] == recorded
+
+
+def test_rerun_records_the_policy_built_not_its_spelling(toy_dir, tmp_path):
+    # a hand-edited manifest's spelling is parsed; the documents record the policy built
+    args = ["run", str(toy_dir), "--features", "degree_one_hot:10", *COMMON]
+    assert main([*args, "--out", str(tmp_path / "r")]) == 0
+    doc = json.loads(read(tmp_path / "r" / "manifest.json"))
+    doc["config"]["feature_policy"] = "degree_one_hot:010"
+    (tmp_path / "edited.json").write_text(json.dumps(doc))
+    assert main(["rerun", str(tmp_path / "edited.json"), "--out", str(tmp_path / "a")]) == 0
+    for name in ("metrics.json", "manifest.json"):
+        assert read(tmp_path / "a" / name) == read(tmp_path / "r" / name)
+        assert json.loads(read(tmp_path / "a" / name))["config"]["feature_policy"] == (
+            "degree_one_hot:10"
+        )
 
 
 def test_bad_feature_policy(toy_dir, tmp_path):

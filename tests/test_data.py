@@ -1130,6 +1130,40 @@ def test_parse_with_policy_equals_rebuilt_features(tmp_path):
             assert np.array_equal(once.rows(i), rebuilt.rows(i))
 
 
+@pytest.mark.parametrize("node_labels, spelling, recorded", [
+    (True, None, "one_hot_node_labels"),
+    (False, None, "degree_one_hot:10"),
+    (True, "degree_one_hot:3", "degree_one_hot:3"),
+    (True, "degree_one_hot:03", "degree_one_hot:3"),
+    (False, "constant_one", "constant_one"),
+], ids=["default_labels", "default_no_labels", "explicit", "explicit_unpadded", "explicit_bare"])
+def test_parsed_data_set_records_its_feature_policy(tmp_path, node_labels, spelling, recorded):
+    src = gd.generate_synthetic(12, seed=13)
+    gd.write_tudataset(src if node_labels else replace(src, node_labels=None), tmp_path, "FP")
+    ds = gd.parse_tudataset(tmp_path, "FP", spelling and gd.FeaturePolicy.parse(spelling))
+    assert ds.feature_policy == gd.FeaturePolicy.parse(recorded)
+    assert ds.feature_policy.spelled() == recorded
+    # the recorded policy is the one the matrix was built under
+    assert np.array_equal(gd.build_node_features(ds, ds.feature_policy).node_features,
+                          ds.node_features)
+
+
+def test_synthetic_data_set_records_its_feature_policy():
+    ds = gd.generate_synthetic(8, seed=6)
+    assert ds.feature_policy == gd.FeaturePolicy("one_hot_node_labels")
+
+
+@pytest.mark.parametrize("spelling", ["one_hot_node_labels", "degree_one_hot:3", "constant_one"])
+def test_build_node_features_records_its_policy(spelling):
+    policy = gd.FeaturePolicy.parse(spelling)
+    ds = gd.generate_synthetic(8, seed=6)
+    assert gd.build_node_features(ds, policy).feature_policy == policy
+    columns = ds.node_ptr, ds.edges, ds.edge_ptr, 2, ds.labels, ds.node_features, ds.node_labels
+    bare = gd.GraphDataset("B", *columns)
+    assert bare.feature_policy is None  # a matrix made by hand records none
+    assert gd.build_node_features(bare, policy).feature_policy == policy
+
+
 def test_writer_is_byte_deterministic(tmp_path):
     ds = gd.generate_synthetic(6, seed=5)
     gd.write_tudataset(ds, tmp_path / "x", "D")
