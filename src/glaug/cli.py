@@ -9,6 +9,7 @@ manifest that suffices to re-execute the run byte-for-byte (see `rerun`).
 from __future__ import annotations
 
 import dataclasses
+import errno
 import math
 import os
 import sys
@@ -35,6 +36,7 @@ from .errors import InputError, InvariantViolation
 from .reporting import (
     MANIFEST_SCHEMA,
     METRICS_SCHEMA,
+    experiment_dict,
     load_document,
     manifest_document,
     metrics_document,
@@ -216,14 +218,23 @@ STUDIES = {
 
 
 def _check_out(out: Path) -> None:
-    """Reject an output path that cannot become a directory: the nearest
-    existing path on the way to it must be one. Nothing is created, so a
-    command that fails later leaves no output directory behind."""
+    """Reject an output path that cannot become a directory: the nearest existing
+    path on the way must be a directory this process can write and enter, below
+    which no name left to create is too long, and an OSError on the way
+    propagates. Nothing is created, so a failed command leaves no directory."""
     for path in (out, *out.parents):
-        if os.path.lexists(path):
-            if not path.is_dir():
-                raise InputError(f"--out {out}: {path} is not a directory")
-            return
+        try:
+            os.lstat(path)
+        except (FileNotFoundError, NotADirectoryError):
+            continue
+        if not path.is_dir():
+            raise InputError(f"--out {out}: {path} is not a directory")
+        if not os.access(path, os.W_OK | os.X_OK):
+            raise InputError(f"--out {out}: cannot write in {path}")
+        name_max = os.pathconf(path, "PC_NAME_MAX")  # -1 where there is no limit
+        if name_max > 0 and any(len(os.fsencode(p)) > name_max for p in out.relative_to(path).parts):
+            raise OSError(errno.ENAMETOOLONG, os.strerror(errno.ENAMETOOLONG), str(out))
+        return
 
 
 def _execute(command, ds, path_str, cfg, out: Path, workers, values=None) -> None:
@@ -242,15 +253,15 @@ def _execute(command, ds, path_str, cfg, out: Path, workers, values=None) -> Non
     cfgs = [cfg] if study is None else [dataclasses.replace(cfg, **{study.field: v}) for v in values]
     experiments = run_experiment(ds, cfgs, workers=workers)
     if study is None:
-        results = experiments[0]
-        lines = [_fmt_summary(f"{ds.name} @ {cfg.label_ratio:g} labels", results)]
+        body = experiment_dict(experiments[0])
+        lines = [_fmt_summary(f"{ds.name} @ {cfg.label_ratio:g} labels", experiments[0])]
     else:
         runs = list(zip(values, experiments))
         trends = study.trends(runs)
         rows = [[study.cell(v), *(getattr(r, c) for c in study.columns[1:])] for v, r in runs]
         table = render_table(list(study.columns), rows)
         artifacts.append(study.table)
-        results = [({study.field: v}, r) for v, r in runs]
+        body = {"runs": [dict({study.field: v}, **experiment_dict(r)) for v, r in runs]}
         extra = {name: getattr(cfg, name) for name in study.extra_config}
         if study.extra_key is not None:
             extra[study.extra_key] = values
@@ -261,7 +272,7 @@ def _execute(command, ds, path_str, cfg, out: Path, workers, values=None) -> Non
         (out / name).unlink(missing_ok=True)
     if study is not None:
         write_artifact(out / study.table, table)
-    write_artifact(out / "metrics.json", metrics_document(cfg, ds, path_str, results, trends))
+    write_artifact(out / "metrics.json", metrics_document(cfg, ds, path_str, body, trends))
     write_artifact(
         out / "manifest.json", manifest_document(command, cfg, ds, path_str, artifacts, extra=extra)
     )

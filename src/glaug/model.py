@@ -160,12 +160,6 @@ class ModelParams:
 # ------------------------------------------------------------------ forward
 
 
-def _constant(tape: Tape | None, values) -> DiffValue | np.ndarray:
-    if tape is None:
-        return ad.as_matrix(values, copy=False)
-    return tape.constant(values)
-
-
 @dataclass(frozen=True)
 class GraphBatch:
     """The disjoint union of B graphs, as one forward consumes it.
@@ -199,15 +193,13 @@ def encode(tape: Tape | None, batch: GraphBatch, bound: dict) -> DiffValue | np.
 
     `tape=None` with a frozen binding records nothing and returns an ndarray.
     """
-    out = _constant(tape, batch.node_features)
+    x = batch.node_features
+    out = ad.as_matrix(x, copy=False) if tape is None else tape.constant(x)
     layer = 0
     while f"enc{layer}" in bound:
         theta = bound[f"enc{layer}"]
-        if layer == 0 and batch.node_features.shape[1] != theta.shape[0]:
-            raise InputError(
-                f"feature dim {batch.node_features.shape[1]} does not match "
-                f"encoder input {theta.shape[0]}"
-            )
+        if layer == 0 and x.shape[1] != theta.shape[0]:
+            raise InputError(f"feature dim {x.shape[1]} does not match encoder input {theta.shape[0]}")
         new = ad.relu(layer_input(batch, out, theta))
         if layer > 0 and new.shape == out.shape:
             new = ad.add(new, out)
@@ -226,11 +218,6 @@ def hidden_input(h, bound: dict, head: str, product=ad.matmul):
     return ad.add_rowvec(product(h, bound[f"{head}_w1"]), bound[f"{head}_b1"])
 
 
-def pool(nodes: DiffValue, bounds=None) -> DiffValue:
-    """Global sum pooling per graph: N x h -> B x h (1 x h without bounds)."""
-    return ad.column_sum(nodes, bounds)
-
-
 def classify(h: DiffValue, bound: dict, product=ad.matmul) -> DiffValue:
     """Class probabilities: softmax(relu(h W1 + b1) W2 + b2), one row per row of h.
     Frozen callers may pass `ad.matmul_rows` as both products' `product`."""
@@ -246,5 +233,6 @@ def project(h: DiffValue, bound: dict) -> DiffValue:
 
 
 def represent(tape: Tape | None, batch: GraphBatch, bound: dict) -> DiffValue | np.ndarray:
-    """Graph-level representations H = pool(encode(...)), one row per graph (B x h)."""
-    return pool(encode(tape, batch, bound), batch.bounds)
+    """Graph-level representations H, one row per graph (B x h): global sum
+    pooling of each graph's row segment of encode(...)."""
+    return ad.column_sum(encode(tape, batch, bound), batch.bounds)

@@ -86,19 +86,14 @@ def metrics_document(
     cfg: TrainConfig,
     dataset: GraphDataset,
     dataset_path: str,
-    results,
+    body: dict,
     trends: list[dict] | None = None,
 ) -> str:
-    """The per-run structured metrics artifact.
-
-    `results` is either one ExperimentResult or a list of (key dict, result)
-    pairs for sweep commands; each entry echoes the varied parameters.
-    """
+    """The per-run structured metrics artifact: the shared head, then `body`,
+    one run's `experiment_dict` or a study's {"runs": [...]}, each run of
+    which echoes the value it varied."""
     doc = _document_head(METRICS_SCHEMA, cfg, dataset, dataset_path)
-    if isinstance(results, ExperimentResult):
-        doc.update(experiment_dict(results))
-    else:
-        doc["runs"] = [dict(key, **experiment_dict(res)) for key, res in results]
+    doc.update(body)
     if trends:
         doc["trends"] = trends
     return canonical_json(doc)

@@ -27,7 +27,6 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
@@ -207,13 +206,6 @@ def classification_loss(c_o: DiffValue, c_a: DiffValue | None, y: DiffValue) -> 
     return ad.scale(ce, -1.0 / labeled)
 
 
-def total_loss(l_p: DiffValue, l_c: DiffValue | None, alpha: float) -> DiffValue:
-    """L_pair + alpha * L_cls; a missing classification term contributes exactly 0."""
-    if l_c is None:
-        return l_p
-    return ad.add(l_p, ad.scale(l_c, alpha))
-
-
 # --------------------------------------------------------------------- adam
 
 
@@ -343,13 +335,13 @@ def _batch_objective(
     onehot: np.ndarray,
     cfg: TrainConfig,
 ) -> tuple[DiffValue, DiffValue, DiffValue | None]:
-    """The training objective of one batch: (loss, pair loss, classification loss).
+    """The training objective of one batch: (L_pair + alpha * L_cls, L_pair, L_cls).
 
     `h_o` is the batch's B x h representation on the step's tape, `offsets` the B x h
     augmentation offsets (constants: selection passes no gradient) and
     `onehot` the B x c label mask, zero rows for unlabeled graphs. The
-    classification term is None when no graph of the batch is labeled.
-    """
+    classification term is None, and the loss the pair loss itself, when no
+    graph of the batch is labeled."""
     tape = h_o.tape
     h_a = ad.add(h_o, tape.constant(offsets))
     p_o, p_a = project(h_o, bound), project(h_a, bound)
@@ -357,10 +349,10 @@ def _batch_objective(
         l_p = ntxent_with_negatives(p_o, p_a, cfg.temperature)
     else:
         l_p = contrastive_loss(p_o, p_a)
-    l_c = None
-    if onehot.any():
-        l_c = classification_loss(classify(h_o, bound), classify(h_a, bound), tape.constant(onehot))
-    return total_loss(l_p, l_c, cfg.alpha), l_p, l_c
+    if not onehot.any():
+        return l_p, l_p, None
+    l_c = classification_loss(classify(h_o, bound), classify(h_a, bound), tape.constant(onehot))
+    return ad.add(l_p, ad.scale(l_c, cfg.alpha)), l_p, l_c
 
 
 @np.errstate(over="ignore", invalid="ignore")  # divergence is reported as TrainingDiverged
@@ -700,17 +692,30 @@ def _end_with_parent(parent: int) -> None:
             os._exit(1)
 
 
+# run_experiment's data set: fold workers fork holding it, so only plans and configs cross
+_fold_dataset: GraphDataset | None = None
+
+
+def _train_task(fold: FoldPlan, cfg: TrainConfig) -> FoldResult:
+    return train_fold(_fold_dataset, fold, cfg)
+
+
 def run_experiment(dataset: GraphDataset, cfgs, workers: int = 1) -> list[ExperimentResult]:
     """The 10-fold protocol of each config, in config and fold order: all the
     folds run on one BLAS thread, in-process or through one fork pool."""
+    global _fold_dataset
     tasks = [(assign_labels(p, cfg.label_ratio, cfg.seed), cfg)
              for cfg in cfgs for p in make_folds(dataset, NUM_FOLDS, cfg.seed)]
-    with _one_blas_thread(), ExitStack() as stack:
-        run = map
-        if workers > 1:
-            # a fork pool starts every worker at the first submit, so open no more than there are folds
-            run = stack.enter_context(ProcessPoolExecutor(
-                min(workers, len(tasks)), mp_context=multiprocessing.get_context("fork"),
-                initializer=_end_with_parent, initargs=(os.getpid(),))).map
-        folds = list(run(train_fold, repeat(dataset), *zip(*tasks)))  # map keeps submission order
+    _fold_dataset = dataset
+    try:
+        with _one_blas_thread(), ExitStack() as stack:
+            run = map
+            if workers > 1:
+                # a fork pool starts every worker at the first submit, so open no more than there are folds
+                run = stack.enter_context(ProcessPoolExecutor(
+                    min(workers, len(tasks)), mp_context=multiprocessing.get_context("fork"),
+                    initializer=_end_with_parent, initargs=(os.getpid(),))).map
+            folds = list(run(_train_task, *zip(*tasks)))  # map keeps submission order
+    finally:
+        _fold_dataset = None
     return [ExperimentResult(tuple(folds[i:i + NUM_FOLDS])) for i in range(0, len(folds), NUM_FOLDS)]

@@ -651,10 +651,31 @@ LONG = "x" * 300  # longer than a file name may be
     lambda toy, tmp: ["run", str(toy), "--name", LONG, "--out", str(tmp / "r")],
     lambda toy, tmp: ["run", str(toy), *COMMON, "--out", str(tmp / "r" / LONG)],
 ], ids=["gen_synth_out", "run_name", "run_out"])
-def test_os_error_exits_one(toy_dir, tmp_path, capsys, args):
-    # the system refuses the path; the run_out case fails only after training
+def test_os_error_exits_one(toy_dir, tmp_path, capsys, monkeypatch, args):
+    # the system refuses the path, and no fold trains first
+    trained = []
+    monkeypatch.setattr(training_mod, "train_fold", lambda *a: trained.append(a))
     err = assert_input_error(capsys, main(args(toy_dir, tmp_path)))
     assert "File name too long" in err
+    assert trained == []
+
+
+@pytest.mark.parametrize("args", [
+    lambda toy, out: ["gen-synth", "--graphs", "20", "--out", str(out)],
+    lambda toy, out: ["run", str(toy), *COMMON, "--out", str(out)],
+], ids=["gen_synth", "run"])
+def test_out_under_an_unwritable_directory_exits_one_before_training(
+    toy_dir, tmp_path, capsys, monkeypatch, args
+):
+    # as root every directory is writable, so the refusal is os.access's alone
+    locked, access = tmp_path / "locked", os.access
+    locked.mkdir()
+    monkeypatch.setattr(os, "access", lambda p, mode, **kw: Path(p) != locked and access(p, mode, **kw))
+    trained = []
+    monkeypatch.setattr(training_mod, "train_fold", lambda *a: trained.append(a))
+    err = assert_input_error(capsys, main(args(toy_dir, locked / "a" / "b")))
+    assert f"cannot write in {locked}" in err
+    assert trained == [] and list(locked.iterdir()) == []
 
 
 # --------------------------------------------------------------- gradcheck

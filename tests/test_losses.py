@@ -261,26 +261,38 @@ def test_classification_gradient_fd():
     assert grad_check(f, rng.normal(size=(3, 3))) < 1e-4
 
 
-# --------------------------------------------------------------- total loss
+# ------------------------------------------------------------ batch objective
+
+
+def batch_objective(onehot, alpha=1.0, uniform_classes=False):
+    """`_batch_objective` of a 2-graph batch with zero offsets, so that each
+    graph's twin is itself: (loss, pair loss, classification loss)."""
+    params = ModelParams.init(1, 2, hidden=4, proj_dim=3, depth=1, rng=np.random.default_rng(0))
+    if uniform_classes:  # zero logits: each class probability is exactly 1/2
+        params.arrays["cls_w2"][...] = 0.0
+    t = Tape()
+    h_o = t.leaf(np.random.default_rng(1).normal(size=(2, 4)))
+    return tr._batch_objective(
+        params.bind(t), h_o, np.zeros((2, 4)), np.array(onehot, float), tr.TrainConfig(alpha=alpha)
+    )
 
 
 def test_alpha_zero_is_pair_loss_alone():
-    t = Tape()
-    l_p = t.leaf([[0.37]])
-    l_c = t.leaf([[5.0]])
-    assert tr.total_loss(l_p, l_c, 0.0).value[0, 0] == 0.37
+    loss, l_p, l_c = batch_objective([[1, 0], [0, 1]], alpha=0.0)
+    assert l_c.value[0, 0] > 0
+    assert loss.value[0, 0] == l_p.value[0, 0]
 
 
 def test_arithmetic_example():
-    t = Tape()
-    got = tr.total_loss(t.leaf([[-1.0]]), t.leaf([[2 * np.log(2)]]), 1.0).value[0, 0]
-    assert got == pytest.approx(-1 + 2 * np.log(2), abs=1e-12)
+    # identical twins give L_pair -1; one labeled row at uniform probabilities, L_cls 2 log 2
+    loss, _, _ = batch_objective([[1, 0], [0, 0]], uniform_classes=True)
+    assert loss.value[0, 0] == pytest.approx(-1 + 2 * np.log(2), abs=1e-12)
 
 
 def test_missing_classification_term_is_identity():
-    t = Tape()
-    l_p = t.leaf([[0.25]])
-    assert tr.total_loss(l_p, None, 3.0) is l_p
+    loss, l_p, l_c = batch_objective([[0, 0], [0, 0]], alpha=3.0)
+    assert l_c is None
+    assert loss is l_p
 
 
 # --------------------------------------------------------------------- adam

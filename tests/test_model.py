@@ -276,13 +276,13 @@ def test_empty_graph_rejected():
 
 def test_pool_hand_value():
     t = Tape()
-    h = gm.pool(t.leaf([[1.0, 2.0], [3.0, 4.0]]))
+    h = ad.column_sum(t.leaf([[1.0, 2.0], [3.0, 4.0]]))
     np.testing.assert_array_equal(h.value, [[4.0, 6.0]])
 
 
 def test_pool_single_node_is_identity():
     t = Tape()
-    h = gm.pool(t.leaf([[7.0, -2.0, 0.5]]))
+    h = ad.column_sum(t.leaf([[7.0, -2.0, 0.5]]))
     np.testing.assert_array_equal(h.value, [[7.0, -2.0, 0.5]])
 
 
@@ -293,7 +293,7 @@ def test_pool_permutation_bit_identical_adversarial():
     sums = []
     for m in perms:
         t = Tape()
-        sums.append(gm.pool(t.leaf(m)).value.copy())
+        sums.append(ad.column_sum(t.leaf(m)).value.copy())
     assert all(np.array_equal(sums[0], s) for s in sums[1:])
 
 
@@ -304,7 +304,7 @@ def test_pool_permutation_bit_identical_random(seed):
     m = rng.normal(size=(6, 3)) * 10.0 ** rng.integers(-8, 9)
     p = rng.permutation(6)
     t1, t2 = Tape(), Tape()
-    assert np.array_equal(gm.pool(t1.leaf(m)).value, gm.pool(t2.leaf(m[p])).value)
+    assert np.array_equal(ad.column_sum(t1.leaf(m)).value, ad.column_sum(t2.leaf(m[p])).value)
 
 
 def test_segment_pool_rows_equal_column_sum_of_slices():
@@ -313,7 +313,7 @@ def test_segment_pool_rows_equal_column_sum_of_slices():
         counts = rng.integers(1, 9, size=int(rng.integers(1, 6)))
         bounds = np.concatenate([[0], np.cumsum(counts)])
         m = rng.normal(size=(int(bounds[-1]), 5)) * 10.0 ** rng.integers(-8, 9)
-        pooled = gm.pool(m, bounds)
+        pooled = ad.column_sum(m, bounds)
         assert pooled.shape == (len(counts), 5)
         for b in range(len(counts)):
             assert np.array_equal(pooled[b : b + 1], ad.column_sum(m[bounds[b] : bounds[b + 1]]))
@@ -324,11 +324,11 @@ def test_segment_pool_permutation_bit_identical_adversarial():
     rows = np.array([[1e16], [1.0], [-1e16], [2.0]])
     stacked = np.vstack([rows, rows[::-1] * 3.0])
     bounds = (0, 4, 8)
-    want = gm.pool(stacked, bounds)
+    want = ad.column_sum(stacked, bounds)
     for p, q in (([2, 0, 3, 1], [1, 3, 0, 2]), ([3, 2, 1, 0], [0, 1, 2, 3])):
         permuted = np.vstack([stacked[:4][p], stacked[4:][q]])
         t = Tape()
-        assert np.array_equal(gm.pool(t.leaf(permuted), bounds).value, want)
+        assert np.array_equal(ad.column_sum(t.leaf(permuted), bounds).value, want)
 
 
 @given(st.integers(0, 10_000))
@@ -341,7 +341,7 @@ def test_segment_pool_permutation_bit_identical_random(seed):
     within = np.concatenate(
         [s + rng.permutation(e - s) for s, e in zip(bounds[:-1], bounds[1:])]
     )
-    assert np.array_equal(gm.pool(m, bounds), gm.pool(m[within], bounds))
+    assert np.array_equal(ad.column_sum(m, bounds), ad.column_sum(m[within], bounds))
 
 
 # ------------------------------------------------------------------ batches

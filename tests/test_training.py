@@ -12,6 +12,7 @@ from glaug.augment import augment, snapshot_probs
 from glaug.data import (
     FeaturePolicy,
     FoldPlan,
+    GraphDataset,
     assign_labels,
     build_node_features,
     generate_synthetic,
@@ -275,6 +276,22 @@ def test_run_experiment_opens_at_most_one_fork_worker_per_fold(monkeypatch):
     assert opened == [(30, "fork")]
     assert pooled == tr.run_experiment(ds, cfgs, workers=1)
     assert [r.folds for r in pooled] == [tr.run_experiment(ds, [c])[0].folds for c in cfgs]
+
+
+def test_fold_workers_take_the_data_set_from_the_forked_memory(monkeypatch):
+    # only plans and configs are pickled to the workers, never the data set
+    pickles, reduce_ex = [], GraphDataset.__reduce_ex__
+
+    def counting(self, protocol):
+        pickles.append(protocol)
+        return reduce_ex(self, protocol)
+
+    ds, cfg = small_dataset(20, seed=4), quick_cfg(epochs=1)
+    monkeypatch.setattr(GraphDataset, "__reduce_ex__", counting)
+    pooled = tr.run_experiment(ds, [cfg, cfg], workers=2)
+    assert pickles == []
+    assert pooled == tr.run_experiment(ds, [cfg, cfg], workers=1)
+    assert tr._fold_dataset is None  # the data set is not kept past the run
 
 
 def blas_functions():
