@@ -31,7 +31,11 @@ at density 0 in every class, so no graph has an edge and its edge file is one
 blank line. Three last `run`s read HAND's files with an edited edge file: one
 with an edge to an unknown node and one with an edge across two graphs, which
 must both exit 1 with the same `error:` line, and one with a `+` before every
-value, which the parser's per-line decoder reads.
+value, which the parser's per-line decoder reads. The four commands of
+INPUT_ERRORS close the list, 49 in all: `run` with a `--k` or a `--hidden`
+past the intp byte bound, `invariant-rate --from-run` of a study's metrics
+and `run` with an `--out` that is a file. Each exits 1, so the `error:`
+lines of input errors are compared byte for byte.
 
 After each command the exit code, stdout, stderr and every file the command
 wrote are compared. A command on the new tree that exits 2 (an internal
@@ -62,6 +66,14 @@ EDITED = {
     "data/SIGNED": lambda a: re.sub(rb"\d+", rb"+\g<0>", a),
 }
 TRACEBACK = b"Traceback (most recent call last)"
+# (label, arguments) of commands that exit 1 on an input error
+INPUT_ERRORS = [
+    ("k-past-intp", ["run", DATA, "--k", str(10**18), "--out", "runs/k-past-intp"]),
+    ("hidden-past-intp",
+     ["run", DATA, "--hidden", str(2**63 - 1), "--out", "runs/hidden-past-intp"]),
+    ("from-run-of-a-study", ["invariant-rate", "--from-run", "runs/sweep-eta/metrics.json"]),
+    ("out-is-a-file", ["run", DATA, "--out", "runs/run/metrics.json"]),
+]
 TINY = [
     "--epochs", "2", "--k", "3", "--hidden", "8", "--proj-dim", "4", "--depth", "2",
     "--batch-size", "8", "--lr", "1e-2",
@@ -140,6 +152,8 @@ def commands() -> list[tuple[str, list[str], str | None]]:
         None,
     ))
     cmds.append(("gradcheck", ["gradcheck"], None))
+    for label, args in INPUT_ERRORS:
+        cmds.append((label, args, args[args.index("--out") + 1] if "--out" in args else None))
     for data in EDITED:
         label = f"edited-{Path(data).name}"
         cmds.append((label, ["run", data, *TINY, "--out", f"runs/{label}"], f"runs/{label}"))

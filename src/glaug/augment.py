@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import as_matrix
 from .errors import InputError, InvariantViolation
 from .model import classify
 
@@ -106,7 +105,7 @@ def augment(h: np.ndarray, targets, frozen: dict, cfg: TrainConfig, d: float, rn
         offsets[:, b] = unit_directions(count, width, rng)
     offsets *= cfg.eta * d
     # candidate k of every row, h + offsets[k], is built (and checked finite) as it is scored
-    probs = np.stack([snapshot_probs(frozen, as_matrix(h + step, copy=False)) for step in offsets])
+    probs = np.stack([snapshot_probs(frozen, ad.as_matrix(h + step, copy=False)) for step in offsets])
     qualified = probs.argmax(axis=2) == targets  # K x B
     target_probs = probs[:, rows, targets]
     counts = qualified.sum(axis=0)

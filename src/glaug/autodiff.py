@@ -31,6 +31,7 @@ Conventions that matter downstream:
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable
 
 import numpy as np
@@ -66,13 +67,8 @@ class Tape:
         # pass back; ids, not operands, so a value no vjp reads is freed after use
         self._records: list[tuple[int, list[tuple[int, Callable]]]] = []
         self._leaves: list[DiffValue] = []
-        self._next_id = 0
+        self._ids = itertools.count()  # node ids in creation order
         self._consumed = False
-
-    def _new_id(self) -> int:
-        node_id = self._next_id
-        self._next_id += 1
-        return node_id
 
     def leaf(self, values) -> "DiffValue":
         """Register a differentiable input matrix; `backward` fills its
@@ -105,7 +101,7 @@ class DiffValue:
     def __init__(self, value: np.ndarray, tape: Tape, requires_grad: bool) -> None:
         self.value = value
         self.tape = tape
-        self.node_id = tape._new_id()
+        self.node_id = next(tape._ids)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
 

@@ -158,12 +158,11 @@ class Study:
     """An experiment command that runs one fold-matched experiment per value
     of the TrainConfig `field`. The values are `fixed`, or given by the user
     and recorded in the manifest's `extra` under `extra_key`, which is also the
-    command's flag name. `echo` and `trends` see the (value, result) runs. A
-    table row is `cell(value)`, then the ExperimentResult property named by
-    each further column."""
+    command's flag name. `echo` and `trends` see the (value, result) runs. The
+    table, named after the command, has a row per run: `cell(value)`, then the
+    ExperimentResult property named by each further column."""
 
     field: str
-    table: str
     columns: tuple[str, ...]
     echo: Callable[[list], list[str]]
     cell: Callable[[object], object] = lambda value: value
@@ -176,14 +175,12 @@ class Study:
 STUDIES = {
     "sweep-eta": Study(
         field="eta",
-        table="sweep_eta.tsv",
         columns=("eta", "mean_accuracy", "std_accuracy", "mean_invariant_rate"),
         echo=lambda runs: [_fmt_summary(f"eta={eta:g}", r) for eta, r in runs],
         extra_key="values",
     ),
     "ablate-strategy": Study(
         field="strategy",
-        table="ablate_strategy.tsv",
         columns=("strategy", "mean_accuracy", "std_accuracy", "mean_chosen_prob",
                  "mean_invariant_rate"),
         echo=lambda runs: [_fmt_summary(s, r) for s, r in runs],
@@ -192,7 +189,6 @@ STUDIES = {
     ),
     "ablate-negatives": Study(
         field="negative_pairs",
-        table="ablate_negatives.tsv",
         columns=("mode", "mean_accuracy", "std_accuracy"),
         cell=lambda neg: "with_negatives" if neg else "without_negatives",
         echo=lambda runs: [
@@ -205,7 +201,6 @@ STUDIES = {
     ),
     "invariant-rate": Study(
         field="label_ratio",
-        table="invariant_rate.tsv",
         columns=("label_ratio", "mean_invariant_rate", "mean_accuracy"),
         echo=lambda runs: [
             f"label ratio {ratio:g}: mean invariant rate {r.mean_invariant_rate:.4f}"
@@ -217,10 +212,10 @@ STUDIES = {
 }
 
 
-def _check_out(out: Path) -> None:
-    """Reject an output path that cannot become a directory: the nearest existing
-    path on the way must be a directory this process can write and enter, below
-    which no name left to create is too long, and an OSError on the way
+def _check_out(out: Path, *files: str) -> None:
+    """Reject an output path that cannot become a directory of `files`: the nearest
+    existing path on the way must be a directory this process can write and enter,
+    below which no name left to create is too long, and an OSError on the way
     propagates. Nothing is created, so a failed command leaves no directory."""
     for path in (out, *out.parents):
         try:
@@ -232,8 +227,9 @@ def _check_out(out: Path) -> None:
         if not os.access(path, os.W_OK | os.X_OK):
             raise InputError(f"--out {out}: cannot write in {path}")
         name_max = os.pathconf(path, "PC_NAME_MAX")  # -1 where there is no limit
-        if name_max > 0 and any(len(os.fsencode(p)) > name_max for p in out.relative_to(path).parts):
-            raise OSError(errno.ENAMETOOLONG, os.strerror(errno.ENAMETOOLONG), str(out))
+        for made in (out, *(out / name for name in files)):  # the names to create below `path`
+            if name_max > 0 and any(len(os.fsencode(p)) > name_max for p in made.parts[len(path.parts):]):
+                raise OSError(errno.ENAMETOOLONG, os.strerror(errno.ENAMETOOLONG), str(made))
         return
 
 
@@ -246,7 +242,7 @@ def _execute(command, ds, path_str, cfg, out: Path, workers, values=None) -> Non
     them on this module (tests, the benchmark's tracer) takes effect.
     """
     _check_out(out)
-    artifacts, extra, trends = ["metrics.json"], {}, []
+    files, extra, trends = {}, {}, []
     study = STUDIES.get(command)
     values = (study.fixed or values) if study else None
     # every variant's config is built, and so validated, before any of them trains
@@ -259,22 +255,21 @@ def _execute(command, ds, path_str, cfg, out: Path, workers, values=None) -> Non
         runs = list(zip(values, experiments))
         trends = study.trends(runs)
         rows = [[study.cell(v), *(getattr(r, c) for c in study.columns[1:])] for v, r in runs]
-        table = render_table(list(study.columns), rows)
-        artifacts.append(study.table)
+        files[command.replace("-", "_") + ".tsv"] = render_table(list(study.columns), rows)
         body = {"runs": [dict({study.field: v}, **experiment_dict(r)) for v, r in runs]}
         extra = {name: getattr(cfg, name) for name in study.extra_config}
         if study.extra_key is not None:
             extra[study.extra_key] = values
         lines = study.echo(runs)
+    files["metrics.json"] = metrics_document(cfg, ds, path_str, body, trends)
     # a manifest means a complete run: the last run's files go before any new
     # file lands, and the new manifest lands last
-    for name in ["manifest.json", *artifacts]:
+    for name in ["manifest.json", *files]:
         (out / name).unlink(missing_ok=True)
-    if study is not None:
-        write_artifact(out / study.table, table)
-    write_artifact(out / "metrics.json", metrics_document(cfg, ds, path_str, body, trends))
+    for name, text in files.items():
+        write_artifact(out / name, text)
     write_artifact(
-        out / "manifest.json", manifest_document(command, cfg, ds, path_str, artifacts, extra=extra)
+        out / "manifest.json", manifest_document(command, cfg, ds, path_str, list(files), extra=extra)
     )
     for line in lines:
         click.echo(line)
@@ -431,7 +426,7 @@ def cmd_invariant_rate(dataset_path, ratios, from_run, **kw):
         folds = doc.get("folds")
         if not isinstance(folds, list) or not folds:
             raise InputError(f"{from_run}: not a single-run metrics document with folds")
-        rates = [_json_field(f, "label_invariant_rate", (int, float), from_run) for f in folds]
+        rates = [_json_field(f, "label_invariant_rate", float, from_run) for f in folds]
         cfg, _ = _recorded_config(doc, from_run)
         click.echo(render_table(
             ["label_ratio", "mean_invariant_rate"], [[cfg.label_ratio, sum(rates) / len(rates)]]
@@ -485,7 +480,7 @@ def cmd_gen_synth(graphs, classes, seed, sizes, densities, name, out):
     if 8 * hi * (hi - 1) // 2 > np.iinfo(np.intp).max:
         raise InputError(f"--sizes: too many candidate edges to draw for {hi} nodes, got {sizes!r}")
     dens = tuple(_parse_floats(densities, "--densities"))
-    _check_out(out)
+    _check_out(out, f"{name}_graph_indicator.txt")  # the longest of the four file names
     ds = generate_synthetic(
         graphs, classes, (int(lo_hi[0]), int(lo_hi[1])), dens, seed, name=name
     )

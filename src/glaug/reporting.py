@@ -43,14 +43,10 @@ def write_artifact(path, text: str) -> Path:
 
 
 def render_table(headers: list[str], rows: list[list]) -> str:
-    """Tab-delimited text with a header row; floats rendered via repr."""
-    def cell(x):
-        if isinstance(x, float):
-            return repr(x)
-        return str(x)
-
+    """Tab-delimited text with a header row; every cell is written with `str`,
+    which for a float is its shortest round-tripping `repr`, so nothing is rounded."""
     lines = ["\t".join(headers)]
-    lines.extend("\t".join(cell(c) for c in row) for row in rows)
+    lines.extend("\t".join(map(str, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -119,7 +115,7 @@ def load_document(path, schema: str, what: str) -> dict:
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # nested too deep
+    except (OSError, ValueError, RecursionError) as exc:  # undecodable, or nested too deep
         raise InputError(f"cannot read {what} {path}: {exc}") from None
     found = doc.get("schema") if isinstance(doc, dict) else None
     if found != schema:

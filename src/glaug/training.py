@@ -292,9 +292,7 @@ def _representations(dataset: GraphDataset, params: ModelParams, indices) -> np.
 
 
 def evaluate(dataset: GraphDataset, params: ModelParams, indices) -> float:
-    """Accuracy of classify(H) argmax against ground truth over `indices`."""
-    if len(indices) == 0:
-        return 0.0
+    """Accuracy of classify(H) argmax against ground truth over the non-empty `indices`."""
     probs = classify(_representations(dataset, params, indices), params.bind(prefix="cls"))
     return int((np.argmax(probs, axis=1) == dataset.labels[list(indices)]).sum()) / len(indices)
 
@@ -366,8 +364,6 @@ def train_fold(dataset: GraphDataset, fold: FoldPlan, cfg: TrainConfig) -> FoldR
     train = list(fold.train_indices)
     labeled = np.isin(np.arange(len(dataset)), fold.labeled_mask)  # per graph of the data set
     labeled_train = int(labeled[train].sum())  # the labeled rows of an epoch's batches
-    if cfg.negative_pairs and len(train) < 2:
-        raise InputError("negative-pair training needs at least 2 training graphs")
 
     params = ModelParams.init(
         dataset.feature_dim,

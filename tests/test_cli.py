@@ -11,9 +11,12 @@ import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
+import click
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -201,6 +204,12 @@ def test_failed_artifact_write_keeps_the_old_file(tmp_path):
         cli_mod.write_artifact(path, "{\ud800")  # fails part-way through the write
     assert [p.name for p in tmp_path.iterdir()] == ["metrics.json"]
     assert path.read_text() == "{}\n"
+
+
+def test_table_cells_are_written_by_str():
+    # a float keeps its shortest round-tripping digits, and a numpy float reads as one
+    text = cli_mod.render_table(["a", "b", "c"], [[np.float64(0.1), 0.1 + 0.2, "x"]])
+    assert text == "a\tb\tc\n0.1\t0.30000000000000004\tx\n"
 
 
 def assert_input_error(capsys, rc):
@@ -559,34 +568,51 @@ def test_read_back_documents_are_accepted_unmutated(run_dir, tmp_path, monkeypat
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_mutated_read_back_document_exits_one(run_dir, tmp_path, capsys, monkeypatch, reader, data):
-    """A truncated document, or one with a field the reader needs re-typed or
-    dropped, or with an unknown config key, exits 1 with one `error:` line
-    before any training: never a traceback or exit 2."""
+    """A truncated document, or one with a field the reader needs re-typed,
+    dropped or made an over-long integer, or with an unknown config key, exits
+    1 with one `error:` line before any training: never a traceback or exit 2."""
     monkeypatch.setattr(cli_mod, "run_experiment", _no_training)
     command, doc, reads = _base_document(run_dir, reader)
     text = json.dumps(doc, indent=2)
-    mutation = data.draw(st.sampled_from(["truncate", "retype", "drop", "add"]), label="mutation")
+    mutation = data.draw(
+        st.sampled_from(["truncate", "retype", "drop", "add", "renumber"]), label="mutation"
+    )
+    digits = None
     if mutation == "truncate":
         text = text[: data.draw(st.integers(0, len(text) - 1), label="length")]
     elif mutation == "add":
         key = data.draw(CONFIG_KEYS.filter(lambda k: k not in doc["config"]), label="key")
         doc["config"][key] = data.draw(JSON_VALUES, label="value")
     else:
-        keys = data.draw(st.sampled_from(
-            reads if mutation == "retype" else [p for p in reads if isinstance(p[-1], str)]
-        ), label="path")
+        if mutation == "retype":
+            paths = reads
+        elif mutation == "drop":
+            paths = [p for p in reads if isinstance(p[-1], str)]
+        else:
+            paths = [p for p in reads if _json_kind(functools.reduce(
+                lambda value, key: value[key], p, doc)) == "number"]
+        keys = data.draw(st.sampled_from(paths), label="path")
         parent = doc
         for key in keys[:-1]:
             parent = parent[key]
         if mutation == "drop":
             del parent[keys[-1]]
-        else:
+        elif mutation == "retype":
             old = _json_kind(parent[keys[-1]])
             parent[keys[-1]] = data.draw(
                 JSON_VALUES.filter(lambda v: _json_kind(v) != old), label="value"
             )
+        else:
+            # past the 4,300 digits `json` reads an integer in, or a float past float range;
+            # not an integer field 400 digits long, which is valid (`epochs: 10**400`)
+            digits = data.draw(st.sampled_from(
+                [5000, 400] if type(parent[keys[-1]]) is float else [5000]
+            ), label="digits")
+            parent[keys[-1]] = "RENUMBERED"
     if mutation != "truncate":
         text = json.dumps(doc, indent=2)
+    if digits is not None:  # json cannot write an integer this long
+        text = text.replace('"RENUMBERED"', "1" + "0" * (digits - 1))
     path = tmp_path / "doc.json"
     path.write_text(text)
     out = [] if reader == "from_run" else ["--out", str(tmp_path / "x")]
@@ -650,14 +676,16 @@ LONG = "x" * 300  # longer than a file name may be
     lambda toy, tmp: ["gen-synth", "--graphs", "20", "--out", str(tmp / "o" / LONG)],
     lambda toy, tmp: ["run", str(toy), "--name", LONG, "--out", str(tmp / "r")],
     lambda toy, tmp: ["run", str(toy), *COMMON, "--out", str(tmp / "r" / LONG)],
-], ids=["gen_synth_out", "run_name", "run_out"])
+    lambda toy, tmp: ["gen-synth", "--graphs", "20", "--name", LONG, "--out", str(tmp / "o")],
+], ids=["gen_synth_out", "run_name", "run_out", "gen_synth_name"])
 def test_os_error_exits_one(toy_dir, tmp_path, capsys, monkeypatch, args):
-    # the system refuses the path, and no fold trains first
+    # the system refuses the path, and no fold trains or directory is made first
     trained = []
     monkeypatch.setattr(training_mod, "train_fold", lambda *a: trained.append(a))
     err = assert_input_error(capsys, main(args(toy_dir, tmp_path)))
     assert "File name too long" in err
     assert trained == []
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("args", [
@@ -1075,3 +1103,118 @@ def test_representations_diverging_after_the_last_step_exit_one(synth40_dir, tmp
                "--lr", "1e300", "--hidden", "8", "--proj-dim", "8", "--out", str(tmp_path / "r")])
     err = assert_input_error(capsys, rc)
     assert "fold 0, invariance rate pass: training diverged" in err, err
+
+
+# ------------------------------------------------------------ argument fuzz
+
+BIG = {400: "1" + "0" * 399, 5000: "1" + "0" * 4999}  # int() reads neither past 4,300 digits
+# none of these reads as a count of at least 1
+NOT_A_COUNT = ["0", "-1", BIG[5000], "nan", "inf", "-0.0", "", "x"]
+# these read as a size past the intp byte bound of every size option, or, for
+# the Arabic-Indic digit three, which int() and float() read as 3, a small one
+HOSTILE = [*NOT_A_COUNT, str(2**63), str(2**64), BIG[400], "٣"]
+SMALL = st.integers(1, 8).map(str)
+VALID = {  # option -> valid values, all cheap: sizes of at most 8, one or two epochs
+    "label_ratio": st.sampled_from(["0.3", "1.0"]),
+    "eta": st.sampled_from(["0.0", "1.0"]),
+    "num_candidates": SMALL, "batch_size": SMALL, "hidden": SMALL, "proj_dim": SMALL,
+    "depth": SMALL,
+    "strategy": st.sampled_from(cli_mod.STRATEGIES),
+    "alpha": st.sampled_from(["0.0", "1.0"]),
+    "seed": st.integers(0, 2**64 - 1).map(str),
+    "epochs": st.sampled_from(["1", "2"]),
+    "dist_scope": st.sampled_from(cli_mod.DIST_SCOPES),
+    "learning_rate": st.just("1e-2"),
+    "temperature": st.just("0.5"),
+    "features": st.sampled_from(["constant_one", "degree_one_hot:4", "one_hot_node_labels"]),
+    "values": st.sampled_from(["0.5", "0.0,1.0"]),
+    "ratios": st.sampled_from(["0.5", "0.3,0.7"]),
+    "workers": st.just("1"),  # a fold worker's Adam steps would go uncounted
+    "graphs": st.sampled_from(["10", "12"]),
+    "classes": st.just("2"),
+    "sizes": st.just("3,6"),
+    "densities": st.just("0.2,0.6"),
+    "size": st.just("small"),
+    "name": st.just("D12"),
+}
+HOSTILE_OF = {  # option -> hostile values, where HOSTILE holds a valid or an expensive one
+    "epochs": st.sampled_from(NOT_A_COUNT),
+    "workers": st.sampled_from(NOT_A_COUNT),
+    "features": st.sampled_from(HOSTILE).flatmap(
+        lambda h: st.sampled_from([h, f"degree_one_hot:{h}"])),
+    **{name: st.sampled_from(HOSTILE).flatmap(lambda h: st.sampled_from([h, f"3,{h}"]))
+       for name in ("values", "ratios", "sizes", "densities")},
+}
+# options given whenever a command has them, so that a valid vector stays cheap
+# and writes under its example's directory; arguments are always given too
+ALWAYS = {"epochs", "num_candidates", "hidden", "proj_dim", "depth", "out"}
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """A 12-graph data set, and the manifest and metrics of one run on it."""
+    root = tmp_path_factory.mktemp("fuzz")
+    assert main(["gen-synth", "--graphs", "12", "--name", "D12", "--out", str(root / "D12")]) == 0
+    assert main(["run", str(root / "D12"), *COMMON, "--out", str(root / "run")]) == 0
+    return {"dataset_path": str(root / "D12"), "manifest_path": str(root / "run/manifest.json"),
+            "from_run": str(root / "run/metrics.json")}
+
+
+@st.composite
+def argument_vectors(draw, files, out):
+    """A command and arguments drawn from its parameters: up to two of them
+    hostile, the rest valid or, unless the command needs them to stay cheap or
+    to run at all, left out. `invariant-rate --from-run` needs nothing else."""
+    name = draw(st.sampled_from(sorted(cli_mod.cli.commands)), label="command")
+    valid = dict(VALID, out=st.just(out), **{k: st.just(v) for k, v in files.items()})
+    params = cli_mod.cli.commands[name].params
+    from_run = any(p.name == "from_run" for p in params) and draw(st.booleans(), label="from_run")
+    params = [p for p in params if p.name != "from_run" or from_run]
+    hostile = draw(st.sets(st.sampled_from([p.name for p in params]), max_size=2), label="hostile")
+    options, arguments = [], []
+    for param in params:
+        if getattr(param, "is_flag", False):
+            options += param.opts if draw(st.booleans(), label=param.name) else []
+            continue
+        needed = isinstance(param, click.Argument) or param.name in ALWAYS
+        if param.name in hostile:
+            value = draw(HOSTILE_OF.get(param.name, st.sampled_from(HOSTILE)), label=param.name)
+        elif (from_run or not needed) and draw(st.booleans(), label=f"no {param.name}"):
+            continue
+        else:
+            value = draw(valid[param.name], label=param.name)
+        if isinstance(param, click.Argument):
+            arguments.append(value)
+        else:
+            options += [param.opts[0], value]
+    return [name, *options, "--", *arguments]  # a path may start with "-"
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_argument_vector_exits_zero_or_one(fuzz_files, tmp_path, capsys, data):
+    """Every command, given valid and hostile values for its options, exits 0
+    or 1 without a traceback; on exit 1 it leaves no --out, and no Adam step
+    ran unless training diverged."""
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    out = work / "out"
+    argv = data.draw(argument_vectors(fuzz_files, str(out)), label="argv")
+    steps, adam_step = [], training_mod.adam_step
+
+    def counted(*args, **kwargs):
+        steps.append(args)
+        return adam_step(*args, **kwargs)
+
+    capsys.readouterr()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(work)  # a hostile path names nothing here
+        mp.delenv(cli_mod.DATA_DIR_VAR, raising=False)
+        mp.setattr(training_mod, "adam_step", counted)
+        rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc in (0, 1), captured.err
+    assert "Traceback" not in captured.out + captured.err
+    if rc == 1:
+        assert not out.exists()
+        assert not steps or "training diverged" in captured.err, captured.err

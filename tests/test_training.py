@@ -18,6 +18,7 @@ from glaug.data import (
     generate_synthetic,
     make_folds,
 )
+from glaug.errors import InputError
 from glaug.model import ModelParams
 from glaug.seeding import seeded_rng
 
@@ -83,6 +84,14 @@ def test_trailing_singleton_batch_merges():
     assert len(fold.train_indices) == 17
     result = tr.train_fold(ds, fold, quick_cfg(negative_pairs=True, epochs=1))
     assert len(result.validation_curve) == 1  # ntxent would reject a 1-batch
+
+
+def test_negative_pairs_on_one_training_graph_raise_before_any_step(monkeypatch):
+    # one training graph makes one batch of one row, which the NT-Xent loss rejects
+    ds = small_dataset(20)
+    monkeypatch.setattr(tr, "adam_step", functools.partial(pytest.fail, "an Adam step ran"))
+    with pytest.raises(InputError, match="negative-pair loss needs a batch of at least 2"):
+        tr.train_fold(ds, FoldPlan(0, (1,), (2,), (0,), (0,)), quick_cfg(negative_pairs=True))
 
 
 def test_dataset_dist_scope_runs():
