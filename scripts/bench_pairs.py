@@ -16,6 +16,11 @@ metric's verdict and the failed operations of each side. A run that exits
 non-zero or prints no result line is kept with its exit code and counts as a
 failed run of its side.
 
+Each run also records the minor page faults and system CPU seconds of its
+whole process tree (`minor_faults`, `system_s`: RUSAGE_CHILDREN before and
+after it), and the file and the output give each side's medians over its
+completed runs. They are diagnostics: no verdict reads them.
+
 A verdict compares the two sides of one metric, with `bound` the metric's
 relative bound in BENCHMARK.json and IQR the parent's interquartile range:
 
@@ -38,12 +43,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+USAGE = {"minor_faults": "ru_minflt", "system_s": "ru_stime"}  # run field -> rusage field
 PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 
 
@@ -67,20 +74,25 @@ def _parse_args(argv):
 
 
 def _run(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One bench/run.py invocation in `root`: its result line, or its exit code."""
+    """One bench/run.py invocation in `root`: its result line, or its exit
+    code, and the page faults and system time of its process tree."""
     cmd = [
         sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
         "--seconds", str(seconds), "--trace", "0",
     ]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(
         cmd, cwd=root, env=dict(os.environ, **PINNED), stdout=subprocess.PIPE, text=True
     )
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    run = {"exit_code": proc.returncode,
+           **{name: getattr(after, field) - getattr(before, field) for name, field in USAGE.items()}}
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        return {"exit_code": proc.returncode}
+        return run
     result = json.loads(lines[-1])
     return {
-        "exit_code": 0,
+        **run,
         "correct": result["correct"],
         "attempted": result["attempted"],
         "failed": result["failed"],
@@ -155,6 +167,7 @@ def main(argv=None) -> int:
             "attempted_operations": sum(r["attempted"] for r in done),
             "failed_operations": sum(r["failed"] for r in done),
             "metrics": {name: _summary(v) for name, v in values[side].items()},
+            **{name: _summary([r[name] for r in done if name in r]) for name in USAGE},
         }
 
     wins = {}
@@ -206,6 +219,9 @@ def main(argv=None) -> int:
         s = sides[side]
         print(f"{side}: {s['failed_runs']} failed runs, "
               f"{s['failed_operations']}/{s['attempted_operations']} failed operations")
+        if s["minor_faults"]["median"] is not None:
+            print(f"{side}: median {s['minor_faults']['median']:.0f} minor faults and "
+                  f"{s['system_s']['median']:.3f} s system time per run")
     print(f"wrote {out}")
     return 0
 

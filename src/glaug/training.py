@@ -22,6 +22,7 @@ import ctypes
 import math
 import multiprocessing
 import os
+import platform
 import signal
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -353,6 +354,16 @@ def _batch_objective(
     return ad.add(l_p, ad.scale(l_c, cfg.alpha)), l_p, l_c
 
 
+def _keep_freed_heap() -> None:
+    """Under glibc, fix malloc's thresholds where they would climb to, so a step's freed activations
+    stay mapped for the next. Process-wide and permanent: glibc has no getter to restore them by."""
+    if sys.platform == "linux" and platform.libc_ver()[0] == "glibc":
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD at glibc's 64-bit ceiling, mallopt(3)
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD, which glibc keeps at twice it
+
+
 @np.errstate(over="ignore", invalid="ignore")  # divergence is reported as TrainingDiverged
 def train_fold(dataset: GraphDataset, fold: FoldPlan, cfg: TrainConfig) -> FoldResult:
     """Train on one fold; returns the best-validation checkpoint's metrics.
@@ -361,6 +372,7 @@ def train_fold(dataset: GraphDataset, fold: FoldPlan, cfg: TrainConfig) -> FoldR
     NaN or infinite stops with a TrainingDiverged naming the fold and the
     epoch (or the rate pass); numpy's overflow warnings on the way are muted.
     """
+    _keep_freed_heap()
     train = list(fold.train_indices)
     labeled = np.isin(np.arange(len(dataset)), fold.labeled_mask)  # per graph of the data set
     labeled_train = int(labeled[train].sum())  # the labeled rows of an epoch's batches

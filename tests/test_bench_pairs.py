@@ -1,4 +1,4 @@
-"""scripts/bench_pairs.py on canned result lines: no benchmark run starts."""
+"""scripts/bench_pairs.py on canned result lines and stub bench scripts: no benchmark runs."""
 
 import importlib.util
 import json
@@ -92,6 +92,31 @@ def test_summary_wins_and_failed_runs(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert out.count("change better in 1/4 pairs: regression") == 2
     assert "change: 1 failed runs, 0/30 failed operations" in out
+    assert "minor faults" not in out  # canned runs carry no page-fault counts
+
+
+def test_runs_record_the_page_faults_and_system_time_of_their_process_tree(tmp_path, capsys):
+    # a stub bench/run.py in each root: it prints one result line after another line
+    line = {"correct": True, "attempted": 3, "failed": 0,
+            "metrics": {"graphs_per_s": {"value": 12.5}, "peak_rss_mb": {"value": 40.0}}}
+    for side in ("parent", "change"):
+        (tmp_path / side / "bench").mkdir(parents=True)
+        (tmp_path / side / "bench" / "run.py").write_text(
+            f"print('a progress line')\nprint({json.dumps(json.dumps(line))})\n")
+    spec = {"end_to_end": [{"name": "graphs_per_s", "better": "higher", "bound": 0.25}]}
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(spec))
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "w", "--pairs", "1",
+            "--first-seed", "1", "--label", "t", "--seconds", "0.5", "--out-dir", str(tmp_path)]
+    assert load_script().main(argv) == 0
+    doc, out = json.loads((tmp_path / "BENCH_t.json").read_text()), capsys.readouterr().out
+    for run in doc["runs"]:
+        assert (run["exit_code"], run["attempted"], run["metrics"]) == (
+            0, 3, {"graphs_per_s": 12.5, "peak_rss_mb": 40.0})
+        assert run["minor_faults"] > 0 and run["system_s"] >= 0.0  # Python starting faults
+    for side in ("parent", "change"):
+        faults = doc["sides"][side]["minor_faults"]["median"]
+        assert faults > 0 and doc["sides"][side]["system_s"]["median"] >= 0.0
+        assert f"{side}: median {faults:.0f} minor faults and " in out
 
 
 PARENT = [100.0, 101.0, 102.0, 103.0, 104.0, 105.0, 106.0, 107.0, 108.0, 109.0]  # IQR 4.5

@@ -1218,3 +1218,60 @@ def test_any_argument_vector_exits_zero_or_one(fuzz_files, tmp_path, capsys, dat
     if rc == 1:
         assert not out.exists()
         assert not steps or "training diverged" in captured.err, captured.err
+
+
+# ------------------------------------------------------------ data-set file fuzz
+
+# tokens no writer of the format puts in a file: signs, an underscore int() reads, a value past
+# int64, control and non-ASCII bytes, a digit int() reads as 3, and blanks
+FILE_TOKENS = [b"-1", b"+3", b"1_0", b"9223372036854775808", b"\r", b"\x00", b"\xff",
+               "\u0663".encode(), b" ", b"\n"]
+
+
+@st.composite
+def mutated_files(draw, files):
+    """The data set's files, `{name: bytes}`, with one of them changed: a
+    hostile token inserted, bytes deleted, the file cut short, its lines
+    shuffled, or the file removed."""
+    files = dict(files)
+    name = draw(st.sampled_from(sorted(files)), label="file")
+    data = files[name]
+    mutation = draw(st.sampled_from(["insert", "delete", "truncate", "shuffle", "remove"]),
+                    label="mutation")
+    if mutation == "insert":
+        at = draw(st.integers(0, len(data)), label="at")
+        files[name] = data[:at] + draw(st.sampled_from(FILE_TOKENS), label="token") + data[at:]
+    elif mutation == "delete":
+        at = draw(st.integers(0, len(data) - 1), label="at")
+        files[name] = data[:at] + data[at + draw(st.integers(1, 8), label="bytes"):]
+    elif mutation == "truncate":
+        files[name] = data[:draw(st.integers(0, len(data) - 1), label="length")]
+    elif mutation == "shuffle":
+        files[name] = b"".join(draw(st.permutations(data.splitlines(keepends=True)), label="lines"))
+    else:
+        del files[name]
+    return files
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_mutated_data_set_exits_zero_or_one(fuzz_files, tmp_path, capsys, data):
+    """`run` on the 12-graph data set's files, one of them malformed, exits 0
+    or 1 without a traceback, and on exit 1 leaves no --out."""
+    source = Path(fuzz_files["dataset_path"])
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    files = data.draw(mutated_files({p.name: p.read_bytes() for p in source.iterdir()}), label="files")
+    (work / source.name).mkdir()
+    for name, content in files.items():
+        (work / source.name / name).write_bytes(content)
+    flags = data.draw(st.sampled_from([[], ["--features", "degree_one_hot:3"]]), label="features")
+    flags += data.draw(st.sampled_from([[], ["--negative-pairs"]]), label="negatives")
+    out = work / "out"
+    capsys.readouterr()
+    rc = main(["run", str(work / source.name), *COMMON, *flags, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc in (0, 1), captured.err
+    assert "Traceback" not in captured.out + captured.err
+    if rc == 1:
+        assert not out.exists()

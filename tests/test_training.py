@@ -2,6 +2,12 @@
 
 import ctypes
 import functools
+import os
+import platform
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -344,3 +350,33 @@ def test_folds_without_blas_thread_functions_warn_once(monkeypatch, capfd, worke
     tr.run_experiment(small_dataset(20, seed=4), [quick_cfg(epochs=1)], workers=workers)
     err = capfd.readouterr().err  # file descriptor 2, which forked workers share
     assert err.startswith("warning: ") and err.count("\n") == 1, err
+
+
+# a fold, then 24 MiB allocated, filled and freed; prints the minor page faults
+# taken while the same 24 MiB is allocated and filled again
+REFILL = textwrap.dedent("""
+    import resource
+    import numpy as np
+    from glaug import training as tr
+    from glaug.data import generate_synthetic, make_folds
+    ds = generate_synthetic(12, size_range=(5, 8), seed=1)
+    tr.train_fold(ds, make_folds(ds, 10, 0)[0], tr.TrainConfig(
+        epochs=1, batch_size=8, hidden=8, proj_dim=8, depth=2, num_candidates=4))
+    block = np.empty(3 << 20)
+    block.fill(1.0)
+    del block
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    block = np.empty(3 << 20)
+    block.fill(1.0)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+""")
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the malloc policy is glibc's")
+def test_heap_freed_after_a_fold_is_reused_without_faults():
+    # a fresh process: this one's malloc thresholds depend on the tests run before
+    src = str(Path(tr.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", REFILL], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 64  # under glibc's own thresholds, hundreds: the freed block was unmapped
