@@ -31,11 +31,16 @@ at density 0 in every class, so no graph has an edge and its edge file is one
 blank line. Three last `run`s read HAND's files with an edited edge file: one
 with an edge to an unknown node and one with an edge across two graphs, which
 must both exit 1 with the same `error:` line, and one with a `+` before every
-value, which the parser's per-line decoder reads. The four commands of
-INPUT_ERRORS close the list, 49 in all: `run` with a `--k` or a `--hidden`
-past the intp byte bound, `invariant-rate --from-run` of a study's metrics
-and `run` with an `--out` that is a file. Each exits 1, so the `error:`
-lines of input errors are compared byte for byte.
+value, which the parser's per-line decoder reads. A third `gen-synth` data
+set of 3,000 graphs has an edge file of about 1.7 MB, several of the
+parser's 256 KiB chunks, so it is decoded two chunks at a time on a host of
+two or more CPUs; a `run --parallel-folds 2` reads it, and a `run` reads
+its copy with a malformed line in the edge file's last chunk, which must
+exit 1. The four commands of INPUT_ERRORS close the list, 52 in all: `run`
+with a `--k` or a `--hidden` past the intp byte bound, `invariant-rate
+--from-run` of a study's metrics and `run` with an `--out` that is a file.
+Each exits 1, so the `error:` lines of input errors are compared byte for
+byte.
 
 After each command the exit code, stdout, stderr and every file the command
 wrote are compared. A command on the new tree that exits 2 (an internal
@@ -59,6 +64,8 @@ DATA = "data/SYNTH"
 EDGELESS = "data/EDGELESS"
 HAND = "data/HAND"
 BARE = "data/BARE"  # HAND's graphs without a node-label file
+LARGE = "data/LARGE"  # an edge file of several chunks
+LATE = "data/LATE"  # LARGE's files, with a malformed line in its edge file's last chunk
 # data sets of HAND's files with an edited A file: data set -> the edit
 EDITED = {
     "data/UNKNOWN": lambda a: a.replace(b"2, 2\r\n", b"2, 99\r\n"),  # node 99 of 48
@@ -133,6 +140,18 @@ def write_hand_dataset(directory: Path, node_labels: bool = True) -> None:
         (directory / f"{directory.name}_{suffix}.txt").write_bytes(text.encode("ascii"))
 
 
+def write_late_dataset(work: Path) -> None:
+    """LATE: the files gen-synth wrote to LARGE under `work`, renamed, with
+    the edge file's second-to-last line not an integer record."""
+    (work / LATE).mkdir()
+    for path in (work / LARGE).iterdir():
+        content = path.read_bytes()
+        if path.name.endswith("_A.txt"):
+            lines = content.splitlines(keepends=True)
+            content = b"".join([*lines[:-2], b"1, x\n", lines[-1]])
+        (work / LATE / path.name.replace("LARGE", "LATE")).write_bytes(content)
+
+
 def commands() -> list[tuple[str, list[str], str | None]]:
     """(label, arguments, directory the command writes or None), in run order."""
     synth = ["gen-synth", "--graphs", "30", "--seed", "3"]
@@ -140,6 +159,8 @@ def commands() -> list[tuple[str, list[str], str | None]]:
         ("gen-synth", [*synth, "--name", "SYNTH", "--out", DATA], DATA),
         ("gen-synth edgeless",
          [*synth, "--densities", "0,0", "--name", "EDGELESS", "--out", EDGELESS], EDGELESS),
+        ("gen-synth large",
+         ["gen-synth", "--graphs", "3000", "--seed", "4", "--name", "LARGE", "--out", LARGE], LARGE),
     ]
     for label, args in EXPERIMENTS:
         cmds.append((label, [*args, "--out", f"runs/{label}"], f"runs/{label}"))
@@ -157,6 +178,11 @@ def commands() -> list[tuple[str, list[str], str | None]]:
     for data in EDITED:
         label = f"edited-{Path(data).name}"
         cmds.append((label, ["run", data, *TINY, "--out", f"runs/{label}"], f"runs/{label}"))
+    lean = ["--epochs", "1", "--k", "1", "--hidden", "1", "--proj-dim", "1", "--depth", "1",
+            "--batch-size", "64"]
+    cmds.append(("large", ["run", LARGE, *lean, "--parallel-folds", "2", "--out", "runs/large"],
+                 "runs/large"))
+    cmds.append(("late-malformed-line", ["run", LATE, "--out", "runs/late"], "runs/late"))
     return cmds
 
 
@@ -239,6 +265,9 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"DIFF {label}: {out}/{name} differs", file=sys.stderr)
                     return 1
             print(f"same: {label} (exit {old.returncode})")
+            if out == LARGE:  # LATE is made from what each tree's gen-synth wrote
+                for name in sides:
+                    write_late_dataset(work[name])
     print(f"all {len(cmds)} commands identical")
     return 0
 

@@ -16,10 +16,13 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import os
 import re
 import warnings
 from array import array
 from collections import namedtuple
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from itertools import islice
 from pathlib import Path
@@ -144,11 +147,10 @@ def default_policy(has_node_labels: bool) -> FeaturePolicy:
 # this grammar written out one line at a time. No record carries its line
 # number: an error looks it up in the file (_line_of).
 
-CHUNK_BYTES = 1 << 18  # bytes per read and chunk; temporaries of 4 (plain) to 10 times that
+CHUNK_BYTES = 1 << 18  # bytes per read and chunk; two in flight take temporaries of 9-12 times that
 WRITE_ROWS = 1 << 16  # records formatted per write by write_tudataset
 _INTEGER = re.compile(r"[+-]?[0-9]+(?:_[0-9]+)*")
 _NOT_SEPARATORS = b"0123456789 \t"
-_LF_TO_COMMA = bytes.maketrans(b"\n", b",")
 _INT64_MAX = np.iinfo(np.int64).max
 
 
@@ -185,15 +187,16 @@ def _read_records(path: Path, fields: int) -> _Records:
     """Decode one file of `fields`-integer records, about CHUNK_BYTES at a time.
 
     A first pass counts the line ends, which size one array for the records.
-    A chunk ends after the last line feed read so far and the partial line
-    after it is carried into the next, so every chunk holds whole lines; a
-    file with no line feed (lone carriage-return line ends) is one chunk.
-    Decoding stops at the first chunk with a malformed line. Memory is the
-    records once and a few chunks' temporaries: no line numbers are kept,
-    since only an error needs one (_line_of). Each chunk is first tried by
-    _fast_decode, and _decode takes every chunk that is not plain, so the
-    records and errors do not depend on which path ran."""
-    row, error, pending = 0, None, bytearray()
+    Chunks hold whole lines (_line_chunks) and are decoded two at a time: in
+    a file of more than 2 * CHUNK_BYTES bytes, on more than one CPU, a helper
+    thread tries the first by _fast_decode (np.fromstring frees the GIL)
+    while this one tries the second, and the helper ends with the call.
+    _decode then takes each chunk that is not plain, alone. Records are
+    stored in file order and decoding stops at the first malformed chunk, so
+    records and errors do not depend on which path ran. Memory is the
+    records once and two chunks' temporaries: no line numbers are kept,
+    since only an error needs one (_line_of)."""
+    row, error = 0, None
     with open(path, "rb") as f:
         ends = 0  # \n, \r\n or a lone \r; a \r\n split between two reads counts twice
         while block := f.read(CHUNK_BYTES):
@@ -201,21 +204,38 @@ def _read_records(path: Path, fields: int) -> _Records:
             if b"\r" in block:  # one memchr; counting b"\r\n" scans more slowly
                 ends += block.count(b"\r") - block.count(b"\r\n")
         values = np.empty((ends + 1, fields), np.int64)  # a last line may have no end
+        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+        threaded = f.tell() > 2 * CHUNK_BYTES and len(cpus) > 1
         f.seek(0)
-        while error is None:
-            block = f.read(CHUNK_BYTES)
-            pending += block
-            cut = pending.rfind(b"\n", len(pending) - len(block)) + 1 if block else len(pending)
-            if cut:
-                chunk = bytes(pending[:cut])
-                del pending[:cut]
-                chunk_values, error = _fast_decode(chunk, fields) or _decode(chunk, fields)
-                values[row : row + len(chunk_values)] = chunk_values
-                row += len(chunk_values)
-            elif not block:
-                break
+        chunks = _line_chunks(f)
+        with ThreadPoolExecutor(1) if threaded else nullcontext() as helper:
+            while error is None and (pair := list(islice(chunks, 2))):
+                # the helper tries the first of two chunks while this thread tries the second
+                ahead = helper and pair[1:] and helper.submit(_fast_decode, pair[0], fields)
+                fast = [_fast_decode(chunk, fields) for chunk in pair[bool(ahead) :]]
+                for chunk, done in zip(pair, [ahead.result(), *fast] if ahead else fast):
+                    chunk_values, error = done or _decode(chunk, fields)  # the helper is idle
+                    values[row : row + len(chunk_values)] = chunk_values
+                    row += len(chunk_values)
+                    if error is not None:
+                        break
     values.resize((row, fields), refcheck=False)  # no view of `values` exists
     return _Records(path, values, error)
+
+
+def _line_chunks(f):
+    """The lines of binary file `f` in chunks: each ends after the last line
+    feed of its read, and the partial line after it goes into the next, so a
+    file with no line feed (lone carriage-return line ends) is one chunk."""
+    pending = bytearray()  # a partial line, carried into the next chunk
+    while block := f.read(CHUNK_BYTES):
+        if cut := block.rfind(b"\n") + 1:
+            yield pending + memoryview(block)[:cut]
+            pending = bytearray(memoryview(block)[cut:])
+        else:
+            pending += block
+    if pending:
+        yield pending
 
 
 def _fast_decode(raw: bytes, fields: int):
@@ -233,12 +253,18 @@ def _fast_decode(raw: bytes, fields: int):
     # only digits, blanks and separators, and `fields` fields on every line
     if separators != (b"," * (fields - 1) + b"\n") * line_count:
         return None
-    digit = np.frombuffer(raw, np.uint8) >= ord("0")  # only digits, of the bytes left
+    codes = np.frombuffer(raw, np.uint8)
+    digit = codes >= ord("0")  # only digits, of the bytes left
     tokens = np.count_nonzero(digit[1:] > digit[:-1]) + digit[:1].sum()
+    text = np.equal(codes, ord("\n"), out=digit).view(np.uint8)  # digit's buffer, reused
+    text *= ord("\n") ^ ord(",")
+    text ^= codes  # line feeds to commas; numpy frees the GIL, bytes.translate does not
+    text = text.tobytes()
+    del digit  # the buffer, freed before the parse
     with warnings.catch_warnings():  # older numpy warns and stops at "1 2"
         warnings.simplefilter("error", DeprecationWarning)
         try:
-            values = np.fromstring(raw.translate(_LF_TO_COMMA), np.int64, sep=",")
+            values = np.fromstring(text, np.int64, sep=",")
         except (ValueError, DeprecationWarning):
             return None
     # one value per token and one token per field; INT64_MAX may be a clamp
@@ -259,8 +285,8 @@ def _decode(raw: bytes, fields: int):
         if not line:
             continue
         parts = line.split(",")
-        if not line.isascii():  # a non-ASCII byte decodes to a lone surrogate
-            error = f"not ASCII text: {line!r}"
+        if not line.isascii():  # a non-ASCII byte decodes to a lone surrogate; name the byte
+            error = f"not ASCII text: {repr(line.encode('ascii', 'surrogateescape'))[1:]}"
         elif len(parts) != fields:
             error = f"expected {fields} comma-separated fields, got {len(parts)}"
         else:

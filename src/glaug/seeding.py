@@ -31,5 +31,7 @@ def seeded_rng(seed: int, *tags: str | int) -> np.random.Generator:
     lie in [0, 2**64): a seed outside would alias one inside."""
     if not 0 <= seed < 2**64:
         raise InputError(f"seed must lie in [0, 2**64), got {seed}")
-    entropy = [seed, *map(_tag_to_int, tags)]
+    # the words SeedSequence makes of [seed, *tags]: the seed's 32-bit words, low first, then tags
+    words = [seed & 0xFFFFFFFF, seed >> 32] if seed >> 32 else [seed]
+    entropy = np.array([*words, *map(_tag_to_int, tags)], np.uint32)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))

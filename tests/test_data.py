@@ -7,6 +7,8 @@ import logging
 import re
 import sys
 import tempfile
+import threading
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -200,6 +202,19 @@ def test_non_integer_line_reports_position(tmp_path):
         gd.parse_tudataset(write_files(tmp_path, **files), "TINY")
 
 
+@pytest.mark.parametrize("line, shown", [
+    (b"1\xff", r"'1\xff'"),
+    (b"1, \xc3\xa9'", "\"1, \\xc3\\xa9'\""),  # quoted as a str's repr quotes it
+])
+def test_non_ascii_line_is_shown_by_the_bytes_it_holds(tmp_path, line, shown):
+    path = tmp_path / "TINY_graph_labels.txt"
+    write_files(tmp_path, **MINIMAL)
+    path.write_bytes(b"\n" + line + b"\n")
+    with pytest.raises(DatasetFormatError) as caught:
+        gd.parse_tudataset(tmp_path, "TINY")
+    assert str(caught.value) == f"{path}:2: not ASCII text: {shown}"
+
+
 def test_wrong_field_count_rejected(tmp_path):
     files = dict(MINIMAL, A="1, 2, 3\n")
     with pytest.raises(DatasetFormatError, match="2 comma-separated fields"):
@@ -318,8 +333,9 @@ def _reference_int_lines(path: Path, fields: int):
             line = raw.strip()
             if not line:
                 continue
-            if not line.isascii():  # a non-ASCII byte decodes to a lone surrogate
-                raise DatasetFormatError(path, lineno, f"not ASCII text: {line!r}")
+            if not line.isascii():  # named by its bytes: a lone surrogate is no byte of the file
+                text = repr(line.encode("ascii", "surrogateescape"))[1:]
+                raise DatasetFormatError(path, lineno, f"not ASCII text: {text}")
             parts = [p.strip() for p in line.split(",")]
             if len(parts) != fields:
                 raise DatasetFormatError(
@@ -635,6 +651,146 @@ def test_any_chunk_size_decodes_like_the_default(chunk, graphs, seed, edits):
             records = gd._read_records(path, fields)
             rows = len(records.values) + (records.error is not None)
             assert [gd._line_of(path, row) for row in range(rows)] == want
+
+
+# ------------------------------------------------------------ threaded decode
+#
+# A file of more than two chunks is decoded two chunks at a time, by a helper
+# thread and the calling one, when the process may run on more than one CPU.
+# The tests set the CPUs the process may run on, so either path runs on any
+# host.
+
+
+@contextlib.contextmanager
+def thread_starts():
+    """The names of the threads started meanwhile."""
+    started, start = [], threading.Thread.start
+
+    def counted(thread):
+        started.append(thread.name)
+        start(thread)
+
+    with mock.patch.object(threading.Thread, "start", counted):
+        yield started
+
+
+def decoded_on(cpus: int, path: Path, fields: int, chunk: int):
+    """decoded(path, fields, chunk) where the process may run on `cpus` CPUs,
+    and the names of the threads it started. The interpreter switches threads
+    every 10 us meanwhile, not every 5 ms, so the two threads interleave."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with mock.patch.object(gd.os, "sched_getaffinity", lambda pid: set(range(cpus)), create=True):
+            with thread_starts() as started:
+                return decoded(path, fields, chunk), started
+    finally:
+        sys.setswitchinterval(interval)
+
+
+RECORD_FORMS = {  # a file's form -> (its record of 1 field, of 2 fields)
+    "plain": (b"%d\n", b"%d, %d\n"),
+    "crlf": (b"%d\r\n", b"%d, %d\r\n"),
+    "lone-cr": (b"%d\r", b"%d, %d\r"),
+    "signed": (b"+%d\n", b"+%d, +%d\n"),
+}
+
+
+@pytest.mark.parametrize("form", RECORD_FORMS)
+@pytest.mark.parametrize("bad", [None, 2, 150, 297])  # none; in the first, a middle, the last chunk
+@pytest.mark.parametrize("fields", [1, 2])
+def test_threaded_decode_equals_one_thread(tmp_path, form, bad, fields):
+    """Records and the first error (path, line and message) are those of the
+    one-thread path, wherever the malformed line is; a file of lone \\r line
+    ends is one chunk, so it starts no thread."""
+    record = RECORD_FORMS[form][fields - 1]
+    lines = [record % (i, i + 1)[:fields] for i in range(300)]
+    if bad is not None:
+        lines[bad] = record.replace(b"%d", b"x")  # not an integer record, in the file's form
+    path = tmp_path / "X_A.txt"
+    path.write_bytes(b"".join(lines))
+    chunk = 128
+    assert len(path.read_bytes()) > 8 * chunk
+    one, one_started = decoded_on(1, path, fields, chunk)
+    two, two_started = decoded_on(2, path, fields, chunk)
+    assert two == one and one_started == []
+    assert len(two_started) == (form != "lone-cr")
+    assert (one[3] is None) == (bad is None)
+    if bad is not None:
+        assert one[3][2] == bad + 1  # the line of the malformed record
+
+
+@pytest.mark.parametrize("size_in_chunks, cpus, threads", [
+    (1, 2, 0), (2, 2, 0), (3, 2, 1), (3, 1, 0), (40, 1, 0), (40, 2, 1),
+])
+def test_only_a_file_of_more_than_two_chunks_on_two_cpus_starts_a_thread(
+    tmp_path, size_in_chunks, cpus, threads
+):
+    path = tmp_path / "X_graph_labels.txt"
+    path.write_bytes(b"1234567\n" * (8 * size_in_chunks))  # chunks of 64 bytes, 8 records each
+    (shape, *_), started = decoded_on(cpus, path, 1, 64)
+    assert shape == (8 * size_in_chunks, 1)
+    assert len(started) == threads
+
+
+def test_per_line_decoding_runs_alone(tmp_path):
+    """Two chunks are in flight, but _decode never runs beside another
+    chunk's decoding, so the per-line path's temporaries are one chunk's."""
+    decode, active, overlaps, lock = gd._decode, [], [], threading.Lock()
+
+    def tracked(function):
+        def run(raw, fields):
+            with lock:
+                if decode in active or (function is decode and active):
+                    overlaps.append(function.__name__)
+                active.append(function)
+            try:
+                time.sleep(0.001)  # frees the GIL, so the other thread's calls run meanwhile
+                return function(raw, fields)
+            finally:
+                with lock:
+                    active.remove(function)
+
+        return run
+
+    path = tmp_path / "X_A.txt"  # runs of plain and signed lines, so both paths alternate
+    lines = (b"%d, %d\n" % (i, i) if i // 20 % 3 else b"+1, +2\n" for i in range(600))
+    path.write_bytes(b"".join(lines))
+    with mock.patch.object(gd, "_decode", tracked(gd._decode)):
+        with mock.patch.object(gd, "_fast_decode", tracked(gd._fast_decode)):
+            (shape, *_), started = decoded_on(2, path, 2, 128)
+    assert shape == (600, 2) and started and overlaps == []
+
+
+def test_no_thread_outlives_a_parse(tmp_path):
+    """After a load that succeeds, one with a malformed line in a late chunk
+    and one whose helper raises, the same threads are running as before."""
+    src = gd.generate_synthetic(60, size_range=(5, 20), seed=4)
+    good = gd.write_tudataset(src, tmp_path / "G", "G")
+    bad = gd.write_tudataset(src, tmp_path / "B", "B")
+    edges = (bad / "B_A.txt").read_bytes().splitlines(keepends=True)
+    edges[-3] = b"1, x\n"
+    (bad / "B_A.txt").write_bytes(b"".join(edges))
+    running = threading.active_count()
+    decode = gd._fast_decode
+
+    def fail_in_helper(raw, fields):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("decoding failed")
+        return decode(raw, fields)
+
+    with mock.patch.object(gd.os, "sched_getaffinity", lambda pid: {0, 1}, create=True):
+        with mock.patch.object(gd, "CHUNK_BYTES", 256), thread_starts() as started:
+            parsed = gd.parse_tudataset(good, "G")
+            assert threading.active_count() == running and started
+            with pytest.raises(DatasetFormatError, match=f"B_A.txt:{len(edges) - 2}: not an integer"):
+                gd.parse_tudataset(bad, "B")
+            assert threading.active_count() == running
+            with mock.patch.object(gd, "_fast_decode", fail_in_helper):
+                with pytest.raises(RuntimeError, match="decoding failed"):
+                    gd.parse_tudataset(good, "G")
+            assert threading.active_count() == running
+    assert gd.dataset_fingerprint(parsed) == gd.dataset_fingerprint(src)
 
 
 def traced_peak(function, *args):
