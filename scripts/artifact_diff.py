@@ -35,8 +35,9 @@ value, which the parser's per-line decoder reads. A third `gen-synth` data
 set of 3,000 graphs has an edge file of about 1.7 MB, several of the
 parser's 256 KiB chunks, so it is decoded two chunks at a time on a host of
 two or more CPUs; a `run --parallel-folds 2` reads it, and a `run` reads
-its copy with a malformed line in the edge file's last chunk, which must
-exit 1. The four commands of INPUT_ERRORS close the list, 52 in all: `run`
+its copy with a malformed line in a late chunk of the edge file, which must
+exit 1. That chunk is the first of two decoded side by side, the one the
+helper thread tries, so the error comes out of a pair. The four commands of INPUT_ERRORS close the list, 52 in all: `run`
 with a `--k` or a `--hidden` past the intp byte bound, `invariant-rate
 --from-run` of a study's metrics and `run` with an `--out` that is a file.
 Each exits 1, so the `error:` lines of input errors are compared byte for
@@ -65,7 +66,8 @@ EDGELESS = "data/EDGELESS"
 HAND = "data/HAND"
 BARE = "data/BARE"  # HAND's graphs without a node-label file
 LARGE = "data/LARGE"  # an edge file of several chunks
-LATE = "data/LATE"  # LARGE's files, with a malformed line in its edge file's last chunk
+LATE = "data/LATE"  # LARGE's files, with a malformed line in a late chunk of its edge file
+CHUNK_BYTES = 1 << 18  # the parser's chunk size, glaug.data.CHUNK_BYTES
 # data sets of HAND's files with an edited A file: data set -> the edit
 EDITED = {
     "data/UNKNOWN": lambda a: a.replace(b"2, 2\r\n", b"2, 99\r\n"),  # node 99 of 48
@@ -142,13 +144,19 @@ def write_hand_dataset(directory: Path, node_labels: bool = True) -> None:
 
 def write_late_dataset(work: Path) -> None:
     """LATE: the files gen-synth wrote to LARGE under `work`, renamed, with
-    the edge file's second-to-last line not an integer record."""
+    one line of the edge file not an integer record. The parser takes chunks
+    in pairs, (0, 1), (2, 3) and so on, and the line is in the middle of the
+    last even-numbered chunk that has a partner, the one a helper thread
+    decodes while the calling thread decodes the next."""
     (work / LATE).mkdir()
     for path in (work / LARGE).iterdir():
         content = path.read_bytes()
         if path.name.endswith("_A.txt"):
-            lines = content.splitlines(keepends=True)
-            content = b"".join([*lines[:-2], b"1, x\n", lines[-1]])
+            chunks = -(-len(content) // CHUNK_BYTES)
+            late = (chunks - 2) // 2 * 2  # 4 of 7 chunks
+            start = content.index(b"\n", late * CHUNK_BYTES + CHUNK_BYTES // 2) + 1
+            end = content.index(b"\n", start) + 1
+            content = content[:start] + b"1, x\n" + content[end:]
         (work / LATE / path.name.replace("LARGE", "LATE")).write_bytes(content)
 
 

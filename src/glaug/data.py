@@ -208,7 +208,9 @@ def _read_records(path: Path, fields: int) -> _Records:
         threaded = f.tell() > 2 * CHUNK_BYTES and len(cpus) > 1
         f.seek(0)
         chunks = _line_chunks(f)
-        with ThreadPoolExecutor(1) if threaded else nullcontext() as helper:
+        with warnings.catch_warnings(), ThreadPoolExecutor(1) if threaded else nullcontext() as helper:
+            # older numpy warns and stops at "1 2"; set here, as the filters are global, not per thread
+            warnings.simplefilter("error", DeprecationWarning)
             while error is None and (pair := list(islice(chunks, 2))):
                 # the helper tries the first of two chunks while this thread tries the second
                 ahead = helper and pair[1:] and helper.submit(_fast_decode, pair[0], fields)
@@ -261,12 +263,10 @@ def _fast_decode(raw: bytes, fields: int):
     text ^= codes  # line feeds to commas; numpy frees the GIL, bytes.translate does not
     text = text.tobytes()
     del digit  # the buffer, freed before the parse
-    with warnings.catch_warnings():  # older numpy warns and stops at "1 2"
-        warnings.simplefilter("error", DeprecationWarning)
-        try:
-            values = np.fromstring(text, np.int64, sep=",")
-        except (ValueError, DeprecationWarning):
-            return None
+    try:  # older numpy warns and stops at "1 2": _read_records makes that warning an error
+        values = np.fromstring(text, np.int64, sep=",")
+    except (ValueError, DeprecationWarning):
+        return None
     # one value per token and one token per field; INT64_MAX may be a clamp
     if not tokens == len(values) == line_count * fields or values.max() == _INT64_MAX:
         return None

@@ -762,6 +762,30 @@ def test_per_line_decoding_runs_alone(tmp_path):
     assert shape == (600, 2) and started and overlaps == []
 
 
+def test_warning_filters_are_as_before_after_a_threaded_parse(tmp_path):
+    """Older numpy's np.fromstring warns (DeprecationWarning) where a field
+    holds two integers. While a file decodes that warning is an error on both
+    threads, and the warning filters, which are global, are set and restored
+    once, by the calling thread: none is left behind and no warning escapes."""
+    parse = np.fromstring
+
+    def older_numpy(text, dtype, sep):
+        time.sleep(0.001)  # frees the GIL, so the two threads' parses overlap
+        warnings.warn("string or file could not be read to its end", DeprecationWarning)
+        return parse(text, dtype, sep=sep)
+
+    path = tmp_path / "X_A.txt"
+    path.write_bytes(b"".join(b"%d, %d\n" % (i, i + 1) for i in range(600)))
+    want = decoded_on(1, path, 2, 128)[0]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        before = list(warnings.filters)
+        with mock.patch.object(gd.np, "fromstring", older_numpy):
+            got, started = decoded_on(2, path, 2, 128)
+        assert warnings.filters == before
+    assert got == want and started and caught == []
+
+
 def test_no_thread_outlives_a_parse(tmp_path):
     """After a load that succeeds, one with a malformed line in a late chunk
     and one whose helper raises, the same threads are running as before."""
