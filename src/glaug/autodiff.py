@@ -36,6 +36,9 @@ from typing import Callable
 
 import numpy as np
 
+NORM_FLOOR = 1e-12  # l2_norm_rows clamps each row norm below at this
+FD_STEP = 1e-5  # grad_check's central-difference step
+
 
 class ShapeError(ValueError):
     """Operands have incompatible shapes; message names both."""
@@ -319,15 +322,15 @@ def propagate(blocks, x: DiffValue) -> DiffValue:
     return _record(out_val, (x, lambda g: _block_products([blk.T for blk in blocks], g)))
 
 
-def l2_norm_rows(a: DiffValue, floor: float = 1e-12) -> DiffValue:
-    """Per-row euclidean norm (n x d -> n x 1), clamped below by `floor`.
+def l2_norm_rows(a: DiffValue) -> DiffValue:
+    """Per-row euclidean norm (n x d -> n x 1), clamped below by NORM_FLOOR.
 
     Rows at the floor get zero gradient: the output is constant there.
     """
     av = _value(a)
     norms = np.sqrt((av * av).sum(axis=1, keepdims=True))
-    clamped = np.maximum(norms, floor)
-    return _record(clamped, (a, lambda g: (g * (norms > floor) / clamped) * av))
+    clamped = np.maximum(norms, NORM_FLOOR)
+    return _record(clamped, (a, lambda g: (g * (norms > NORM_FLOOR) / clamped) * av))
 
 
 def dot(a: DiffValue, b: DiffValue) -> DiffValue:
@@ -374,20 +377,14 @@ def backward(loss: DiffValue) -> None:
         leaf.grad = g
 
 
-def grad_check(
-    f: Callable[[DiffValue], DiffValue],
-    x: np.ndarray,
-    step: float = 1e-5,
-) -> float:
+def grad_check(f: Callable[[DiffValue], DiffValue], x: np.ndarray) -> float:
     """Max relative error between backward's gradient of f and central differences.
 
     `f` receives a DiffValue and must return a 1 x 1 DiffValue built with
     engine ops on that value's tape: a leaf for the gradient, a constant for
-    each finite-difference evaluation. The relative error per entry is
-    |a - n| / max(1e-8, |a| + |n|).
+    each finite-difference evaluation (an entry moved by +-FD_STEP). The
+    relative error per entry is |a - n| / max(1e-8, |a| + |n|).
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
     x = as_matrix(x)
 
     tape = Tape()
@@ -408,12 +405,12 @@ def grad_check(
     num_flat = numeric.reshape(-1)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + step
+        flat[i] = orig + FD_STEP
         hi = value_at(x)
-        flat[i] = orig - step
+        flat[i] = orig - FD_STEP
         lo = value_at(x)
         flat[i] = orig
-        num_flat[i] = (hi - lo) / (2.0 * step)
+        num_flat[i] = (hi - lo) / (2.0 * FD_STEP)
 
     denom = np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))
     rel = np.abs(analytic - numeric) / denom

@@ -499,10 +499,10 @@ def generate_synthetic(
     return build_node_features(ds, default_policy(True))
 
 
-def write_tudataset(dataset: GraphDataset, directory, name: str | None = None) -> Path:
+def write_tudataset(dataset: GraphDataset, directory, name: str) -> Path:
     """Emit the four-file TUDataset layout parse_tudataset reads, as
-    `<name>_<kind>.txt` files in `directory`; `name` (by default the data
-    set's) must be a file-name stem, or nothing is created.
+    `<name>_<kind>.txt` files in `directory`; `name`, which may differ from
+    the data set's own, must be a file-name stem, or nothing is created.
 
     Each undirected edge is written in both directions, global 1-based ids.
     The node-label file is written when the data set has node labels. Each
@@ -510,7 +510,6 @@ def write_tudataset(dataset: GraphDataset, directory, name: str | None = None) -
     of no records is one blank line. Output is byte-deterministic for a given
     dataset.
     """
-    name = dataset.name if name is None else name
     if not name or "/" in name:  # empty, or with a directory part
         raise InputError(f"data set name {name!r} is not a file-name stem")
     directory = Path(directory)

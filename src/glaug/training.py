@@ -26,7 +26,7 @@ import platform
 import signal
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,7 +50,6 @@ from .model import (
 )
 from .seeding import seeded_rng
 
-NORM_FLOOR = 1e-12
 PROB_FLOOR = 1e-12
 SURROGATE_STEPS = 200
 SURROGATE_LR = 1e-2
@@ -77,7 +76,7 @@ class TrainConfig:
     depth: int = 3
 
     def __post_init__(self):
-        for name in ("alpha", "learning_rate", "temperature"):
+        for name in ("alpha", "eta", "learning_rate", "temperature"):
             if not math.isfinite(getattr(self, name)):
                 raise InputError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("hidden", "proj_dim", "depth"):
@@ -97,8 +96,6 @@ class TrainConfig:
             raise InputError(f"temperature must be > 0 with a finite inverse, got {self.temperature}")
         if self.negative_pairs and self.batch_size < 2:
             raise InputError(f"negative pairs need batch_size >= 2, got {self.batch_size}")
-        if not math.isfinite(self.eta):
-            raise InputError(f"eta must be finite, got {self.eta}")
         if self.eta < 0:
             raise InputError(f"eta must be >= 0, got {self.eta}")
         if self.num_candidates < 1:
@@ -156,10 +153,10 @@ def contrastive_loss(p_o: DiffValue, p_a: DiffValue) -> DiffValue:
     """Mean over rows of the negative cosine similarity of each projection pair.
 
     `p_o` and `p_a` are B x p; row b of each belongs to graph b. Norms are
-    clamped below by 1e-12 so zero projections yield 0, not NaN.
+    clamped below by autodiff.NORM_FLOOR so zero projections yield 0, not NaN.
     """
     num = ad.row_sum(ad.mul(p_o, p_a))
-    den = ad.mul(ad.l2_norm_rows(p_o, NORM_FLOOR), ad.l2_norm_rows(p_a, NORM_FLOOR))
+    den = ad.mul(ad.l2_norm_rows(p_o), ad.l2_norm_rows(p_a))
     return ad.scale(ad.sum_all(ad.div(num, den)), -1.0 / p_o.shape[0])
 
 
@@ -180,8 +177,8 @@ def ntxent_with_negatives(p_o: DiffValue, p_a: DiffValue, temperature: float) ->
         raise InputError(f"temperature must be > 0, got {temperature}")
 
     num = ad.matmul(p_o, ad.transpose(p_a))
-    norms_a = ad.transpose(ad.l2_norm_rows(p_a, NORM_FLOOR))
-    den = ad.matmul(ad.l2_norm_rows(p_o, NORM_FLOOR), norms_a)  # outer product of the norms
+    norms_a = ad.transpose(ad.l2_norm_rows(p_a))
+    den = ad.matmul(ad.l2_norm_rows(p_o), norms_a)  # outer product of the norms
     sims = ad.scale(ad.div(num, den), 1.0 / temperature)
     tape = sims.tape
     row_max = sims.value.max(axis=1, keepdims=True)  # detached constant
@@ -709,21 +706,20 @@ def _train_task(fold: FoldPlan, cfg: TrainConfig) -> FoldResult:
 
 
 def run_experiment(dataset: GraphDataset, cfgs, workers: int = 1) -> list[ExperimentResult]:
-    """The 10-fold protocol of each config, in config and fold order: all the
-    folds run on one BLAS thread, in-process or through one fork pool."""
+    """The 10-fold protocol of each config, in config and fold order. All the
+    folds run on one BLAS thread: in-process, or with `workers` > 1 through one
+    fork pool, shut down with `_fold_dataset` cleared however the run ends."""
     global _fold_dataset
     tasks = [(assign_labels(p, cfg.label_ratio, cfg.seed), cfg)
              for cfg in cfgs for p in make_folds(dataset, NUM_FOLDS, cfg.seed)]
     _fold_dataset = dataset
     try:
-        with _one_blas_thread(), ExitStack() as stack:
-            run = map
-            if workers > 1:
-                # a fork pool starts every worker at the first submit, so open no more than there are folds
-                run = stack.enter_context(ProcessPoolExecutor(
-                    min(workers, len(tasks)), mp_context=multiprocessing.get_context("fork"),
-                    initializer=_end_with_parent, initargs=(os.getpid(),))).map
-            folds = list(run(_train_task, *zip(*tasks)))  # map keeps submission order
+        # a fork pool starts every worker at the first submit, so open no more than there are folds
+        pool = ProcessPoolExecutor(
+            min(workers, len(tasks)), mp_context=multiprocessing.get_context("fork"),
+            initializer=_end_with_parent, initargs=(os.getpid(),)) if workers > 1 else None
+        with _one_blas_thread(), pool or nullcontext():
+            folds = list((pool.map if pool else map)(_train_task, *zip(*tasks)))  # in submission order
     finally:
         _fold_dataset = None
     return [ExperimentResult(tuple(folds[i:i + NUM_FOLDS])) for i in range(0, len(folds), NUM_FOLDS)]

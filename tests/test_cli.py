@@ -124,6 +124,59 @@ def test_seed_changes_metrics(toy_dir, tmp_path):
     assert read(tmp_path / "a" / "metrics.json") != read(tmp_path / "b" / "metrics.json")
 
 
+@pytest.fixture(scope="module")
+def relation_base(tmp_path_factory):
+    """A 24-graph `gen-synth` data set and the directory of a tiny `run` on it."""
+    root = tmp_path_factory.mktemp("relations")
+    data = root / "orig" / "META"
+    assert main(["gen-synth", "--graphs", "24", "--sizes", "6,10", "--densities", "0.2,0.5",
+                 "--seed", "4", "--out", str(data), "--name", "META"]) == 0
+    assert main(["run", str(data), *COMMON, "--out", str(root / "run")]) == 0
+    return data, root / "run"
+
+
+def _shuffled(lines, rng):
+    return [lines[i] for i in rng.permutation(len(lines))]
+
+
+def _each_edge_once(lines, rng):
+    pairs = [tuple(int(v) for v in line.split(",")) for line in lines]
+    once = [(u, v) for u, v in pairs if u < v]
+    assert 2 * len(once) == len(pairs)  # gen-synth writes each edge both ways
+    flips = rng.random(len(once)) < 0.5
+    return [f"{v}, {u}" if flip else f"{u}, {v}" for (u, v), flip in zip(once, flips)]
+
+
+def _ten_x_plus_five(lines, rng):
+    return [str(10 * int(line) + 5) for line in lines]
+
+
+@pytest.mark.parametrize("kind, edit", [
+    ("A", _shuffled), ("A", _each_edge_once), ("graph_labels", _ten_x_plus_five),
+], ids=["edge_lines_shuffled", "each_edge_once_either_way", "graph_labels_10x_plus_5"])
+def test_a_copy_that_spells_the_same_data_set_gives_the_same_artifacts(
+    relation_base, tmp_path, capsys, kind, edit
+):
+    """Edge-line order, the direction an undirected edge is listed in, and the
+    values that name the classes, as long as their order holds, do not change
+    the data set: its fingerprint, `metrics.json` and `manifest.json` stay as
+    they are, apart from the data set's path, and nothing goes to stderr."""
+    data, run = relation_base
+    copy = tmp_path / data.name
+    shutil.copytree(data, copy)
+    path = copy / f"META_{kind}.txt"
+    path.write_text("\n".join(edit(path.read_text().splitlines(), np.random.default_rng(7))) + "\n")
+    assert path.read_bytes() != (data / path.name).read_bytes()
+    capsys.readouterr()
+    assert main(["run", str(copy), *COMMON, "--out", str(tmp_path / "run")]) == 0
+    assert capsys.readouterr().err == ""
+    manifests = [json.loads(read(d / "manifest.json")) for d in (run, tmp_path / "run")]
+    assert manifests[1]["dataset"]["fingerprint"] == manifests[0]["dataset"]["fingerprint"]
+    for name in ("metrics.json", "manifest.json"):
+        got = read(tmp_path / "run" / name).replace(str(copy).encode(), str(data).encode())
+        assert got == read(run / name)
+
+
 def assert_rerun_reproduces(toy_dir, tmp_path, command, *flags):
     """Run a command, rerun its manifest, and compare every artifact."""
     assert main([command, str(toy_dir), *flags, *COMMON, "--out", str(tmp_path / "orig")]) == 0

@@ -150,8 +150,8 @@ def test_ntxent_gradient_fd():
 def anchor_loop_ntxent(p_os, p_as, temperature):
     """The per-anchor construction over 1 x p rows: B^2 scalar cosines."""
     batch = len(p_os)
-    norms_o = [ad.l2_norm_rows(p, tr.NORM_FLOOR) for p in p_os]
-    norms_a = [ad.l2_norm_rows(p, tr.NORM_FLOOR) for p in p_as]
+    norms_o = [ad.l2_norm_rows(p) for p in p_os]
+    norms_a = [ad.l2_norm_rows(p) for p in p_as]
     total = None
     for i in range(batch):
         sims = [

@@ -2,11 +2,13 @@
 
 import ctypes
 import functools
+import multiprocessing
 import os
 import platform
 import subprocess
 import sys
 import textwrap
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +26,7 @@ from glaug.data import (
     generate_synthetic,
     make_folds,
 )
-from glaug.errors import InputError
+from glaug.errors import InputError, TrainingDiverged
 from glaug.model import ModelParams
 from glaug.seeding import seeded_rng
 
@@ -307,6 +309,18 @@ def test_fold_workers_take_the_data_set_from_the_forked_memory(monkeypatch):
     assert pickles == []
     assert pooled == tr.run_experiment(ds, [cfg, cfg], workers=1)
     assert tr._fold_dataset is None  # the data set is not kept past the run
+
+
+@pytest.mark.parametrize("learning_rate, ends", [
+    (1e-3, nullcontext()),
+    (1e300, pytest.raises(TrainingDiverged)),  # every fold diverges at its first step, in a worker
+], ids=["returns", "a_worker_raises"])
+def test_fold_pool_ends_with_the_run(learning_rate, ends):
+    with ends:
+        tr.run_experiment(small_dataset(20, seed=4), [quick_cfg(epochs=1, learning_rate=learning_rate)],
+                          workers=2)
+    assert multiprocessing.active_children() == []
+    assert tr._fold_dataset is None
 
 
 def blas_functions():
