@@ -37,9 +37,10 @@ parser's 256 KiB chunks, so it is decoded two chunks at a time on a host of
 two or more CPUs; a `run --parallel-folds 2` reads it, and a `run` reads
 its copy with a malformed line in a late chunk of the edge file, which must
 exit 1. That chunk is the first of two decoded side by side, the one the
-helper thread tries, so the error comes out of a pair. The four commands of INPUT_ERRORS close the list, 52 in all: `run`
+helper thread tries, so the error comes out of a pair. The five commands of INPUT_ERRORS close the list, 53 in all: `run`
 with a `--k` or a `--hidden` past the intp byte bound, `invariant-rate
---from-run` of a study's metrics and `run` with an `--out` that is a file.
+--from-run` of a study's metrics, `run` with an `--out` that is a file and
+`run` of a directory that holds no data set of its own base name.
 Each exits 1, so the `error:` lines of input errors are compared byte for
 byte.
 
@@ -82,6 +83,7 @@ INPUT_ERRORS = [
      ["run", DATA, "--hidden", str(2**63 - 1), "--out", "runs/hidden-past-intp"]),
     ("from-run-of-a-study", ["invariant-rate", "--from-run", "runs/sweep-eta/metrics.json"]),
     ("out-is-a-file", ["run", DATA, "--out", "runs/run/metrics.json"]),
+    ("no-data-set-by-that-name", ["run", "data", "--out", "runs/no-data-set"]),
 ]
 TINY = [
     "--epochs", "2", "--k", "3", "--hidden", "8", "--proj-dim", "4", "--depth", "2",

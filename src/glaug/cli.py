@@ -57,14 +57,14 @@ PARALLEL_FOLDS = click.option(
 
 
 def _resolve_dataset(path_str: str, name: str | None, features: str | None):
-    """Locate and parse a TUDataset directory, its features built under the
-    policy spelled `features`, or under parse_tudataset's default when that
-    is None; the data set records the policy it was built under.
+    """Locate and parse a TUDataset directory, its features built under the policy spelled
+    `features` (parse_tudataset's default when None); the data set records the policy.
 
-    The path is tried as given, then under $GLAUG_DATA_DIR. The manifest
-    stores `path_str` exactly as typed so reruns resolve the same way.
+    The path is tried as given, then under $GLAUG_DATA_DIR. `name` defaults to the base name
+    of the absolute path, so `.` names the current directory and `..` its parent. The
+    manifest stores `path_str` exactly as typed so reruns resolve the same way.
     """
-    name = name or Path(path_str).name
+    name = name or Path(os.path.abspath(path_str)).name
     bases = [Path(path_str)]
     if os.environ.get(DATA_DIR_VAR):
         bases.append(Path(os.environ[DATA_DIR_VAR]) / path_str)
@@ -339,7 +339,8 @@ def train_options(swept: str | None = None):
     its TrainConfig field's; the field `swept`, which a study sets once per
     variant itself, gets no option."""
     opts = [
-        click.option("--name", default=None, help="Dataset name (default: directory basename)."),
+        click.option("--name", default=None,
+                      help="Dataset name (default: directory basename; `.` names the current directory)."),
         click.option("--features", default=None,
                       help="one_hot_node_labels | degree_one_hot:CAP | constant_one."),
         *(

@@ -140,21 +140,19 @@ class ModelParams:
         dup._place(self.flat.copy())
         return dup
 
-    def bind(self, tape: Tape | None = None, prefix: str = "") -> dict:
-        """Name -> operand for the forward functions, for names starting with `prefix`.
+    def bind(self, tape: Tape | None = None) -> dict:
+        """Name -> operand for the forward functions, one per array.
 
         With a tape, every array becomes a leaf, which takes a gradient and
         holds a checked copy of the array, so later updates to the parameters
         do not reach the tape. Without one the binding is frozen: the arrays
         themselves, each checked 2-D and finite here, once, and none copied.
         A frozen binding is only valid while the arrays are not updated, so
-        bind once per pass.
+        bind once per pass and hand that binding to every part of the pass.
         """
         if tape is None:
-            return {
-                k: ad.as_matrix(v, copy=False) for k, v in self.arrays.items() if k.startswith(prefix)
-            }
-        return {k: tape.leaf(v) for k, v in self.arrays.items() if k.startswith(prefix)}
+            return {k: ad.as_matrix(v, copy=False) for k, v in self.arrays.items()}
+        return {k: tape.leaf(v) for k, v in self.arrays.items()}
 
 
 # ------------------------------------------------------------------ forward

@@ -281,17 +281,17 @@ def _stack(dataset: GraphDataset, indices) -> GraphBatch:
     return GraphBatch.of(features, [normalize_adjacency(*dataset.graph(i)) for i in indices])
 
 
-def _representations(dataset: GraphDataset, params: ModelParams, indices) -> np.ndarray:
-    """Frozen H rows for the given graphs, stacked in index order."""
-    frozen = params.bind()
+def _representations(dataset: GraphDataset, frozen: dict, indices) -> np.ndarray:
+    """H rows for the given graphs under the frozen binding `frozen`, stacked in index order."""
     indices = list(indices)
     chunks = [indices[s : s + FROZEN_CHUNK] for s in range(0, len(indices), FROZEN_CHUNK)]
     return np.vstack([represent(None, _stack(dataset, chunk), frozen) for chunk in chunks])
 
 
 def evaluate(dataset: GraphDataset, params: ModelParams, indices) -> float:
-    """Accuracy of classify(H) argmax against ground truth over the non-empty `indices`."""
-    probs = classify(_representations(dataset, params, indices), params.bind(prefix="cls"))
+    """Accuracy of classify(H) argmax over the non-empty `indices`, under one frozen binding."""
+    frozen = params.bind()
+    probs = classify(_representations(dataset, frozen, indices), frozen)
     return int((np.argmax(probs, axis=1) == dataset.labels[list(indices)]).sum()) / len(indices)
 
 
@@ -305,21 +305,20 @@ def _batches(order: list[int], batch_size: int) -> list[list[int]]:
 
 
 def _select(
-    h: np.ndarray, labels: np.ndarray, known: np.ndarray, params: ModelParams, cfg: TrainConfig,
+    h: np.ndarray, labels: np.ndarray, known: np.ndarray, frozen: dict, cfg: TrainConfig,
     d: float, rngs: list, where: str,
 ) -> Selection:
-    """The label-invariant selection of every row of the frozen B x h matrix `h`:
-    one `augment` call, row b drawing from `rngs[b]`. Row b's target is
-    `labels[b]` where `known[b]`, else the argmax of one frozen `classify` of
-    all B rows (np.argmax resolves exact ties to the lowest class). An offset
-    length eta * d that is not finite is a TrainingDiverged naming `where`,
-    raised before any offset is drawn."""
+    """The label-invariant selection of every row of the frozen B x h matrix `h`,
+    gated by the classifier of the binding `frozen`: one `augment` call, row b
+    drawing from `rngs[b]`. Row b's target is `labels[b]` where `known[b]`, else
+    the argmax of one `classify` of all B rows (np.argmax resolves exact ties to
+    the lowest class). An offset length eta * d that is not finite is a
+    TrainingDiverged naming `where`, raised before any offset is drawn."""
     if not math.isfinite(cfg.eta * d):
         raise TrainingDiverged(
             f"{where}: training diverged, the offset length eta * d = {cfg.eta:g} * {d:g} "
             "is not finite"
         )
-    frozen = params.bind(prefix="cls")
     targets = np.where(known, labels, np.argmax(classify(h, frozen), axis=1))
     return augment(h, targets, frozen, cfg, d, rngs)
 
@@ -395,7 +394,7 @@ def train_fold(dataset: GraphDataset, fold: FoldPlan, cfg: TrainConfig) -> FoldR
 
         epoch_d: float | None = None
         if cfg.dist_scope == "dataset":
-            epoch_d = centroid_distance(_representations(dataset, params, train))
+            epoch_d = centroid_distance(_representations(dataset, params.bind(), train))
 
         pair_sum = cls_sum = 0.0
         where = f"fold {fold.fold_index}, epoch {epoch}"
@@ -407,8 +406,8 @@ def train_fold(dataset: GraphDataset, fold: FoldPlan, cfg: TrainConfig) -> FoldR
             d = epoch_d if epoch_d is not None else centroid_distance(h)
             labels, known = dataset.labels[batch], labeled[batch]
             rngs = [seeded_rng(cfg.seed, "aug", fold.fold_index, epoch, i) for i in batch]
-            # selection is gated by the parameters entering this step
-            selection = _select(h, labels, known, params, cfg, d, rngs, where)
+            # selection is gated by the parameters entering this step: the leaves' checked copies
+            selection = _select(h, labels, known, {k: v.value for k, v in bound.items()}, cfg, d, rngs, where)
             selections.append((selection.counts, selection.chosen))
             onehot = np.zeros((len(batch), dataset.num_classes))
             onehot[known, labels[known]] = 1.0
@@ -476,13 +475,14 @@ def label_invariant_rate(
     """Fraction of regenerated augmentations that keep their class under a
     surrogate classifier trained on the frozen encoder with full labels.
 
-    Selection is still gated by the trained model's own classifier (the one
-    that chose augmentations during training); the surrogate only measures,
-    by one batch `classify` of the original rows and one of the augmented rows.
+    One frozen binding of `params` gives the representations, and its classifier (the one
+    that chose augmentations in training) still gates selection. The surrogate only
+    measures, by one batch `classify` of the original rows and one of the augmented rows.
     """
     train = list(fold.train_indices)
     where = f"fold {fold.fold_index}, invariance rate pass"
-    h = _representations(dataset, params, train)
+    frozen = params.bind()
+    h = _representations(dataset, frozen, train)
     if not np.isfinite(h).all():
         raise TrainingDiverged(f"{where}: training diverged, a representation is not finite")
     labels = dataset.labels[train]
@@ -492,7 +492,7 @@ def label_invariant_rate(
 
     known = np.isin(train, fold.labeled_mask)
     rngs = [seeded_rng(cfg.seed, "rate", fold.fold_index, i) for i in train]
-    offsets = _select(h, labels, known, params, cfg, centroid_distance(h), rngs, where).offsets
+    offsets = _select(h, labels, known, frozen, cfg, centroid_distance(h), rngs, where).offsets
     probe = surrogate.bind()
     before = np.argmax(classify(h, probe), axis=1)
     after = np.argmax(classify(h + offsets, probe), axis=1)
@@ -516,8 +516,7 @@ def _toy_batch_objective_check(rng_seed: int, num_nodes: int = 5) -> float | Non
     h = represent(None, batch, frozen)
     known = np.array([True, False])  # the second graph is unlabeled: a zero row
     rngs = [seeded_rng(rng_seed, "fd", idx) for idx in range(len(ds))]
-    selection = _select(h, ds.labels, known, params, TrainConfig(), 1.0, rngs, "objective check")
-    offsets = selection.offsets
+    offsets = _select(h, ds.labels, known, frozen, TrainConfig(), 1.0, rngs, "objective check").offsets
     onehot = np.zeros((len(ds), 2))
     onehot[0, ds.labels[0]] = 1.0
     # relu inputs: each encoder layer's (on the layers before it), each head's on both branches

@@ -188,9 +188,9 @@ def test_criterion_05_strategy_ordering(announce):
     )
     from glaug.training import _representations
 
-    h = _representations(ds, params, range(len(ds)))
+    frozen = params.bind()
+    h = _representations(ds, frozen, range(len(ds)))
     d = centroid_distance(h)
-    frozen = params.bind(prefix="cls")
     checked = 0
     for trial in range(80):
         row = h[trial % len(ds)][None, :]

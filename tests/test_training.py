@@ -219,11 +219,11 @@ def test_select_equals_per_row_augment(strategy):
     labels = np.array([2, 1, 0, 2, 0, 1])
     known = np.array([True, False, True, False, False, True])
     cfg = tr.TrainConfig(strategy=strategy, num_candidates=5)
+    frozen = params.bind()
     got = tr._select(
-        h, labels, known, params, cfg, 0.9, [seeded_rng(3, "sel", b) for b in range(6)],
+        h, labels, known, frozen, cfg, 0.9, [seeded_rng(3, "sel", b) for b in range(6)],
         "selection",
     )
-    frozen = params.bind(prefix="cls")
     assert got.offsets.shape == h.shape and len(got.counts) == 6
     for b in range(6):
         # a known row's target is its label, an unknown row's its single-row argmax
@@ -233,6 +233,24 @@ def test_select_equals_per_row_augment(strategy):
         assert (got.counts[b], got.chosen[b : b + 1].tobytes(), got.counts[b] == 0) == (
             want.qualified_count, want.chosen.tobytes(), bool(want.fallback)
         )
+
+
+def test_each_frozen_pass_binds_the_model_once(monkeypatch):
+    # a training step selects with its own leaves' values and binds nothing frozen; an
+    # evaluation binds the model once, and the rate pass the model once and its surrogate once
+    ds = small_dataset()
+    real_bind = ModelParams.bind
+    frozen = []  # the number of arrays of each frozen binding, in bind order
+
+    def counting_bind(self, tape=None):
+        if tape is None:
+            frozen.append(len(self.arrays))
+        return real_bind(self, tape)
+
+    monkeypatch.setattr(ModelParams, "bind", counting_bind)
+    tr.train_fold(ds, plan_for(ds), quick_cfg(epochs=2))
+    model = 2 + 4 + 4  # depth 2, then the classifier and projection heads
+    assert frozen == [model] * 3 + [model, 4]  # 2 validations, the test, the rate pass
 
 
 @pytest.mark.parametrize("negative_pairs", [False, True])
