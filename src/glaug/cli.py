@@ -60,13 +60,13 @@ def _resolve_dataset(path_str: str, name: str | None, features: str | None):
     """Locate and parse a TUDataset directory, its features built under the policy spelled
     `features` (parse_tudataset's default when None); the data set records the policy.
 
-    The path is tried as given, then under $GLAUG_DATA_DIR. `name` defaults to the base name
-    of the absolute path, so `.` names the current directory and `..` its parent. The
-    manifest stores `path_str` exactly as typed so reruns resolve the same way.
+    The path is tried as given, then, if relative, under $GLAUG_DATA_DIR. `name` defaults
+    to the base name of the absolute path, so `.` names the current directory and `..` its
+    parent. The manifest stores `path_str` exactly as typed so reruns resolve the same way.
     """
     name = name or Path(os.path.abspath(path_str)).name
     bases = [Path(path_str)]
-    if os.environ.get(DATA_DIR_VAR):
+    if os.environ.get(DATA_DIR_VAR) and not os.path.isabs(path_str):
         bases.append(Path(os.environ[DATA_DIR_VAR]) / path_str)
     base = next((b for b in bases if (b / f"{name}_A.txt").is_file()), None)
     if base is None:

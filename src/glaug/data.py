@@ -18,11 +18,9 @@ import hashlib
 import logging
 import os
 import re
-import warnings
 from array import array
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from itertools import islice
 from pathlib import Path
@@ -191,11 +189,11 @@ def _read_records(path: Path, fields: int) -> _Records:
     a file of more than 2 * CHUNK_BYTES bytes, on more than one CPU, a helper
     thread tries the first by _fast_decode (np.fromstring frees the GIL)
     while this one tries the second, and the helper ends with the call.
-    _decode then takes each chunk that is not plain, alone. Records are
-    stored in file order and decoding stops at the first malformed chunk, so
-    records and errors do not depend on which path ran. Memory is the
-    records once and two chunks' temporaries: no line numbers are kept,
-    since only an error needs one (_line_of)."""
+    _decode then takes each chunk that is not plain, alone. Records are in
+    file order and decoding stops at the first malformed chunk, so records
+    and errors do not depend on which path ran. No warning filter is set (the
+    filters are process-wide). Memory is the records and two chunks'
+    temporaries: no line numbers are kept; only an error needs one (_line_of)."""
     row, error = 0, None
     with open(path, "rb") as f:
         ends = 0  # \n, \r\n or a lone \r; a \r\n split between two reads counts twice
@@ -208,12 +206,10 @@ def _read_records(path: Path, fields: int) -> _Records:
         threaded = f.tell() > 2 * CHUNK_BYTES and len(cpus) > 1
         f.seek(0)
         chunks = _line_chunks(f)
-        with warnings.catch_warnings(), ThreadPoolExecutor(1) if threaded else nullcontext() as helper:
-            # older numpy warns and stops at "1 2"; set here, as the filters are global, not per thread
-            warnings.simplefilter("error", DeprecationWarning)
+        with ThreadPoolExecutor(1) as helper:  # its thread starts at the first submit
             while error is None and (pair := list(islice(chunks, 2))):
                 # the helper tries the first of two chunks while this thread tries the second
-                ahead = helper and pair[1:] and helper.submit(_fast_decode, pair[0], fields)
+                ahead = threaded and pair[1:] and helper.submit(_fast_decode, pair[0], fields)
                 fast = [_fast_decode(chunk, fields) for chunk in pair[bool(ahead) :]]
                 for chunk, done in zip(pair, [ahead.result(), *fast] if ahead else fast):
                     chunk_values, error = done or _decode(chunk, fields)  # the helper is idle
@@ -242,10 +238,10 @@ def _line_chunks(f):
 
 def _fast_decode(raw: bytes, fields: int):
     """What _decode returns for a plain chunk, by one C-level integer parse;
-    None when `raw` is not plain. np.fromstring raises where a field holds
-    two tokens, but reads a field of spaces as 0 and clamps an overflow to
-    INT64_MAX, so the chunk's tokens are counted first and INT64_MAX is
-    refused. A CRLF line end is one line end either way."""
+    None when `raw` is not plain. np.fromstring raises ValueError where a
+    field holds two tokens or is empty, but reads a field of spaces as 0 and
+    clamps an overflow to INT64_MAX, so the chunk's tokens are counted first
+    and INT64_MAX is refused. A CRLF line end is one line end either way."""
     if b"\r" in raw:  # one memchr; a search for b"\r\n" scans far more slowly
         raw = raw.replace(b"\r\n", b"\n")
     separators = raw.translate(None, _NOT_SEPARATORS)
@@ -263,9 +259,9 @@ def _fast_decode(raw: bytes, fields: int):
     text ^= codes  # line feeds to commas; numpy frees the GIL, bytes.translate does not
     text = text.tobytes()
     del digit  # the buffer, freed before the parse
-    try:  # older numpy warns and stops at "1 2": _read_records makes that warning an error
+    try:
         values = np.fromstring(text, np.int64, sep=",")
-    except (ValueError, DeprecationWarning):
+    except ValueError:
         return None
     # one value per token and one token per field; INT64_MAX may be a clamp
     if not tokens == len(values) == line_count * fields or values.max() == _INT64_MAX:

@@ -857,6 +857,18 @@ def test_data_dir_env_fallback(toy_dir, tmp_path, monkeypatch):
     assert doc["dataset"]["path"] == "TOY"  # stored as typed, not resolved
 
 
+@pytest.mark.parametrize("absolute", [True, False], ids=["absolute", "relative"])
+def test_a_missing_data_set_names_each_place_looked_in_once(tmp_path, monkeypatch, capsys, absolute):
+    """With $GLAUG_DATA_DIR set, an absolute path is looked for as given only,
+    and a relative one also under the variable's directory."""
+    monkeypatch.setenv("GLAUG_DATA_DIR", str(tmp_path / "data"))
+    monkeypatch.chdir(tmp_path)
+    path = str(tmp_path / "empty") if absolute else "empty"
+    assert main(["run", path, "--out", str(tmp_path / "r")]) == 1
+    places = [path] if absolute else [path, str(tmp_path / "data" / "empty")]
+    assert capsys.readouterr().err == f"error: no dataset named 'empty' at {' or '.join(places)}\n"
+
+
 def test_explicit_feature_policy_recorded(toy_dir, tmp_path):
     rc = main(["run", str(toy_dir), "--features", "degree_one_hot:4", *COMMON,
                "--out", str(tmp_path / "r")])

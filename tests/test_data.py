@@ -763,27 +763,21 @@ def test_per_line_decoding_runs_alone(tmp_path):
 
 
 def test_warning_filters_are_as_before_after_a_threaded_parse(tmp_path):
-    """Older numpy's np.fromstring warns (DeprecationWarning) where a field
-    holds two integers. While a file decodes that warning is an error on both
-    threads, and the warning filters, which are global, are set and restored
-    once, by the calling thread: none is left behind and no warning escapes."""
-    parse = np.fromstring
-
-    def older_numpy(text, dtype, sep):
-        time.sleep(0.001)  # frees the GIL, so the two threads' parses overlap
-        warnings.warn("string or file could not be read to its end", DeprecationWarning)
-        return parse(text, dtype, sep=sep)
-
+    """A threaded parse sets no warning filter, as the filters are global:
+    under the caller's filter that makes every warning an error, a file with
+    a two-token field late in it raises nothing, the filters are unchanged,
+    and records and error are the one-thread path's."""
     path = tmp_path / "X_A.txt"
-    path.write_bytes(b"".join(b"%d, %d\n" % (i, i + 1) for i in range(600)))
+    lines = [b"%d, %d\n" % (i, i + 1) for i in range(600)]
+    lines[450] = b"1 2, 3\n"  # np.fromstring raises ValueError on this chunk
+    path.write_bytes(b"".join(lines))
     want = decoded_on(1, path, 2, 128)[0]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         before = list(warnings.filters)
-        with mock.patch.object(gd.np, "fromstring", older_numpy):
-            got, started = decoded_on(2, path, 2, 128)
+        got, started = decoded_on(2, path, 2, 128)
         assert warnings.filters == before
-    assert got == want and started and caught == []
+    assert got == want and started and want[3][2] == 451
 
 
 def test_no_thread_outlives_a_parse(tmp_path):
@@ -938,9 +932,10 @@ def plain_chunks(draw, fields):
     return text if draw(st.booleans()) else text.removesuffix(ends[-1])
 
 
-@given(
-    fields_and_raw=st.sampled_from([1, 2]).flatmap(lambda f: st.tuples(st.just(f), plain_chunks(f))),
-)
+FIELDS_AND_PLAIN_CHUNK = st.sampled_from([1, 2]).flatmap(lambda f: st.tuples(st.just(f), plain_chunks(f)))
+
+
+@given(fields_and_raw=FIELDS_AND_PLAIN_CHUNK)
 @settings(max_examples=1000, deadline=None)
 def test_fast_path_declines_or_equals_the_exact_decoder(fields_and_raw):
     fields, raw = fields_and_raw
@@ -949,6 +944,18 @@ def test_fast_path_declines_or_equals_the_exact_decoder(fields_and_raw):
         (values, error), (want, want_error) = fast, gd._decode(raw, fields)
         assert error is want_error is None
         assert (values.shape, values.dtype, values.tolist()) == (want.shape, want.dtype, want.tolist())
+
+
+@given(fields_and_raw=FIELDS_AND_PLAIN_CHUNK)
+@settings(max_examples=1000, deadline=None)
+def test_fast_path_emits_no_warning(fields_and_raw):
+    """_read_records sets no warning filter, so np.fromstring must refuse
+    what it cannot read by raising, on every chunk, never by warning."""
+    fields, raw = fields_and_raw
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        gd._fast_decode(raw, fields)
+    assert caught == []
 
 
 def test_written_files_never_reach_the_exact_decoder(tmp_path):
