@@ -37,19 +37,24 @@ parser's 256 KiB chunks, so it is decoded two chunks at a time on a host of
 two or more CPUs; a `run --parallel-folds 2` reads it, and a `run` reads
 its copy with a malformed line in a late chunk of the edge file, which must
 exit 1. That chunk is the first of two decoded side by side, the one the
-helper thread tries, so the error comes out of a pair. The five commands of INPUT_ERRORS close the list, 53 in all: `run`
-with a `--k` or a `--hidden` past the intp byte bound, `invariant-rate
---from-run` of a study's metrics, `run` with an `--out` that is a file and
-`run` of a directory that holds no data set of its own base name.
-Each exits 1, so the `error:` lines of input errors are compared byte for
-byte.
+helper thread tries, so the error comes out of a pair. Another lean `run
+--parallel-folds 2` reads a copy of its files with every line feed a lone
+carriage return, which the parser cuts into chunks at those line ends too
+and reads with its per-line decoder. Five commands, those of INPUT_ERRORS,
+are input errors: `run` with a `--k` or a `--hidden` past the intp byte
+bound, `invariant-rate --from-run` of a study's metrics, `run` with an
+`--out` that is a file and `run` of a directory that holds no data set of
+its own base name. Each exits 1, so the `error:` lines of input errors are
+compared byte for byte. That makes 54 commands.
 
-After each command the exit code, stdout, stderr and every file the command
-wrote are compared. A command on the new tree that exits 2 (an internal
-error) or prints `Traceback (most recent call last)` fails the check even
-when both trees agree, since no command here should crash. The script stops
-at the first failure or difference and exits 1; it exits 0 when all commands
-agree, and 2 when a tree holds no `glaug`.
+Every command runs with `DeprecationWarning` and `ResourceWarning` raised as
+errors (`PYTHONWARNINGS`), as the test suite runs, so a warning in a real
+process is a crash. After each command the exit code, stdout, stderr and
+every file the command wrote are compared. A command on the new tree that
+exits 2 (an internal error) or prints `Traceback (most recent call last)`
+fails the check even when both trees agree, since no command here should
+crash. The script stops at the first failure or difference and exits 1; it
+exits 0 when all commands agree, and 2 when a tree holds no `glaug`.
 """
 
 from __future__ import annotations
@@ -68,6 +73,7 @@ HAND = "data/HAND"
 BARE = "data/BARE"  # HAND's graphs without a node-label file
 LARGE = "data/LARGE"  # an edge file of several chunks
 LATE = "data/LATE"  # LARGE's files, with a malformed line in a late chunk of its edge file
+LONE_CR = "data/LONECR"  # LARGE's files, with every \n a lone \r
 CHUNK_BYTES = 1 << 18  # the parser's chunk size, glaug.data.CHUNK_BYTES
 # data sets of HAND's files with an edited A file: data set -> the edit
 EDITED = {
@@ -144,15 +150,19 @@ def write_hand_dataset(directory: Path, node_labels: bool = True) -> None:
         (directory / f"{directory.name}_{suffix}.txt").write_bytes(text.encode("ascii"))
 
 
-def write_late_dataset(work: Path) -> None:
-    """LATE: the files gen-synth wrote to LARGE under `work`, renamed, with
-    one line of the edge file not an integer record. The parser takes chunks
-    in pairs, (0, 1), (2, 3) and so on, and the line is in the middle of the
-    last even-numbered chunk that has a partner, the one a helper thread
-    decodes while the calling thread decodes the next."""
-    (work / LATE).mkdir()
+def write_large_copies(work: Path) -> None:
+    """LATE and LONE_CR: the files gen-synth wrote to LARGE under `work`,
+    renamed. In LATE one line of the edge file is not an integer record. The
+    parser takes chunks in pairs, (0, 1), (2, 3) and so on, and the line is
+    in the middle of the last even-numbered chunk that has a partner, the one
+    a helper thread decodes while the calling thread decodes the next. In
+    LONE_CR every line ends in a lone \\r."""
+    for data in (LATE, LONE_CR):
+        (work / data).mkdir()
     for path in (work / LARGE).iterdir():
         content = path.read_bytes()
+        copy = path.name.replace("LARGE", Path(LONE_CR).name)
+        (work / LONE_CR / copy).write_bytes(content.replace(b"\n", b"\r"))
         if path.name.endswith("_A.txt"):
             chunks = -(-len(content) // CHUNK_BYTES)
             late = (chunks - 2) // 2 * 2  # 4 of 7 chunks
@@ -193,6 +203,9 @@ def commands() -> list[tuple[str, list[str], str | None]]:
     cmds.append(("large", ["run", LARGE, *lean, "--parallel-folds", "2", "--out", "runs/large"],
                  "runs/large"))
     cmds.append(("late-malformed-line", ["run", LATE, "--out", "runs/late"], "runs/late"))
+    cmds.append(("large-lone-cr",
+                 ["run", LONE_CR, *lean, "--parallel-folds", "2", "--out", "runs/large-lone-cr"],
+                 "runs/large-lone-cr"))
     return cmds
 
 
@@ -201,6 +214,7 @@ def environment(src: Path) -> dict[str, str]:
     env.pop("GLAUG_DATA_DIR", None)  # the CLI also looks data sets up there
     env["PYTHONPATH"] = str(src)
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONWARNINGS"] = "error::DeprecationWarning,error::ResourceWarning"
     return env
 
 
@@ -275,9 +289,9 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"DIFF {label}: {out}/{name} differs", file=sys.stderr)
                     return 1
             print(f"same: {label} (exit {old.returncode})")
-            if out == LARGE:  # LATE is made from what each tree's gen-synth wrote
+            if out == LARGE:  # LATE and LONE_CR are made from what each tree's gen-synth wrote
                 for name in sides:
-                    write_late_dataset(work[name])
+                    write_large_copies(work[name])
     print(f"all {len(cmds)} commands identical")
     return 0
 

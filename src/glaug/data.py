@@ -137,13 +137,13 @@ def default_policy(has_node_labels: bool) -> FeaturePolicy:
 # whitespace (space, \t, \x0b, \x0c, \r, \x1c-\x1f) and skipped when nothing
 # is left; the rest is comma-separated fields, each stripped and each an
 # integer: [+-]?digits, single underscores allowed between digits. Every
-# value must fit int64. Each file is decoded in line-aligned chunks. A plain
-# chunk (digits, commas, spaces, tabs and \n or \r\n line ends only, one
-# integer in every field, the right field count on every line, no blank
-# line, no value at or past INT64_MAX) is parsed by one np.fromstring call;
-# every other chunk, and so every malformed line, goes to _decode, which is
-# this grammar written out one line at a time. No record carries its line
-# number: an error looks it up in the file (_line_of).
+# value must fit int64. Each file, whatever its line ends, is decoded in
+# line-aligned chunks. A plain chunk (digits, commas, spaces, tabs and \n or
+# \r\n line ends only, one integer in every field, the right field count on
+# every line, no blank line, no value at or past INT64_MAX) is parsed by one
+# np.fromstring call; every other chunk, and so every malformed line, goes to
+# _decode, which is this grammar written out one line at a time. No record
+# carries its line number: an error looks it up in the file (_line_of).
 
 CHUNK_BYTES = 1 << 18  # bytes per read and chunk; two in flight take temporaries of 9-12 times that
 WRITE_ROWS = 1 << 16  # records formatted per write by write_tudataset
@@ -185,10 +185,10 @@ def _read_records(path: Path, fields: int) -> _Records:
     """Decode one file of `fields`-integer records, about CHUNK_BYTES at a time.
 
     A first pass counts the line ends, which size one array for the records.
-    Chunks hold whole lines (_line_chunks) and are decoded two at a time: in
-    a file of more than 2 * CHUNK_BYTES bytes, on more than one CPU, a helper
-    thread tries the first by _fast_decode (np.fromstring frees the GIL)
-    while this one tries the second, and the helper ends with the call.
+    Chunks hold whole lines (_line_chunks) and are decoded two at a time: on
+    more than one CPU, a helper thread tries the first of each two by
+    _fast_decode (np.fromstring frees the GIL) while this one tries the
+    second, and the helper ends with the call.
     _decode then takes each chunk that is not plain, alone. Records are in
     file order and decoding stops at the first malformed chunk, so records
     and errors do not depend on which path ran. No warning filter is set (the
@@ -202,8 +202,7 @@ def _read_records(path: Path, fields: int) -> _Records:
             if b"\r" in block:  # one memchr; counting b"\r\n" scans more slowly
                 ends += block.count(b"\r") - block.count(b"\r\n")
         values = np.empty((ends + 1, fields), np.int64)  # a last line may have no end
-        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
-        threaded = f.tell() > 2 * CHUNK_BYTES and len(cpus) > 1
+        threaded = len(os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()) > 1
         f.seek(0)
         chunks = _line_chunks(f)
         with ThreadPoolExecutor(1) as helper:  # its thread starts at the first submit
@@ -222,12 +221,13 @@ def _read_records(path: Path, fields: int) -> _Records:
 
 
 def _line_chunks(f):
-    """The lines of binary file `f` in chunks: each ends after the last line
-    feed of its read, and the partial line after it goes into the next, so a
-    file with no line feed (lone carriage-return line ends) is one chunk."""
+    """The lines of binary file `f` in chunks: each ends after the last \\n of
+    its read, or, in a read with no \\n, after its last \\r that is not the
+    read's final byte, which may be the first half of a \\r\\n. The partial
+    line after the cut goes into the next chunk."""
     pending = bytearray()  # a partial line, carried into the next chunk
     while block := f.read(CHUNK_BYTES):
-        if cut := block.rfind(b"\n") + 1:
+        if cut := block.rfind(b"\n") + 1 or block.rfind(b"\r", 0, -1) + 1:
             yield pending + memoryview(block)[:cut]
             pending = bytearray(memoryview(block)[cut:])
         else:

@@ -79,31 +79,23 @@ class TrainConfig:
         for name in ("alpha", "eta", "learning_rate", "temperature"):
             if not math.isfinite(getattr(self, name)):
                 raise InputError(f"{name} must be finite, got {getattr(self, name)}")
-        for name in ("hidden", "proj_dim", "depth"):
+        for name in ("hidden", "proj_dim", "depth", "epochs", "batch_size", "num_candidates"):
             if getattr(self, name) < 1:
                 raise InputError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("alpha", "eta"):
+            if getattr(self, name) < 0:
+                raise InputError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name, choices in (("strategy", STRATEGIES), ("dist_scope", DIST_SCOPES)):
+            if getattr(self, name) not in choices:
+                raise InputError(f"{name} must be one of {choices}, got {getattr(self, name)!r}")
         if not 0.0 < self.label_ratio <= 1.0:
             raise InputError(f"label ratio must lie in (0, 1], got {self.label_ratio}")
-        if self.alpha < 0:
-            raise InputError(f"alpha must be >= 0, got {self.alpha}")
         if self.learning_rate <= 0:
             raise InputError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.epochs < 1:
-            raise InputError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise InputError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.negative_pairs and not (self.temperature > 0 and math.isfinite(1 / self.temperature)):
             raise InputError(f"temperature must be > 0 with a finite inverse, got {self.temperature}")
         if self.negative_pairs and self.batch_size < 2:
             raise InputError(f"negative pairs need batch_size >= 2, got {self.batch_size}")
-        if self.eta < 0:
-            raise InputError(f"eta must be >= 0, got {self.eta}")
-        if self.num_candidates < 1:
-            raise InputError(f"num_candidates must be >= 1, got {self.num_candidates}")
-        if self.strategy not in STRATEGIES:
-            raise InputError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
-        if self.dist_scope not in DIST_SCOPES:
-            raise InputError(f"dist_scope must be one of {DIST_SCOPES}, got {self.dist_scope!r}")
 
 
 @dataclass(frozen=True)

@@ -612,7 +612,9 @@ def decoded(path: Path, fields: int, chunk: int | None = None):
     [
         (b"1, 2\r\n3, 4\r\n5, 6\r\n", 5),  # the first \r\n is split across two reads
         (b"1, 2\r\n3, x\r\n5, 6\r\n", 11),  # and a bad line after the split
-        (b"1, 2\r3, 4\r\r5, 6\r", 2),  # lone \r ends: no line feed, so one chunk
+        (b"1, 2\r3, 4\r\r5, 6\r", 2),  # lone \r ends, cut after a \r of each read
+        (b"1, 2\r3, 4\r5, 6\r", 10),  # a read ends in \r, so it is cut after the one before
+        (b"1,     22222222\r\n3, 4\r\n", 4),  # a CRLF line longer than the chunk: a read of \r, no \n
         (b"1, 2\n3, 4", 3),  # no final newline
         (b"1, 2\n3, 4\r", 4),  # a lone \r ends the file
         (b"1,          " + b"2" * 18 + b"\n3, 4\n", 4),  # a line longer than the chunk
@@ -655,7 +657,7 @@ def test_any_chunk_size_decodes_like_the_default(chunk, graphs, seed, edits):
 
 # ------------------------------------------------------------ threaded decode
 #
-# A file of more than two chunks is decoded two chunks at a time, by a helper
+# A file of two or more chunks is decoded two chunks at a time, by a helper
 # thread and the calling one, when the process may run on more than one CPU.
 # The tests set the CPUs the process may run on, so either path runs on any
 # host.
@@ -701,8 +703,8 @@ RECORD_FORMS = {  # a file's form -> (its record of 1 field, of 2 fields)
 @pytest.mark.parametrize("fields", [1, 2])
 def test_threaded_decode_equals_one_thread(tmp_path, form, bad, fields):
     """Records and the first error (path, line and message) are those of the
-    one-thread path, wherever the malformed line is; a file of lone \\r line
-    ends is one chunk, so it starts no thread."""
+    one-thread path, wherever the malformed line is, whatever the line ends;
+    each form's file is several chunks, so it starts one thread."""
     record = RECORD_FORMS[form][fields - 1]
     lines = [record % (i, i + 1)[:fields] for i in range(300)]
     if bad is not None:
@@ -714,18 +716,20 @@ def test_threaded_decode_equals_one_thread(tmp_path, form, bad, fields):
     one, one_started = decoded_on(1, path, fields, chunk)
     two, two_started = decoded_on(2, path, fields, chunk)
     assert two == one and one_started == []
-    assert len(two_started) == (form != "lone-cr")
+    assert len(two_started) == 1
     assert (one[3] is None) == (bad is None)
     if bad is not None:
         assert one[3][2] == bad + 1  # the line of the malformed record
 
 
 @pytest.mark.parametrize("size_in_chunks, cpus, threads", [
-    (1, 2, 0), (2, 2, 0), (3, 2, 1), (3, 1, 0), (40, 1, 0), (40, 2, 1),
+    (1, 2, 0), (2, 2, 1), (3, 2, 1), (3, 1, 0), (40, 1, 0), (40, 2, 1),
 ])
 def test_only_a_file_of_more_than_two_chunks_on_two_cpus_starts_a_thread(
     tmp_path, size_in_chunks, cpus, threads
 ):
+    """On two CPUs a file of two or more chunks starts one thread; on one
+    CPU no file starts one."""
     path = tmp_path / "X_graph_labels.txt"
     path.write_bytes(b"1234567\n" * (8 * size_in_chunks))  # chunks of 64 bytes, 8 records each
     (shape, *_), started = decoded_on(cpus, path, 1, 64)
@@ -826,13 +830,15 @@ def test_decoding_memory_is_bounded_by_chunk_and_records(tmp_path):
     """A few MiB of A records decode within the records' array and a few
     chunks' temporaries, not in temporaries the size of the file, on either
     decoding path: plain records with LF or CRLF line ends, and records with
-    a sign before every value. No chunk keeps line numbers, and a CRLF line
-    end counts once when the records' array is sized. One chunk's per-line
-    decoding takes about 10 times the chunk."""
+    lone \\r line ends or a sign before every value, which are not plain. No
+    chunk keeps line numbers, and a CRLF line end counts once when the
+    records' array is sized. One chunk's per-line decoding takes about 10
+    times the chunk."""
     pairs = np.random.default_rng(0).integers(1, 10**6, size=(250_000, 2))
     path = tmp_path / "M_A.txt"
     chunk = 64 << 10
-    for record, plain in (("%d, %d\n", True), ("%d, %d\r\n", True), ("+%d, +%d\n", False)):
+    forms = ("%d, %d\n", True), ("%d, %d\r\n", True), ("%d, %d\r", False), ("+%d, +%d\n", False)
+    for record, plain in forms:
         path.write_bytes("".join(map(record.__mod__, map(tuple, pairs.tolist()))).encode())
         raw = path.read_bytes()
         assert (gd._fast_decode(raw, 2) is not None) == plain
