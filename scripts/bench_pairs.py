@@ -4,10 +4,18 @@
         --pairs N --first-seed S --label L [--seconds 10] [--out-dir .]
 
 PARENT_ROOT and CHANGE_ROOT are checkouts of the repository. Pair i runs
-`bench/run.py --workload W --seed S+i --seconds SECONDS --trace 0` once in
-each root, from that root, with BLAS pinned to one thread as BENCHMARK.json's
-command does. Even pairs run the parent first and odd pairs the change first,
-so a drift of the machine's speed over the series favours neither side.
+`bench/run.py --workload W --seed S+i --seconds SECONDS --trace 0` once for
+each root, with BLAS pinned to one thread as BENCHMARK.json's command does.
+Even pairs run the parent first and odd pairs the change first, so a drift of
+the machine's speed over the series favours neither side.
+
+Both sides run from one work path, a temporary directory made for the series
+and removed after it. Before each run it is emptied and given that root's
+`src/`, `bench/` and `BENCHMARK.json`, copied without `__pycache__` and with
+fresh modification times, so no bytecode compiled for the other tree is
+reused. The directory a program runs from can move its speed by itself
+(Mytkowicz et al., "Producing Wrong Data Without Doing Anything Obviously
+Wrong!", ASPLOS 2009); one path for both sides keeps that out of a pair.
 
 The file written holds every run's result line, each side's median and
 quartiles of every end-to-end metric, the pairs the change won on each (by
@@ -18,8 +26,12 @@ failed run of its side.
 
 Each run also records the minor page faults and system CPU seconds of its
 whole process tree (`minor_faults`, `system_s`: RUSAGE_CHILDREN before and
-after it), and the file and the output give each side's medians over its
-completed runs. They are diagnostics: no verdict reads them.
+after it), and, taken just before it, a two-process speedup (`speedup`): a
+fixed pure-Python loop run twice in series, over the wall time of the same
+loop run once in each of two forked processes. It reads about 2 when a second
+CPU has time to spare and about 1 when it has none. The file and the output
+give each side's medians over its completed runs. They are diagnostics: no
+verdict reads them.
 
 A verdict compares the two sides of one metric, with `bound` the metric's
 relative bound in BENCHMARK.json and IQR the parent's interquartile range:
@@ -44,14 +56,20 @@ import argparse
 import json
 import os
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
 USAGE = {"minor_faults": "ru_minflt", "system_s": "ru_stime"}  # run field -> rusage field
+DIAGNOSTICS = (*USAGE, "speedup")  # the run fields no verdict reads
 PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+COPIED = ("src", "bench", "BENCHMARK.json")  # what a run takes from its root
+PROBE_ITERATIONS = 1_000_000  # about 40 ms of one CPU
 
 
 def _parse_args(argv):
@@ -73,19 +91,64 @@ def _parse_args(argv):
     return args
 
 
-def _run(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One bench/run.py invocation in `root`: its result line, or its exit
-    code, and the page faults and system time of its process tree."""
+def _spin() -> int:
+    total = 0
+    for i in range(PROBE_ITERATIONS):
+        total += i
+    return total
+
+
+def speedup_probe() -> float:
+    """The wall time of `_spin` run twice in series over that of `_spin` run
+    once in each of two forked processes at once."""
+    start = time.perf_counter()
+    _spin()
+    _spin()
+    series = time.perf_counter() - start
+    start = time.perf_counter()
+    children = []
+    for _ in range(2):
+        pid = os.fork()
+        if pid == 0:
+            try:
+                _spin()
+            finally:
+                os._exit(0)
+        children.append(pid)
+    for pid in children:
+        os.waitpid(pid, 0)
+    return series / (time.perf_counter() - start)
+
+
+def _fill(work: Path, root: Path) -> None:
+    """Empty `work` and copy into it what a run takes from `root`, with fresh
+    modification times and without bytecode."""
+    shutil.rmtree(work, ignore_errors=True)
+    work.mkdir()
+    for name in COPIED:
+        if (root / name).is_dir():
+            shutil.copytree(root / name, work / name, copy_function=shutil.copyfile,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        elif (root / name).is_file():
+            shutil.copyfile(root / name, work / name)
+
+
+def _run(root: Path, work: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One bench/run.py invocation on `root`'s tree, copied into `work` and run
+    from there: its result line, or its exit code, the page faults and system
+    time of its process tree, and the speedup probe taken just before it."""
+    _fill(work, root)
+    speedup = speedup_probe()  # its children end before the usage below is read
     cmd = [
         sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
         "--seconds", str(seconds), "--trace", "0",
     ]
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(
-        cmd, cwd=root, env=dict(os.environ, **PINNED), stdout=subprocess.PIPE, text=True
+        cmd, cwd=work, env=dict(os.environ, **PINNED), stdout=subprocess.PIPE, text=True
     )
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
-    run = {"exit_code": proc.returncode,
+    run = {"exit_code": proc.returncode, "speedup": speedup,
            **{name: getattr(after, field) - getattr(before, field) for name, field in USAGE.items()}}
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -146,14 +209,16 @@ def main(argv=None) -> int:
     bound = {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
     runs = []
-    for pair in range(args.pairs):
-        seed = args.first_seed + pair
-        order = SIDES if pair % 2 == 0 else SIDES[::-1]
-        for position, side in enumerate(order):
-            run = _run(roots[side], args.workload, seed, args.seconds)
-            runs.append({"pair": pair, "seed": seed, "side": side, "position": position, **run})
-            shown = {k: round(v, 4) for k, v in run.get("metrics", {}).items()}
-            print(f"pair {pair} seed {seed} {side}: {shown or run}", file=sys.stderr)
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
+        work = Path(tmp).resolve() / "tree"
+        for pair in range(args.pairs):
+            seed = args.first_seed + pair
+            order = SIDES if pair % 2 == 0 else SIDES[::-1]
+            for position, side in enumerate(order):
+                run = _run(roots[side], work, args.workload, seed, args.seconds)
+                runs.append({"pair": pair, "seed": seed, "side": side, "position": position, **run})
+                shown = {k: round(v, 4) for k, v in run.get("metrics", {}).items()}
+                print(f"pair {pair} seed {seed} {side}: {shown or run}", file=sys.stderr)
 
     sides, values = {}, {}
     for side in SIDES:
@@ -167,7 +232,7 @@ def main(argv=None) -> int:
             "attempted_operations": sum(r["attempted"] for r in done),
             "failed_operations": sum(r["failed"] for r in done),
             "metrics": {name: _summary(v) for name, v in values[side].items()},
-            **{name: _summary([r[name] for r in done if name in r]) for name in USAGE},
+            **{name: _summary([r[name] for r in done if name in r]) for name in DIAGNOSTICS},
         }
 
     wins = {}
@@ -222,6 +287,8 @@ def main(argv=None) -> int:
         if s["minor_faults"]["median"] is not None:
             print(f"{side}: median {s['minor_faults']['median']:.0f} minor faults and "
                   f"{s['system_s']['median']:.3f} s system time per run")
+        if s["speedup"]["median"] is not None:
+            print(f"{side}: median two-process speedup {s['speedup']['median']:.2f} before a run")
     print(f"wrote {out}")
     return 0
 

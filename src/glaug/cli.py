@@ -269,7 +269,7 @@ def _execute(command, ds, path_str, cfg, out: Path, workers, values=None) -> Non
     for name, text in files.items():
         write_artifact(out / name, text)
     write_artifact(
-        out / "manifest.json", manifest_document(command, cfg, ds, path_str, list(files), extra=extra)
+        out / "manifest.json", manifest_document(command, cfg, ds, path_str, list(files), extra)
     )
     for line in lines:
         click.echo(line)
@@ -413,7 +413,7 @@ def cmd_ablate_negatives(dataset_path, **kw):
 @click.argument("dataset_path", required=False)
 @click.option("--ratios", default="0.3,0.5,0.7", show_default=True)
 @click.option("--from-run", "from_run", type=click.Path(path_type=Path), default=None,
-              help="Report rates recorded in an existing metrics.json instead of retraining.")
+              help="Report the mean rate a metrics.json records instead of retraining.")
 @train_options(swept="label_ratio")
 def cmd_invariant_rate(dataset_path, ratios, from_run, **kw):
     """Label-invariant rate across label ratios (retrains per ratio)."""
@@ -427,11 +427,10 @@ def cmd_invariant_rate(dataset_path, ratios, from_run, **kw):
         folds = doc.get("folds")
         if not isinstance(folds, list) or not folds:
             raise InputError(f"{from_run}: not a single-run metrics document with folds")
-        rates = [_json_field(f, "label_invariant_rate", float, from_run) for f in folds]
+        rate = _json_field(doc, "summary.mean_invariant_rate", float, from_run)
         cfg, _ = _recorded_config(doc, from_run)
-        click.echo(render_table(
-            ["label_ratio", "mean_invariant_rate"], [[cfg.label_ratio, sum(rates) / len(rates)]]
-        ).rstrip("\n"))
+        rows = [[cfg.label_ratio, rate]]
+        click.echo(render_table(["label_ratio", "mean_invariant_rate"], rows).rstrip("\n"))
         return
     if dataset_path is None:
         raise InputError("provide a dataset path or --from-run")

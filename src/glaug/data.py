@@ -127,7 +127,7 @@ class FeaturePolicy:
 def default_policy(has_node_labels: bool) -> FeaturePolicy:
     if has_node_labels:
         return FeaturePolicy("one_hot_node_labels")
-    return FeaturePolicy("degree_one_hot", 10)
+    return FeaturePolicy("degree_one_hot")
 
 
 # ------------------------------------------------------------------ parsing

@@ -14,7 +14,6 @@ class DatasetFormatError(InputError):
 
     def __init__(self, path, lineno, message):
         super().__init__(f"{path}:{lineno}: {message}")
-        self.lineno = lineno
 
 
 class InvariantViolation(RuntimeError):

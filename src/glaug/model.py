@@ -106,18 +106,11 @@ class ModelParams:
         return params
 
     @classmethod
-    def init(
-        cls,
-        feature_dim: int,
-        num_classes: int,
-        hidden: int = 128,
-        proj_dim: int = 128,
-        depth: int = 3,
-        rng: np.random.Generator | None = None,
-    ) -> "ModelParams":
-        """Glorot-uniform weights, zero biases. The vector is sized and
-        allocated before the layout lists the encoder's layers, so a model no
-        array can hold fails before that list or any draw."""
+    def init(cls, feature_dim: int, num_classes: int, hidden: int, proj_dim: int, depth: int,
+             rng: np.random.Generator) -> "ModelParams":
+        """Glorot-uniform weights drawn from `rng`, zero biases. The vector is
+        sized and allocated before the layout lists the encoder's layers, so a
+        model no array can hold fails before that list or any draw."""
         if depth < 1:
             raise InputError("encoder depth must be >= 1")
         if min(feature_dim, num_classes, hidden, proj_dim) < 1:
@@ -132,7 +125,7 @@ class ModelParams:
         layout = [("enc0", (feature_dim, hidden))]
         layout += [(f"enc{layer}", (hidden, hidden)) for layer in range(1, depth)]
         layout += [part for head, out in heads for part in head_layout(head, hidden, out)]
-        return cls._drawn_into(flat, layout, rng or np.random.default_rng(0))
+        return cls._drawn_into(flat, layout, rng)
 
     def copy(self) -> "ModelParams":
         """An independent copy: one copy of the parameter vector."""

@@ -83,7 +83,7 @@ def metrics_document(
     dataset: GraphDataset,
     dataset_path: str,
     body: dict,
-    trends: list[dict] | None = None,
+    trends: list[dict],
 ) -> str:
     """The per-run structured metrics artifact: the shared head, then `body`,
     one run's `experiment_dict` or a study's {"runs": [...]}, each run of
@@ -101,7 +101,7 @@ def manifest_document(
     dataset: GraphDataset,
     dataset_path: str,
     artifact_names: list[str],
-    extra: dict | None = None,
+    extra: dict,
 ) -> str:
     doc = _document_head(MANIFEST_SCHEMA, cfg, dataset, dataset_path)
     doc.update(command=command, artifacts=sorted(artifact_names))

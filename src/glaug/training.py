@@ -538,7 +538,7 @@ def _toy_batch_objective_check(rng_seed: int, num_nodes: int = 5) -> float | Non
     return worst
 
 
-def gradient_suite(size: str = "small") -> list[tuple[str, float]]:
+def gradient_suite(size: str) -> list[tuple[str, float]]:
     """(name, max relative FD error) for every engine op and the full objective.
 
     `full` repeats the op checks on larger shapes and more objective seeds.

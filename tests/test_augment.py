@@ -24,7 +24,9 @@ def brute_centroid_distance(rows):
 
 def plain_params(hidden=2, classes=2):
     """Parameters whose head is identity-ish: logits equal relu(h), boundary at h0 = h1."""
-    params = ModelParams.init(4, classes, hidden=hidden, proj_dim=3)
+    params = ModelParams.init(
+        4, classes, hidden=hidden, proj_dim=3, depth=3, rng=np.random.default_rng(0)
+    )
     params.arrays["cls_w1"][...] = np.eye(hidden)
     params.arrays["cls_b1"][...] = 0.0
     params.arrays["cls_w2"][...] = np.eye(hidden)[:, :classes]
@@ -276,7 +278,7 @@ def test_nonfallback_displacement_norm():
 def test_snapshot_agreement_holds_under_random_params():
     rng = np.random.default_rng(41)
     for trial in range(30):
-        frozen = ModelParams.init(4, 3, hidden=5, proj_dim=3, rng=rng).bind()
+        frozen = ModelParams.init(4, 3, hidden=5, proj_dim=3, depth=3, rng=rng).bind()
         h = rng.normal(size=(1, 5)) * 2
         target = int(rng.integers(3))
         out = ga.augment(h, [target], frozen, CFG(eta=1.0, num_candidates=6), 1.0,
@@ -321,7 +323,7 @@ def test_config_validation():
 @settings(max_examples=30, deadline=None)
 def test_outcome_invariant_chain_with_positive_step(seed):
     rng = np.random.default_rng(seed)
-    frozen = ModelParams.init(4, 2, hidden=4, proj_dim=3, rng=rng).bind()
+    frozen = ModelParams.init(4, 2, hidden=4, proj_dim=3, depth=3, rng=rng).bind()
     h = rng.normal(size=(1, 4))
     out = ga.augment(h, [int(rng.integers(2))], frozen, CFG(eta=1.0, num_candidates=5), 1.0,
                      [seeded_rng(seed, "chain")])
@@ -355,7 +357,7 @@ def test_candidate_block_equals_row_by_row_candidates(strategy):
     rng = np.random.default_rng(23)
     for trial in range(40):
         hidden, classes = (5, 3) if trial % 2 else (32, 2)
-        frozen = ModelParams.init(4, classes, hidden=hidden, proj_dim=3, rng=rng).bind()
+        frozen = ModelParams.init(4, classes, hidden=hidden, proj_dim=3, depth=3, rng=rng).bind()
         h = rng.normal(size=(1, hidden))
         cfg = CFG(strategy=strategy, num_candidates=1 + trial % 10, eta=float(rng.uniform(0, 3)))
         target = int(rng.integers(classes))
@@ -372,7 +374,7 @@ def test_candidate_block_equals_row_by_row_candidates(strategy):
 @pytest.mark.parametrize("hidden", [1, 8, 32, 128])
 def test_stacked_rows_keep_their_bits(classes, hidden):
     rng = np.random.default_rng(classes * 1000 + hidden)
-    frozen = ModelParams.init(4, classes, hidden=hidden, proj_dim=3, rng=rng).bind()
+    frozen = ModelParams.init(4, classes, hidden=hidden, proj_dim=3, depth=3, rng=rng).bind()
     k, b = 10, 32
     for height in (1, 2, k, b, b * k):
         stack = rng.normal(size=(height, hidden)) * 3.0
@@ -423,7 +425,7 @@ def test_batch_augment_equals_per_row_augment(strategy):
         rows = 1 + trial % 9
         cfg = CFG(strategy=strategy, num_candidates=(1, 3, 10)[trial % 3],
                   eta=float(rng.uniform(0.1, 3.0)))
-        frozen = ModelParams.init(4, classes, hidden=hidden, proj_dim=3, rng=rng).bind()
+        frozen = ModelParams.init(4, classes, hidden=hidden, proj_dim=3, depth=3, rng=rng).bind()
         h = rng.normal(size=(rows, hidden))
         targets = rng.integers(classes, size=rows).tolist()
         batch_rngs = [seeded_rng(6, "batch", trial, b) for b in range(rows)]
@@ -463,7 +465,7 @@ def test_augment_scores_each_candidate_index_once(monkeypatch):
 
     monkeypatch.setattr(ga, "snapshot_probs", counting)
     rng = np.random.default_rng(3)
-    frozen = ModelParams.init(4, 2, hidden=6, proj_dim=3, rng=rng).bind()
+    frozen = ModelParams.init(4, 2, hidden=6, proj_dim=3, depth=3, rng=rng).bind()
     rows = 7
     ga.augment(rng.normal(size=(rows, 6)), [0] * rows, frozen, CFG(num_candidates=4), 0.5,
                [seeded_rng(1, b) for b in range(rows)])

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 from functools import partial
 from pathlib import Path
 
@@ -55,7 +56,7 @@ def test_summary_wins_and_failed_runs(tmp_path, monkeypatch, capsys):
 
     calls = []
 
-    def canned_run(root, workload, seed, seconds):
+    def canned_run(root, work, workload, seed, seconds):
         side = root.name
         calls.append((seed, side))
         assert (root, workload, seconds) == (roots[side].resolve(), "w", 10.0)
@@ -117,6 +118,56 @@ def test_runs_record_the_page_faults_and_system_time_of_their_process_tree(tmp_p
         faults = doc["sides"][side]["minor_faults"]["median"]
         assert faults > 0 and doc["sides"][side]["system_s"]["median"] >= 0.0
         assert f"{side}: median {faults:.0f} minor faults and " in out
+
+
+def test_both_sides_run_from_one_path_with_fresh_copies_of_their_own_trees(tmp_path, capsys):
+    """Each run starts from the same emptied work path, holding that side's
+    src/, bench/ and BENCHMARK.json with fresh modification times and no
+    __pycache__; the path is gone after the series."""
+    log, old = tmp_path / "log.jsonl", 946684800  # 2000-01-01, the sources' modification time
+    line = {"correct": True, "attempted": 1, "failed": 0, "metrics": {"graphs_per_s": {"value": 1.0}}}
+    stub = f"""import json, os, pathlib
+here = pathlib.Path(__file__).resolve()
+root = here.parents[1]
+with open({str(log)!r}, "a") as log:
+    log.write(json.dumps({{
+        "cwd": os.getcwd(), "root": str(root), "src": (root / "src" / "side.txt").read_text(),
+        "spec": (root / "BENCHMARK.json").read_text(), "mtime": os.stat(here).st_mtime,
+        "pycache": (root / "bench" / "__pycache__").exists(),
+        "leftover": sorted(p.name for p in root.iterdir()),
+    }}) + "\\n")
+    (root / "left-by-the-run").touch()
+print({json.dumps(json.dumps(line))})
+"""
+    spec = {"end_to_end": [{"name": "graphs_per_s", "better": "higher", "bound": 0.25}]}
+    for side in ("parent", "change"):
+        root = tmp_path / side
+        (root / "bench" / "__pycache__").mkdir(parents=True)
+        (root / "bench" / "__pycache__" / "run.cpython-311.pyc").write_bytes(b"stale")
+        (root / "bench" / "run.py").write_text(stub)
+        (root / "src").mkdir()
+        (root / "src" / "side.txt").write_text(side)
+        (root / "BENCHMARK.json").write_text(json.dumps(dict(spec, side=side)))
+        for path in (root / "bench" / "run.py", root / "src" / "side.txt", root / "BENCHMARK.json"):
+            os.utime(path, (old, old))
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "w", "--pairs", "2",
+            "--first-seed", "1", "--label", "t", "--seconds", "0.5", "--out-dir", str(tmp_path)]
+    assert load_script().main(argv) == 0
+    seen = [json.loads(text) for text in log.read_text().splitlines()]
+    assert [s["src"] for s in seen] == ["parent", "change", "change", "parent"]
+    assert [json.loads(s["spec"])["side"] for s in seen] == [s["src"] for s in seen]
+    work = {s["root"] for s in seen}
+    assert len(work) == 1 and {s["cwd"] for s in seen} == work
+    assert not any(Path(s["root"]).is_relative_to(tmp_path) for s in seen)
+    assert all(s["mtime"] > old and not s["pycache"] for s in seen)
+    assert all(s["leftover"] == ["BENCHMARK.json", "bench", "src"] for s in seen)
+    assert not Path(work.pop()).exists()
+    doc = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert all(run["exit_code"] == 0 and run["speedup"] > 0 for run in doc["runs"])
+    out = capsys.readouterr().out
+    for side in ("parent", "change"):
+        speedup = doc["sides"][side]["speedup"]["median"]
+        assert f"{side}: median two-process speedup {speedup:.2f} before a run" in out
 
 
 PARENT = [100.0, 101.0, 102.0, 103.0, 104.0, 105.0, 106.0, 107.0, 108.0, 109.0]  # IQR 4.5

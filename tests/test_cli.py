@@ -561,6 +561,22 @@ def test_invariant_rate_from_run(toy_dir, tmp_path, capsys):
     assert float(lines[1].split("\t")[1]) <= 1.0
 
 
+def test_invariant_rate_from_run_prints_the_recorded_summary(run_dir, tmp_path, capsys):
+    """The rate printed is the document's `summary.mean_invariant_rate`, which
+    glaug writes as the mean of its folds' rates; the reader takes no mean."""
+    doc = json.loads((run_dir / "metrics.json").read_text())
+    folds_mean = sum(f["label_invariant_rate"] for f in doc["folds"]) / len(doc["folds"])
+    assert doc["summary"]["mean_invariant_rate"] == folds_mean
+    ratio = doc["config"]["label_ratio"]
+    for recorded in (folds_mean, 0.25 if folds_mean != 0.25 else 0.75):
+        doc["summary"]["mean_invariant_rate"] = recorded
+        path = tmp_path / "metrics.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["invariant-rate", "--from-run", str(path)]) == 0
+        assert capsys.readouterr().out == f"label_ratio\tmean_invariant_rate\n{ratio}\t{recorded}\n"
+
+
 def test_invariant_rate_from_run_rejects_sweep_doc(toy_dir, tmp_path):
     out = tmp_path / "sw"
     assert main(["sweep-eta", str(toy_dir), "--values", "1.0", *COMMON, "--out", str(out)]) == 0
@@ -572,7 +588,7 @@ def test_invariant_rate_from_run_rejects_sweep_doc(toy_dir, tmp_path):
     _set([], "folds"),
     _drop("folds"),
     _drop("config"),
-    _set("x", "folds", 0, "label_invariant_rate"),
+    _set("x", "summary", "mean_invariant_rate"),
     lambda doc: doc.clear(),
 ], ids=["empty_folds", "missing_folds", "missing_config", "str_rate", "empty_object"])
 def test_invariant_rate_from_run_rejects_malformed(run_dir, tmp_path, capsys, edit):
@@ -652,8 +668,7 @@ READERS = {
     ),
     "from_run": (
         ["invariant-rate", "--from-run"], "metrics.json", lambda doc: doc,
-        [("schema",), *CONFIG_READS, ("folds",), ("folds", 0), ("folds", 0, "label_invariant_rate"),
-         ("folds", 9, "label_invariant_rate")],
+        [("schema",), *CONFIG_READS, ("folds",), ("summary",), ("summary", "mean_invariant_rate")],
     ),
 }
 JSON_VALUES = st.recursive(

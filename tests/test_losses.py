@@ -454,7 +454,7 @@ def test_flat_adam_equals_per_array_adam_bitwise(which):
     if which == "surrogate":
         shapes = dict(SURROGATE_SHAPES)
     else:
-        full = ModelParams.init(7, 3, rng=rng)
+        full = ModelParams.init(7, 3, hidden=128, proj_dim=128, depth=3, rng=rng)
         shapes = {k: a.shape for k, a in full.arrays.items()}
     shapes["empty"] = (0, 5)
     start = {k: rng.normal(size=shape) for k, shape in shapes.items()}

@@ -380,7 +380,9 @@ def test_batched_forward_matches_numpy_route_per_graph():
 
 
 def test_classify_zero_params_is_uniform():
-    params = gm.ModelParams.init(4, num_classes=5, hidden=6, proj_dim=3)
+    params = gm.ModelParams.init(
+        4, num_classes=5, hidden=6, proj_dim=3, depth=3, rng=np.random.default_rng(0)
+    )
     for name in params.arrays:
         if name.startswith("cls"):
             params.arrays[name][...] = 0.0
@@ -391,14 +393,14 @@ def test_classify_zero_params_is_uniform():
 def test_classify_is_distribution_for_random_params():
     rng = np.random.default_rng(3)
     for _ in range(10):
-        params = gm.ModelParams.init(4, 3, hidden=6, proj_dim=4, rng=rng)
+        params = gm.ModelParams.init(4, 3, hidden=6, proj_dim=4, depth=3, rng=rng)
         c = gm.classify(rng.normal(size=(1, 6)) * 50, params.bind())
         assert np.all(c >= 0) and np.all(c <= 1)
         np.testing.assert_allclose(c.sum(), 1.0, atol=1e-12)
 
 
 def test_project_zero_params_is_zero():
-    params = gm.ModelParams.init(4, 3, hidden=6, proj_dim=4)
+    params = gm.ModelParams.init(4, 3, hidden=6, proj_dim=4, depth=3, rng=np.random.default_rng(0))
     for name in params.arrays:
         if name.startswith("proj"):
             params.arrays[name][...] = 0.0
@@ -452,7 +454,9 @@ def test_end_to_end_gradient_every_parameter():
 
 
 def test_init_shape_chain():
-    params = gm.ModelParams.init(7, num_classes=3, hidden=16, proj_dim=9, depth=4)
+    params = gm.ModelParams.init(
+        7, num_classes=3, hidden=16, proj_dim=9, depth=4, rng=np.random.default_rng(0)
+    )
     assert params.arrays["enc0"].shape == (7, 16)
     for layer in range(1, 4):
         assert params.arrays[f"enc{layer}"].shape == (16, 16)
@@ -463,13 +467,13 @@ def test_init_shape_chain():
 
 def test_init_validates_dims():
     with pytest.raises(InputError):
-        gm.ModelParams.init(4, 2, depth=0)
+        gm.ModelParams.init(4, 2, hidden=128, proj_dim=128, depth=0, rng=np.random.default_rng(0))
     with pytest.raises(InputError):
-        gm.ModelParams.init(0, 2)
+        gm.ModelParams.init(0, 2, hidden=128, proj_dim=128, depth=3, rng=np.random.default_rng(0))
 
 
 def test_glorot_bounds_and_zero_biases():
-    params = gm.ModelParams.init(10, 2, hidden=8, proj_dim=8, rng=np.random.default_rng(5))
+    params = gm.ModelParams.init(10, 2, hidden=8, proj_dim=8, depth=3, rng=np.random.default_rng(5))
     w = params.arrays["enc0"]
     bound = np.sqrt(6.0 / (10 + 8))
     assert np.all(np.abs(w) <= bound) and np.std(w) > 0
@@ -477,7 +481,7 @@ def test_glorot_bounds_and_zero_biases():
 
 
 def test_copy_is_independent():
-    params = gm.ModelParams.init(4, 2, hidden=4, proj_dim=4)
+    params = gm.ModelParams.init(4, 2, hidden=4, proj_dim=4, depth=3, rng=np.random.default_rng(0))
     dup = params.copy()
     dup.arrays["enc0"][0, 0] += 1.0
     assert params.arrays["enc0"][0, 0] != dup.arrays["enc0"][0, 0]
@@ -532,14 +536,14 @@ def test_frozen_forward_keeps_input_errors():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_frozen_bind_rejects_non_finite(bad):
-    params = gm.ModelParams.init(4, 2, hidden=5, proj_dim=3)
+    params = gm.ModelParams.init(4, 2, hidden=5, proj_dim=3, depth=3, rng=np.random.default_rng(0))
     params.arrays["cls_w2"][1, 0] = bad
     with pytest.raises(ValueError, match="NaN or Inf"):
         params.bind()
 
 
 def test_frozen_bind_copies_nothing():
-    params = gm.ModelParams.init(4, 2, hidden=5, proj_dim=3)
+    params = gm.ModelParams.init(4, 2, hidden=5, proj_dim=3, depth=3, rng=np.random.default_rng(0))
     frozen = params.bind()
     assert frozen.keys() == params.arrays.keys()
     assert all(frozen[k] is v for k, v in params.arrays.items())
@@ -568,7 +572,8 @@ def test_arrays_are_views_of_one_vector():
 
 
 def test_depth_counts_the_encoder_arrays():
-    assert gm.ModelParams.init(4, 3, hidden=5, proj_dim=3, depth=3).depth == 3
+    params = gm.ModelParams.init(4, 3, hidden=5, proj_dim=3, depth=3, rng=np.random.default_rng(0))
+    assert params.depth == 3
     rng = np.random.default_rng(0)
     assert gm.ModelParams.drawn([("enc0", (2, 2)), ("enc1", (2, 2))], rng).depth == 2
     assert gm.ModelParams.drawn(gm.head_layout("cls", 2, 2), rng).depth == 0
